@@ -114,10 +114,26 @@ def regular_character(group):
 
 
 def pair(f, g):
-    """The natural pairing |G|^-1 sum_s f(s) g(s^-1); symmetric and bilinear."""
+    """The natural pairing |G|^-1 sum_s f(s) g(s^-1); symmetric and bilinear.
+
+    When either argument is rational (level 1), the pairing is
+    |G|^-1 sum_s q(s^-1) * v(s) with q the rational and v the other
+    function's coefficient vectors: a rational combination of coefficient
+    vectors, with no field multiplication and no reduction.
+    """
     if f.group != g.group:
         raise InputError("pairing across different groups")
     grp = f.group
+    if f.level == 1:
+        f, g = g, f
+    if g.level == 1:
+        acc = [Fraction(0)] * len(f.values[0].coeffs)
+        for s in range(grp.order):
+            q = g.values[grp.inv(s)].coeffs[0]
+            if q:
+                for i, c in enumerate(f.values[s].coeffs):
+                    acc[i] += q * c
+        return CycloNum(f.level, tuple(c / grp.order for c in acc))
     acc = CycloNum.from_rational(0)
     for s in range(grp.order):
         acc = acc + f.values[s] * g.values[grp.inv(s)]

@@ -45,6 +45,10 @@ from .series import (
 from .verify import run_catalog_suites, run_random_bisection
 
 
+# display decimals come from double precision; more digits show only noise
+MAX_DECIMAL_DIGITS = 100
+
+
 def _decimal(value, digits):
     z = value.approx() if isinstance(value, CycloNum) else complex(float(value))
     return f"{z.real:.{digits}f}{z.imag:+.{digits}f}i"
@@ -235,12 +239,24 @@ def cmd_weil(args):
     return 0 if all_ok else 1
 
 
+def _int_arg(flag, text, minimum=None):
+    try:
+        value = int(text)
+    except ValueError:
+        raise InputError(f"{flag} needs an integer, got {text!r}") from None
+    if minimum is not None and value < minimum:
+        raise InputError(f"{flag} must be at least {minimum}, got {value}")
+    return value
+
+
 def cmd_verify(args):
     report = _report("verify")
     results = []
     if args.random:
         seed, count = args.random
-        results += run_random_bisection(int(seed), int(count))
+        results += run_random_bisection(
+            _int_arg("--random SEED", seed), _int_arg("--random N", count, minimum=1)
+        )
     if args.catalog or not args.random:
         results = run_catalog_suites() + results
     passed = sum(1 for _, ok, _ in results if ok)
@@ -451,6 +467,11 @@ def main(argv=None):
     except SystemExit as exc:
         return 2 if exc.code not in (0, None) else 0
     try:
+        if not 0 <= args.decimal_digits <= MAX_DECIMAL_DIGITS:
+            raise InputError(
+                f"--decimal-digits must be between 0 and {MAX_DECIMAL_DIGITS}, "
+                f"got {args.decimal_digits}"
+            )
         return args.fn(args)
     except InputError as exc:
         print(f"error: invalid input: {exc}", file=sys.stderr)

@@ -424,6 +424,8 @@ def check_adapted_basis(m, e, basis, precision=8):
     decomposition restricts to the lattice after p-completion).  Any basis
     passing these checks is acceptable; the output is not unique.
     """
+    if precision < 1:
+        raise InputError("precision must be at least 1")
     e = as_matrix(e)
     d = m.rank
     basis = tuple(tuple(int(x) for x in row) for row in basis)
@@ -448,6 +450,4 @@ def check_adapted_basis(m, e, basis, precision=8):
                 raise CheckFailure(
                     "idempotent does not preserve the adapted lattice p-integrally"
                 )
-    if precision < 1:
-        raise InputError("precision must be at least 1")
     return True

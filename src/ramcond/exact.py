@@ -26,6 +26,7 @@ __all__ = [
     "cyc_arith",
     "cyclotomic_polynomial",
     "euler_phi",
+    "inverse_zeta_minus_one",
     "is_prime",
     "p_valuation",
 ]
@@ -173,6 +174,53 @@ def cyclotomic_polynomial(n):
     return poly
 
 
+_ZETA_POWER_CACHE = {}
+
+
+def _zeta_powers(n):
+    """Integer coefficient vectors of x^m mod Phi_n for 0 <= m < n.
+
+    Row m is the power basis expansion of zeta_n^m.  Memoized; like
+    ``_CYCLOTOMIC_CACHE`` the cache is a pure idempotent map.
+    """
+    cached = _ZETA_POWER_CACHE.get(n)
+    if cached is not None:
+        return cached
+    phi_n = cyclotomic_polynomial(n)
+    row = [1] + [0] * (len(phi_n) - 2)
+    rows = []
+    for _ in range(n):
+        rows.append(tuple(row))
+        # multiply by x; Phi_n is monic, so x^phi = -(lower terms of Phi_n)
+        top = row[-1]
+        row = [0] + row[:-1]
+        if top:
+            row = [r - top * c for r, c in zip(row, phi_n)]
+    table = tuple(rows)
+    _ZETA_POWER_CACHE[n] = table
+    return table
+
+
+def inverse_zeta_minus_one(level, exponent):
+    """1/(zeta_level^exponent - 1) in closed form, without inversion.
+
+    For any w with w^n = 1 and w != 1, (w - 1) * sum_{j<n} j w^j = n, so
+    1/(zeta_n^k - 1) = (1/n) * sum_{j<n} j zeta_n^(jk) for every k that is
+    not 0 mod n, primitive or not.
+    """
+    n = level
+    k = exponent % n
+    if k == 0:
+        raise ZeroDivisionError("zeta^k - 1 is zero for k = 0 mod n")
+    table = _zeta_powers(n)
+    acc = [0] * len(table[0])
+    for j in range(1, n):
+        for i, c in enumerate(table[(j * k) % n]):
+            if c:
+                acc[i] += j * c
+    return CycloNum(n, tuple(Fraction(c, n) for c in acc))
+
+
 def cyc_arith(a, b, op):
     """Dispatch form of field arithmetic; div inverts through the extended gcd."""
     if op == "add":
@@ -224,11 +272,7 @@ class CycloNum:
     @classmethod
     def zeta(cls, level, exponent=1):
         """zeta_level ** exponent, reduced into the power basis."""
-        exponent %= level
-        poly = tuple(
-            Fraction(1) if i == exponent else Fraction(0) for i in range(exponent + 1)
-        )
-        return cls(level, _reduce_mod_cyclotomic(poly, level))
+        return cls(level, _zeta_powers(level)[exponent % level])
 
     # -- level bookkeeping --------------------------------------------------
 
@@ -238,6 +282,8 @@ class CycloNum:
             raise InputError(f"cannot embed level {self.level} into level {m}")
         if m == self.level:
             return self
+        if self.level == 1:
+            return CycloNum(m, self.coeffs + (0,) * (euler_phi(m) - 1))
         step = m // self.level
         deg = (len(self.coeffs) - 1) * step if self.coeffs else 0
         poly = [Fraction(0)] * (deg + 1)
@@ -280,6 +326,16 @@ class CycloNum:
         return (-self).__add__(other)
 
     def __mul__(self, other):
+        # a rational operand scales the coefficients of the other one
+        if isinstance(other, (int, Fraction)):
+            return CycloNum(self.level, tuple(c * other for c in self.coeffs))
+        if isinstance(other, CycloNum):
+            if other.level == 1:
+                q = other.coeffs[0]
+                return CycloNum(self.level, tuple(c * q for c in self.coeffs))
+            if self.level == 1:
+                q = self.coeffs[0]
+                return CycloNum(other.level, tuple(q * c for c in other.coeffs))
         pair = self._pair(other)
         if pair is None:
             return NotImplemented

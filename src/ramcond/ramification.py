@@ -16,7 +16,7 @@ from math import gcd
 
 from .characters import ClassFunction
 from .errors import CheckFailure, InputError
-from .exact import CycloNum, is_prime
+from .exact import CycloNum, inverse_zeta_minus_one, is_prime
 from .groups import FiniteGroup, Subgroup, intersect, subgroup
 
 __all__ = [
@@ -199,6 +199,10 @@ def bisection(rd):
     Values: 1/(omega(s) - 1) on tame elements, -i(s)/2 on nontrivial wild
     elements, and half the total break sum at the identity; valued in
     Q(zeta_n) through the tame identification.
+
+    Tame values use the closed form 1/(w - 1) = (1/n) * sum_{j<n} j * w^j,
+    which holds for every w != 1 with w^n = 1, since
+    (w - 1) * sum_{j<n} j * w^j = n.  No field inversion is made.
     """
     grp = rd.group
     wild = set(rd.wild_subgroup.elements)
@@ -209,8 +213,7 @@ def bisection(rd):
         elif s in wild:
             values.append(CycloNum.from_rational(Fraction(-i_gamma(rd, s), 2)))
         else:
-            zeta = CycloNum.zeta(rd.n, rd.omega_exp[s])
-            values.append((zeta - 1).inverse())
+            values.append(inverse_zeta_minus_one(rd.n, rd.omega_exp[s]))
     return ClassFunction(grp, values)
 
 

@@ -16,7 +16,7 @@ from ramcond.characters import (
     trivial_character,
 )
 from ramcond.errors import CheckFailure, InputError
-from ramcond.exact import CycloNum
+from ramcond.exact import CycloNum, euler_phi
 from ramcond.groups import conjugacy_classes, make_cyclic, make_symmetric, subgroup
 from ramcond.ramification import bisection, ram_data
 
@@ -60,6 +60,38 @@ def test_pair_symmetric_and_bilinear():
         f1, f2, f3 = random_cf(), random_cf(), random_cf()
         assert pair(f1, f2) == pair(f2, f1)
         assert pair(f1 + f2, f3) == pair(f1, f3) + pair(f2, f3)
+
+
+def test_pair_rational_path_matches_generic_sum():
+    rng = random.Random(11)
+    for g in (make_cyclic(5), make_symmetric(3), make_cyclic(12)):
+        classes = conjugacy_classes(g)
+        for level in (3, 4, 8, 12):
+
+            def class_values(value):
+                vals = [None] * g.order
+                for cls in classes:
+                    v = value()
+                    for s in cls:
+                        vals[s] = v
+                return vals
+
+            def rational():
+                return Fraction(rng.randint(-6, 6), rng.randint(1, 4))
+
+            def cyclotomic():
+                return CycloNum(level, [rational() for _ in range(euler_phi(level))])
+
+            f = class_function(g, class_values(cyclotomic))
+            qs = class_values(rational)
+            rational = class_function(g, qs)
+            # the same rationals stored at level ``level`` take the generic path
+            lifted = class_function(g, [CycloNum.from_rational(q, level) for q in qs])
+            assert rational.level == 1 and lifted.level == level
+            generic = pair(f, lifted)
+            assert pair(f, rational).coeffs == generic.coeffs
+            assert pair(rational, f).coeffs == generic.coeffs
+            assert pair(rational, rational) == pair(lifted, lifted)
 
 
 def test_conjugate_rational_fixed():

@@ -169,6 +169,23 @@ def test_invalid_scenario_exit_2(tmp_path, capsys):
     assert main(["bisect", str(unknown_key)]) == 2
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["verify", "--random", "x", "3"],
+        ["verify", "--random", "1", "-5"],
+        ["verify", "--random", "1", "0"],
+        ["--decimal-digits", "-3", "bisect", os.path.join(SCENARIOS, "tame_cyclic3.json")],
+    ],
+)
+def test_bad_flag_values_exit_2(capsys, argv):
+    assert main(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: invalid input:")
+    assert captured.err.count("\n") == 1
+
+
 def test_missing_file_exit_2(capsys):
     assert main(["bisect", "/nonexistent/path.json"]) == 2
 

@@ -360,6 +360,8 @@ def test_adapt_lattice_checker_rejects_bad_bases():
         check_adapted_basis(reg, e, ((3, 0), (0, 1)))  # index divisible by 3
     with pytest.raises(CheckFailure):
         check_adapted_basis(reg, e, ((1, 0), (0, 2)))  # not E-stable p-integrally
+    with pytest.raises(InputError):
+        check_adapted_basis(reg, e, ((3, 0), (0, 1)), precision=0)
 
 
 def test_adapt_lattice_nested():

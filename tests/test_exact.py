@@ -1,4 +1,5 @@
 import math
+import random
 from fractions import Fraction
 
 import pytest
@@ -8,9 +9,11 @@ from hypothesis import strategies as st
 from ramcond.errors import InputError
 from ramcond.exact import (
     CycloNum,
+    _reduce_mod_cyclotomic,
     cyc_arith,
     cyclotomic_polynomial,
     euler_phi,
+    inverse_zeta_minus_one,
     p_valuation,
 )
 
@@ -78,6 +81,49 @@ def test_cyc_inverse_example():
     inv = (z - 1).inverse()
     assert inv == (z * z - 1) * Fraction(1, 3)
     assert inv * (z - 1) == 1
+
+
+ORACLE_LEVELS = list(range(2, 25)) + [32, 48, 64]
+
+
+@pytest.mark.parametrize("n", ORACLE_LEVELS)
+def test_inverse_zeta_minus_one_matches_inverse(n):
+    # every k, primitive or not: the closed form needs only zeta^k != 1
+    for k in range(1, n):
+        expected = (CycloNum.zeta(n, k) - 1).inverse()
+        got = inverse_zeta_minus_one(n, k)
+        assert got.level == n and got.coeffs == expected.coeffs
+    assert inverse_zeta_minus_one(n, n + 1) == inverse_zeta_minus_one(n, 1)
+    with pytest.raises(ZeroDivisionError):
+        inverse_zeta_minus_one(n, n)
+
+
+@pytest.mark.parametrize("n", [1] + ORACLE_LEVELS)
+def test_zeta_table_matches_reduction(n):
+    for m in range(-1, n + 1):
+        e = m % n
+        poly = (Fraction(0),) * e + (Fraction(1),)
+        assert CycloNum.zeta(n, m).coeffs == _reduce_mod_cyclotomic(poly, n)
+
+
+def test_rational_fast_paths_match_general_path():
+    rng = random.Random(5)
+    for n in (2, 3, 5, 8, 12, 15):
+        for _ in range(4):
+            q = Fraction(rng.randint(-9, 9), rng.randint(1, 5))
+            # embed: the general path spreads and reduces the coefficients
+            assert CycloNum.from_rational(q).embed(n).coeffs == _reduce_mod_cyclotomic((q,), n)
+            coeffs = [Fraction(rng.randint(-9, 9), rng.randint(1, 4)) for _ in range(euler_phi(n))]
+            a = CycloNum(n, coeffs)
+            # q embedded at level n takes the general multiply-and-reduce path
+            general = a * CycloNum.from_rational(q, n)
+            q1 = CycloNum.from_rational(q)
+            for scaled in (a * q, q * a, a * q1, q1 * a):
+                assert scaled.level == n and scaled.coeffs == general.coeffs
+            k = q.numerator
+            assert (a * k).coeffs == (a * CycloNum.from_rational(k, n)).coeffs
+    half = CycloNum.from_rational(Fraction(1, 2))
+    assert (half * 3).level == 1 and half * half == Fraction(1, 4)
 
 
 def test_zeta_sum_relation():

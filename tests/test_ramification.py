@@ -4,7 +4,8 @@ from fractions import Fraction
 import pytest
 
 from ramcond.catalog import catalog, random_ram_data
-from ramcond.characters import regular_character, restrict
+from ramcond import verify
+from ramcond.characters import class_function, regular_character, restrict
 from ramcond.errors import CheckFailure, InputError
 from ramcond.exact import CycloNum
 from ramcond.groups import make_cyclic, make_product, subgroup
@@ -154,6 +155,27 @@ def test_bisection_identity_randomized():
     rng = random.Random(7)
     for _ in range(40):
         assert_bisection_identity(random_ram_data(rng))
+
+
+def test_check_bisection_records_tame_identity_and_witness(monkeypatch):
+    rd = tame_c3()
+    results = []
+    verify.check_bisection(rd, results)
+    records = {name: (ok, detail) for name, ok, detail in results}
+    assert records[f"tame-value-identity[{rd.name}]"] == (True, "")
+    assert records[f"bisection[{rd.name}]"] == (True, "")
+
+    # a wrong tame value fails both records, each naming the element
+    ba = bisection(rd)
+    wrong = class_function(rd.group, (ba.values[0], ba.values[1] + 1, ba.values[2] + 1))
+    monkeypatch.setattr(verify, "bisection", lambda _: wrong)
+    results = []
+    verify.check_bisection(rd, results)
+    records = {name: (ok, detail) for name, ok, detail in results}
+    ok, detail = records[f"bisection[{rd.name}]"]
+    assert not ok and detail == "s=1: lhs=1, rhs=-1"
+    ok, detail = records[f"tame-value-identity[{rd.name}]"]
+    assert not ok and detail.startswith("s=1: lhs=") and detail.endswith(", rhs=1")
 
 
 def test_artin_sums_to_zero_everywhere():
