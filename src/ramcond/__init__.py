@@ -13,7 +13,6 @@ from .characters import (
     ClassFunction,
     artin_conductor,
     char_of_rep,
-    class_function,
     conjugate,
     induce,
     pair,
@@ -26,7 +25,6 @@ from .conductors import (
     Conductor,
     adapt_lattice,
     adapt_lattice_pair,
-    char_module,
     check_adapted_basis,
     conductor,
     conductor_via_induction,
@@ -42,7 +40,6 @@ from .conductors import (
 from .errors import CheckFailure, InputError
 from .exact import (
     CycloNum,
-    cyc_arith,
     cyclotomic_polynomial,
     euler_phi,
     is_prime,
@@ -57,7 +54,6 @@ from .groups import (
     make_product,
     make_symmetric,
     subgroup,
-    subgroup_tests,
 )
 from .ramification import (
     RamData,
@@ -78,7 +74,6 @@ from .series import (
     is_distinguished,
     is_lattice_member,
     mult_endo,
-    series_arith,
     substitute,
     symmetric_descent,
     weierstrass_divide,

@@ -16,7 +16,6 @@ from .ramification import ram_data
 
 __all__ = [
     "catalog",
-    "catalog_names",
     "get_fixture",
     "random_ram_data",
     "random_module",
@@ -115,10 +114,6 @@ def catalog():
     return tuple(out)
 
 
-def catalog_names():
-    return tuple(name for name, _ in _CATALOG_BUILDERS)
-
-
 def get_fixture(name):
     for fixture in catalog():
         if fixture.name == name:
@@ -178,20 +173,7 @@ def random_module(rng, group, p, max_rank=6):
     """A random integral module: permutation action on cosets of a random subgroup."""
     subs = [s for s in group.subgroups() if group.order // len(s) <= max_rank]
     elems = subs[rng.randrange(len(subs))]
-    h = subgroup(group, elems)
-    eset = set(h.elements)
-    reps = []
-    seen = set()
-    for x in range(group.order):
-        if x in seen:
-            continue
-        coset = {group.mult(x, s) for s in eset}
-        reps.append(min(coset))
-        seen |= coset
-    index = {}
-    for i, t in enumerate(reps):
-        for s in h.elements:
-            index[group.mult(t, s)] = i
+    reps, index = subgroup(group, elems).left_transversal()
     k = len(reps)
     action = {}
     for g in range(group.order):

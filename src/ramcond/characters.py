@@ -14,17 +14,18 @@ from math import lcm
 from .errors import CheckFailure, InputError
 from .exact import CycloNum
 from .groups import Subgroup, conjugacy_classes
-from .linalg import mat_mul
+from .linalg import identity_matrix, mat_mul
 
 __all__ = [
     "ClassFunction",
-    "class_function",
     "trivial_character",
     "regular_character",
     "pair",
     "conjugate",
     "induce",
     "restrict",
+    "check_action",
+    "trace_character",
     "char_of_rep",
     "artin_conductor",
 ]
@@ -97,10 +98,6 @@ class ClassFunction:
 
     def __repr__(self):
         return f"ClassFunction({self.group.name}, {[str(v) for v in self.values]})"
-
-
-def class_function(group, values, verified=False):
-    return ClassFunction(group, values, verified=verified)
 
 
 def trivial_character(group):
@@ -178,55 +175,46 @@ def restrict(f, sub):
     return ClassFunction(hgrp, tuple(f.values[x] for x in from_sub))
 
 
-def _validate_rep(group, rep):
-    """Homomorphism check; testing against a generating set suffices."""
-    if set(rep) != set(range(group.order)):
-        raise InputError("representation must map every group element")
-    dims = {len(rep[g]) for g in rep}
-    if len(dims) != 1:
-        raise InputError("representation matrices must share one dimension")
-    (d,) = dims
-    for g in rep:
-        if any(len(row) != d for row in rep[g]):
-            raise InputError("representation matrices must be square")
-    if d == 0:
-        return
-    ident = tuple(
-        tuple(
-            _as_cyclo(1) if i == j else _as_cyclo(0) for j in range(d)
-        )
-        for i in range(d)
-    )
-    def mat_eq(a, b):
-        return all(x == y for ra, rb in zip(a, b) for x, y in zip(ra, rb))
+def check_action(group, action):
+    """Check that a matrix action is a homomorphism and return its rank.
 
-    if not mat_eq(rep[0], ident):
-        raise InputError("identity element must act by the identity matrix")
-    gens = group.generating_set()
-    for g in range(group.order):
-        for s in gens:
-            if not mat_eq(mat_mul(rep[g], rep[s]), rep[group.mult(g, s)]):
-                raise InputError(
-                    f"representation is not a homomorphism at ({g}, {s})"
-                )
+    Every element maps to a square matrix of one rank, the identity to the
+    identity matrix, and g*s to the product for each generator s (which
+    suffices).  Entries may be rational or cyclotomic.
+    """
+    if set(action) != set(range(group.order)):
+        raise InputError("action must map every group element")
+    ranks = {len(m) for m in action.values()}
+    if len(ranks) != 1:
+        raise InputError("action matrices must share one rank")
+    (d,) = ranks
+    for m in action.values():
+        if any(len(row) != d for row in m):
+            raise InputError("action matrices must be square")
+    if d > 0:
+        if action[0] != identity_matrix(d):
+            raise InputError("identity must act by the identity matrix")
+        gens = group.generating_set()
+        for g in range(group.order):
+            for s in gens:
+                if mat_mul(action[g], action[s]) != action[group.mult(g, s)]:
+                    raise InputError(f"action is not a homomorphism at ({g}, {s})")
+    return d
 
 
-def char_of_rep(group, rep, validate=True):
-    """Trace character of a matrix representation (entries rational or cyclotomic)."""
-    rep = {g: tuple(tuple(_as_cyclo(x) for x in row) for row in m) for g, m in rep.items()}
-    if validate:
-        _validate_rep(group, rep)
+def trace_character(group, action):
+    """Trace character of an action checked by :func:`check_action`; reads only diagonals."""
     values = []
     for g in range(group.order):
-        m = rep[g]
-        if not m:
-            values.append(_as_cyclo(0))
-            continue
-        t = m[0][0]
-        for i in range(1, len(m)):
-            t = t + m[i][i]
-        values.append(t)
+        m = action[g]
+        values.append(sum((m[i][i] for i in range(len(m))), Fraction(0)))
     return ClassFunction(group, values, verified=True)
+
+
+def char_of_rep(group, rep):
+    """Trace character of a matrix representation (entries rational or cyclotomic)."""
+    check_action(group, rep)
+    return trace_character(group, rep)
 
 
 def artin_conductor(rd, chi):

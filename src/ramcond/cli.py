@@ -12,36 +12,16 @@ import argparse
 import csv
 import json
 import sys
-from fractions import Fraction
 
 from . import __version__
 from .characters import artin_conductor, pair
-from .conductors import conductor, module_character, weil_restriction
+from .conductors import conductor, induction_formula, module_character
 from .errors import CheckFailure, InputError
 from .exact import CycloNum
 from .groups import conjugacy_classes
-from .ramification import (
-    artin_character,
-    bisection,
-    disc_valuation,
-    i_gamma,
-    restrict_ramdata,
-)
-from .scenario import (
-    load_scenario,
-    parse_rational,
-    parse_series_expression,
-    scenario_digest,
-)
-from .series import (
-    SeriesRingSpec,
-    dilatation_member,
-    endo_apply,
-    endo_to_scalar,
-    gauss_valuation,
-    mult_endo,
-    weierstrass_divide,
-)
+from .ramification import artin_character, bisection, i_gamma
+from .scenario import SERIES_OPS, load_scenario, read_series_request, scenario_digest
+from .series import SeriesRingSpec, mult_endo
 from .verify import run_catalog_suites, run_random_bisection
 
 
@@ -207,13 +187,8 @@ def cmd_weil(args):
     rows = []
     all_ok = True
     for module, sub, name in scenario.weil:
-        induced = weil_restriction(module, sub)
-        direct = conductor(induced, rd)
-        sub_rd = restrict_ramdata(rd, sub)
-        inner = conductor(module, sub_rd)
-        v = disc_valuation(rd, sub)
-        formula = inner.value + Fraction(v * module.rank, 2)
-        ok = direct.value == formula
+        direct, formula, v = induction_formula(module, sub, rd)
+        ok = direct == formula
         all_ok = all_ok and ok
         rows.append(
             {
@@ -221,7 +196,7 @@ def cmd_weil(args):
                 "subgroup": ",".join(map(str, sub.elements)),
                 "rank": module.rank,
                 "disc_valuation": v,
-                "direct": str(direct.value),
+                "direct": str(direct),
                 "induction": str(formula),
                 "match": ok,
                 "provenance": "pairing/induction",
@@ -231,7 +206,7 @@ def cmd_weil(args):
             report,
             f"induction-consistency[{name}|{','.join(map(str, sub.elements))}]",
             ok,
-            lhs=str(direct.value),
+            lhs=str(direct),
             rhs=str(formula),
         )
     report["tables"]["weil"] = rows
@@ -273,135 +248,41 @@ def cmd_verify(args):
     return 0 if failed == 0 else 1
 
 
+def _endo_eval_rows(scalars, p, degree_cap):
+    ring = SeriesRingSpec(p, s_vars=("T",), degree_cap=degree_cap)
+    return [
+        {
+            "op": "endo-eval",
+            "scalar": str(r),
+            "series": str(mult_endo(r, ring)),
+            "provenance": "formal-multiplicative-group",
+        }
+        for r in scalars
+    ]
+
+
 def cmd_series(args):
-    report = _report("series")
-    rows = []
-    code = 0
-    if args.sub == "gauss":
-        f = parse_series_expression(args.expr, args.p, args.degree_cap)
-        v = gauss_valuation(f)
-        rows.append(
-            {
-                "op": "gauss",
-                "input": args.expr,
-                "valuation": "inf" if v == float("inf") else v,
-                "provenance": "gauss-norm",
-            }
-        )
-    elif args.sub == "wdiv":
-        f = parse_series_expression(args.f, args.p, args.degree_cap)
-        ring = f.ring
-        g = parse_series_expression(args.g, args.p, args.degree_cap, ring=ring)
-        q, r, certified = weierstrass_divide(g, f, args.z, val_bound=args.val_bound)
-        rows.append(
-            {
-                "op": "wdiv",
-                "q": str(q),
-                "r": str(r),
-                "certified_valuation": "exact"
-                if certified == float("inf")
-                else certified,
-                "provenance": "weierstrass-division",
-            }
-        )
-    elif args.sub == "endo":
-        ring = SeriesRingSpec(args.p, s_vars=("T",), degree_cap=args.degree_cap)
-        scalars = [parse_rational(s) for s in args.scalars]
-        if args.mode == "eval":
-            for r in scalars:
-                rows.append(
-                    {
-                        "op": "endo-eval",
-                        "scalar": str(r),
-                        "series": str(mult_endo(r, ring)),
-                        "provenance": "formal-multiplicative-group",
-                    }
-                )
-        else:
-            series = mult_endo(scalars[-1], ring)
-            for r in reversed(scalars[:-1]):
-                series = endo_apply(r, series)
-            scalar = endo_to_scalar(series)
-            rows.append(
-                {
-                    "op": "endo-compose",
-                    "scalars": "*".join(map(str, scalars)),
-                    "scalar": str(scalar),
-                    "provenance": "formal-multiplicative-group",
-                }
-            )
-    elif args.sub == "dilate":
-        f = parse_series_expression(args.expr, args.p, args.degree_cap)
-        member = dilatation_member(f, args.n)
-        rows.append(
-            {
-                "op": "dilate",
-                "input": args.expr,
-                "n": args.n,
-                "member": member,
-                "provenance": "dilatation-lattice",
-            }
-        )
-    elif args.sub == "run":
+    if args.sub == "run":
         scenario = load_scenario(args.file)
         report = _report("series", scenario)
-        cap = scenario.degree_cap
-        for req in scenario.series:
-            if req["op"] == "gauss":
-                f = parse_series_expression(req["expr"], scenario.prime, cap)
-                v = gauss_valuation(f)
-                rows.append(
-                    {
-                        "op": "gauss",
-                        "input": req["expr"],
-                        "valuation": "inf" if v == float("inf") else v,
-                        "provenance": "gauss-norm",
-                    }
-                )
-            elif req["op"] == "wdiv":
-                f = parse_series_expression(req["f"], scenario.prime, cap)
-                g = parse_series_expression(req["g"], scenario.prime, cap, ring=f.ring)
-                z = req.get("z", "Z")
-                q, r, certified = weierstrass_divide(g, f, z)
-                rows.append(
-                    {
-                        "op": "wdiv",
-                        "q": str(q),
-                        "r": str(r),
-                        "certified_valuation": "exact"
-                        if certified == float("inf")
-                        else certified,
-                        "provenance": "weierstrass-division",
-                    }
-                )
-            elif req["op"] == "dilate":
-                f = parse_series_expression(req["expr"], scenario.prime, cap)
-                rows.append(
-                    {
-                        "op": "dilate",
-                        "input": req["expr"],
-                        "n": req["n"],
-                        "member": dilatation_member(f, req["n"]),
-                        "provenance": "dilatation-lattice",
-                    }
-                )
-            elif req["op"] == "endo":
-                ring = SeriesRingSpec(scenario.prime, s_vars=("T",), degree_cap=cap)
-                scalars = [parse_rational(s) for s in req["scalars"]]
-                series = mult_endo(scalars[-1], ring)
-                for r in reversed(scalars[:-1]):
-                    series = endo_apply(r, series)
-                rows.append(
-                    {
-                        "op": "endo-compose",
-                        "scalars": "*".join(map(str, scalars)),
-                        "scalar": str(endo_to_scalar(series)),
-                        "provenance": "formal-multiplicative-group",
-                    }
-                )
+        rows = [
+            SERIES_OPS[req["op"]].row(req, scenario.prime, scenario.degree_cap)
+            for req in scenario.series
+        ]
+    else:
+        report = _report("series")
+        op = SERIES_OPS[args.sub]
+        raw = {key: getattr(args, key) for key in (*op.required, *op.optional)}
+        req = read_series_request({"op": args.sub, **raw})
+        if args.sub == "endo" and args.mode == "eval":
+            rows = _endo_eval_rows(req["scalars"], args.p, args.degree_cap)
+        elif args.sub == "wdiv":
+            rows = [op.row(req, args.p, args.degree_cap, val_bound=args.val_bound)]
+        else:
+            rows = [op.row(req, args.p, args.degree_cap)]
     report["tables"]["series"] = rows
     _emit(report, args)
-    return code
+    return 0
 
 
 def build_parser():

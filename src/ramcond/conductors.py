@@ -19,7 +19,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .characters import char_of_rep, induce, pair
+from .characters import check_action, induce, pair, trace_character
 from .errors import CheckFailure, InputError
 from .exact import p_valuation
 from .groups import Subgroup
@@ -40,7 +40,6 @@ from .ramification import bisection, disc_valuation, restrict_ramdata
 
 __all__ = [
     "CharModule",
-    "char_module",
     "module_from_generators",
     "trivial_module",
     "regular_module",
@@ -48,6 +47,7 @@ __all__ = [
     "module_character",
     "conductor",
     "weil_restriction",
+    "induction_formula",
     "conductor_via_induction",
     "is_isogenous",
     "direct_sum",
@@ -65,29 +65,14 @@ class CharModule:
 
     def __init__(self, name, group, p, action):
         action = {int(g): as_matrix(m) for g, m in action.items()}
-        if set(action) != set(range(group.order)):
-            raise InputError("module action must cover every group element")
-        ranks = {len(m) for m in action.values()}
-        if len(ranks) != 1:
-            raise InputError("module action matrices must share one rank")
-        (d,) = ranks
         for m in action.values():
-            if any(len(row) != d for row in m):
-                raise InputError("module action matrices must be square")
             for row in m:
                 for x in row:
                     if p_valuation(x, p) < 0:
                         raise InputError(f"entry {x} is not p-integral at p={p}")
+        d = check_action(group, action)
         if d > 0:
-            ident = identity_matrix(d)
-            if action[0] != ident:
-                raise InputError("identity must act by the identity matrix")
-            gens = group.generating_set()
-            for g in range(group.order):
-                for s in gens:
-                    if mat_mul(action[g], action[s]) != action[group.mult(g, s)]:
-                        raise InputError("module action is not a homomorphism")
-            for g in gens:
+            for g in group.generating_set():
                 if p_valuation(det(action[g]), p) != 0:
                     raise InputError("module action determinant must be a p-unit")
         object.__setattr__(self, "name", name)
@@ -110,10 +95,6 @@ class CharModule:
 
     def __repr__(self):
         return f"CharModule({self.name!r}, {self.group.name}, rank={self.rank})"
-
-
-def char_module(name, group, p, action):
-    return CharModule(name, group, p, action)
 
 
 def module_from_generators(name, group, p, gen_action):
@@ -158,7 +139,7 @@ def regular_module(group, p, name="regular"):
 def module_character(m):
     """Trace character of the module action (validated at construction)."""
     if m._char is None:
-        chi = char_of_rep(m.group, m.action, validate=False)
+        chi = trace_character(m.group, m.action)
         object.__setattr__(m, "_char", chi)
     return m._char
 
@@ -211,20 +192,8 @@ def weil_restriction(m_sub, sub):
     if m_sub.group != hgrp:
         raise InputError("module does not live on the given subgroup")
     d = m_sub.rank
-    # left cosets t*H, deterministic transversal by least member
-    seen = set()
-    transversal = []
-    for x in range(grp.order):
-        if x in seen:
-            continue
-        coset = {grp.mult(x, s) for s in sub.elements}
-        transversal.append(min(coset))
-        seen |= coset
+    transversal, coset_index = sub.left_transversal()
     k = len(transversal)
-    coset_index = {}
-    for i, t in enumerate(transversal):
-        for s in sub.elements:
-            coset_index[grp.mult(t, s)] = i
 
     action = {}
     for g in range(grp.order):
@@ -245,24 +214,32 @@ def weil_restriction(m_sub, sub):
     return result
 
 
+def induction_formula(m_sub, sub, rd):
+    """Both sides of the induction formula for the Weil restriction of ``m_sub``.
+
+    Returns ``(direct, formula, v_disc)``: the conductor of the induced module,
+    the conductor over the subextension plus ``v_disc * rank / 2``, and the
+    discriminant valuation ``v_disc`` of the subextension.
+    """
+    if sub.parent != rd.group:
+        raise InputError("subgroup does not live on the ramification group")
+    direct = conductor(weil_restriction(m_sub, sub), rd).value
+    inner = conductor(m_sub, restrict_ramdata(rd, sub)).value
+    v = disc_valuation(rd, sub)
+    return direct, inner + Fraction(v * m_sub.rank, 2), v
+
+
 def conductor_via_induction(m_sub, sub, rd):
     """Induction formula: conductor over the subextension plus the discriminant term.
 
     Asserted equal to the direct conductor of the Weil restriction.
     """
-    if sub.parent != rd.group:
-        raise InputError("subgroup does not live on the ramification group")
-    rd_sub = restrict_ramdata(rd, sub)
-    inner = conductor(m_sub, rd_sub)
-    v = disc_valuation(rd, sub)
-    value = inner.value + Fraction(v * m_sub.rank, 2)
-    result = Conductor(value, rd.group.order)
-    direct = conductor(weil_restriction(m_sub, sub), rd)
-    if direct.value != result.value:
+    direct, formula, _ = induction_formula(m_sub, sub, rd)
+    if direct != formula:
         raise CheckFailure(
-            f"induction formula mismatch: direct {direct.value} vs formula {result.value}"
+            f"induction formula mismatch: direct {direct} vs formula {formula}"
         )
-    return result
+    return Conductor(formula, rd.group.order)
 
 
 def is_isogenous(m1, m2):

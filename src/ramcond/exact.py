@@ -23,7 +23,6 @@ from .linalg import solve, transpose
 
 __all__ = [
     "CycloNum",
-    "cyc_arith",
     "cyclotomic_polynomial",
     "euler_phi",
     "inverse_zeta_minus_one",
@@ -219,19 +218,6 @@ def inverse_zeta_minus_one(level, exponent):
             if c:
                 acc[i] += j * c
     return CycloNum(n, tuple(Fraction(c, n) for c in acc))
-
-
-def cyc_arith(a, b, op):
-    """Dispatch form of field arithmetic; div inverts through the extended gcd."""
-    if op == "add":
-        return a + b
-    if op == "sub":
-        return a - b
-    if op == "mul":
-        return a * b
-    if op == "div":
-        return a / b
-    raise InputError(f"unknown cyclotomic operation {op!r}")
 
 
 def _reduce_mod_cyclotomic(poly, n):

@@ -8,8 +8,6 @@ the intended scale is a few dozen, where exhaustive checks are the point.
 
 from __future__ import annotations
 
-from typing import NamedTuple
-
 from .errors import InputError
 
 __all__ = [
@@ -21,8 +19,6 @@ __all__ = [
     "make_symmetric",
     "conjugacy_classes",
     "subgroup",
-    "subgroup_tests",
-    "SubgroupTests",
 ]
 
 
@@ -215,6 +211,7 @@ class Subgroup:
         self.parent = parent
         self.elements = elements
         self._as_group = None
+        self._transversal = None
 
     @property
     def order(self):
@@ -241,6 +238,21 @@ class Subgroup:
             for s in self.elements
         )
 
+    def left_transversal(self):
+        """(transversal, coset_of): the least member of each left coset x*H in
+        increasing order, and the tuple mapping each element id to the index
+        of its coset in the transversal."""
+        if self._transversal is None:
+            coset_of = [None] * self.parent.order
+            transversal = []
+            for x in range(self.parent.order):
+                if coset_of[x] is None:
+                    for s in self.elements:
+                        coset_of[self.parent.mult(x, s)] = len(transversal)
+                    transversal.append(x)
+            self._transversal = (tuple(transversal), tuple(coset_of))
+        return self._transversal
+
     def as_group(self):
         """(group, parent_id -> sub_id map, sub_id -> parent_id tuple)."""
         if self._as_group is None:
@@ -261,57 +273,7 @@ def subgroup(parent, elements):
     return Subgroup(parent, elements)
 
 
-def full_subgroup(group):
-    return Subgroup(group, range(group.order))
-
-
-def trivial_subgroup(group):
-    return Subgroup(group, (0,))
-
-
 def intersect(h1, h2):
     if h1.parent != h2.parent:
         raise InputError("subgroup intersection across different groups")
     return Subgroup(h1.parent, sorted(set(h1.elements) & set(h2.elements)))
-
-
-class SubgroupTests(NamedTuple):
-    is_subgroup: bool
-    is_normal: bool
-    is_p_group: bool
-    cyclic_quotient_generator: object  # element id or None
-
-
-def subgroup_tests(group, elements, p):
-    """Closure, normality, p-group and cyclic-quotient checks by enumeration."""
-    try:
-        h = Subgroup(group, elements)
-    except InputError:
-        return SubgroupTests(False, False, False, None)
-    order = h.order
-    is_p = True
-    m = order
-    while m % p == 0:
-        m //= p
-    if m != 1:
-        is_p = False
-    normal = h.is_normal()
-    gen = None
-    if normal:
-        index = group.order // order
-        eset = set(h.elements)
-        # quotient law on coset representatives
-        def coset_rep(x):
-            return min(group.mult(x, s) for s in h.elements)
-
-        for x in range(group.order):
-            rep = coset_rep(x)
-            y = rep
-            k = 1
-            while y not in eset:
-                y = coset_rep(group.mult(y, rep))
-                k += 1
-            if k == index:
-                gen = rep
-                break
-    return SubgroupTests(True, normal, is_p, gen)

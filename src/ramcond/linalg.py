@@ -27,10 +27,6 @@ def identity_matrix(n):
     )
 
 
-def zero_matrix(n, m):
-    return tuple(tuple(Fraction(0) for _ in range(m)) for _ in range(n))
-
-
 def mat_mul(a, b):
     """Matrix product; works for any entries supporting + and * (e.g. CycloNum)."""
     if a and b and len(a[0]) != len(b):
@@ -52,27 +48,12 @@ def mat_vec(a, v):
     return tuple(sum((x * y for x, y in zip(row, v)), Fraction(0)) for row in a)
 
 
-def mat_add(a, b):
-    return tuple(tuple(x + y for x, y in zip(ra, rb)) for ra, rb in zip(a, b))
-
-
-def mat_scale(a, c):
-    return tuple(tuple(c * x for x in row) for row in a)
-
-
 def mat_sub(a, b):
-    return mat_add(a, mat_scale(b, Fraction(-1)))
+    return tuple(tuple(x - y for x, y in zip(ra, rb)) for ra, rb in zip(a, b))
 
 
 def transpose(a):
     return tuple(zip(*a)) if a else ()
-
-
-def mat_trace(a):
-    t = a[0][0]
-    for i in range(1, len(a)):
-        t = t + a[i][i]
-    return t
 
 
 def rref(a):

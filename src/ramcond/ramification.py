@@ -48,15 +48,6 @@ class RamData:
         return subgroup(self.group, (0,))
 
 
-def _coset_reps(group, elems):
-    """Map element -> least member of its left coset x*H."""
-    eset = set(elems)
-    rep = {}
-    for x in range(group.order):
-        rep[x] = min(group.mult(x, s) for s in eset)
-    return rep
-
-
 def ram_data(group, p, wild_chain, omega, name=""):
     """Build and validate ramification data.
 
@@ -122,13 +113,16 @@ def ram_data(group, p, wild_chain, omega, name=""):
                     )
 
     # tame quotient must be cyclic; build its coset structure
-    reps = _coset_reps(group, gamma1.elements)
-    coset_ids = sorted(set(reps.values()))
-    if len(coset_ids) != n:
-        raise AssertionError("coset count mismatch")
+    coset_ids, coset_of = gamma1.left_transversal()
+
+    def coset_rep(x):
+        x = int(x)
+        if not 0 <= x < group.order:
+            raise InputError(f"omega names element {x} outside the group")
+        return coset_ids[coset_of[x]]
 
     def quotient_mult(a, b):
-        return reps[group.mult(a, b)]
+        return coset_ids[coset_of[group.mult(a, b)]]
 
     if omega is None:
         if n != 1:
@@ -139,7 +133,7 @@ def ram_data(group, p, wild_chain, omega, name=""):
     if isinstance(omega, dict):
         given = {}
         for k, v in omega.items():
-            rep = reps[int(k)]
+            rep = coset_rep(k)
             v = int(v) % n
             if given.get(rep, v) != v:
                 raise InputError("omega assigns conflicting exponents to one coset")
@@ -155,13 +149,12 @@ def ram_data(group, p, wild_chain, omega, name=""):
         exps = given
     else:
         gen, e = omega
-        gen = int(gen)
         e = int(e) % n
         if gcd(e, n) != 1:
             raise InputError("omega generator exponent must be a unit mod n")
-        rep = reps[gen]
+        rep = coset_rep(gen)
         exps = {}
-        coset, k = reps[0], 0
+        coset, k = 0, 0
         for _ in range(n):
             exps[coset] = (k * e) % n
             coset = quotient_mult(coset, rep)
@@ -169,7 +162,7 @@ def ram_data(group, p, wild_chain, omega, name=""):
         if len(exps) != n:
             raise InputError("omega generator does not generate the tame quotient")
 
-    omega_exp = tuple(exps[reps[x]] for x in range(group.order))
+    omega_exp = tuple(exps[coset_rep(x)] for x in range(group.order))
     return RamData(group, p, chain, n, omega_exp, name=name)
 
 

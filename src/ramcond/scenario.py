@@ -11,12 +11,23 @@ from __future__ import annotations
 import hashlib
 import json
 from fractions import Fraction
+from math import inf
+from typing import Callable, NamedTuple
 
 from .conductors import module_from_generators, regular_module, trivial_module
 from .errors import InputError
 from .groups import make_cyclic, make_from_table, make_product, subgroup
 from .ramification import ram_data
-from .series import MixedSeries, SeriesRingSpec
+from .series import (
+    MixedSeries,
+    SeriesRingSpec,
+    dilatation_member,
+    endo_apply,
+    endo_to_scalar,
+    gauss_valuation,
+    mult_endo,
+    weierstrass_divide,
+)
 
 __all__ = [
     "Scenario",
@@ -25,12 +36,15 @@ __all__ = [
     "scenario_digest",
     "parse_rational",
     "parse_series_expression",
+    "SeriesOp",
+    "SERIES_OPS",
+    "read_series_request",
 ]
 
 
 def parse_rational(text):
     """Parse an exact rational from its string form."""
-    if isinstance(text, int):
+    if isinstance(text, int) and not isinstance(text, bool):
         return Fraction(text)
     if not isinstance(text, str):
         raise InputError(f"rationals must be strings, got {text!r}")
@@ -38,6 +52,21 @@ def parse_rational(text):
         return Fraction(text.replace("−", "-").strip())
     except (ValueError, ZeroDivisionError) as exc:
         raise InputError(f"bad rational {text!r}: {exc}") from None
+
+
+def _read_int(value, where):
+    """An integer field; bools and floats are rejected, not converted."""
+    if isinstance(value, bool) or not isinstance(value, int):
+        raise InputError(f"{where} must be an integer, got {value!r}")
+    return value
+
+
+def _read_id_key(key, where):
+    """An element id written as a JSON object key, such as "3"."""
+    try:
+        return int(key)
+    except (TypeError, ValueError):
+        raise InputError(f"{where}: key {key!r} is not an element id") from None
 
 
 def _require_keys(obj, allowed, required, where):
@@ -89,10 +118,6 @@ class Scenario:
     def degree_cap(self):
         return self.precision.get("degree_cap", 16)
 
-    @property
-    def adapt_precision(self):
-        return self.precision.get("adapt", 8)
-
 
 _TOP_KEYS = {"prime", "group", "filtration", "omega", "modules", "weil", "series", "precision"}
 
@@ -117,11 +142,20 @@ def parse_scenario(obj):
         if "cosets" in omega_spec:
             if set(omega_spec) != {"cosets"}:
                 raise InputError("omega: cosets excludes generator/exponent")
-            omega = {int(k): int(v) for k, v in omega_spec["cosets"].items()}
+            cosets = omega_spec["cosets"]
+            if not isinstance(cosets, dict):
+                raise InputError("omega.cosets must map element ids to exponents")
+            omega = {
+                _read_id_key(k, "omega.cosets"): _read_int(v, f"omega.cosets[{k}]")
+                for k, v in cosets.items()
+            }
         else:
             if set(omega_spec) != {"generator", "exponent"}:
                 raise InputError("omega needs both generator and exponent")
-            omega = (int(omega_spec["generator"]), int(omega_spec["exponent"]))
+            omega = (
+                _read_int(omega_spec["generator"], "omega.generator"),
+                _read_int(omega_spec["exponent"], "omega.exponent"),
+            )
 
     rd = ram_data(group, prime, filtration, omega, name="scenario")
 
@@ -157,8 +191,7 @@ def parse_scenario(obj):
     series = obj.get("series", [])
     if not isinstance(series, list):
         raise InputError("series must be a list")
-    for req in series:
-        _validate_series_request(req)
+    series = [read_series_request(req) for req in series]
 
     canonical = _canonical_form(obj)
     return Scenario(prime, group, rd, modules, weil, series, precision, canonical)
@@ -183,7 +216,7 @@ def _parse_module(spec, group, prime, where, id_map=None):
             raise InputError(f"{where}: matrices must map generator ids to matrices")
         gen_action = {}
         for key, matrix in mats.items():
-            gid = int(key)
+            gid = _read_id_key(key, f"{where}.matrices")
             if id_map is not None:
                 if gid not in id_map:
                     raise InputError(f"{where}: generator {gid} outside the subgroup")
@@ -196,27 +229,106 @@ def _parse_module(spec, group, prime, where, id_map=None):
     raise InputError(f"{where}: unknown module kind {kind!r}")
 
 
-_SERIES_OPS = {"gauss", "wdiv", "endo", "dilate"}
+def _read_str(value, where):
+    if not isinstance(value, str):
+        raise InputError(f"{where} must be a string, got {value!r}")
+    return value
 
 
-def _validate_series_request(req):
-    _require_keys(
-        req,
-        {"op", "expr", "g", "f", "z", "n", "r", "s", "scalars"},
-        {"op"},
-        "series[]",
-    )
+def _read_scalars(value, where):
+    if not isinstance(value, list) or not value:
+        raise InputError(f"{where} must be a nonempty list of rationals")
+    return [parse_rational(x) for x in value]
+
+
+def _gauss_row(req, p, degree_cap):
+    v = gauss_valuation(parse_series_expression(req["expr"], p, degree_cap))
+    return {
+        "op": "gauss",
+        "input": req["expr"],
+        "valuation": "inf" if v == inf else v,
+        "provenance": "gauss-norm",
+    }
+
+
+def _wdiv_row(req, p, degree_cap, **options):
+    f = parse_series_expression(req["f"], p, degree_cap)
+    g = parse_series_expression(req["g"], p, degree_cap, ring=f.ring)
+    q, r, certified = weierstrass_divide(g, f, req["z"], **options)
+    return {
+        "op": "wdiv",
+        "q": str(q),
+        "r": str(r),
+        "certified_valuation": "exact" if certified == inf else certified,
+        "provenance": "weierstrass-division",
+    }
+
+
+def _endo_row(req, p, degree_cap):
+    scalars = req["scalars"]
+    ring = SeriesRingSpec(p, s_vars=("T",), degree_cap=degree_cap)
+    series = mult_endo(scalars[-1], ring)
+    for r in reversed(scalars[:-1]):
+        series = endo_apply(r, series)
+    return {
+        "op": "endo-compose",
+        "scalars": "*".join(map(str, scalars)),
+        "scalar": str(endo_to_scalar(series)),
+        "provenance": "formal-multiplicative-group",
+    }
+
+
+def _dilate_row(req, p, degree_cap):
+    f = parse_series_expression(req["expr"], p, degree_cap)
+    return {
+        "op": "dilate",
+        "input": req["expr"],
+        "n": req["n"],
+        "member": dilatation_member(f, req["n"]),
+        "provenance": "dilatation-lattice",
+    }
+
+
+class SeriesOp(NamedTuple):
+    """A series operation: its request keys with their readers, and its row.
+
+    ``required`` maps key -> reader and ``optional`` maps key -> (reader,
+    default).  ``row(request, p, degree_cap)`` is the report row of a request
+    read by :func:`read_series_request`; the command line also passes
+    ``val_bound`` to wdiv.
+    """
+
+    required: dict
+    optional: dict
+    row: Callable
+
+
+SERIES_OPS = {
+    "gauss": SeriesOp({"expr": _read_str}, {}, _gauss_row),
+    "wdiv": SeriesOp(
+        {"g": _read_str, "f": _read_str}, {"z": (_read_str, "Z")}, _wdiv_row
+    ),
+    "endo": SeriesOp({"scalars": _read_scalars}, {}, _endo_row),
+    "dilate": SeriesOp({"expr": _read_str, "n": _read_int}, {}, _dilate_row),
+}
+
+
+def read_series_request(req):
+    """Validate a series request against its op's keys and read every field."""
+    if not isinstance(req, dict):
+        raise InputError("series[] must be an object")
     op = req.get("op")
-    if op not in _SERIES_OPS:
-        raise InputError(f"series[].op must be one of {sorted(_SERIES_OPS)}")
-    if op == "gauss" and "expr" not in req:
-        raise InputError("series gauss request needs expr")
-    if op == "wdiv" and not {"g", "f"} <= set(req):
-        raise InputError("series wdiv request needs g and f")
-    if op == "dilate" and not {"expr", "n"} <= set(req):
-        raise InputError("series dilate request needs expr and n")
-    if op == "endo" and "scalars" not in req:
-        raise InputError("series endo request needs scalars")
+    if not isinstance(op, str) or op not in SERIES_OPS:
+        raise InputError(f"series[].op must be one of {sorted(SERIES_OPS)}")
+    spec = SERIES_OPS[op]
+    where = f"series {op} request"
+    _require_keys(req, {"op", *spec.required, *spec.optional}, spec.required, where)
+    out = {"op": op}
+    for key, reader in spec.required.items():
+        out[key] = reader(req[key], f"{where}: {key}")
+    for key, (reader, default) in spec.optional.items():
+        out[key] = reader(req[key], f"{where}: {key}") if key in req else default
+    return out
 
 
 def _canonical_form(obj):

@@ -28,7 +28,6 @@ __all__ = [
     "SeriesRingSpec",
     "MixedSeries",
     "gauss_valuation",
-    "series_arith",
     "is_lattice_member",
     "dilatation_member",
     "is_distinguished",
@@ -243,14 +242,6 @@ def gauss_valuation(f):
     if f.is_zero():
         return inf
     return min(p_valuation(c, f.ring.p) for c in f.coeffs.values())
-
-
-def series_arith(f, g, op):
-    if op == "add":
-        return f + g
-    if op == "mul":
-        return f * g
-    raise InputError(f"unknown series operation {op!r}")
 
 
 def is_lattice_member(f):

@@ -14,7 +14,7 @@ import random
 from fractions import Fraction
 
 from .catalog import catalog, random_module, random_ram_data, random_unit_conjugate
-from .characters import class_function, induce, pair, regular_character, restrict
+from .characters import ClassFunction, induce, pair, regular_character, restrict
 from .conductors import (
     conductor,
     conductor_via_induction,
@@ -143,7 +143,7 @@ def suite_frobenius(rds=None, seed=12, rounds=2):
                 ) + CycloNum.zeta(3) * rng.randint(-2, 2)
                 for s in cls:
                     vals[s] = v
-            return class_function(grp, vals)
+            return ClassFunction(grp, vals)
 
         for elems in g.subgroups():
             h = subgroup(g, elems)

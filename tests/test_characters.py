@@ -5,9 +5,9 @@ import pytest
 
 from ramcond.catalog import catalog
 from ramcond.characters import (
+    ClassFunction,
     artin_conductor,
     char_of_rep,
-    class_function,
     conjugate,
     induce,
     pair,
@@ -35,7 +35,7 @@ def test_pair_with_trivial_and_regular():
     assert pair(one, one) == 1
     reg = regular_character(g)
     z = CycloNum.zeta(3)
-    f = class_function(g, (5, z, z * z))
+    f = ClassFunction(g, (5, z, z * z))
     assert pair(reg, f) == 5
 
 
@@ -54,7 +54,7 @@ def test_pair_symmetric_and_bilinear():
             v = CycloNum.from_rational(rng.randint(-4, 4)) + CycloNum.zeta(4) * rng.randint(-2, 2)
             for s in cls:
                 vals[s] = v
-        return class_function(g, vals)
+        return ClassFunction(g, vals)
 
     for _ in range(5):
         f1, f2, f3 = random_cf(), random_cf(), random_cf()
@@ -82,11 +82,11 @@ def test_pair_rational_path_matches_generic_sum():
             def cyclotomic():
                 return CycloNum(level, [rational() for _ in range(euler_phi(level))])
 
-            f = class_function(g, class_values(cyclotomic))
+            f = ClassFunction(g, class_values(cyclotomic))
             qs = class_values(rational)
-            rational = class_function(g, qs)
+            rational = ClassFunction(g, qs)
             # the same rationals stored at level ``level`` take the generic path
-            lifted = class_function(g, [CycloNum.from_rational(q, level) for q in qs])
+            lifted = ClassFunction(g, [CycloNum.from_rational(q, level) for q in qs])
             assert rational.level == 1 and lifted.level == level
             generic = pair(f, lifted)
             assert pair(f, rational).coeffs == generic.coeffs
@@ -96,7 +96,7 @@ def test_pair_rational_path_matches_generic_sum():
 
 def test_conjugate_rational_fixed():
     g = make_cyclic(2)
-    f = class_function(g, (1, -1))
+    f = ClassFunction(g, (1, -1))
     assert conjugate(f) == f
 
 
@@ -120,7 +120,7 @@ def test_induce_from_full_group_is_identity():
     g = make_cyclic(4)
     h = subgroup(g, range(4))
     hgrp, _, _ = h.as_group()
-    f = class_function(hgrp, (1, CycloNum.zeta(4), -1, -CycloNum.zeta(4)))
+    f = ClassFunction(hgrp, (1, CycloNum.zeta(4), -1, -CycloNum.zeta(4)))
     ind = induce(f, h)
     assert [ind.values[s] for s in range(4)] == list(f.values)
 
@@ -129,7 +129,7 @@ def test_induce_sign_from_index_two():
     g = make_cyclic(4)
     h = subgroup(g, (0, 2))
     hgrp, _, _ = h.as_group()
-    sign = class_function(hgrp, (1, -1))
+    sign = ClassFunction(hgrp, (1, -1))
     ind = induce(sign, h)
     assert [v.rational_part()[1] for v in ind.values] == [2, 0, -2, 0]
 
@@ -160,7 +160,7 @@ def test_frobenius_reciprocity_randomized():
                     ) + CycloNum.zeta(3) * rng.randint(-2, 2)
                     for s in cls:
                         vals[s] = v
-                return class_function(grp, vals)
+                return ClassFunction(grp, vals)
 
             f = random_cf(hgrp)
             chi = random_cf(g)
@@ -220,20 +220,20 @@ def test_char_of_rep_block_sum_addition():
 def test_artin_conductor_examples():
     rd = tame_c3()
     z = CycloNum.zeta(3)
-    faithful = class_function(rd.group, (1, z, z * z), verified=True)
+    faithful = ClassFunction(rd.group, (1, z, z * z), verified=True)
     assert artin_conductor(rd, faithful) == 1
     assert artin_conductor(rd, trivial_character(rd.group)) == 0
     rd2 = wild_c2()
-    sign = class_function(rd2.group, (1, -1), verified=True)
+    sign = ClassFunction(rd2.group, (1, -1), verified=True)
     assert artin_conductor(rd2, sign) == 2
 
 
 def test_artin_conductor_integrality_enforced():
     rd = wild_c2()
-    third = class_function(rd.group, (Fraction(1, 3), 0), verified=True)
+    third = ClassFunction(rd.group, (Fraction(1, 3), 0), verified=True)
     with pytest.raises(CheckFailure):
         artin_conductor(rd, third)  # pairing gives 1/3, not a natural number
-    negative = class_function(rd.group, (0, 1), verified=True)
+    negative = ClassFunction(rd.group, (0, 1), verified=True)
     with pytest.raises(CheckFailure):
         artin_conductor(rd, negative)  # pairing gives -1
 
@@ -260,4 +260,4 @@ def test_class_function_rejects_nonconstant_values():
     vals = [0] * 6
     vals[1] = 1  # a 3-cycle gets a different value from its conjugate
     with pytest.raises(InputError):
-        class_function(g, vals)
+        ClassFunction(g, vals)

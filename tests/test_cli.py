@@ -4,6 +4,8 @@ import os
 import pytest
 
 from ramcond.cli import main
+from ramcond.conductors import induction_formula
+from ramcond.scenario import load_scenario
 
 SCENARIOS = os.path.join(os.path.dirname(__file__), "..", "scenarios")
 
@@ -184,6 +186,85 @@ def test_bad_flag_values_exit_2(capsys, argv):
     assert captured.out == ""
     assert captured.err.startswith("error: invalid input:")
     assert captured.err.count("\n") == 1
+
+
+def load_json(name):
+    with open(scenario_path(name), encoding="utf-8") as fh:
+        return json.load(fh)
+
+
+@pytest.mark.parametrize(
+    "key, value",
+    [
+        ("series", [{"op": "dilate", "expr": "S", "n": "3"}]),
+        ("series", [{"op": "endo", "scalars": []}]),
+        ("series", [{"op": "gauss", "expr": 5}]),
+        ("series", [{"op": "endo", "scalars": "23"}]),
+        ("series", [{"op": "dilate", "expr": "S", "n": 1.5}]),
+        ("series", [{"op": "dilate", "expr": "S", "n": True}]),
+        ("series", [{"op": "endo", "scalars": [True]}]),
+        ("series", [{"op": "gauss", "expr": "S", "r": "1"}]),
+        ("series", [{"op": "gauss", "expr": "S", "s": "1"}]),
+        ("series", [{"op": ["gauss"], "expr": "S"}]),
+        ("omega", {"generator": 1, "exponent": 1.7}),
+        ("omega", {"generator": 1, "exponent": True}),
+        ("omega", {"generator": 1, "exponent": "x"}),
+        ("omega", {"cosets": {"0": 0, "a": 1, "2": 2}}),
+        ("omega", {"generator": 3, "exponent": 1}),
+        ("modules", [{"name": "m", "kind": "matrices", "matrices": {"x": [["1"]]}}]),
+    ],
+)
+def test_malformed_scenario_field_exit_2(tmp_path, capsys, key, value):
+    bad = tmp_path / "bad.json"
+    bad.write_text(json.dumps({**load_json("tame_cyclic3.json"), key: value}))
+    assert main(["series", "run", str(bad)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: invalid input:")
+    assert captured.err.count("\n") == 1
+
+
+def _subcommand_argv(req, p, degree_cap):
+    op = req["op"]
+    if op == "gauss":
+        args = [req["expr"]]
+    elif op == "wdiv":
+        args = ["--g", req["g"], "--f", req["f"], "--z", req.get("z", "Z")]
+    elif op == "endo":
+        args = ["compose", *req["scalars"]]
+    else:
+        args = [req["expr"], str(req["n"])]
+    return ["--degree-cap", str(degree_cap), "series", op, *args, "--p", str(p)]
+
+
+def test_series_run_rows_match_subcommands(capsys):
+    spec = load_json("c4_tower.json")
+    code, report, _ = run_json(capsys, "series", "run", scenario_path("c4_tower.json"))
+    assert code == 0
+    rows = report["tables"]["series"]
+    assert len(rows) == len(spec["series"]) == 4
+    for req, row in zip(spec["series"], rows):
+        argv = _subcommand_argv(req, spec["prime"], spec["precision"]["degree_cap"])
+        code, sub_report, _ = run_json(capsys, *argv)
+        assert code == 0
+        assert sub_report["tables"]["series"] == [row]
+
+
+@pytest.mark.parametrize(
+    "name", ["tame_cyclic3.json", "wild_cyclic2.json", "c4_tower.json"]
+)
+def test_weil_table_reads_induction_formula(capsys, name):
+    code, report, _ = run_json(capsys, "weil", scenario_path(name))
+    assert code == 0
+    scenario = load_scenario(scenario_path(name))
+    rows = report["tables"]["weil"]
+    assert len(rows) == len(scenario.weil)
+    for row, (module, sub, _) in zip(rows, scenario.weil):
+        direct, formula, v = induction_formula(module, sub, scenario.ramdata)
+        assert row["direct"] == str(direct)
+        assert row["induction"] == str(formula)
+        assert row["disc_valuation"] == v
+        assert row["match"] == (direct == formula)
 
 
 def test_missing_file_exit_2(capsys):

@@ -10,7 +10,6 @@ from ramcond.errors import InputError
 from ramcond.exact import (
     CycloNum,
     _reduce_mod_cyclotomic,
-    cyc_arith,
     cyclotomic_polynomial,
     euler_phi,
     inverse_zeta_minus_one,
@@ -81,6 +80,7 @@ def test_cyc_inverse_example():
     inv = (z - 1).inverse()
     assert inv == (z * z - 1) * Fraction(1, 3)
     assert inv * (z - 1) == 1
+    assert CycloNum.from_rational(1) / (z - 1) == inv
 
 
 ORACLE_LEVELS = list(range(2, 25)) + [32, 48, 64]
@@ -165,18 +165,8 @@ def test_level_promotion_and_equality():
 def test_division_by_zero():
     with pytest.raises(ZeroDivisionError):
         CycloNum.from_rational(0).inverse()
-
-
-def test_cyc_arith_dispatch():
-    z = CycloNum.zeta(3)
-    assert cyc_arith(z, z * z, "add") == -1
-    assert cyc_arith(z - 1, z * z - 1, "mul") == 3
-    assert cyc_arith(z, z, "sub") == 0
-    assert cyc_arith(CycloNum.from_rational(1), z - 1, "div") == (z - 1).inverse()
-    with pytest.raises(InputError):
-        cyc_arith(z, z, "pow")
     with pytest.raises(ZeroDivisionError):
-        cyc_arith(z, CycloNum.from_rational(0), "div")
+        CycloNum.zeta(3) / CycloNum.from_rational(0)
 
 
 def test_p_valuation_requires_prime():

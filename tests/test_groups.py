@@ -10,7 +10,6 @@ from ramcond.groups import (
     make_product,
     make_symmetric,
     subgroup,
-    subgroup_tests,
 )
 
 
@@ -62,42 +61,19 @@ def test_classes_partition_group():
 def test_normal_subgroups_are_class_unions():
     s3 = make_symmetric(3)
     classes = conjugacy_classes(s3)
+    normal = set()
     for elems in s3.subgroups():
         h = subgroup(s3, elems)
         if h.is_normal():
+            normal.add(elems)
             covered = set()
             for c in classes:
                 if c[0] in h.elements:
                     covered |= set(c)
             assert covered == set(h.elements)
-
-
-def test_subgroup_tests_a3_in_s3():
-    s3 = make_symmetric(3)
+    # the trivial group, A3 and S3; no (0, t) with t a transposition
     a3 = tuple(x for x in range(6) if s3.element_order(x) in (1, 3))
-    res = subgroup_tests(s3, a3, 3)
-    assert res.is_subgroup and res.is_normal and res.is_p_group
-    assert res.cyclic_quotient_generator not in a3
-
-
-def test_subgroup_tests_transposition():
-    s3 = make_symmetric(3)
-    t = next(x for x in range(1, 6) if s3.element_order(x) == 2)
-    res = subgroup_tests(s3, (0, t), 3)
-    assert res.is_subgroup and not res.is_normal
-
-
-def test_subgroup_tests_trivial():
-    g = make_cyclic(4)
-    res = subgroup_tests(g, (0,), 2)
-    assert res.is_subgroup and res.is_normal and res.is_p_group
-    assert res.cyclic_quotient_generator is not None  # C4 quotient is cyclic
-
-
-def test_subgroup_tests_non_subgroup():
-    g = make_cyclic(4)
-    res = subgroup_tests(g, (0, 1), 2)
-    assert not res.is_subgroup
+    assert normal == {(0,), a3, tuple(range(6))}
 
 
 def test_subgroup_enumeration_counts():
@@ -105,6 +81,26 @@ def test_subgroup_enumeration_counts():
     assert len(make_symmetric(3).subgroups()) == 6  # 1, A3, three C2s, S3
     v4 = make_product(make_cyclic(2), make_cyclic(2))
     assert len(v4.subgroups()) == 5
+    assert (0, 1) not in make_cyclic(4).subgroups()
+    with pytest.raises(InputError):
+        subgroup(make_cyclic(4), (0, 1))
+
+
+@pytest.mark.parametrize(
+    "group",
+    [
+        make_symmetric(3),
+        make_cyclic(12),
+        make_product(make_product(make_cyclic(2), make_cyclic(2)), make_cyclic(2)),
+    ],
+    ids=["S3", "C12", "C2xC2xC2"],
+)
+def test_left_transversal_is_least_coset_member(group):
+    for elems in group.subgroups():
+        transversal, coset_of = subgroup(group, elems).left_transversal()
+        least = [min(group.mult(x, s) for s in elems) for x in group.elements()]
+        assert transversal == tuple(sorted(set(least)))
+        assert all(transversal[coset_of[x]] == least[x] for x in group.elements())
 
 
 def test_as_group_reindexes():

@@ -5,7 +5,7 @@ import pytest
 
 from ramcond.catalog import catalog, random_ram_data
 from ramcond import verify
-from ramcond.characters import class_function, regular_character, restrict
+from ramcond.characters import ClassFunction, regular_character, restrict
 from ramcond.errors import CheckFailure, InputError
 from ramcond.exact import CycloNum
 from ramcond.groups import make_cyclic, make_product, subgroup
@@ -167,7 +167,7 @@ def test_check_bisection_records_tame_identity_and_witness(monkeypatch):
 
     # a wrong tame value fails both records, each naming the element
     ba = bisection(rd)
-    wrong = class_function(rd.group, (ba.values[0], ba.values[1] + 1, ba.values[2] + 1))
+    wrong = ClassFunction(rd.group, (ba.values[0], ba.values[1] + 1, ba.values[2] + 1))
     monkeypatch.setattr(verify, "bisection", lambda _: wrong)
     results = []
     verify.check_bisection(rd, results)

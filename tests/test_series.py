@@ -17,7 +17,6 @@ from ramcond.series import (
     is_distinguished,
     is_lattice_member,
     mult_endo,
-    series_arith,
     substitute,
     symmetric_descent,
     weierstrass_divide,
@@ -59,7 +58,7 @@ def test_gauss_multiplicativity_example():
 
 def test_ring_mismatch_raises():
     with pytest.raises(InputError):
-        series_arith(MixedSeries.const(S_RING2, 1), MixedSeries.const(S_RING3, 1), "add")
+        MixedSeries.const(S_RING2, 1) + MixedSeries.const(S_RING3, 1)
 
 
 def test_lattice_membership():
