@@ -32,6 +32,7 @@ from .conductors import (
     is_isogenous,
     module_character,
     module_from_generators,
+    permutation_module,
     regular_module,
     split_idempotent,
     trivial_module,

@@ -8,10 +8,11 @@ chains; every formula exercised here is well defined on any validated chain.
 
 from __future__ import annotations
 
-from fractions import Fraction
 from math import gcd
 
+from .conductors import CharModule, permutation_module
 from .groups import make_cyclic, make_product, make_symmetric, subgroup
+from .linalg import identity_matrix, mat_inv, mat_mul
 from .ramification import ram_data
 
 __all__ = [
@@ -173,24 +174,11 @@ def random_module(rng, group, p, max_rank=6):
     """A random integral module: permutation action on cosets of a random subgroup."""
     subs = [s for s in group.subgroups() if group.order // len(s) <= max_rank]
     elems = subs[rng.randrange(len(subs))]
-    reps, index = subgroup(group, elems).left_transversal()
-    k = len(reps)
-    action = {}
-    for g in range(group.order):
-        m = [[Fraction(0)] * k for _ in range(k)]
-        for i, t in enumerate(reps):
-            m[index[group.mult(g, t)]][i] = Fraction(1)
-        action[g] = tuple(tuple(row) for row in m)
-    from .conductors import CharModule
-
-    return CharModule(f"perm[{len(elems)}]", group, p, action)
+    return permutation_module(subgroup(group, elems), p)
 
 
 def random_unit_conjugate(rng, module):
     """Conjugate a module by a random determinant +-1 integer matrix."""
-    from .conductors import CharModule
-    from .linalg import identity_matrix, mat_inv, mat_mul
-
     d = module.rank
     if d == 0:
         return module

@@ -42,6 +42,7 @@ __all__ = [
     "CharModule",
     "module_from_generators",
     "trivial_module",
+    "permutation_module",
     "regular_module",
     "Conductor",
     "module_character",
@@ -59,7 +60,11 @@ __all__ = [
 
 
 class CharModule:
-    """Finite free lattice with a group action by p-integral exact matrices."""
+    """Finite free lattice with a group action by p-integral exact matrices.
+
+    There is no determinant check: once the action is a homomorphism of a finite
+    group, each matrix has finite order, so its rational determinant is +-1.
+    """
 
     __slots__ = ("name", "group", "p", "rank", "action", "_char")
 
@@ -71,10 +76,6 @@ class CharModule:
                     if p_valuation(x, p) < 0:
                         raise InputError(f"entry {x} is not p-integral at p={p}")
         d = check_action(group, action)
-        if d > 0:
-            for g in group.generating_set():
-                if p_valuation(det(action[g]), p) != 0:
-                    raise InputError("module action determinant must be a p-unit")
         object.__setattr__(self, "name", name)
         object.__setattr__(self, "group", group)
         object.__setattr__(self, "p", int(p))
@@ -125,15 +126,45 @@ def trivial_module(group, p, rank=1, name=None):
     )
 
 
+def _place_blocks(n, blocks):
+    """The n x n matrix that is zero outside the given ``(row, col, block)`` squares."""
+    m = [[Fraction(0)] * n for _ in range(n)]
+    for r0, c0, block in blocks:
+        for r, row in enumerate(block):
+            m[r0 + r][c0 : c0 + len(row)] = row
+    return tuple(tuple(row) for row in m)
+
+
+def _induced_action(sub, blocks):
+    """Action induced from ``sub``, on which h acts by the square ``blocks[h]``.
+
+    Over the left transversal (t_i), g maps block column i to block row j by
+    the block of h, where g * t_i = t_j * h.
+    """
+    grp = sub.parent
+    transversal, coset_of = sub.left_transversal()
+    d = len(blocks[0])
+    action = {}
+    for g in range(grp.order):
+        placed = []
+        for i, t in enumerate(transversal):
+            gt = grp.mult(g, t)
+            j = coset_of[gt]
+            h = grp.mult(grp.inv(transversal[j]), gt)
+            placed.append((j * d, i * d, blocks[h]))
+        action[g] = _place_blocks(d * len(transversal), placed)
+    return action
+
+
+def permutation_module(sub, p, name=None):
+    """Left translation on the left cosets of ``sub``: the induced trivial block."""
+    action = _induced_action(sub, {h: ((Fraction(1),),) for h in sub.elements})
+    return CharModule(name or f"perm[{sub.order}]", sub.parent, p, action)
+
+
 def regular_module(group, p, name="regular"):
     """Permutation matrices of left translation on the group basis."""
-    action = {}
-    for g in range(group.order):
-        m = [[Fraction(0)] * group.order for _ in range(group.order)]
-        for x in range(group.order):
-            m[group.mult(g, x)][x] = Fraction(1)
-        action[g] = tuple(tuple(row) for row in m)
-    return CharModule(name, group, p, action)
+    return permutation_module(Subgroup(group, (0,)), p, name)
 
 
 def module_character(m):
@@ -187,28 +218,11 @@ def weil_restriction(m_sub, sub):
     """
     if not isinstance(sub, Subgroup):
         raise InputError("weil_restriction needs a Subgroup")
-    grp = sub.parent
     hgrp, to_sub, _ = sub.as_group()
     if m_sub.group != hgrp:
         raise InputError("module does not live on the given subgroup")
-    d = m_sub.rank
-    transversal, coset_index = sub.left_transversal()
-    k = len(transversal)
-
-    action = {}
-    for g in range(grp.order):
-        m = [[Fraction(0)] * (d * k) for _ in range(d * k)]
-        for i, t in enumerate(transversal):
-            gt = grp.mult(g, t)
-            ip = coset_index[gt]
-            h = grp.mult(grp.inv(transversal[ip]), gt)
-            block = m_sub.matrix(to_sub[h])
-            for r in range(d):
-                for c in range(d):
-                    if block[r][c]:
-                        m[ip * d + r][i * d + c] = block[r][c]
-        action[g] = tuple(tuple(row) for row in m)
-    result = CharModule(f"Ind({m_sub.name})", grp, m_sub.p, action)
+    action = _induced_action(sub, {h: m_sub.matrix(to_sub[h]) for h in sub.elements})
+    result = CharModule(f"Ind({m_sub.name})", sub.parent, m_sub.p, action)
     if module_character(result) != induce(module_character(m_sub), sub):
         raise CheckFailure("induced module character mismatch")
     return result
@@ -254,18 +268,11 @@ def direct_sum(m1, m2):
         raise InputError("direct sum across different groups")
     if m1.p != m2.p:
         raise InputError("direct sum across different primes")
-    d1, d2 = m1.rank, m2.rank
-    action = {}
-    for g in range(m1.group.order):
-        a, b = m1.matrix(g), m2.matrix(g)
-        m = [[Fraction(0)] * (d1 + d2) for _ in range(d1 + d2)]
-        for r in range(d1):
-            for c in range(d1):
-                m[r][c] = a[r][c]
-        for r in range(d2):
-            for c in range(d2):
-                m[d1 + r][d1 + c] = b[r][c]
-        action[g] = tuple(tuple(row) for row in m)
+    d1 = m1.rank
+    action = {
+        g: _place_blocks(d1 + m2.rank, ((0, 0, m1.matrix(g)), (d1, d1, m2.matrix(g))))
+        for g in range(m1.group.order)
+    }
     return CharModule(f"{m1.name}+{m2.name}", m1.group, m1.p, action)
 
 

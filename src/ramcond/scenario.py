@@ -61,6 +61,13 @@ def _read_int(value, where):
     return value
 
 
+def _read_ids(value, where):
+    """A list of element ids, each a JSON integer."""
+    if not isinstance(value, list):
+        raise InputError(f"{where} must be a list of element ids")
+    return [_read_int(x, f"{where} entry") for x in value]
+
+
 def _read_id_key(key, where):
     """An element id written as a JSON object key, such as "3"."""
     try:
@@ -85,8 +92,8 @@ def _parse_group(spec):
     if len(spec) != 1:
         raise InputError("group: give exactly one of cyclic | product | table")
     if "cyclic" in spec:
-        n = spec["cyclic"]
-        if not isinstance(n, int) or n < 1:
+        n = _read_int(spec["cyclic"], "group.cyclic")
+        if n < 1:
             raise InputError("group.cyclic must be a positive integer")
         return make_cyclic(n)
     if "product" in spec:
@@ -98,7 +105,10 @@ def _parse_group(spec):
             grp = make_product(grp, _parse_group(sub))
         return grp
     table = spec["table"]
-    return make_from_table(table, name="table")
+    if not isinstance(table, list):
+        raise InputError("group.table must be a list of rows")
+    rows = [_read_ids(row, "group.table row") for row in table]
+    return make_from_table(rows, name="table")
 
 
 class Scenario:
@@ -124,16 +134,13 @@ _TOP_KEYS = {"prime", "group", "filtration", "omega", "modules", "weil", "series
 
 def parse_scenario(obj):
     _require_keys(obj, _TOP_KEYS, {"prime", "group", "filtration", "omega"}, "scenario")
-    prime = obj["prime"]
-    if not isinstance(prime, int):
-        raise InputError("prime must be an integer")
+    prime = _read_int(obj["prime"], "prime")
     group = _parse_group(obj["group"])
 
     filtration = obj["filtration"]
-    if not isinstance(filtration, list) or not all(
-        isinstance(step, list) for step in filtration
-    ):
+    if not isinstance(filtration, list):
         raise InputError("filtration must be a list of element-id lists")
+    filtration = [_read_ids(step, "filtration step") for step in filtration]
 
     omega_spec = obj["omega"]
     omega = None
@@ -160,9 +167,9 @@ def parse_scenario(obj):
     rd = ram_data(group, prime, filtration, omega, name="scenario")
 
     precision = obj.get("precision", {})
-    _require_keys(precision, {"degree_cap", "adapt"}, set(), "precision")
+    _require_keys(precision, {"degree_cap"}, set(), "precision")
     for key, value in precision.items():
-        if not isinstance(value, int) or value < 1:
+        if _read_int(value, f"precision.{key}") < 1:
             raise InputError(f"precision.{key} must be a positive integer")
 
     modules = {}
@@ -181,7 +188,7 @@ def parse_scenario(obj):
         raise InputError("weil must be a list")
     for spec in weil_specs:
         _require_keys(spec, {"module", "subgroup"}, {"module", "subgroup"}, "weil[]")
-        sub = subgroup(group, spec["subgroup"])
+        sub = subgroup(group, _read_ids(spec["subgroup"], "weil[].subgroup"))
         hgrp, to_sub, _ = sub.as_group()
         name, module = _parse_module(
             spec["module"], hgrp, prime, "weil[].module", id_map=to_sub
@@ -206,8 +213,8 @@ def _parse_module(spec, group, prime, where, id_map=None):
     if kind == "regular":
         return name, regular_module(group, prime, name=name)
     if kind == "trivial":
-        rank = spec.get("rank", 1)
-        if not isinstance(rank, int) or rank < 0:
+        rank = _read_int(spec.get("rank", 1), f"{where}: trivial rank")
+        if rank < 0:
             raise InputError(f"{where}: trivial rank must be a natural number")
         return name, trivial_module(group, prime, rank=rank, name=name)
     if kind == "matrices":
@@ -336,7 +343,7 @@ def _canonical_form(obj):
     out = {
         "prime": obj["prime"],
         "group": obj["group"],
-        "filtration": [[int(x) for x in step] for step in obj["filtration"]],
+        "filtration": obj["filtration"],
         "omega": obj["omega"],
     }
     for key in ("modules", "weil", "series", "precision"):

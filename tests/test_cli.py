@@ -212,11 +212,23 @@ def load_json(name):
         ("omega", {"cosets": {"0": 0, "a": 1, "2": 2}}),
         ("omega", {"generator": 3, "exponent": 1}),
         ("modules", [{"name": "m", "kind": "matrices", "matrices": {"x": [["1"]]}}]),
+        ("filtration", [[0, 1.5]]),
+        ("weil", [{"module": {"name": "u", "kind": "trivial"}, "subgroup": [0.9]}]),
+        ("group", {"product": [{"cyclic": True}, {"cyclic": 3}]}),
+        ("modules", [{"name": "t", "kind": "trivial", "rank": True}]),
+        ("group", {"table": [[0, 1, 2], [1, 2, 0], [2, 0, 1.0]]}),
+        ("precision", {"degree_cap": True}),
+        ("precision", {"adapt": 8}),
+        ("filtration", [["0", "1"]]),
+        ("weil", [{"module": {"name": "u", "kind": "trivial"}, "subgroup": 0}]),
+        ("group", {"table": "x"}),
     ],
 )
 def test_malformed_scenario_field_exit_2(tmp_path, capsys, key, value):
+    # a wild filtration needs a wild base; every other field fits the tame one
+    base = "wild_cyclic2.json" if key == "filtration" else "tame_cyclic3.json"
     bad = tmp_path / "bad.json"
-    bad.write_text(json.dumps({**load_json("tame_cyclic3.json"), key: value}))
+    bad.write_text(json.dumps({**load_json(base), key: value}))
     assert main(["series", "run", str(bad)]) == 2
     captured = capsys.readouterr()
     assert captured.out == ""

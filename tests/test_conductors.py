@@ -1,5 +1,6 @@
 import random
 from fractions import Fraction
+from types import SimpleNamespace
 
 import pytest
 
@@ -15,13 +16,14 @@ from ramcond.conductors import (
     is_isogenous,
     module_character,
     module_from_generators,
+    permutation_module,
     regular_module,
     split_idempotent,
     trivial_module,
     weil_restriction,
 )
 from ramcond.errors import CheckFailure, InputError
-from ramcond.groups import make_cyclic, subgroup
+from ramcond.groups import make_cyclic, make_symmetric, subgroup
 from ramcond.linalg import det, lattice_contains
 from ramcond.ramification import ram_data
 
@@ -184,6 +186,19 @@ def test_weil_restriction_from_full_group():
     m = regular_module(hgrp, 2)
     ind = weil_restriction(m, h)
     assert module_character(ind) == module_character(regular_module(g, 2))
+
+
+def test_permutation_modules_are_induced_trivial():
+    p = 2
+    for g in {rd.group for rd in catalog()} | {make_symmetric(4)}:
+        for i, elems in enumerate(g.subgroups()):
+            h = subgroup(g, elems)
+            induced = weil_restriction(trivial_module(h.as_group()[0], p), h).action
+            if elems == (0,):
+                assert regular_module(g, p).action == induced
+            assert permutation_module(h, p).action == induced
+            pick_i = SimpleNamespace(randrange=lambda n: i)  # picks subgroups()[i]
+            assert random_module(pick_i, g, p, max_rank=g.order).action == induced
 
 
 def test_conductor_via_induction_tame_c3():
@@ -425,6 +440,6 @@ def test_char_module_validation():
     with pytest.raises(InputError):
         CharModule("bad", g, 2, {0: ((1,),), 1: ((Fraction(1, 2),),)})  # not p-integral
     with pytest.raises(InputError):
-        CharModule("bad", g, 2, {0: ((1,),), 1: ((2,),)})  # det not a p-unit
+        CharModule("bad", g, 2, {0: ((1,),), 1: ((2,),)})  # 2*2 != 1: not a homomorphism
     with pytest.raises(InputError):
         CharModule("bad", g, 2, {0: ((1,),), 1: ((3,),)})  # not an involution

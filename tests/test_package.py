@@ -1,5 +1,8 @@
+import ast
 import importlib
 import pkgutil
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -13,3 +16,25 @@ def test_all_names_resolve(name):
     module = importlib.import_module(f"ramcond.{name}")
     missing = [n for n in getattr(module, "__all__", ()) if not hasattr(module, n)]
     assert missing == []
+
+
+def _imported_top_levels(path):
+    """Top-level names of every absolute import in a file, nested ones included."""
+    for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+        if isinstance(node, ast.Import):
+            yield from (alias.name.split(".")[0] for alias in node.names)
+        elif isinstance(node, ast.ImportFrom) and node.level == 0:
+            yield node.module.split(".")[0]
+
+
+SOURCES = sorted(Path(ramcond.__file__).parent.glob("*.py"))
+
+
+@pytest.mark.parametrize("path", SOURCES, ids=[p.name for p in SOURCES])
+def test_imports_only_standard_library(path):
+    foreign = {
+        top
+        for top in _imported_top_levels(path)
+        if top != "ramcond" and top not in sys.stdlib_module_names
+    }
+    assert foreign == set()
