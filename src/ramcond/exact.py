@@ -8,6 +8,11 @@ test.  Arithmetic between different levels promotes both operands to the
 least common multiple of their levels; levels are never reduced implicitly
 (``reduced`` does that as an explicit normalization pass).
 
+Reduction modulo the cyclotomic polynomial is one fold: products, embeddings
+and Galois twists are sums of c * zeta_N^m, each term read from a memoized
+table of zeta_N^m in the power basis.  ``inverse`` solves self * x = 1 as one
+exact linear system in that basis.
+
 Decimal rendering embeds zeta_N at exp(2*pi*i/N) in double precision and is
 for display only.
 """
@@ -78,109 +83,47 @@ def euler_phi(n):
     return result
 
 
-# ---------------------------------------------------------------------------
-# dense univariate polynomials over Q, constant coefficient first
-
-
-def _trim(c):
-    c = list(c)
-    while c and c[-1] == 0:
-        c.pop()
-    return tuple(c)
-
-
-def _padd(a, b):
-    n = max(len(a), len(b))
-    return _trim(
-        tuple(
-            (a[i] if i < len(a) else 0) + (b[i] if i < len(b) else 0) for i in range(n)
-        )
-    )
-
-
-def _pmul(a, b):
-    if not a or not b:
-        return ()
-    out = [Fraction(0)] * (len(a) + len(b) - 1)
-    for i, x in enumerate(a):
-        if x:
-            for j, y in enumerate(b):
-                out[i + j] += x * y
-    return _trim(out)
-
-
-def _pdivmod(a, b):
-    if not b:
-        raise ZeroDivisionError("polynomial division by zero")
-    a = list(a)
-    q = [Fraction(0)] * max(0, len(a) - len(b) + 1)
-    inv_lead = Fraction(1) / Fraction(b[-1])
-    for i in range(len(a) - len(b), -1, -1):
-        coef = a[i + len(b) - 1] * inv_lead
-        if coef:
-            q[i] = coef
-            for j, y in enumerate(b):
-                a[i + j] -= coef * y
-    return _trim(q), _trim(a)
-
-
-def _pxgcd(a, b):
-    """Extended gcd of polynomials over Q: returns (g, u, v) with u*a+v*b=g."""
-    r0, r1 = _trim(a), _trim(b)
-    u0, u1 = (Fraction(1),), ()
-    v0, v1 = (), (Fraction(1),)
-    while r1:
-        q, r = _pdivmod(r0, r1)
-        r0, r1 = r1, r
-        u0, u1 = u1, _padd(u0, _pmul(tuple(-c for c in q), u1))
-        v0, v1 = v1, _padd(v0, _pmul(tuple(-c for c in q), v1))
-    return r0, u0, v0
-
-
 _CYCLOTOMIC_CACHE = {}
 
 
 def cyclotomic_polynomial(n):
     """The n-th cyclotomic polynomial as an integer coefficient tuple.
 
-    Constant coefficient first; monic of degree phi(n).  Computed by exact
-    division of X^n - 1 by the product of the lower cyclotomic polynomials,
-    and memoized (the cache is a pure idempotent map).
+    Constant coefficient first; monic of degree phi(n).  Computed by dividing
+    X^n - 1 by each lower Phi_d in turn, exactly over the integers because
+    every Phi_d is monic, and memoized (the cache is a pure idempotent map).
     """
     if n < 1:
         raise InputError("cyclotomic_polynomial: n must be positive")
     cached = _CYCLOTOMIC_CACHE.get(n)
     if cached is not None:
         return cached
-    if n == 1:
-        poly = (-1, 1)
-    else:
-        num = tuple(
-            Fraction(-1) if i == 0 else Fraction(1) if i == n else Fraction(0)
-            for i in range(n + 1)
-        )
-        den = (Fraction(1),)
-        for d in range(1, n):
-            if n % d == 0:
-                den = _pmul(den, tuple(map(Fraction, cyclotomic_polynomial(d))))
-        q, r = _pdivmod(num, den)
-        if r:
-            raise AssertionError("cyclotomic division left a remainder")
-        if any(c.denominator != 1 for c in q):
-            raise AssertionError("cyclotomic polynomial not integral")
-        poly = tuple(int(c) for c in q)
-    _CYCLOTOMIC_CACHE[n] = poly
-    return poly
+    poly = [-1] + [0] * (n - 1) + [1]
+    for d in range(1, n):
+        if n % d == 0:
+            div = cyclotomic_polynomial(d)
+            k = len(div) - 1
+            quot = [0] * (len(poly) - k)
+            for i in range(len(quot) - 1, -1, -1):
+                c = quot[i] = poly[i + k]
+                for j, y in enumerate(div):
+                    poly[i + j] -= c * y
+            if any(poly):
+                raise AssertionError("cyclotomic division left a remainder")
+            poly = quot
+    _CYCLOTOMIC_CACHE[n] = tuple(poly)
+    return _CYCLOTOMIC_CACHE[n]
 
 
 _ZETA_POWER_CACHE = {}
 
 
 def _zeta_powers(n):
-    """Integer coefficient vectors of x^m mod Phi_n for 0 <= m < n.
+    """x^m mod Phi_n for 0 <= m < n, as sparse integer rows.
 
-    Row m is the power basis expansion of zeta_n^m.  Memoized; like
-    ``_CYCLOTOMIC_CACHE`` the cache is a pure idempotent map.
+    Row m lists the (index, coefficient) pairs of the power basis expansion
+    of zeta_n^m with nonzero coefficient; ``_fold`` is its only reader.
+    Memoized; like ``_CYCLOTOMIC_CACHE`` the cache is a pure idempotent map.
     """
     cached = _ZETA_POWER_CACHE.get(n)
     if cached is not None:
@@ -189,7 +132,7 @@ def _zeta_powers(n):
     row = [1] + [0] * (len(phi_n) - 2)
     rows = []
     for _ in range(n):
-        rows.append(tuple(row))
+        rows.append(tuple((i, t) for i, t in enumerate(row) if t))
         # multiply by x; Phi_n is monic, so x^phi = -(lower terms of Phi_n)
         top = row[-1]
         row = [0] + row[:-1]
@@ -198,6 +141,22 @@ def _zeta_powers(n):
     table = tuple(rows)
     _ZETA_POWER_CACHE[n] = table
     return table
+
+
+def _fold(n, terms):
+    """Power basis coefficients of sum c * zeta_n^m over the (m, c) pairs.
+
+    The one reduction modulo Phi_n: each term reads row m % n of the
+    zeta-power table (zeta_n^n = 1, so any exponent wraps).  The accumulator
+    starts at the integer 0, so integer terms give integer coefficients.
+    """
+    table = _zeta_powers(n)
+    acc = [0] * euler_phi(n)
+    for m, c in terms:
+        if c:
+            for i, t in table[m % n]:
+                acc[i] += c * t
+    return acc
 
 
 def inverse_zeta_minus_one(level, exponent):
@@ -211,20 +170,8 @@ def inverse_zeta_minus_one(level, exponent):
     k = exponent % n
     if k == 0:
         raise ZeroDivisionError("zeta^k - 1 is zero for k = 0 mod n")
-    table = _zeta_powers(n)
-    acc = [0] * len(table[0])
-    for j in range(1, n):
-        for i, c in enumerate(table[(j * k) % n]):
-            if c:
-                acc[i] += j * c
+    acc = _fold(n, ((j * k, j) for j in range(1, n)))
     return CycloNum(n, tuple(Fraction(c, n) for c in acc))
-
-
-def _reduce_mod_cyclotomic(poly, n):
-    """Remainder of poly modulo Phi_n, padded to length phi(n)."""
-    phi = euler_phi(n)
-    _, r = _pdivmod(poly, tuple(map(Fraction, cyclotomic_polynomial(n))))
-    return tuple(r[i] if i < len(r) else Fraction(0) for i in range(phi))
 
 
 class CycloNum:
@@ -258,7 +205,7 @@ class CycloNum:
     @classmethod
     def zeta(cls, level, exponent=1):
         """zeta_level ** exponent, reduced into the power basis."""
-        return cls(level, _zeta_powers(level)[exponent % level])
+        return cls(level, _fold(level, ((exponent, 1),)))
 
     # -- level bookkeeping --------------------------------------------------
 
@@ -271,18 +218,12 @@ class CycloNum:
         if self.level == 1:
             return CycloNum(m, self.coeffs + (0,) * (euler_phi(m) - 1))
         step = m // self.level
-        deg = (len(self.coeffs) - 1) * step if self.coeffs else 0
-        poly = [Fraction(0)] * (deg + 1)
-        for i, c in enumerate(self.coeffs):
-            poly[i * step] += c
-        return CycloNum(m, _reduce_mod_cyclotomic(_trim(poly), m))
+        return CycloNum(m, _fold(m, ((i * step, c) for i, c in enumerate(self.coeffs))))
 
     def _pair(self, other):
-        if isinstance(other, CycloNum):
-            pass
-        elif isinstance(other, (int, Fraction)):
+        if isinstance(other, (int, Fraction)):
             other = CycloNum.from_rational(other)
-        else:
+        elif not isinstance(other, CycloNum):
             return None
         m = lcm(self.level, other.level)
         return self.embed(m), other.embed(m)
@@ -326,21 +267,24 @@ class CycloNum:
         if pair is None:
             return NotImplemented
         a, b = pair
-        return CycloNum(
-            a.level, _reduce_mod_cyclotomic(_pmul(a.coeffs, b.coeffs), a.level)
-        )
+        # exponents reach 2*phi - 2 and wrap through the table
+        conv = [0] * (2 * len(a.coeffs) - 1)
+        for i, x in enumerate(a.coeffs):
+            if x:
+                for j, y in enumerate(b.coeffs):
+                    if y:
+                        conv[i + j] += x * y
+        return CycloNum(a.level, _fold(a.level, enumerate(conv)))
 
     __rmul__ = __mul__
 
     def inverse(self):
         if self.is_zero():
             raise ZeroDivisionError("inverse of zero cyclotomic number")
-        phi_n = tuple(map(Fraction, cyclotomic_polynomial(self.level)))
-        g, u, _ = _pxgcd(_trim(self.coeffs), phi_n)
-        if len(g) != 1:
-            raise AssertionError("cyclotomic polynomial not coprime to nonzero element")
-        scaled = tuple(c / g[0] for c in u)
-        return CycloNum(self.level, _reduce_mod_cyclotomic(scaled, self.level))
+        # solve self * x = 1; column j is self * zeta^j in the power basis
+        n, terms = self.level, list(enumerate(self.coeffs))
+        cols = [_fold(n, ((i + j, c) for i, c in terms)) for j in range(len(terms))]
+        return CycloNum(n, solve(transpose(cols), (1,) + (0,) * (len(terms) - 1)))
 
     def __truediv__(self, other):
         pair = self._pair(other)
@@ -386,10 +330,7 @@ class CycloNum:
         n = self.level
         if gcd(k % n, n) != 1:
             raise InputError(f"galois exponent {k} not a unit modulo {n}")
-        poly = [Fraction(0)] * n
-        for i, c in enumerate(self.coeffs):
-            poly[(i * k) % n] += c
-        return CycloNum(n, _reduce_mod_cyclotomic(_trim(poly), n))
+        return CycloNum(n, _fold(n, ((i * k, c) for i, c in enumerate(self.coeffs))))
 
     def conjugate(self):
         """The automorphism zeta -> zeta^(-1); involutive, fixes rationals."""

@@ -133,22 +133,6 @@ def mat_inv(a):
     return tuple(row[n:] for row in red)
 
 
-def nullspace(a):
-    """Basis of the rational kernel of A (free variables set to 1)."""
-    a = as_matrix(a)
-    cols = len(a[0]) if a else 0
-    red, pivots = rref(a)
-    free = [c for c in range(cols) if c not in pivots]
-    basis = []
-    for fc in free:
-        v = [Fraction(0)] * cols
-        v[fc] = Fraction(1)
-        for r, pc in enumerate(pivots):
-            v[pc] = -red[r][fc]
-        basis.append(tuple(v))
-    return tuple(basis)
-
-
 def _int_rows(a):
     """Scale each row to integers (kernel and row span are unchanged)."""
     out = []

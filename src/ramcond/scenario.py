@@ -69,11 +69,14 @@ def _read_ids(value, where):
 
 
 def _read_id_key(key, where):
-    """An element id written as a JSON object key, such as "3"."""
+    """An element id written as a JSON object key, spelled canonically: "3", not "03"."""
     try:
-        return int(key)
+        value = int(key)
     except (TypeError, ValueError):
-        raise InputError(f"{where}: key {key!r} is not an element id") from None
+        value = None
+    if value is None or not key.isascii() or str(value) != key:
+        raise InputError(f"{where}: key {key!r} is not an element id")
+    return value
 
 
 def _require_keys(obj, allowed, required, where):

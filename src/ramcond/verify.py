@@ -29,6 +29,7 @@ from .ramification import (
     artin_character,
     bisection,
     disc_valuation,
+    i_gamma,
     restrict_ramdata,
 )
 from .series import (
@@ -97,8 +98,6 @@ def check_bisection(rd, results):
     for cls in conjugacy_classes(rd.group):
         if cls == (0,):
             continue
-        from .ramification import i_gamma
-
         vals = {i_gamma(rd, s) for s in cls}
         if len(vals) != 1:
             _record(results, f"break-class-constancy[{rd.name}]", False, str(cls))

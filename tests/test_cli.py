@@ -222,6 +222,12 @@ def load_json(name):
         ("filtration", [["0", "1"]]),
         ("weil", [{"module": {"name": "u", "kind": "trivial"}, "subgroup": 0}]),
         ("group", {"table": "x"}),
+        # element-id keys must be canonical ASCII: no space, sign, Arabic-Indic digit or zero pad
+        *(
+            ("modules", [{"name": "m", "kind": "matrices", "matrices": {k: [["0", "-1"], ["1", "-1"]]}}])
+            for k in (" 1", "+1", "١", "01")
+        ),
+        *(("omega", {"cosets": {k: 0, "1": 1, "2": 2}}) for k in (" 0", "+0", "٠")),
     ],
 )
 def test_malformed_scenario_field_exit_2(tmp_path, capsys, key, value):

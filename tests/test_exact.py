@@ -3,13 +3,13 @@ import random
 from fractions import Fraction
 
 import pytest
+import sympy
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from ramcond.errors import InputError
 from ramcond.exact import (
     CycloNum,
-    _reduce_mod_cyclotomic,
     cyclotomic_polynomial,
     euler_phi,
     inverse_zeta_minus_one,
@@ -25,6 +25,24 @@ def poly_mul(a, b):
     while out and out[-1] == 0:
         out.pop()
     return tuple(out)
+
+
+X = sympy.Symbol("x")
+
+
+def as_expr(coeffs, power=1):
+    """sum c_i * x^(i * power) as a sympy expression."""
+    terms = (sympy.Rational(c.numerator, c.denominator) * X ** (i * power)
+             for i, c in enumerate(coeffs))
+    return sum(terms, sympy.Integer(0))
+
+
+def sympy_reduce(expr, n):
+    """expr modulo Phi_n over QQ, reduced by sympy: phi(n) Fractions, constant first."""
+    r = sympy.rem(expr, sympy.cyclotomic_poly(n, X), X, domain=sympy.QQ)
+    r = sympy.Poly(r, X, domain=sympy.QQ)
+    coeffs = [Fraction(int(c.p), int(c.q)) for c in reversed(r.all_coeffs())]
+    return tuple(coeffs + [Fraction(0)] * (euler_phi(n) - len(coeffs)))
 
 
 def test_cyclotomic_small_cases():
@@ -101,9 +119,7 @@ def test_inverse_zeta_minus_one_matches_inverse(n):
 @pytest.mark.parametrize("n", [1] + ORACLE_LEVELS)
 def test_zeta_table_matches_reduction(n):
     for m in range(-1, n + 1):
-        e = m % n
-        poly = (Fraction(0),) * e + (Fraction(1),)
-        assert CycloNum.zeta(n, m).coeffs == _reduce_mod_cyclotomic(poly, n)
+        assert CycloNum.zeta(n, m).coeffs == sympy_reduce(X ** (m % n), n)
 
 
 def test_rational_fast_paths_match_general_path():
@@ -111,8 +127,8 @@ def test_rational_fast_paths_match_general_path():
     for n in (2, 3, 5, 8, 12, 15):
         for _ in range(4):
             q = Fraction(rng.randint(-9, 9), rng.randint(1, 5))
-            # embed: the general path spreads and reduces the coefficients
-            assert CycloNum.from_rational(q).embed(n).coeffs == _reduce_mod_cyclotomic((q,), n)
+            # embed from level 1 pads with zeros; sympy's remainder is the reference
+            assert CycloNum.from_rational(q).embed(n).coeffs == sympy_reduce(as_expr((q,)), n)
             coeffs = [Fraction(rng.randint(-9, 9), rng.randint(1, 4)) for _ in range(euler_phi(n))]
             a = CycloNum(n, coeffs)
             # q embedded at level n takes the general multiply-and-reduce path
@@ -124,6 +140,26 @@ def test_rational_fast_paths_match_general_path():
             assert (a * k).coeffs == (a * CycloNum.from_rational(k, n)).coeffs
     half = CycloNum.from_rational(Fraction(1, 2))
     assert (half * 3).level == 1 and half * half == Fraction(1, 4)
+
+
+@pytest.mark.parametrize("n", [5, 7, 9, 15, 16, 30, 64])
+def test_field_operations_match_sympy_reduction(n):
+    # products, embeddings, Galois twists and inverses against sympy's rem/invert mod Phi_n
+    rng = random.Random(n)
+
+    def draw():
+        coeffs = [Fraction(rng.randint(-9, 9), rng.randint(1, 4)) for _ in range(euler_phi(n))]
+        return CycloNum(n, coeffs)
+
+    for _ in range(3):
+        a, b = draw(), draw()
+        assert (a * b).coeffs == sympy_reduce(as_expr(a.coeffs) * as_expr(b.coeffs), n)
+    for m in (2 * n, 3 * n):
+        assert a.embed(m).coeffs == sympy_reduce(as_expr(a.coeffs, m // n), m)
+    for k in rng.sample([k for k in range(1, n) if math.gcd(k, n) == 1], 4):
+        assert a.galois(k).coeffs == sympy_reduce(as_expr(a.coeffs, k), n)
+    inv = sympy.invert(as_expr(a.coeffs), sympy.cyclotomic_poly(n, X), X)
+    assert a.inverse().coeffs == sympy_reduce(inv, n)
 
 
 def test_zeta_sum_relation():

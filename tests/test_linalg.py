@@ -13,7 +13,6 @@ from ramcond.linalg import (
     mat_inv,
     mat_mul,
     mat_vec,
-    nullspace,
     rref,
     solve,
     transpose,
@@ -42,12 +41,6 @@ def test_rref_pivots():
     red, pivots = rref(((1, 2, 3), (2, 4, 6), (1, 0, 1)))
     assert pivots == (0, 1)
     assert red[0][0] == 1
-
-
-def test_nullspace_matches_kernel():
-    a = ((1, 1, 0), (0, 0, 1))
-    (v,) = nullspace(a)
-    assert mat_vec(a, v) == (0, 0)
 
 
 def test_integer_kernel_saturated():
