@@ -17,7 +17,6 @@ from .ramification import ram_data
 
 __all__ = [
     "catalog",
-    "get_fixture",
     "random_ram_data",
     "random_module",
     "random_unit_conjugate",
@@ -113,13 +112,6 @@ def catalog():
             _CACHE[name] = build()
         out.append(_CACHE[name])
     return tuple(out)
-
-
-def get_fixture(name):
-    for fixture in catalog():
-        if fixture.name == name:
-            return fixture
-    raise KeyError(name)
 
 
 # ---------------------------------------------------------------------------

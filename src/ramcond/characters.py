@@ -26,7 +26,6 @@ __all__ = [
     "restrict",
     "check_action",
     "trace_character",
-    "char_of_rep",
     "artin_conductor",
 ]
 
@@ -209,12 +208,6 @@ def trace_character(group, action):
         m = action[g]
         values.append(sum((m[i][i] for i in range(len(m))), Fraction(0)))
     return ClassFunction(group, values, verified=True)
-
-
-def char_of_rep(group, rep):
-    """Trace character of a matrix representation (entries rational or cyclotomic)."""
-    check_action(group, rep)
-    return trace_character(group, rep)
 
 
 def artin_conductor(rd, chi):

@@ -21,7 +21,7 @@ from .exact import CycloNum
 from .groups import conjugacy_classes
 from .ramification import artin_character, bisection, i_gamma
 from .scenario import SERIES_OPS, load_scenario, read_series_request, scenario_digest
-from .series import SeriesRingSpec, mult_endo
+from .series import DEFAULT_DEGREE_CAP, SeriesRingSpec, mult_endo
 from .verify import run_catalog_suites, run_random_bisection
 
 
@@ -51,6 +51,11 @@ def _report(command, scenario=None):
     return report
 
 
+def _headers(table):
+    """Column names of a table in first-seen order."""
+    return list(dict.fromkeys(key for row in table for key in row))
+
+
 def _emit(report, args):
     if args.json:
         print(json.dumps(report, sort_keys=True, indent=2, ensure_ascii=False))
@@ -59,11 +64,7 @@ def _emit(report, args):
             if not table:
                 continue
             print(f"[{name}]")
-            headers = []
-            for row in table:
-                for key in row:
-                    if key not in headers:
-                        headers.append(key)
+            headers = _headers(table)
             widths = [
                 max(len(h), *(len(str(row.get(h, ""))) for row in table))
                 for h in headers
@@ -87,13 +88,8 @@ def _emit(report, args):
     if args.csv:
         tables = [t for t in report["tables"].values() if t]
         if tables:
-            headers = []
-            for row in tables[0]:
-                for key in row:
-                    if key not in headers:
-                        headers.append(key)
             with open(args.csv, "w", newline="", encoding="utf-8") as fh:
-                writer = csv.DictWriter(fh, fieldnames=headers, restval="")
+                writer = csv.DictWriter(fh, fieldnames=_headers(tables[0]), restval="")
                 writer.writeheader()
                 for row in tables[0]:
                     writer.writerow(row)
@@ -295,7 +291,7 @@ def build_parser():
         "--decimal-digits", type=int, default=6, help="digits for display decimals"
     )
     parser.add_argument(
-        "--degree-cap", type=int, default=16, help="series truncation degree"
+        "--degree-cap", type=int, default=DEFAULT_DEGREE_CAP, help="series truncation degree"
     )
     parser.add_argument("--csv", help="write the first table as CSV to this path")
     sub = parser.add_subparsers(dest="command", required=True)

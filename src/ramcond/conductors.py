@@ -101,6 +101,9 @@ class CharModule:
 def module_from_generators(name, group, p, gen_action):
     """Complete an action given on a generating set to the whole group."""
     gen_action = {int(g): as_matrix(m) for g, m in gen_action.items()}
+    for g in gen_action:
+        if not 0 <= g < group.order:
+            raise InputError(f"generator {g} is not an element id of {group.name}")
     ranks = {len(m) for m in gen_action.values()}
     if len(ranks) != 1:
         raise InputError("generator matrices must share one rank")
@@ -308,7 +311,7 @@ def _restricted_action(m, basis_rows):
     return action
 
 
-def split_idempotent(m, e, names=("plus", "minus")):
+def split_idempotent(m, e):
     """Split a module along an equivariant idempotent into saturated summands.
 
     The image and kernel lattices are the full integer kernels of (1 - E) and
@@ -322,12 +325,8 @@ def split_idempotent(m, e, names=("plus", "minus")):
     minus_rows = integer_kernel(e)
     if len(plus_rows) + len(minus_rows) != d:
         raise CheckFailure("idempotent split ranks do not add up")
-    m_plus = CharModule(
-        f"{m.name}.{names[0]}", m.group, m.p, _restricted_action(m, plus_rows)
-    )
-    m_minus = CharModule(
-        f"{m.name}.{names[1]}", m.group, m.p, _restricted_action(m, minus_rows)
-    )
+    m_plus = CharModule(f"{m.name}.plus", m.group, m.p, _restricted_action(m, plus_rows))
+    m_minus = CharModule(f"{m.name}.minus", m.group, m.p, _restricted_action(m, minus_rows))
     if m_plus.rank or m_minus.rank:
         total = module_character(direct_sum(m_plus, m_minus))
         if total != module_character(m):
@@ -355,6 +354,8 @@ def adapt_lattice(m, e, precision=8, within=None):
     has p-unit index whenever the approximation is within p times the
     ambient lattice.
     """
+    if precision < 1:
+        raise InputError("precision must be at least 1")
     e = _check_idempotent(m, e)
     if not m.is_integral():
         raise InputError("adapt_lattice expects an integral module action")
@@ -385,7 +386,7 @@ def adapt_lattice(m, e, precision=8, within=None):
             f"adapted lattice has rank {len(basis)} < {d}; approximation failed "
             f"within precision {precision}"
         )
-    check_adapted_basis(m, e, basis, precision)
+    check_adapted_basis(m, e, basis)
     return basis
 
 
@@ -399,7 +400,7 @@ def adapt_lattice_pair(m, e_inner, e_outer, precision=8):
     return inner, outer
 
 
-def check_adapted_basis(m, e, basis, precision=8):
+def check_adapted_basis(m, e, basis):
     """Independent verifier for adapted lattice bases.
 
     Checks: B is a rank-d integer basis whose index in the ambient lattice is
@@ -408,8 +409,6 @@ def check_adapted_basis(m, e, basis, precision=8):
     decomposition restricts to the lattice after p-completion).  Any basis
     passing these checks is acceptable; the output is not unique.
     """
-    if precision < 1:
-        raise InputError("precision must be at least 1")
     e = as_matrix(e)
     d = m.rank
     basis = tuple(tuple(int(x) for x in row) for row in basis)

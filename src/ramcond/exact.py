@@ -5,13 +5,13 @@ denominator).  A :class:`CycloNum` is an element of Q(zeta_N) stored in the
 power basis 1, zeta, ..., zeta^(phi(N)-1) modulo the N-th cyclotomic
 polynomial, so equality is coefficient equality and rationality is an exact
 test.  Arithmetic between different levels promotes both operands to the
-least common multiple of their levels; levels are never reduced implicitly
-(``reduced`` does that as an explicit normalization pass).
+least common multiple of their levels; levels are never reduced.
 
 Reduction modulo the cyclotomic polynomial is one fold: products, embeddings
 and Galois twists are sums of c * zeta_N^m, each term read from a memoized
-table of zeta_N^m in the power basis.  ``inverse`` solves self * x = 1 as one
-exact linear system in that basis.
+table of zeta_N^m in the power basis.  There is no field division: the only
+inverses the toolkit needs are 1/(zeta_N^k - 1), which
+:func:`inverse_zeta_minus_one` gives in closed form.
 
 Decimal rendering embeds zeta_N at exp(2*pi*i/N) in double precision and is
 for display only.
@@ -24,7 +24,6 @@ from fractions import Fraction
 from math import gcd, inf, lcm
 
 from .errors import InputError
-from .linalg import solve, transpose
 
 __all__ = [
     "CycloNum",
@@ -278,36 +277,6 @@ class CycloNum:
 
     __rmul__ = __mul__
 
-    def inverse(self):
-        if self.is_zero():
-            raise ZeroDivisionError("inverse of zero cyclotomic number")
-        # solve self * x = 1; column j is self * zeta^j in the power basis
-        n, terms = self.level, list(enumerate(self.coeffs))
-        cols = [_fold(n, ((i + j, c) for i, c in terms)) for j in range(len(terms))]
-        return CycloNum(n, solve(transpose(cols), (1,) + (0,) * (len(terms) - 1)))
-
-    def __truediv__(self, other):
-        pair = self._pair(other)
-        if pair is None:
-            return NotImplemented
-        a, b = pair
-        return a * b.inverse()
-
-    def __rtruediv__(self, other):
-        return self.inverse().__mul__(other)
-
-    def __pow__(self, k):
-        if k < 0:
-            return self.inverse() ** (-k)
-        out = CycloNum.from_rational(1, self.level)
-        base = self
-        while k:
-            if k & 1:
-                out = out * base
-            base = base * base
-            k >>= 1
-        return out
-
     def __eq__(self, other):
         pair = self._pair(other)
         if pair is None:
@@ -317,11 +286,8 @@ class CycloNum:
 
     __hash__ = None
 
-    def is_zero(self):
-        return all(c == 0 for c in self.coeffs)
-
     def __bool__(self):
-        return not self.is_zero()
+        return any(self.coeffs)
 
     # -- Galois operations ---------------------------------------------------
 
@@ -343,27 +309,6 @@ class CycloNum:
         if any(c != 0 for c in self.coeffs[1:]):
             return False, None
         return True, self.coeffs[0]
-
-    def reduced(self):
-        """Rewrite at the smallest cyclotomic level containing the element."""
-        current = self
-        changed = True
-        while changed:
-            changed = False
-            n = current.level
-            for q in sorted({d for d in range(2, n + 1) if n % d == 0 and is_prime(d)}):
-                m = n // q
-                if m < 1:
-                    continue
-                fixers = [k for k in range(1, n) if gcd(k, n) == 1 and k % m == 1 % m]
-                if not all(current.galois(k) == current for k in fixers):
-                    continue
-                basis = [CycloNum.zeta(m, j).embed(n).coeffs for j in range(euler_phi(m))]
-                coords = solve(transpose(basis), current.coeffs)
-                current = CycloNum(m, coords)
-                changed = True
-                break
-        return current
 
     # -- display -------------------------------------------------------------
 

@@ -84,13 +84,6 @@ class FiniteGroup:
             k += 1
         return k
 
-    def is_abelian(self):
-        return all(
-            self.table[a][b] == self.table[b][a]
-            for a in range(self.order)
-            for b in range(a)
-        )
-
     def elements(self):
         return range(self.order)
 

@@ -19,6 +19,7 @@ from .errors import InputError
 from .groups import make_cyclic, make_from_table, make_product, subgroup
 from .ramification import ram_data
 from .series import (
+    DEFAULT_DEGREE_CAP,
     MixedSeries,
     SeriesRingSpec,
     dilatation_member,
@@ -129,7 +130,7 @@ class Scenario:
 
     @property
     def degree_cap(self):
-        return self.precision.get("degree_cap", 16)
+        return self.precision.get("degree_cap", DEFAULT_DEGREE_CAP)
 
 
 _TOP_KEYS = {"prime", "group", "filtration", "omega", "modules", "weil", "series", "precision"}
@@ -227,6 +228,8 @@ def _parse_module(spec, group, prime, where, id_map=None):
         gen_action = {}
         for key, matrix in mats.items():
             gid = _read_id_key(key, f"{where}.matrices")
+            if not isinstance(matrix, list) or not all(isinstance(row, list) for row in matrix):
+                raise InputError(f"{where}: matrix of generator {key} must be a list of rows")
             if id_map is not None:
                 if gid not in id_map:
                     raise InputError(f"{where}: generator {gid} outside the subgroup")
@@ -384,9 +387,9 @@ class _Tokens:
             if ch.isspace():
                 i += 1
                 continue
-            if ch.isdigit():
+            if "0" <= ch <= "9":  # ASCII only: str.isdigit also accepts "²" and "٢"
                 j = i
-                while j < len(text) and text[j].isdigit():
+                while j < len(text) and "0" <= text[j] <= "9":
                     j += 1
                 self.items.append(("int", int(text[i:j])))
                 i = j
@@ -422,7 +425,7 @@ def _collect_names(text):
     return sorted(names)
 
 
-def parse_series_expression(text, p, degree_cap=16, ring=None):
+def parse_series_expression(text, p, degree_cap=DEFAULT_DEGREE_CAP, ring=None):
     """Evaluate the small series grammar into a MixedSeries.
 
     Variables whose names start with ``T`` form the power-bounded block;

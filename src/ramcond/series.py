@@ -25,6 +25,7 @@ from .errors import CheckFailure, InputError
 from .exact import is_prime, p_valuation
 
 __all__ = [
+    "DEFAULT_DEGREE_CAP",
     "SeriesRingSpec",
     "MixedSeries",
     "gauss_valuation",
@@ -42,6 +43,9 @@ __all__ = [
 ]
 
 
+DEFAULT_DEGREE_CAP = 16
+
+
 @dataclass(frozen=True)
 class SeriesRingSpec:
     """Shape of a mixed power series ring: prime, variable blocks, degree cap."""
@@ -49,7 +53,7 @@ class SeriesRingSpec:
     p: int
     s_vars: tuple = ()
     t_vars: tuple = ()
-    degree_cap: int = 16
+    degree_cap: int = DEFAULT_DEGREE_CAP
 
     def __post_init__(self):
         object.__setattr__(self, "s_vars", tuple(self.s_vars))
@@ -487,13 +491,13 @@ def substitute(f, images):
     return out
 
 
-def symmetric_descent(group, action, variables=None):
+def symmetric_descent(group, action):
     """Elementary symmetric polynomials of variable orbits under a group action.
 
     ``action`` maps every element id of ``group`` to a substitution dict
     (variable name -> series with zero constant term).  The action must be a
     homomorphism of ring substitutions, which is verified within the window.
-    For each requested variable the |group| elementary symmetric polynomials
+    For each variable the |group| elementary symmetric polynomials
     of its orbit multiset are returned; each output is checked to be fixed by
     every substitution.
     """
@@ -508,8 +512,6 @@ def symmetric_descent(group, action, variables=None):
                 raise InputError("action images live in different rings")
     if ring is None:
         raise InputError("empty action")
-    if variables is None:
-        variables = ring.variables
     for name in ring.variables:
         for gid in range(group.order):
             if name not in action[gid]:
@@ -532,7 +534,7 @@ def symmetric_descent(group, action, variables=None):
                     )
 
     results = {}
-    for name in variables:
+    for name in ring.variables:
         orbit = [action[gid][name] for gid in range(group.order)]
         # elementary symmetric polynomials via the running product expansion
         esym = [MixedSeries.const(ring, 1)]

@@ -118,9 +118,13 @@ def test_series_subcommands(capsys):
     assert report["tables"]["series"][0]["member"] is False
 
 
-def test_series_malformed_expression_exit_2(capsys):
-    code = main(["series", "gauss", "p^-2*(S", "--p", "3"])
+# digits are ASCII only: "²" and "٢" are digits to str.isdigit
+@pytest.mark.parametrize("expr", ["p^-2*(S", "2²", "٢*T"])
+def test_series_malformed_expression_exit_2(capsys, expr):
+    code = main(["series", "gauss", expr, "--p", "3"])
     assert code == 2
+    captured = capsys.readouterr()
+    assert captured.out == "" and captured.err.count("\n") == 1
 
 
 def test_verify_catalog(capsys):
@@ -228,6 +232,11 @@ def load_json(name):
             for k in (" 1", "+1", "١", "01")
         ),
         *(("omega", {"cosets": {k: 0, "1": 1, "2": 2}}) for k in (" 0", "+0", "٠")),
+        # each matrix is a list of rows, keyed by an element id of the group
+        *(
+            ("modules", [{"name": "m", "kind": "matrices", "matrices": mats}])
+            for mats in ({"1": 5}, {"1": [5]}, {"7": [["1"]]}, {"1": "1"}, {"-1": [["1"]]})
+        ),
     ],
 )
 def test_malformed_scenario_field_exit_2(tmp_path, capsys, key, value):

@@ -59,10 +59,9 @@ def test_conductor_oracles_wild_c2():
 def test_conductor_s3_standard_module():
     # nonabelian oracle: the two-dimensional integral module of S3 at p = 3,
     # conductor worked out by hand from the bisection values
-    from ramcond.catalog import get_fixture
     from ramcond.characters import artin_conductor
 
-    rd = get_fixture("S3-p3")
+    rd = next(rd for rd in catalog() if rd.name == "S3-p3")
     g = rd.group
     transposition = next(x for x in range(1, 6) if g.element_order(x) == 2)
     cycle = next(x for x in range(1, 6) if g.element_order(x) == 3)
@@ -376,7 +375,7 @@ def test_adapt_lattice_checker_rejects_bad_bases():
     with pytest.raises(CheckFailure):
         check_adapted_basis(reg, e, ((1, 0), (0, 2)))  # not E-stable p-integrally
     with pytest.raises(InputError):
-        check_adapted_basis(reg, e, ((3, 0), (0, 1)), precision=0)
+        adapt_lattice(reg, e, precision=0)
 
 
 def test_adapt_lattice_nested():
@@ -443,3 +442,6 @@ def test_char_module_validation():
         CharModule("bad", g, 2, {0: ((1,),), 1: ((2,),)})  # 2*2 != 1: not a homomorphism
     with pytest.raises(InputError):
         CharModule("bad", g, 2, {0: ((1,),), 1: ((3,),)})  # not an involution
+    for gid in (-1, 2):  # generator ids outside range(|G|); -1 would index from the end
+        with pytest.raises(InputError):
+            module_from_generators("bad", g, 2, {gid: ((-1,),)})

@@ -30,7 +30,7 @@ def test_klein_four_orders():
 def test_symmetric_group_is_nonabelian():
     s3 = make_symmetric(3)
     assert s3.order == 6
-    assert not s3.is_abelian()
+    assert any(s3.mult(a, b) != s3.mult(b, a) for a in range(6) for b in range(6))
     assert sorted(s3.element_order(x) for x in range(6)) == [1, 2, 2, 2, 3, 3]
 
 
