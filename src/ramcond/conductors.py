@@ -34,6 +34,7 @@ from .linalg import (
     mat_sub,
     mat_vec,
     solve,
+    sparse_rows,
     transpose,
 )
 from .ramification import bisection, disc_valuation, restrict_ramdata
@@ -62,20 +63,24 @@ __all__ = [
 class CharModule:
     """Finite free lattice with a group action by p-integral exact matrices.
 
-    There is no determinant check: once the action is a homomorphism of a finite
-    group, each matrix has finite order, so its rational determinant is +-1.
+    Construction checks the action in full: p-integrality from each matrix's
+    common denominator, then :func:`check_action` on every Cayley edge at
+    O(nonzeros) per edge.  There is no determinant check: once the action is
+    a homomorphism of a finite group, each matrix has finite order, so its
+    rational determinant is +-1.
     """
 
     __slots__ = ("name", "group", "p", "rank", "action", "_char")
 
     def __init__(self, name, group, p, action):
         action = {int(g): as_matrix(m) for g, m in action.items()}
-        for m in action.values():
-            for row in m:
-                for x in row:
-                    if p_valuation(x, p) < 0:
-                        raise InputError(f"entry {x} is not p-integral at p={p}")
-        d = check_action(group, action)
+        forms = {g: sparse_rows(m) for g, m in action.items()}
+        for g, m in action.items():
+            # p divides the common denominator iff it divides some entry's
+            if m and p_valuation(forms[g][0], p) > 0:
+                x = next(x for row in m for x in row if p_valuation(x, p) < 0)
+                raise InputError(f"entry {x} is not p-integral at p={p}")
+        d = check_action(group, action, forms)
         object.__setattr__(self, "name", name)
         object.__setattr__(self, "group", group)
         object.__setattr__(self, "p", int(p))

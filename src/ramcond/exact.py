@@ -21,6 +21,7 @@ from __future__ import annotations
 
 import cmath
 from fractions import Fraction
+from functools import lru_cache
 from math import gcd, inf, lcm
 
 from .errors import InputError
@@ -35,7 +36,15 @@ __all__ = [
 ]
 
 
+# Size budget for primes: trial division up to sqrt(p) stays in milliseconds.
+PRIME_BOUND = 2**32
+
+
+@lru_cache(maxsize=256)
 def is_prime(n):
+    """Primality by trial division; ``n >= PRIME_BOUND`` is an ``InputError``."""
+    if n >= PRIME_BOUND:
+        raise InputError(f"{n} is too large: primes must be below 2**32")
     if n < 2:
         return False
     d = 2

@@ -1,8 +1,11 @@
 """Exact linear algebra over the rationals plus integer-lattice routines.
 
-Matrices are tuples of row tuples.  Everything here is dense and meant for
-small dimensions (module ranks and group orders of a few dozen); no attempt
-is made to be clever, only to be exact.
+Matrices are tuples of row tuples, meant for small dimensions (module ranks
+and group orders of a few dozen).  Products, elimination and the lattice
+routines are dense.  The one sparse form is :func:`sparse_rows`: the rows as
+``{col: int}`` maps over one common denominator, on which
+:func:`sparse_product_equals` tests ``A B == C`` in O(nonzeros) with integer
+arithmetic only.
 """
 
 from __future__ import annotations
@@ -15,7 +18,9 @@ from .errors import CheckFailure, InputError
 
 def as_matrix(rows):
     """Coerce nested iterables of ints/Fractions into a canonical matrix."""
-    mat = tuple(tuple(Fraction(x) for x in row) for row in rows)
+    mat = tuple(
+        tuple(x if isinstance(x, Fraction) else Fraction(x) for x in row) for row in rows
+    )
     if mat and any(len(row) != len(mat[0]) for row in mat):
         raise InputError("ragged matrix")
     return mat
@@ -42,6 +47,43 @@ def mat_mul(a, b):
             out_row.append(acc)
         out.append(tuple(out_row))
     return tuple(out)
+
+
+def sparse_rows(a):
+    """``(den, rows)`` with ``a[i][j] == rows[i].get(j, 0) / den``; zeros are left out.
+
+    For rational entries ``den`` is the least common denominator and every
+    stored value is an int.  Entries of another ring (e.g. CycloNum) are
+    stored as they are, over ``den = 1``.
+    """
+    rows = tuple([(j, x) for j, x in enumerate(row) if x] for row in a)
+    if all(isinstance(x, (int, Fraction)) for row in rows for _, x in row):
+        den = lcm(*(x.denominator for row in rows for _, x in row))
+        return den, tuple(
+            {j: x.numerator * (den // x.denominator) for j, x in row} for row in rows
+        )
+    return 1, tuple(dict(row) for row in rows)
+
+
+def sparse_product_equals(a, b, c):
+    """Whether ``A B == C`` for matrices in :func:`sparse_rows` form.
+
+    Tests ``den_c * (A~ B~) == den_a * den_b * C~`` row by row on the
+    numerator maps, so the cost is O(nonzeros) and nothing is divided: a
+    product of monomial matrices is checked in O(d).
+    """
+    (den_a, ra), (den_b, rb), (den_c, rc) = a, b, c
+    scale = den_a * den_b
+    for arow, crow in zip(ra, rc):
+        acc = {}
+        for k, x in arow.items():
+            for j, y in rb[k].items():
+                acc[j] = acc[j] + x * y if j in acc else x * y
+        if {j: v * den_c for j, v in acc.items() if v} != {
+            j: v * scale for j, v in crow.items()
+        }:
+            return False
+    return True
 
 
 def mat_vec(a, v):

@@ -40,6 +40,7 @@ class RamData:
     n: int  # order of the tame quotient
     omega_exp: tuple  # element id -> exponent of its coset in Z/n
     name: str = field(default="", compare=False)
+    _bisection: object = field(default=None, compare=False, repr=False)  # memo of bisection()
 
     @property
     def wild_subgroup(self):
@@ -195,8 +196,11 @@ def bisection(rd):
 
     Tame values use the closed form 1/(w - 1) = (1/n) * sum_{j<n} j * w^j,
     which holds for every w != 1 with w^n = 1, since
-    (w - 1) * sum_{j<n} j * w^j = n.  No field inversion is made.
+    (w - 1) * sum_{j<n} j * w^j = n.  No field inversion is made.  The value
+    is computed once per ``rd`` and held on it.
     """
+    if rd._bisection is not None:
+        return rd._bisection
     grp = rd.group
     wild = set(rd.wild_subgroup.elements)
     values = []
@@ -207,7 +211,8 @@ def bisection(rd):
             values.append(CycloNum.from_rational(Fraction(-i_gamma(rd, s), 2)))
         else:
             values.append(inverse_zeta_minus_one(rd.n, rd.omega_exp[s]))
-    return ClassFunction(grp, values)
+    object.__setattr__(rd, "_bisection", ClassFunction(grp, values))
+    return rd._bisection
 
 
 def disc_valuation(rd, h):

@@ -1,9 +1,10 @@
+import functools
 import random
 from fractions import Fraction
 
 import pytest
 
-from ramcond.catalog import catalog
+from ramcond.catalog import catalog, random_module, random_unit_conjugate
 from ramcond.characters import (
     ClassFunction,
     artin_conductor,
@@ -16,9 +17,11 @@ from ramcond.characters import (
     trace_character,
     trivial_character,
 )
+from ramcond.conductors import regular_module
 from ramcond.errors import CheckFailure, InputError
 from ramcond.exact import CycloNum, euler_phi
 from ramcond.groups import conjugacy_classes, make_cyclic, make_symmetric, subgroup
+from ramcond.linalg import identity_matrix, mat_inv, mat_mul
 from ramcond.ramification import bisection, ram_data
 
 
@@ -219,6 +222,75 @@ def test_char_of_rep_block_sum_addition():
     assert [check_action(g, rep) for rep in (a, b, summed)] == [1, 1, 2]
     chi_a, chi_b, chi_sum = (trace_character(g, rep) for rep in (a, b, summed))
     assert chi_sum == chi_a + chi_b
+
+
+def dense_check_action(group, action):
+    """Oracle for check_action on a well-shaped action: dense products on every Cayley edge.
+
+    Returns None when the action is a homomorphism, else the message
+    check_action must raise.
+    """
+    if action[0] != identity_matrix(len(action[0])):
+        return "identity must act by the identity matrix"
+    for g in range(group.order):
+        for s in group.generating_set():
+            if mat_mul(action[g], action[s]) != action[group.mult(g, s)]:
+                return f"action is not a homomorphism at ({g}, {s})"
+    return None
+
+
+def _perturbed(rng, action, delta):
+    g = rng.randrange(len(action))
+    d = len(action[g])
+    i, j = rng.randrange(d), rng.randrange(d)
+    rows = [list(row) for row in action[g]]
+    rows[i][j] = rows[i][j] + delta
+    return {**action, g: tuple(tuple(row) for row in rows)}
+
+
+def _catalog_actions(rd):
+    """Homomorphisms on a catalog group, and the same with one entry perturbed."""
+    rng = random.Random(rd.name)
+    grp, p = rd.group, rd.p
+    modules = [regular_module(grp, p), random_module(rng, grp, p)]
+    modules.append(random_unit_conjugate(rng, modules[-1]))
+    good = [m.action for m in modules]
+    # the regular action conjugated by diag(q, 1, ..., 1): entries q and 1/q,
+    # whose denominators are prime to p
+    q = next(q for q in (3, 5, 7) if q != p)
+    u = tuple(tuple(q if i == j == 0 else int(i == j) for j in range(grp.order)) for i in range(grp.order))
+    uinv = mat_inv(u)
+    good.append({g: mat_mul(uinv, mat_mul(m, u)) for g, m in good[0].items()})
+    dens = {x.denominator for m in good[-1].values() for row in m for x in row}
+    assert dens != {1} and all(den % p for den in dens)
+    bad = [_perturbed(rng, a, delta) for delta in (1, Fraction(1, q)) for a in good]
+    return grp, good, bad
+
+
+def _cyclotomic_actions():
+    g = make_cyclic(3)
+    z = CycloNum.zeta(3)
+    rep = {0: ((CycloNum.from_rational(1),),), 1: ((z,),), 2: ((z * z,),)}
+    bad = [{**rep, 2: ((z,),)}, {**rep, 1: ((z * z,),)}, {**rep, 1: ((z * Fraction(1, 2),),)}]
+    return g, [rep], bad
+
+
+@pytest.mark.parametrize(
+    "actions",
+    [*(functools.partial(_catalog_actions, rd) for rd in catalog()), _cyclotomic_actions],
+    ids=[*(rd.name for rd in catalog()), "cyclotomic-C3"],
+)
+def test_check_action_matches_dense_oracle(actions):
+    grp, good, bad = actions()
+    for action in good:
+        assert dense_check_action(grp, action) is None
+        check_action(grp, action)
+    for action in bad:
+        expected = dense_check_action(grp, action)
+        assert expected is not None
+        with pytest.raises(InputError) as excinfo:
+            check_action(grp, action)
+        assert str(excinfo.value) == expected
 
 
 def test_artin_conductor_examples():

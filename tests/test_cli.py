@@ -182,6 +182,8 @@ def test_invalid_scenario_exit_2(tmp_path, capsys):
         ["verify", "--random", "1", "-5"],
         ["verify", "--random", "1", "0"],
         ["--decimal-digits", "-3", "bisect", os.path.join(SCENARIOS, "tame_cyclic3.json")],
+        # beyond the prime budget: refused before any trial division
+        ["series", "gauss", "S", "--p", "1000000000000000000000000000057"],
     ],
 )
 def test_bad_flag_values_exit_2(capsys, argv):
@@ -226,6 +228,7 @@ def load_json(name):
         ("filtration", [["0", "1"]]),
         ("weil", [{"module": {"name": "u", "kind": "trivial"}, "subgroup": 0}]),
         ("group", {"table": "x"}),
+        ("prime", 1000000000000000000000000000057),
         # element-id keys must be canonical ASCII: no space, sign, Arabic-Indic digit or zero pad
         *(
             ("modules", [{"name": "m", "kind": "matrices", "matrices": {k: [["0", "-1"], ["1", "-1"]]}}])

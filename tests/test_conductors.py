@@ -442,6 +442,15 @@ def test_char_module_validation():
         CharModule("bad", g, 2, {0: ((1,),), 1: ((2,),)})  # 2*2 != 1: not a homomorphism
     with pytest.raises(InputError):
         CharModule("bad", g, 2, {0: ((1,),), 1: ((3,),)})  # not an involution
+    # p-unit denominators 3, 5, 7 pass; the first entry with 2 in its denominator is named
+    mixed = {
+        0: ((1, 0), (0, 1)),
+        1: ((Fraction(1, 3), Fraction(2, 5)), (1, 0)),
+        2: ((1, Fraction(3, 7)), (Fraction(5, 2), Fraction(1, 4))),
+    }
+    with pytest.raises(InputError) as excinfo:
+        CharModule("bad", make_cyclic(3), 2, mixed)
+    assert str(excinfo.value) == "entry 5/2 is not p-integral at p=2"
     for gid in (-1, 2):  # generator ids outside range(|G|); -1 would index from the end
         with pytest.raises(InputError):
             module_from_generators("bad", g, 2, {gid: ((-1,),)})

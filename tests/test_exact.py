@@ -12,7 +12,9 @@ from ramcond.exact import (
     CycloNum,
     cyclotomic_polynomial,
     euler_phi,
+    PRIME_BOUND,
     inverse_zeta_minus_one,
+    is_prime,
     p_valuation,
 )
 
@@ -207,6 +209,16 @@ def test_division_by_zero():
 def test_p_valuation_requires_prime():
     with pytest.raises(InputError):
         p_valuation(Fraction(1, 2), 4)
+
+
+def test_is_prime_budget():
+    assert is_prime(PRIME_BOUND - 5)  # 2**32 - 5, the largest prime below the budget
+    assert not is_prime(PRIME_BOUND - 1)
+    for n in (PRIME_BOUND, 1000000000000000000000000000057):
+        with pytest.raises(InputError):
+            is_prime(n)
+        with pytest.raises(InputError):
+            p_valuation(Fraction(1, 2), n)
 
 
 levels = st.sampled_from([1, 2, 3, 4, 6, 8, 12, 24])

@@ -82,6 +82,15 @@ def test_bisection_trivial_group():
     assert bisection(rd).values[0] == 0
 
 
+def test_bisection_is_held_on_the_ram_data():
+    rd, fresh = c4_tower(), c4_tower()
+    ba = bisection(rd)
+    assert bisection(rd) is ba
+    # the memo takes no part in equality, hashing or repr
+    assert rd == fresh and hash(rd) == hash(fresh) and repr(rd) == repr(fresh)
+    assert bisection(fresh) == ba
+
+
 def test_disc_valuation_examples():
     rd = tame_c3()
     full = subgroup(rd.group, range(3))
