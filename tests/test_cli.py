@@ -228,7 +228,6 @@ def load_json(name):
         ("filtration", [["0", "1"]]),
         ("weil", [{"module": {"name": "u", "kind": "trivial"}, "subgroup": 0}]),
         ("group", {"table": "x"}),
-        ("prime", 1000000000000000000000000000057),
         # element-id keys must be canonical ASCII: no space, sign, Arabic-Indic digit or zero pad
         *(
             ("modules", [{"name": "m", "kind": "matrices", "matrices": {k: [["0", "-1"], ["1", "-1"]]}}])
@@ -240,6 +239,8 @@ def load_json(name):
             ("modules", [{"name": "m", "kind": "matrices", "matrices": mats}])
             for mats in ({"1": 5}, {"1": [5]}, {"7": [["1"]]}, {"1": "1"}, {"-1": [["1"]]})
         ),
+        # beyond the prime budget: refused before any trial division
+        ("prime", 1000000000000000000000000000057),
     ],
 )
 def test_malformed_scenario_field_exit_2(tmp_path, capsys, key, value):
