@@ -172,9 +172,9 @@ def parse_scenario(obj):
 
     precision = obj.get("precision", {})
     _require_keys(precision, {"degree_cap"}, set(), "precision")
-    for key, value in precision.items():
-        if _read_int(value, f"precision.{key}") < 1:
-            raise InputError(f"precision.{key} must be a positive integer")
+    if "degree_cap" in precision:  # the ring spec holds the degree budget
+        cap = _read_int(precision["degree_cap"], "precision.degree_cap")
+        SeriesRingSpec(prime, degree_cap=cap)
 
     modules = {}
     module_specs = obj.get("modules", [])

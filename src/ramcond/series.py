@@ -12,13 +12,25 @@ Gauss/lattice valuation sees, and p-integrality (valuation >= 0) is the
 lattice membership criterion.  Prime-to-p denominators are legitimate p-adic
 integers and do occur, e.g. in multiplicative-group endomorphisms [r] with r
 a p-integral rational.
+
+Products run on integers.  Each series builds its product form once, on
+first use as a factor: one common denominator and the numerators grouped by
+total degree.  A product visits only degree pairs d1 + d2 <= D, adds integer
+products and divides once per output coefficient.  Series are immutable, so
+the form never goes stale.  The binomial coefficients of [r] come from the
+recurrence c_k = c_(k-1) (r - k + 1) / k.
+
+Budgets: the degree cap D is at most DEGREE_CAP_BOUND = 32 and the valuation
+bound of Weierstrass division lies in 1..VAL_BOUND_MAX = 256; anything else
+raises InputError.  Coefficients given to the public constructor must be int
+or Fraction and exponents non-negative ints.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from math import inf
+from math import inf, lcm
 from typing import NamedTuple
 
 from .errors import CheckFailure, InputError
@@ -26,6 +38,8 @@ from .exact import is_prime, p_valuation
 
 __all__ = [
     "DEFAULT_DEGREE_CAP",
+    "DEGREE_CAP_BOUND",
+    "VAL_BOUND_MAX",
     "SeriesRingSpec",
     "MixedSeries",
     "gauss_valuation",
@@ -34,7 +48,6 @@ __all__ = [
     "is_distinguished",
     "weierstrass_divide",
     "WeierstrassResult",
-    "binomial_series_coefficient",
     "mult_endo",
     "endo_apply",
     "endo_to_scalar",
@@ -44,6 +57,8 @@ __all__ = [
 
 
 DEFAULT_DEGREE_CAP = 16
+DEGREE_CAP_BOUND = 32
+VAL_BOUND_MAX = 256
 
 
 @dataclass(frozen=True)
@@ -60,8 +75,11 @@ class SeriesRingSpec:
         object.__setattr__(self, "t_vars", tuple(self.t_vars))
         if not is_prime(self.p):
             raise InputError(f"ring prime {self.p} is not prime")
-        if self.degree_cap < 1:
-            raise InputError("degree cap must be >= 1")
+        cap = self.degree_cap
+        if type(cap) is not int or not 1 <= cap <= DEGREE_CAP_BOUND:
+            raise InputError(
+                f"degree cap must be an integer in 1..{DEGREE_CAP_BOUND}, got {cap!r}"
+            )
         names = self.s_vars + self.t_vars
         if len(set(names)) != len(names):
             raise InputError("variable names must be pairwise distinct")
@@ -78,25 +96,46 @@ class SeriesRingSpec:
 
 
 class MixedSeries:
-    """A truncated series: exponent multi-index -> nonzero rational coefficient."""
+    """A truncated series: exponent multi-index -> nonzero rational coefficient.
 
-    __slots__ = ("ring", "coeffs")
+    Series are immutable.  ``coeffs`` maps int tuples of total degree within
+    the window to nonzero ``Fraction``s; ``_form`` holds the product form of
+    the coefficients, built by :meth:`_product_form` on first use.
+    """
+
+    __slots__ = ("ring", "coeffs", "_form")
 
     def __init__(self, ring, coeffs):
-        cleaned = {}
+        """Read user input: int or Fraction coefficients keyed by int tuples.
+
+        Zero coefficients and terms beyond the degree cap are dropped.
+        """
         nvars = len(ring.variables)
+        cap = ring.degree_cap
+        cleaned = {}
         for expo, c in coeffs.items():
-            c = Fraction(c)
-            if c == 0:
-                continue
-            expo = tuple(int(e) for e in expo)
-            if len(expo) != nvars or any(e < 0 for e in expo):
-                raise InputError(f"bad exponent multi-index {expo}")
-            if sum(expo) > ring.degree_cap:
-                continue
-            cleaned[expo] = c
+            if not (
+                type(expo) is tuple
+                and len(expo) == nvars
+                and all(type(e) is int and e >= 0 for e in expo)
+            ):
+                raise InputError(f"bad exponent multi-index {expo!r}")
+            if type(c) not in (int, Fraction):
+                raise InputError(f"series coefficient {c!r} is not an int or Fraction")
+            if c != 0 and sum(expo) <= cap:
+                cleaned[expo] = Fraction(c)
         object.__setattr__(self, "ring", ring)
         object.__setattr__(self, "coeffs", cleaned)
+        object.__setattr__(self, "_form", None)
+
+    @classmethod
+    def _clean(cls, ring, coeffs):
+        """Wrap a dict that is already clean; it is kept, not copied."""
+        self = object.__new__(cls)
+        object.__setattr__(self, "ring", ring)
+        object.__setattr__(self, "coeffs", coeffs)
+        object.__setattr__(self, "_form", None)
+        return self
 
     def __setattr__(self, name, value):
         raise AttributeError("MixedSeries is immutable")
@@ -105,18 +144,17 @@ class MixedSeries:
 
     @classmethod
     def zero(cls, ring):
-        return cls(ring, {})
+        return cls._clean(ring, {})
 
     @classmethod
     def const(cls, ring, value):
-        zero_expo = (0,) * len(ring.variables)
-        return cls(ring, {zero_expo: Fraction(value)})
+        return cls(ring, {(0,) * len(ring.variables): value})
 
     @classmethod
     def variable(cls, ring, name):
         i = ring.index_of(name)
         expo = tuple(1 if j == i else 0 for j in range(len(ring.variables)))
-        return cls(ring, {expo: Fraction(1)})
+        return cls._clean(ring, {expo: Fraction(1)})
 
     # -- bookkeeping ---------------------------------------------------------
 
@@ -137,6 +175,31 @@ class MixedSeries:
         if self.ring != other.ring:
             raise InputError("series ring spec mismatch")
 
+    def _product_form(self):
+        """(den, buckets): the coefficients over one common denominator.
+
+        ``den`` is the lcm of the coefficient denominators.  ``buckets`` lists
+        (d, terms) by ascending total degree d, each term a pair (key, n) with
+        coefficient n/den.  The key packs the exponent in base cap + 1, so
+        adding two keys whose degrees sum to at most cap adds the exponents.
+        """
+        form = self._form
+        if form is None:
+            coeffs = self.coeffs
+            den = lcm(*(c.denominator for c in coeffs.values()))
+            base = self.ring.degree_cap + 1
+            by_degree = {}
+            for expo, c in coeffs.items():
+                key = 0
+                for e in reversed(expo):
+                    key = key * base + e
+                by_degree.setdefault(sum(expo), []).append(
+                    (key, c.numerator * (den // c.denominator))
+                )
+            form = (den, sorted(by_degree.items()))
+            object.__setattr__(self, "_form", form)
+        return form
+
     # -- arithmetic ----------------------------------------------------------
 
     def __add__(self, other):
@@ -147,13 +210,21 @@ class MixedSeries:
         self._check_ring(other)
         out = dict(self.coeffs)
         for expo, c in other.coeffs.items():
-            out[expo] = out.get(expo, Fraction(0)) + c
-        return MixedSeries(self.ring, out)
+            s = out.get(expo)
+            if s is None:
+                out[expo] = c
+                continue
+            s += c
+            if s:
+                out[expo] = s
+            else:
+                del out[expo]
+        return MixedSeries._clean(self.ring, out)
 
     __radd__ = __add__
 
     def __neg__(self):
-        return MixedSeries(self.ring, {e: -c for e, c in self.coeffs.items()})
+        return MixedSeries._clean(self.ring, {e: -c for e, c in self.coeffs.items()})
 
     def __sub__(self, other):
         if isinstance(other, (int, Fraction)):
@@ -168,20 +239,37 @@ class MixedSeries:
     def __mul__(self, other):
         if isinstance(other, (int, Fraction)):
             c = Fraction(other)
-            return MixedSeries(self.ring, {e: c * v for e, v in self.coeffs.items()})
+            out = {e: c * v for e, v in self.coeffs.items()} if c else {}
+            return MixedSeries._clean(self.ring, out)
         if not isinstance(other, MixedSeries):
             return NotImplemented
         self._check_ring(other)
-        cap = self.ring.degree_cap
+        ring = self.ring
+        cap = ring.degree_cap
+        den_a, buckets_a = self._product_form()
+        den_b, buckets_b = other._product_form()
+        acc = {}
+        get = acc.get
+        for d1, terms1 in buckets_a:
+            for d2, terms2 in buckets_b:
+                if d1 + d2 > cap:
+                    break
+                for k1, n1 in terms1:
+                    for k2, n2 in terms2:
+                        k = k1 + k2
+                        acc[k] = get(k, 0) + n1 * n2
+        den = den_a * den_b
+        base = cap + 1
+        nvars = len(ring.variables)
         out = {}
-        for e1, c1 in self.coeffs.items():
-            d1 = sum(e1)
-            for e2, c2 in other.coeffs.items():
-                if d1 + sum(e2) > cap:
-                    continue
-                expo = tuple(a + b for a, b in zip(e1, e2))
-                out[expo] = out.get(expo, Fraction(0)) + c1 * c2
-        return MixedSeries(self.ring, out)
+        for k, n in acc.items():
+            if n:
+                expo = []
+                for _ in range(nvars):
+                    k, e = divmod(k, base)
+                    expo.append(e)
+                out[tuple(expo)] = Fraction(n, den)
+        return MixedSeries._clean(ring, out)
 
     __rmul__ = __mul__
 
@@ -307,7 +395,7 @@ class WeierstrassResult(NamedTuple):
 
 
 def _z_low(f, zi, n):
-    return MixedSeries(f.ring, {e: c for e, c in f.coeffs.items() if e[zi] < n})
+    return MixedSeries._clean(f.ring, {e: c for e, c in f.coeffs.items() if e[zi] < n})
 
 
 def _z_shift_down(f, zi, n):
@@ -316,7 +404,7 @@ def _z_shift_down(f, zi, n):
         if e[zi] >= n:
             shifted = tuple(x - n if j == zi else x for j, x in enumerate(e))
             out[shifted] = c
-    return MixedSeries(f.ring, out)
+    return MixedSeries._clean(f.ring, out)
 
 
 def _unit_inverse(b):
@@ -342,8 +430,11 @@ def weierstrass_divide(g, f, z, val_bound=32):
     combined (p-adic + non-z degree) weight per step, so the loop stops once
     the correction either vanishes inside the window (exact division,
     certified_valuation = +inf) or has Gauss valuation >= val_bound (the
-    certified p-adic precision of the reported pair).
+    certified p-adic precision of the reported pair).  val_bound must be an
+    integer in 1..VAL_BOUND_MAX.
     """
+    if type(val_bound) is not int or not 1 <= val_bound <= VAL_BOUND_MAX:
+        raise InputError(f"val_bound must be an integer in 1..{VAL_BOUND_MAX}, got {val_bound!r}")
     if g.ring != f.ring:
         raise InputError("series ring spec mismatch")
     ok, n = is_distinguished(f, z)
@@ -385,23 +476,12 @@ def weierstrass_divide(g, f, z, val_bound=32):
 # formal multiplicative group endomorphisms
 
 
-def binomial_series_coefficient(r, k):
-    """Generalized binomial coefficient r(r-1)...(r-k+1)/k! evaluated in Q."""
-    r = Fraction(r)
-    num = Fraction(1)
-    for i in range(k):
-        num *= r - i
-    den = 1
-    for i in range(2, k + 1):
-        den *= i
-    return num / den
-
-
 def mult_endo(r, ring):
     """The endomorphism [r]: T -> (1 + T)^r - 1 of the formal multiplicative group.
 
     r must be a p-integral rational (a p-adic integer presented exactly); the
     expansion coefficients are then p-adic integers too, which is asserted.
+    The binomial coefficients come from c_k = c_(k-1) (r - k + 1) / k.
     """
     if len(ring.variables) != 1:
         raise InputError("mult_endo needs a single-variable ring")
@@ -409,29 +489,32 @@ def mult_endo(r, ring):
     if p_valuation(r, ring.p) < 0:
         raise InputError(f"{r} is not a p-adic integer for p={ring.p}")
     out = {}
+    c = Fraction(1)
     for k in range(1, ring.degree_cap + 1):
-        c = binomial_series_coefficient(r, k)
+        c = c * (r - k + 1) / k
         if c == 0:
-            continue
+            break  # r is a natural number below k: every later coefficient vanishes
         if p_valuation(c, ring.p) < 0:
             raise CheckFailure("binomial coefficient of a p-adic integer not integral")
         out[(k,)] = c
-    return MixedSeries(ring, out)
+    return MixedSeries._clean(ring, out)
 
 
 def endo_apply(r, f):
     """Evaluate the endomorphism [r] on a series with zero constant term."""
     if f.constant_term() != 0:
         raise InputError("endo_apply needs a series with zero constant term")
-    if p_valuation(Fraction(r), f.ring.p) < 0:
+    r = Fraction(r)
+    if p_valuation(r, f.ring.p) < 0:
         raise InputError(f"{r} is not a p-adic integer for p={f.ring.p}")
     out = MixedSeries.zero(f.ring)
     power = MixedSeries.const(f.ring, 1)
+    c = Fraction(1)
     for k in range(1, f.ring.degree_cap + 1):
         power = power * f
         if power.is_zero():
             break
-        c = binomial_series_coefficient(r, k)
+        c = c * (r - k + 1) / k
         if c != 0:
             out = out + power * c
     return out

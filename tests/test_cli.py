@@ -184,6 +184,11 @@ def test_invalid_scenario_exit_2(tmp_path, capsys):
         ["--decimal-digits", "-3", "bisect", os.path.join(SCENARIOS, "tame_cyclic3.json")],
         # beyond the prime budget: refused before any trial division
         ["series", "gauss", "S", "--p", "1000000000000000000000000000057"],
+        # beyond the series budgets: degree cap 1..32, valuation bound 1..256
+        ["--degree-cap", "100000", "series", "endo", "eval", "3", "--p", "2"],
+        ["--degree-cap", "33", "series", "gauss", "S", "--p", "2"],
+        ["series", "wdiv", "--g", "Z^3", "--f", "2+Z+Z^2", "--p", "2", "--val-bound", "3000"],
+        ["series", "wdiv", "--g", "Z^3", "--f", "2+Z+Z^2", "--p", "2", "--val-bound", "-5"],
     ],
 )
 def test_bad_flag_values_exit_2(capsys, argv):
@@ -241,6 +246,9 @@ def load_json(name):
         ),
         # beyond the prime budget: refused before any trial division
         ("prime", 1000000000000000000000000000057),
+        # beyond the degree budget, with no series request to build a ring
+        ("precision", {"degree_cap": 100000}),
+        ("precision", {"degree_cap": 33}),
     ],
 )
 def test_malformed_scenario_field_exit_2(tmp_path, capsys, key, value):

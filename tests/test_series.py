@@ -1,5 +1,6 @@
 import math
 from fractions import Fraction
+from math import factorial
 
 import pytest
 from hypothesis import given, settings
@@ -8,6 +9,8 @@ from hypothesis import strategies as st
 from ramcond.errors import CheckFailure, InputError
 from ramcond.groups import make_cyclic
 from ramcond.series import (
+    DEGREE_CAP_BOUND,
+    VAL_BOUND_MAX,
     MixedSeries,
     SeriesRingSpec,
     dilatation_member,
@@ -46,6 +49,134 @@ def test_series_product_examples():
     geo = build(S_RING2, {(0, k): (-1) ** k for k in range(9)})
     one_plus_t = 1 + t
     assert (one_plus_t * geo) == MixedSeries.const(S_RING2, 1)
+
+
+def schoolbook_product(f, g):
+    """Oracle: the product over every term pair in Fraction arithmetic."""
+    cap = f.ring.degree_cap
+    out = {}
+    for e1, c1 in f.coeffs.items():
+        d1 = sum(e1)
+        for e2, c2 in g.coeffs.items():
+            if d1 + sum(e2) > cap:
+                continue
+            expo = tuple(a + b for a, b in zip(e1, e2))
+            out[expo] = out.get(expo, Fraction(0)) + c1 * c2
+    return MixedSeries(f.ring, out)
+
+
+def assert_clean(f):
+    cap = f.ring.degree_cap
+    nvars = len(f.ring.variables)
+    for expo, c in f.coeffs.items():
+        assert type(c) is Fraction and c != 0
+        assert len(expo) == nvars and all(type(e) is int and e >= 0 for e in expo)
+        assert sum(expo) <= cap
+
+
+@st.composite
+def product_case(draw):
+    """A ring of 1 to 3 variables with cap 1 to 24 and two random factors.
+
+    Denominators mix powers of p with primes prime to p.  Half the time the
+    factors are h + k and h - k, whose cross terms cancel to exactly zero.
+    """
+    p = draw(st.sampled_from([2, 3]))
+    nvars = draw(st.integers(1, 3))
+    cap = draw(st.integers(1, 24))
+    ring = SeriesRingSpec(p, s_vars=("A", "B", "C")[:nvars], degree_cap=cap)
+    coeff = st.builds(
+        lambda n, v, q: Fraction(n, q) * Fraction(p) ** v,
+        st.integers(-9, 9).filter(bool),
+        st.integers(-3, 3),
+        st.sampled_from([1, 5, 7, 11] + ([3] if p == 2 else [2])),
+    )
+    expo = st.tuples(*(st.integers(0, cap) for _ in range(nvars)))
+
+    def series():
+        return MixedSeries(ring, draw(st.dictionaries(expo, coeff, max_size=8)))
+
+    f, g = series(), series()
+    if draw(st.booleans()):
+        f, g = f + g, f - g
+    return f, g
+
+
+@given(product_case())
+@settings(max_examples=150, deadline=None)
+def test_product_matches_schoolbook_oracle(case):
+    f, g = case
+    h = f * g
+    assert h.coeffs == schoolbook_product(f, g).coeffs
+    assert_clean(h)
+    # the factors' cached forms are reused: same product the second time
+    assert (f * g).coeffs == h.coeffs
+    assert (g * f).coeffs == h.coeffs
+    assert (f * f).coeffs == schoolbook_product(f, f).coeffs
+
+
+def test_product_drops_cancelled_and_truncated_terms():
+    s = MixedSeries.variable(S_RING2, "S")
+    t = MixedSeries.variable(S_RING2, "T")
+    # (S + T)(S - T): the S*T terms cancel to exactly zero
+    h = (s + t) * (s - t)
+    assert h.coeffs == {(2, 0): Fraction(1), (0, 2): Fraction(-1)}
+    # every term pair lies beyond the window
+    assert (s**5 * t**4).coeffs == {}
+    assert (s**4 * (t**4 + s**5)).coeffs == {(4, 4): Fraction(1)}
+
+
+def test_cancellation_leaves_no_stored_terms():
+    f = MixedSeries(S_RING3, {(1, 0): Fraction(1, 9), (0, 1): 3, (2, 3): Fraction(-5, 7)})
+    for zero in (f + (-f), f - f, f * 0, f * Fraction(0), 0 * f):
+        assert zero.coeffs == {}
+        assert zero == MixedSeries.zero(S_RING3)
+
+
+@pytest.mark.parametrize(
+    "coeffs",
+    [
+        {(1, 0): 0.1},  # a float is not silently turned into a binary fraction
+        {(1, 0): True},
+        {(1, 0): "1/2"},
+        {(1.5, 0): 1},  # exponents are not truncated
+        {(True, 0): 1},
+        {(-1, 0): 1},
+        {(1,): 1},
+        {(1, 0, 0): 1},
+        {1: 1},
+    ],
+)
+def test_constructor_rejects_non_rational_input(coeffs):
+    with pytest.raises(InputError):
+        MixedSeries(S_RING2, coeffs)
+
+
+def test_constructor_reads_rationals():
+    f = MixedSeries(S_RING2, {(1, 0): 2, (0, 1): Fraction(1, 3), (0, 2): 0, (5, 4): 1})
+    assert f.coeffs == {(1, 0): Fraction(2), (0, 1): Fraction(1, 3)}
+    assert_clean(f)
+    with pytest.raises(InputError):
+        MixedSeries.const(S_RING2, 0.5)
+
+
+def test_degree_cap_budget():
+    assert SeriesRingSpec(2, s_vars=("S",), degree_cap=DEGREE_CAP_BOUND).degree_cap == 32
+    for cap in (0, -1, DEGREE_CAP_BOUND + 1, 100000, True, 8.0):
+        with pytest.raises(InputError):
+            SeriesRingSpec(2, s_vars=("S",), degree_cap=cap)
+
+
+def test_weierstrass_valuation_budget():
+    z = zvar()
+    f, g = z * z + z + 2, z**3
+    for bound in (0, -5, VAL_BOUND_MAX + 1, 3000, True):
+        with pytest.raises(InputError):
+            weierstrass_divide(g, f, "Z", val_bound=bound)
+    q, r, certified = weierstrass_divide(g, f, "Z", val_bound=VAL_BOUND_MAX)
+    assert certified == VAL_BOUND_MAX
+    defect = g - q * f - r
+    assert defect.is_zero() or gauss_valuation(defect) >= certified
 
 
 def test_gauss_multiplicativity_example():
@@ -368,6 +499,32 @@ def test_mult_endo_coefficients_are_p_integral(p, num, den):
     ring = SeriesRingSpec(p, s_vars=("T",), degree_cap=10)
     f = mult_endo(r, ring)
     assert all(p_valuation(c, p) >= 0 for c in f.coeffs.values())
+
+
+def binomial_oracle(r, k):
+    """r(r-1)...(r-k+1)/k! by the product formula."""
+    num = Fraction(1)
+    for i in range(k):
+        num *= r - i
+    return num / factorial(k)
+
+
+@given(st.sampled_from([2, 3, 5]), st.integers(-40, 40), st.integers(1, 40))
+@settings(max_examples=80, deadline=None)
+def test_binomial_recurrence_matches_product_formula(p, num, den):
+    from ramcond.exact import p_valuation
+
+    r = Fraction(num, den)
+    if p_valuation(r, p) < 0:
+        return
+    ring = SeriesRingSpec(p, s_vars=("T",), degree_cap=24)
+    expected = {}
+    for k in range(1, 25):
+        c = binomial_oracle(r, k)
+        if c:
+            expected[(k,)] = c
+    assert mult_endo(r, ring).coeffs == expected
+    assert endo_apply(r, MixedSeries.variable(ring, "T")).coeffs == expected
 
 
 def test_symmetric_descent_sign_action():
