@@ -12,7 +12,7 @@ from math import gcd
 
 from .conductors import CharModule, permutation_module
 from .groups import make_cyclic, make_product, make_symmetric, subgroup
-from .linalg import identity_matrix, mat_inv, mat_mul
+from .linalg import from_sparse, sparse_mul, sparse_rows
 from .ramification import ram_data
 
 __all__ = [
@@ -174,19 +174,21 @@ def random_unit_conjugate(rng, module):
     d = module.rank
     if d == 0:
         return module
-    u = [list(row) for row in identity_matrix(d)]
+    u = [[int(i == j) for j in range(d)] for i in range(d)]
+    uinv = [row[:] for row in u]
     for _ in range(3 * d):
         i = rng.randrange(d)
         j = rng.randrange(d)
         if i == j:
             continue
         c = rng.choice([-2, -1, 1, 2])
-        for col in range(d):
-            u[i][col] += c * u[j][col]
-    u = tuple(tuple(x) for x in u)
-    uinv = mat_inv(u)
+        # row i += c * row j on u is col j -= c * col i on its inverse
+        for k in range(d):
+            u[i][k] += c * u[j][k]
+            uinv[k][j] -= c * uinv[k][i]
+    u, uinv = sparse_rows(u), sparse_rows(uinv)
     action = {
-        g: mat_mul(uinv, mat_mul(module.matrix(g), u))
+        g: from_sparse(sparse_mul(uinv, sparse_mul(sparse_rows(module.matrix(g)), u)))
         for g in range(module.group.order)
     }
     return CharModule(f"{module.name}~", module.group, module.p, action)

@@ -14,7 +14,7 @@ from math import lcm
 from .errors import CheckFailure, InputError
 from .exact import CycloNum
 from .groups import Subgroup, conjugacy_classes
-from .linalg import identity_matrix, sparse_product_equals, sparse_rows
+from .linalg import identity_matrix, sparse_mul, sparse_rows
 
 __all__ = [
     "ClassFunction",
@@ -179,11 +179,11 @@ def check_action(group, action, forms=None):
 
     Every element maps to a square matrix of one rank, the identity to the
     identity matrix, and g*s to the product for each generator s (which
-    suffices).  Entries may be rational or cyclotomic.  Each product is
-    tested on the :func:`~ramcond.linalg.sparse_rows` forms, so a Cayley
-    edge costs O(nonzeros), and O(d) for monomial matrices.  ``forms`` maps
-    each element to the sparse form of its matrix when the caller already
-    has it.
+    suffices).  Entries must be rational.  Each product is taken by
+    :func:`~ramcond.linalg.sparse_mul` on the sparse forms and compared with
+    the form of g*s, so a Cayley edge costs O(nonzeros), and O(d) for
+    monomial matrices.  ``forms`` maps each element to the form of its
+    matrix when the caller already has it.
     """
     if set(action) != set(range(group.order)):
         raise InputError("action must map every group element")
@@ -202,7 +202,7 @@ def check_action(group, action, forms=None):
         gens = group.generating_set()
         for g in range(group.order):
             for s in gens:
-                if not sparse_product_equals(forms[g], forms[s], forms[group.mult(g, s)]):
+                if sparse_mul(forms[g], forms[s]) != forms[group.mult(g, s)]:
                     raise InputError(f"action is not a homomorphism at ({g}, {s})")
     return d
 

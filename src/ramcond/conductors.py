@@ -26,14 +26,15 @@ from .groups import Subgroup
 from .linalg import (
     as_matrix,
     det,
+    from_sparse,
     hnf_rows,
     identity_matrix,
     integer_kernel,
     lattice_contains,
-    mat_mul,
     mat_sub,
     mat_vec,
     solve,
+    sparse_mul,
     sparse_rows,
     transpose,
 )
@@ -113,18 +114,21 @@ def module_from_generators(name, group, p, gen_action):
     if len(ranks) != 1:
         raise InputError("generator matrices must share one rank")
     (d,) = ranks
-    action = {0: identity_matrix(d)}
+    if any(len(row) != d for m in gen_action.values() for row in m):
+        raise InputError("generator matrices must be square")
+    gen_forms = {s: sparse_rows(m) for s, m in gen_action.items()}
+    forms = {0: sparse_rows(identity_matrix(d))}
     frontier = [0]
     while frontier:
         g = frontier.pop()
-        for s, ms in gen_action.items():
+        for s, form in gen_forms.items():
             h = group.mult(g, s)
-            if h not in action:
-                action[h] = mat_mul(action[g], ms)
+            if h not in forms:
+                forms[h] = sparse_mul(forms[g], form)
                 frontier.append(h)
-    if len(action) != group.order:
+    if len(forms) != group.order:
         raise InputError("given generators do not generate the group")
-    return CharModule(name, group, p, action)
+    return CharModule(name, group, p, {g: from_sparse(form) for g, form in forms.items()})
 
 
 def trivial_module(group, p, rank=1, name=None):
@@ -289,14 +293,14 @@ def _check_idempotent(m, e):
     d = m.rank
     if len(e) != d or any(len(row) != d for row in e):
         raise InputError("idempotent has the wrong shape")
-    for row in e:
-        for x in row:
-            if p_valuation(x, m.p) < 0:
-                raise InputError("idempotent entries must be p-integral")
-    if mat_mul(e, e) != e:
+    form = sparse_rows(e)
+    if p_valuation(form[0], m.p) > 0:
+        raise InputError("idempotent entries must be p-integral")
+    if sparse_mul(form, form) != form:
         raise InputError("matrix is not idempotent")
     for s in m.group.generating_set():
-        if mat_mul(e, m.matrix(s)) != mat_mul(m.matrix(s), e):
+        ms = sparse_rows(m.matrix(s))
+        if sparse_mul(form, ms) != sparse_mul(ms, form):
             raise InputError("idempotent does not commute with the action")
     return e
 

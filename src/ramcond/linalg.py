@@ -1,25 +1,38 @@
 """Exact linear algebra over the rationals plus integer-lattice routines.
 
 Matrices are tuples of row tuples, meant for small dimensions (module ranks
-and group orders of a few dozen).  Products, elimination and the lattice
-routines are dense.  The one sparse form is :func:`sparse_rows`: the rows as
-``{col: int}`` maps over one common denominator, on which
-:func:`sparse_product_equals` tests ``A B == C`` in O(nonzeros) with integer
-arithmetic only.
+and group orders of a few dozen).  Elimination and the lattice routines are
+dense.  The one matrix product, :func:`sparse_mul`, works on the one form of
+a matrix, :func:`sparse_rows`: its rows as ``{col: int}`` maps over the least
+common denominator.  So products cost O(nonzeros) and compare with ``==``.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
-from math import lcm
+from math import gcd, lcm
 
 from .errors import CheckFailure, InputError
 
 
+def _not_rational(x):
+    return InputError(f"matrix entries must be int or Fraction, got {x!r}")
+
+
+def _as_rational(x):
+    if type(x) is int:
+        return Fraction(x)
+    raise _not_rational(x)
+
+
 def as_matrix(rows):
-    """Coerce nested iterables of ints/Fractions into a canonical matrix."""
+    """Coerce nested iterables of ints and Fractions into a canonical matrix.
+
+    A Fraction is kept as it is; any other entry (bool, float, str, CycloNum)
+    raises InputError.
+    """
     mat = tuple(
-        tuple(x if isinstance(x, Fraction) else Fraction(x) for x in row) for row in rows
+        tuple(x if type(x) is Fraction else _as_rational(x) for x in row) for row in rows
     )
     if mat and any(len(row) != len(mat[0]) for row in mat):
         raise InputError("ragged matrix")
@@ -32,58 +45,54 @@ def identity_matrix(n):
     )
 
 
-def mat_mul(a, b):
-    """Matrix product; works for any entries supporting + and * (e.g. CycloNum)."""
-    if a and b and len(a[0]) != len(b):
-        raise InputError("matrix dimension mismatch")
-    bt = tuple(zip(*b)) if b else ()
-    out = []
-    for row in a:
-        out_row = []
-        for col in bt:
-            acc = row[0] * col[0]
-            for x, y in zip(row[1:], col[1:]):
-                acc = acc + x * y
-            out_row.append(acc)
-        out.append(tuple(out_row))
-    return tuple(out)
-
-
 def sparse_rows(a):
-    """``(den, rows)`` with ``a[i][j] == rows[i].get(j, 0) / den``; zeros are left out.
+    """The form ``(den, rows)`` of a rational matrix, with ``a[i][j] == rows[i].get(j, 0) / den``.
 
-    For rational entries ``den`` is the least common denominator and every
-    stored value is an int.  Entries of another ring (e.g. CycloNum) are
-    stored as they are, over ``den = 1``.
+    ``den`` is the least common denominator of the entries, every stored
+    value is a nonzero int and zeros are left out, so equal matrices have
+    equal forms.  A non-rational entry raises InputError.
     """
     rows = tuple([(j, x) for j, x in enumerate(row) if x] for row in a)
-    if all(isinstance(x, (int, Fraction)) for row in rows for _, x in row):
-        den = lcm(*(x.denominator for row in rows for _, x in row))
-        return den, tuple(
-            {j: x.numerator * (den // x.denominator) for j, x in row} for row in rows
-        )
-    return 1, tuple(dict(row) for row in rows)
+    bad = [x for row in rows for _, x in row if not isinstance(x, (int, Fraction))]
+    if bad:
+        raise _not_rational(bad[0])
+    den = lcm(*(x.denominator for row in rows for _, x in row))
+    return den, tuple(
+        {j: x.numerator * (den // x.denominator) for j, x in row} for row in rows
+    )
 
 
-def sparse_product_equals(a, b, c):
-    """Whether ``A B == C`` for matrices in :func:`sparse_rows` form.
+def sparse_mul(a, b):
+    """The :func:`sparse_rows` form of ``A B`` from the forms of A and B.
 
-    Tests ``den_c * (A~ B~) == den_a * den_b * C~`` row by row on the
-    numerator maps, so the cost is O(nonzeros) and nothing is divided: a
-    product of monomial matrices is checked in O(d).
+    Adds integer products over ``den_a * den_b``, then divides the
+    denominator and the numerators by their gcd, so the result is the one
+    form of the product.  The cost is O(nonzeros): a product of monomial
+    matrices takes O(d).
     """
-    (den_a, ra), (den_b, rb), (den_c, rc) = a, b, c
-    scale = den_a * den_b
-    for arow, crow in zip(ra, rc):
+    (den_a, ra), (den_b, rb) = a, b
+    rows = []
+    for arow in ra:
         acc = {}
         for k, x in arow.items():
             for j, y in rb[k].items():
                 acc[j] = acc[j] + x * y if j in acc else x * y
-        if {j: v * den_c for j, v in acc.items() if v} != {
-            j: v * scale for j, v in crow.items()
-        }:
-            return False
-    return True
+        rows.append({j: v for j, v in acc.items() if v})
+    den = den_a * den_b
+    if den != 1:
+        g = gcd(den, *(v for row in rows for v in row.values()))
+        if g != 1:
+            den //= g
+            rows = [{j: v // g for j, v in row.items()} for row in rows]
+    return den, tuple(rows)
+
+
+def from_sparse(form):
+    """The square ``Fraction`` matrix of a :func:`sparse_rows` form."""
+    den, rows = form
+    zero = Fraction(0)
+    n = range(len(rows))
+    return tuple(tuple(Fraction(row[j], den) if j in row else zero for j in n) for row in rows)
 
 
 def mat_vec(a, v):
@@ -164,15 +173,6 @@ def solve(a, b):
     for r, c in enumerate(pivots):
         x[c] = red[r][cols]
     return tuple(x)
-
-
-def mat_inv(a):
-    n = len(a)
-    aug = tuple(tuple(row) + irow for row, irow in zip(as_matrix(a), identity_matrix(n)))
-    red, pivots = rref(aug)
-    if pivots != tuple(range(n)):
-        raise CheckFailure("matrix not invertible")
-    return tuple(row[n:] for row in red)
 
 
 def _int_rows(a):

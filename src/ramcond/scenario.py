@@ -20,6 +20,7 @@ from .groups import make_cyclic, make_from_table, make_product, subgroup
 from .ramification import ram_data
 from .series import (
     DEFAULT_DEGREE_CAP,
+    EXPONENT_BOUND,
     MixedSeries,
     SeriesRingSpec,
     dilatation_member,
@@ -473,6 +474,8 @@ def parse_series_expression(text, p, degree_cap=DEFAULT_DEGREE_CAP, ring=None):
         if kind != "int":
             raise InputError("exponent must be an integer")
         k = sign * value
+        if abs(k) > EXPONENT_BOUND:
+            raise InputError(f"exponent must lie in -{EXPONENT_BOUND}..{EXPONENT_BOUND}, got {k}")
         if k >= 0:
             return base**k
         constant = base.constant_term()

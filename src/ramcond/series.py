@@ -18,10 +18,12 @@ first use as a factor: one common denominator and the numerators grouped by
 total degree.  A product visits only degree pairs d1 + d2 <= D, adds integer
 products and divides once per output coefficient.  Series are immutable, so
 the form never goes stale.  The binomial coefficients of [r] come from the
-recurrence c_k = c_(k-1) (r - k + 1) / k.
+recurrence c_k = c_(k-1) (r - k + 1) / k; [r](f) is evaluated degree by
+degree from a recurrence on (1 + f)^r, see :func:`endo_apply`.
 
-Budgets: the degree cap D is at most DEGREE_CAP_BOUND = 32 and the valuation
-bound of Weierstrass division lies in 1..VAL_BOUND_MAX = 256; anything else
+Budgets: the degree cap D is at most DEGREE_CAP_BOUND = 32, the valuation
+bound of Weierstrass division lies in 1..VAL_BOUND_MAX = 256 and an exponent
+``^k`` in a series expression has |k| <= EXPONENT_BOUND = 256; anything else
 raises InputError.  Coefficients given to the public constructor must be int
 or Fraction and exponents non-negative ints.
 """
@@ -30,7 +32,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from math import inf, lcm
+from math import gcd, inf, lcm
 from typing import NamedTuple
 
 from .errors import CheckFailure, InputError
@@ -40,6 +42,7 @@ __all__ = [
     "DEFAULT_DEGREE_CAP",
     "DEGREE_CAP_BOUND",
     "VAL_BOUND_MAX",
+    "EXPONENT_BOUND",
     "SeriesRingSpec",
     "MixedSeries",
     "gauss_valuation",
@@ -59,6 +62,7 @@ __all__ = [
 DEFAULT_DEGREE_CAP = 16
 DEGREE_CAP_BOUND = 32
 VAL_BOUND_MAX = 256
+EXPONENT_BOUND = 256
 
 
 @dataclass(frozen=True)
@@ -258,18 +262,7 @@ class MixedSeries:
                     for k2, n2 in terms2:
                         k = k1 + k2
                         acc[k] = get(k, 0) + n1 * n2
-        den = den_a * den_b
-        base = cap + 1
-        nvars = len(ring.variables)
-        out = {}
-        for k, n in acc.items():
-            if n:
-                expo = []
-                for _ in range(nvars):
-                    k, e = divmod(k, base)
-                    expo.append(e)
-                out[tuple(expo)] = Fraction(n, den)
-        return MixedSeries._clean(ring, out)
+        return MixedSeries._clean(ring, _unpack(ring, den_a * den_b, acc, {}))
 
     __rmul__ = __mul__
 
@@ -297,6 +290,21 @@ class MixedSeries:
 
     def __repr__(self):
         return f"MixedSeries({self.ring!r}, {dict(self.terms())!r})"
+
+
+def _unpack(ring, den, acc, out):
+    """Add to ``out`` the terms n/den of ``acc``, a map from packed keys (see
+    :meth:`MixedSeries._product_form`) to integers; zeros are left out."""
+    base = ring.degree_cap + 1
+    nvars = len(ring.variables)
+    for k, n in acc.items():
+        if n:
+            expo = []
+            for _ in range(nvars):
+                k, e = divmod(k, base)
+                expo.append(e)
+            out[tuple(expo)] = Fraction(n, den)
+    return out
 
 
 def render_series(f):
@@ -501,23 +509,44 @@ def mult_endo(r, ring):
 
 
 def endo_apply(r, f):
-    """Evaluate the endomorphism [r] on a series with zero constant term."""
+    """Evaluate the endomorphism [r] on a series with zero constant term.
+
+    [r](f) = g - 1 with g = (1 + f)^r.  The Euler operator E, which
+    multiplies the degree-d part by d, gives (1 + f) E(g) = r g E(f), so the
+    degree-n parts satisfy g_n = sum_(k=1..n) ((r + 1) k - n) f_k g_(n-k) / n
+    with g_0 = 1.  Each g_n is kept as integer numerators over one
+    denominator, like a product form, so the whole evaluation costs about
+    one product f * g, whatever r is.
+    """
     if f.constant_term() != 0:
         raise InputError("endo_apply needs a series with zero constant term")
     r = Fraction(r)
     if p_valuation(r, f.ring.p) < 0:
         raise InputError(f"{r} is not a p-adic integer for p={f.ring.p}")
-    out = MixedSeries.zero(f.ring)
-    power = MixedSeries.const(f.ring, 1)
-    c = Fraction(1)
-    for k in range(1, f.ring.degree_cap + 1):
-        power = power * f
-        if power.is_zero():
-            break
-        c = c * (r - k + 1) / k
-        if c != 0:
-            out = out + power * c
-    return out
+    ring = f.ring
+    den_f, buckets = f._product_form()
+    a, b = (r + 1).numerator, (r + 1).denominator
+    parts = [(1, {0: 1})]  # parts[m] = (den, {packed key: numerator}) of g_m
+    out = {}
+    for n in range(1, ring.degree_cap + 1):
+        pairs = [(k, terms, parts[n - k]) for k, terms in buckets if k <= n and parts[n - k][1]]
+        den = lcm(*(d for _, _, (d, _) in pairs))
+        acc = {}
+        get = acc.get
+        for k, terms, (d, numerators) in pairs:
+            w = (a * k - n * b) * (den // d)
+            for k1, n1 in terms:
+                c1 = w * n1
+                for k2, n2 in numerators.items():
+                    key = k1 + k2
+                    acc[key] = get(key, 0) + c1 * n2
+        acc = {key: v for key, v in acc.items() if v}
+        den *= n * b * den_f
+        g = gcd(den, *acc.values())
+        part = (den // g, {key: v // g for key, v in acc.items()})
+        parts.append(part)
+        _unpack(ring, *part, out)
+    return MixedSeries._clean(ring, out)
 
 
 def endo_to_scalar(e):

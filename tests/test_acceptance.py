@@ -11,6 +11,8 @@ import time
 from contextlib import contextmanager
 from fractions import Fraction
 
+from dense import mat_mul
+
 from ramcond.catalog import catalog, random_module, random_ram_data, random_unit_conjugate
 from ramcond.characters import regular_character, restrict
 from ramcond.cli import main
@@ -26,7 +28,7 @@ from ramcond.conductors import (
     weil_restriction,
 )
 from ramcond.groups import make_cyclic, make_product, subgroup
-from ramcond.linalg import lattice_contains, mat_mul
+from ramcond.linalg import lattice_contains
 from ramcond.ramification import (
     artin_character,
     bisection,

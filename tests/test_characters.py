@@ -4,6 +4,8 @@ from fractions import Fraction
 
 import pytest
 
+from dense import mat_inv, mat_mul
+
 from ramcond.catalog import catalog, random_module, random_unit_conjugate
 from ramcond.characters import (
     ClassFunction,
@@ -21,7 +23,7 @@ from ramcond.conductors import regular_module
 from ramcond.errors import CheckFailure, InputError
 from ramcond.exact import CycloNum, euler_phi
 from ramcond.groups import conjugacy_classes, make_cyclic, make_symmetric, subgroup
-from ramcond.linalg import identity_matrix, mat_inv, mat_mul
+from ramcond.linalg import identity_matrix
 from ramcond.ramification import bisection, ram_data
 
 
@@ -185,13 +187,12 @@ def test_char_of_rep_regular_c2():
 
 
 def test_char_of_rep_cyclotomic_onedim():
+    # actions are rational: a cyclotomic entry is refused with one InputError
     g = make_cyclic(3)
     z = CycloNum.zeta(3)
     rep = {0: ((CycloNum.from_rational(1),),), 1: ((z,),), 2: ((z * z,),)}
-    assert check_action(g, rep) == 1
-    chi = trace_character(g, rep)
-    assert chi.values[1] == z
-    assert chi.values[2] == z * z
+    with pytest.raises(InputError, match="matrix entries must be int or Fraction, got CycloNum"):
+        check_action(g, rep)
 
 
 def test_char_of_rep_rational_faithful_c3():
@@ -227,11 +228,15 @@ def test_char_of_rep_block_sum_addition():
 def dense_check_action(group, action):
     """Oracle for check_action on a well-shaped action: dense products on every Cayley edge.
 
-    Returns None when the action is a homomorphism, else the message
-    check_action must raise.
+    Returns None when the action is a rational homomorphism, else the
+    message check_action must raise.
     """
     if action[0] != identity_matrix(len(action[0])):
         return "identity must act by the identity matrix"
+    for m in action.values():
+        for x in (x for row in m for x in row if x):
+            if not isinstance(x, (int, Fraction)):
+                return f"matrix entries must be int or Fraction, got {x!r}"
     for g in range(group.order):
         for s in group.generating_set():
             if mat_mul(action[g], action[s]) != action[group.mult(g, s)]:
@@ -268,11 +273,12 @@ def _catalog_actions(rd):
 
 
 def _cyclotomic_actions():
+    """Actions are rational: the cyclotomic C3 character and its perturbations are all refused."""
     g = make_cyclic(3)
     z = CycloNum.zeta(3)
     rep = {0: ((CycloNum.from_rational(1),),), 1: ((z,),), 2: ((z * z,),)}
     bad = [{**rep, 2: ((z,),)}, {**rep, 1: ((z * z,),)}, {**rep, 1: ((z * Fraction(1, 2),),)}]
-    return g, [rep], bad
+    return g, [], [rep, *bad]
 
 
 @pytest.mark.parametrize(

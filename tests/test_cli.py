@@ -189,6 +189,10 @@ def test_invalid_scenario_exit_2(tmp_path, capsys):
         ["--degree-cap", "33", "series", "gauss", "S", "--p", "2"],
         ["series", "wdiv", "--g", "Z^3", "--f", "2+Z+Z^2", "--p", "2", "--val-bound", "3000"],
         ["series", "wdiv", "--g", "Z^3", "--f", "2+Z+Z^2", "--p", "2", "--val-bound", "-5"],
+        # beyond the exponent budget -256..256: refused before any power is taken
+        ["series", "gauss", "p^100000*S", "--p", "3"],
+        ["series", "gauss", "2^10000000000*S", "--p", "3"],
+        ["series", "wdiv", "--g", "p^-257*Z^3", "--f", "2+Z+Z^2", "--p", "2"],
     ],
 )
 def test_bad_flag_values_exit_2(capsys, argv):
@@ -249,6 +253,11 @@ def load_json(name):
         # beyond the degree budget, with no series request to build a ring
         ("precision", {"degree_cap": 100000}),
         ("precision", {"degree_cap": 33}),
+        # generator matrices must be square
+        *(
+            ("modules", [{"name": "m", "kind": "matrices", "matrices": {"1": mat}}])
+            for mat in ([["1", "0"]], [["1"], ["0"]])
+        ),
     ],
 )
 def test_malformed_scenario_field_exit_2(tmp_path, capsys, key, value):

@@ -4,6 +4,8 @@ from types import SimpleNamespace
 
 import pytest
 
+from dense import mat_inv, mat_mul
+
 from ramcond.catalog import catalog, random_module, random_unit_conjugate
 from ramcond.conductors import (
     CharModule,
@@ -23,8 +25,16 @@ from ramcond.conductors import (
     weil_restriction,
 )
 from ramcond.errors import CheckFailure, InputError
+from ramcond.exact import CycloNum
 from ramcond.groups import make_cyclic, make_symmetric, subgroup
-from ramcond.linalg import det, lattice_contains
+from ramcond.linalg import (
+    as_matrix,
+    det,
+    identity_matrix,
+    lattice_contains,
+    sparse_mul,
+    sparse_rows,
+)
 from ramcond.ramification import ram_data
 
 
@@ -310,11 +320,11 @@ def test_split_idempotent_extremes():
 def test_split_idempotent_validation():
     g = make_cyclic(2)
     reg = regular_module(g, 3)
-    with pytest.raises(InputError):
-        split_idempotent(reg, ((1, 1), (0, 1)))  # not idempotent
-    with pytest.raises(InputError):
-        split_idempotent(reg, ((1, 0), (0, 0)))  # not equivariant
-    with pytest.raises(InputError):
+    with pytest.raises(InputError, match="^matrix is not idempotent$"):
+        split_idempotent(reg, ((1, 1), (0, 1)))
+    with pytest.raises(InputError, match="^idempotent does not commute with the action$"):
+        split_idempotent(reg, ((1, 0), (0, 0)))  # idempotent, but the swap moves it
+    with pytest.raises(InputError, match="^idempotent entries must be p-integral$"):
         # idempotent but not p-integral at p = 2
         e = ((Fraction(1, 2), Fraction(1, 2)), (Fraction(1, 2), Fraction(1, 2)))
         split_idempotent(regular_module(g, 2), e)
@@ -395,9 +405,8 @@ def test_adapt_lattice_nested():
         (0, 0, 0, 0),
         (0, 0, 0, 0),
     )
-    import ramcond.linalg as la
-
-    assert la.mat_mul(e_inner, e_outer) == la.mat_mul(e_outer, e_inner) == la.as_matrix(e_inner)
+    inner, outer = sparse_rows(e_inner), sparse_rows(e_outer)
+    assert sparse_mul(inner, outer) == sparse_mul(outer, inner) == inner
     b_inner, b_outer = adapt_lattice_pair(reg4, e_inner, e_outer)
     for v in b_inner:
         assert lattice_contains(b_outer, v)
@@ -422,6 +431,81 @@ def test_adapt_lattice_randomized_small():
         )
         basis = adapt_lattice(m, e)
         assert check_adapted_basis(m, e, basis)
+
+
+def dense_unit_conjugate(rng, module):
+    """Oracle for random_unit_conjugate: the same random unit, inverted and applied densely."""
+    d = module.rank
+    if d == 0:
+        return module.action
+    u = [list(row) for row in identity_matrix(d)]
+    for _ in range(3 * d):
+        i = rng.randrange(d)
+        j = rng.randrange(d)
+        if i == j:
+            continue
+        c = rng.choice([-2, -1, 1, 2])
+        for col in range(d):
+            u[i][col] += c * u[j][col]
+    u = tuple(tuple(x) for x in u)
+    uinv = mat_inv(u)
+    return {g: mat_mul(uinv, mat_mul(module.matrix(g), u)) for g in range(module.group.order)}
+
+
+def test_random_unit_conjugate_matches_dense_oracle():
+    for rd in catalog():
+        for seed in range(20):
+            m = random_module(random.Random(seed), rd.group, rd.p)
+            got = random_unit_conjugate(random.Random(seed), m).action
+            assert got == dense_unit_conjugate(random.Random(seed), m), (rd.name, seed)
+
+
+def dense_bfs_action(group, gen_action):
+    """Oracle for module_from_generators: the same completion, one dense product per element."""
+    gen_action = {g: as_matrix(m) for g, m in gen_action.items()}
+    action = {0: identity_matrix(len(next(iter(gen_action.values()))))}
+    frontier = [0]
+    while frontier:
+        g = frontier.pop()
+        for s, ms in gen_action.items():
+            h = group.mult(g, s)
+            if h not in action:
+                action[h] = mat_mul(action[g], ms)
+                frontier.append(h)
+    return action
+
+
+def test_module_from_generators_matches_dense_bfs():
+    # non-monomial generators: permutation modules conjugated by a random
+    # unit, then by diag(q, 1, ..., 1) for denominators prime to p
+    rng = random.Random(5)
+    dense_rows = fractions = 0
+    for rd in catalog():
+        grp, p = rd.group, rd.p
+        m = random_unit_conjugate(rng, random_module(rng, grp, p))
+        q = next(q for q in (3, 5, 7) if q != p)
+        d = m.rank
+        diag = tuple(tuple(q if i == j == 0 else int(i == j) for j in range(d)) for i in range(d))
+        gens = {s: mat_mul(mat_inv(diag), mat_mul(m.matrix(s), diag)) for s in grp.generating_set()}
+        built = module_from_generators("gens", grp, p, gens)
+        assert built.action == dense_bfs_action(grp, gens), rd.name
+        entries = [row for mat in gens.values() for row in mat]
+        dense_rows += sum(sum(1 for x in row if x) > 1 for row in entries)
+        fractions += sum(x.denominator == q for row in entries for x in row)
+    assert dense_rows and fractions
+
+
+@pytest.mark.parametrize("entry", [-1.0, "-1", True, CycloNum.from_rational(-1)])
+def test_module_from_generators_strict_entries(entry):
+    with pytest.raises(InputError, match="matrix entries must be int or Fraction"):
+        module_from_generators("sign", make_cyclic(2), 3, {1: ((entry,),)})
+
+
+@pytest.mark.parametrize("matrix", [((1, 0),), ((1,), (0,))])
+def test_module_from_generators_rejects_non_square(matrix):
+    with pytest.raises(InputError) as excinfo:
+        module_from_generators("m", make_cyclic(3), 2, {1: matrix})
+    assert str(excinfo.value) == "generator matrices must be square"
 
 
 def test_zero_rank_module_is_legal():

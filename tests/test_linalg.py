@@ -4,17 +4,22 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from ramcond.errors import CheckFailure
+from dense import mat_inv, mat_mul
+
+from ramcond.errors import CheckFailure, InputError
+from ramcond.exact import CycloNum
 from ramcond.linalg import (
+    as_matrix,
     det,
+    from_sparse,
     hnf_rows,
     integer_kernel,
     lattice_contains,
-    mat_inv,
-    mat_mul,
     mat_vec,
     rref,
     solve,
+    sparse_mul,
+    sparse_rows,
     transpose,
 )
 
@@ -112,3 +117,69 @@ def test_hnf_spans_same_lattice(rows):
         # each basis vector is an integer combination of the input rows:
         # solve over Q against the input span and clear to integers via HNF
         assert lattice_contains(hnf_rows(rows), b)
+
+
+# entries with denominators prime to p = 2, mixed within one matrix; each value
+# comes with its negative, so that terms of a product often cancel
+_prime_to_2 = sorted(
+    {Fraction(sign * n, d) for sign in (1, -1) for n in (0, 1, 2, 3) for d in (1, 3, 5, 9, 15)}
+)
+prime_to_2_pairs = st.integers(1, 4).flatmap(
+    lambda n: st.tuples(
+        *(
+            st.lists(
+                st.lists(st.sampled_from(_prime_to_2), min_size=n, max_size=n),
+                min_size=n,
+                max_size=n,
+            )
+            for _ in range(2)
+        )
+    )
+)
+
+
+@given(prime_to_2_pairs)
+@settings(max_examples=80, deadline=None)
+def test_sparse_mul_matches_dense_product(pair):
+    a, b = pair
+    product = sparse_mul(sparse_rows(a), sparse_rows(b))
+    assert product == sparse_rows(mat_mul(a, b))
+    assert from_sparse(product) == mat_mul(a, b)
+
+
+@given(prime_to_2_pairs)
+@settings(max_examples=40, deadline=None)
+def test_sparse_mul_cancels_to_zero(pair):
+    # columns 0 and 1 of A agree and row 1 of B is minus row 0, so those two
+    # terms cancel in every entry; for 2 x 2 matrices the product is zero
+    a, b = pair
+    if len(a) < 2:
+        return
+    a = [[row[0], row[0], *row[2:]] for row in a]
+    b = [b[0], [-x for x in b[0]], *b[2:]]
+    product = sparse_mul(sparse_rows(a), sparse_rows(b))
+    assert product == sparse_rows(mat_mul(a, b))
+    if len(a) == 2:
+        assert product == (1, ({}, {}))
+
+
+def test_sparse_mul_reduces_to_lowest_terms():
+    third = as_matrix(((Fraction(1, 3), 0), (0, Fraction(1, 3))))
+    assert sparse_rows(third) == (3, ({0: 1}, {1: 1}))
+    assert sparse_mul(sparse_rows(third), sparse_rows(((3, 0), (0, 3)))) == (1, ({0: 1}, {1: 1}))
+    assert sparse_mul(sparse_rows(third), sparse_rows(((3, 0), (0, 1)))) == (3, ({0: 3}, {1: 1}))
+
+
+def test_sparse_rows_is_one_form_per_matrix():
+    ints = ((0, -1), (1, -1))
+    assert sparse_rows(ints) == sparse_rows(as_matrix(ints)) == (1, ({1: -1}, {0: 1, 1: -1}))
+    assert from_sparse(sparse_rows(ints)) == as_matrix(ints)
+    assert sparse_rows(()) == (1, ()) and from_sparse((1, ())) == ()
+    with pytest.raises(InputError, match="got CycloNum"):
+        sparse_rows(((CycloNum.zeta(3),),))
+
+
+def test_as_matrix_keeps_fractions():
+    x = Fraction(2, 3)
+    (row,) = as_matrix(((x, 1),))
+    assert row[0] is x and row[1] == 1 and type(row[1]) is Fraction

@@ -192,6 +192,15 @@ def test_expression_errors():
         parse_series_expression("S $ T", 2)
 
 
+def test_expression_exponent_budget():
+    assert gauss_valuation(parse_series_expression("p^256*S", 3)) == 256
+    assert gauss_valuation(parse_series_expression("p^-256*S", 3)) == -256
+    for text in ("p^257*S", "p^-257*S", "2^10000000000*S", "S^100000"):
+        with pytest.raises(InputError) as excinfo:
+            parse_series_expression(text, 3)
+        assert str(excinfo.value).startswith("exponent must lie in -256..256, got ")
+
+
 def test_t_block_convention():
     f = parse_series_expression("S*T + T2", 2)
     assert f.ring.t_vars == ("T", "T2")

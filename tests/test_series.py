@@ -392,6 +392,37 @@ def test_endo_fractional_scalar():
     assert endo_apply(3, third) == t
 
 
+def endo_apply_by_every_power(r, f):
+    """Oracle for endo_apply: sums c_k f^k over every k up to the cap, zero c_k included."""
+    out = MixedSeries.zero(f.ring)
+    power = MixedSeries.const(f.ring, 1)
+    c = Fraction(1)
+    for k in range(1, f.ring.degree_cap + 1):
+        power = power * f
+        c = c * (Fraction(r) - k + 1) / k
+        out = out + power * c
+    return out
+
+
+@pytest.mark.parametrize("r", [2, 5, 0, -1, -4, Fraction(2, 3)])
+def test_endo_apply_by_degree_recurrence(monkeypatch, r):
+    """endo_apply agrees with the sum over every power and makes no series product."""
+    ring = SeriesRingSpec(2, s_vars=("T",), degree_cap=16)
+    f = mult_endo(3, ring)
+    expected = endo_apply_by_every_power(r, f)
+    products = []
+    series_mul = MixedSeries.__mul__
+
+    def counting_mul(a, b):
+        if isinstance(b, MixedSeries):
+            products.append((a, b))
+        return series_mul(a, b)
+
+    monkeypatch.setattr(MixedSeries, "__mul__", counting_mul)
+    assert endo_apply(r, f) == expected == mult_endo(3 * Fraction(r), ring)
+    assert products == []
+
+
 @pytest.mark.parametrize("r", [-3, -2, -1, 0, 1, 2, 3, Fraction(1, 3)])
 @pytest.mark.parametrize("s", [-2, 3, Fraction(1, 3)])
 def test_endo_composition_law(r, s):
