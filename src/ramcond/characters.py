@@ -37,9 +37,15 @@ def _as_cyclo(x):
 
 
 class ClassFunction:
-    """A cyclotomic-valued function on a group, constant on conjugacy classes."""
+    """A cyclotomic-valued function on a group, constant on conjugacy classes.
 
-    __slots__ = ("group", "values", "level", "verified")
+    All values live at one level.  :meth:`_pairing_form` gives them over one
+    common denominator as integer rows; :func:`pair` and :func:`induce` work
+    on that form, built once on first use and kept in the ``_form`` slot.
+    Class functions are immutable, so the form cannot go stale.
+    """
+
+    __slots__ = ("group", "values", "level", "verified", "_form")
 
     def __init__(self, group, values, verified=False):
         values = tuple(_as_cyclo(v) for v in values)
@@ -60,9 +66,28 @@ class ClassFunction:
         object.__setattr__(self, "values", values)
         object.__setattr__(self, "level", level)
         object.__setattr__(self, "verified", bool(verified))
+        object.__setattr__(self, "_form", None)
 
     def __setattr__(self, name, value):
         raise AttributeError("ClassFunction is immutable")
+
+    def _pairing_form(self):
+        """(den, rows): the values over one common denominator.
+
+        ``den`` is the lcm of the denominators of all coefficients, and
+        ``rows[s]`` lists the integer numerators of ``values[s]`` in the power
+        basis, so ``values[s].coeffs[i] == Fraction(rows[s][i], den)``.
+        """
+        form = self._form
+        if form is None:
+            den = lcm(*(c.denominator for v in self.values for c in v.coeffs))
+            rows = tuple(
+                tuple(c.numerator * (den // c.denominator) for c in v.coeffs)
+                for v in self.values
+            )
+            form = (den, rows)
+            object.__setattr__(self, "_form", form)
+        return form
 
     def __call__(self, s):
         return self.values[s]
@@ -114,8 +139,10 @@ def pair(f, g):
 
     When either argument is rational (level 1), the pairing is
     |G|^-1 sum_s q(s^-1) * v(s) with q the rational and v the other
-    function's coefficient vectors: a rational combination of coefficient
-    vectors, with no field multiplication and no reduction.
+    function's coefficient vectors.  Both sides are read in their
+    :meth:`~ClassFunction._pairing_form`, so the sum adds Python ints, with
+    no field multiplication and no reduction, and each output coefficient is
+    one ``Fraction`` over ``den_f * den_g * |G|``.
     """
     if f.group != g.group:
         raise InputError("pairing across different groups")
@@ -123,13 +150,15 @@ def pair(f, g):
     if f.level == 1:
         f, g = g, f
     if g.level == 1:
-        acc = [Fraction(0)] * len(f.values[0].coeffs)
+        den_f, rows_f = f._pairing_form()
+        den_g, rows_g = g._pairing_form()
+        acc = [0] * len(rows_f[0])
         for s in range(grp.order):
-            q = g.values[grp.inv(s)].coeffs[0]
+            q = rows_g[grp.inv(s)][0]
             if q:
-                for i, c in enumerate(f.values[s].coeffs):
-                    acc[i] += q * c
-        return CycloNum(f.level, tuple(c / grp.order for c in acc))
+                acc = [a + q * c for a, c in zip(acc, rows_f[s])]
+        den = den_f * den_g * grp.order
+        return CycloNum(f.level, tuple(Fraction(a, den) for a in acc))
     acc = CycloNum.from_rational(0)
     for s in range(grp.order):
         acc = acc + f.values[s] * g.values[grp.inv(s)]
@@ -146,6 +175,9 @@ def induce(f, sub):
 
     ``f`` lives on ``sub.as_group()``; the result lives on the parent.
     (Ind f)(s) = |H|^-1 * sum over t in G with t s t^-1 in H of f(t s t^-1).
+    The sum adds the integer rows of ``f``'s
+    :meth:`~ClassFunction._pairing_form`, each conjugate weighted by the
+    number of t that give it, and divides once by ``den * |H|``.
     """
     if not isinstance(sub, Subgroup):
         raise InputError("induce needs a Subgroup")
@@ -153,14 +185,19 @@ def induce(f, sub):
     hgrp, to_sub, _ = sub.as_group()
     if f.group != hgrp:
         raise InputError("class function does not live on the given subgroup")
+    den, rows = f._pairing_form()
+    den *= sub.order
     values = []
     for s in range(grp.order):
-        acc = CycloNum.from_rational(0)
+        counts = {}
         for t in range(grp.order):
             c = grp.conj(t, s)
             if c in to_sub:
-                acc = acc + f.values[to_sub[c]]
-        values.append(acc * Fraction(1, sub.order))
+                counts[c] = counts.get(c, 0) + 1
+        acc = [0] * len(rows[0])
+        for c, k in counts.items():
+            acc = [a + k * x for a, x in zip(acc, rows[to_sub[c]])]
+        values.append(CycloNum(f.level, tuple(Fraction(a, den) for a in acc)))
     return ClassFunction(grp, values)
 
 

@@ -116,6 +116,9 @@ def module_from_generators(name, group, p, gen_action):
     (d,) = ranks
     if any(len(row) != d for m in gen_action.values() for row in m):
         raise InputError("generator matrices must be square")
+    # the completion starts from the identity, so a given matrix for it is only checked
+    if 0 in gen_action and gen_action[0] != identity_matrix(d):
+        raise InputError("identity must act by the identity matrix")
     gen_forms = {s: sparse_rows(m) for s, m in gen_action.items()}
     forms = {0: sparse_rows(identity_matrix(d))}
     frontier = [0]

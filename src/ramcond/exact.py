@@ -190,7 +190,8 @@ class CycloNum:
     def __init__(self, level, coeffs):
         if level < 1:
             raise InputError("CycloNum level must be positive")
-        coeffs = tuple(Fraction(c) for c in coeffs)
+        # a Fraction is immutable and already in lowest terms, so it is kept
+        coeffs = tuple(c if type(c) is Fraction else Fraction(c) for c in coeffs)
         if len(coeffs) != euler_phi(level):
             raise InputError(
                 f"CycloNum at level {level} needs {euler_phi(level)} coefficients, "

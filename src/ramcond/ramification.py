@@ -41,6 +41,7 @@ class RamData:
     omega_exp: tuple  # element id -> exponent of its coset in Z/n
     name: str = field(default="", compare=False)
     _bisection: object = field(default=None, compare=False, repr=False)  # memo of bisection()
+    _artin: object = field(default=None, compare=False, repr=False)  # memo of artin_character()
 
     @property
     def wild_subgroup(self):
@@ -179,12 +180,18 @@ def _sum_i(rd, elems):
 
 
 def artin_character(rd):
-    """-i(s) off the identity, normalized to sum to zero over the group."""
+    """-i(s) off the identity, normalized to sum to zero over the group.
+
+    Computed once per ``rd`` and held on it, like :func:`bisection`.
+    """
+    if rd._artin is not None:
+        return rd._artin
     values = [Fraction(0)] * rd.group.order
     for s in range(1, rd.group.order):
         values[s] = Fraction(-i_gamma(rd, s))
     values[0] = Fraction(_sum_i(rd, range(rd.group.order)))
-    return ClassFunction(rd.group, values)
+    object.__setattr__(rd, "_artin", ClassFunction(rd.group, values))
+    return rd._artin
 
 
 def bisection(rd):

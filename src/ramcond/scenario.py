@@ -372,6 +372,12 @@ def load_scenario(path):
         raise InputError(f"cannot read scenario: {exc}") from None
     except json.JSONDecodeError as exc:
         raise InputError(f"scenario is not valid JSON: {exc}") from None
+    except UnicodeDecodeError as exc:
+        raise InputError(f"scenario is not UTF-8: {exc}") from None
+    except ValueError:  # int() refuses more than sys.get_int_max_str_digits() digits
+        raise InputError("scenario has an integer literal that is too long") from None
+    except RecursionError:
+        raise InputError("scenario nests too deeply") from None
     return parse_scenario(obj)
 
 
@@ -392,7 +398,13 @@ class _Tokens:
                 j = i
                 while j < len(text) and "0" <= text[j] <= "9":
                     j += 1
-                self.items.append(("int", int(text[i:j])))
+                try:
+                    value = int(text[i:j])
+                except ValueError:  # beyond Python's limit on int digits
+                    raise InputError(
+                        f"integer literal of {j - i} digits in series expression is too long"
+                    ) from None
+                self.items.append(("int", value))
                 i = j
                 continue
             if ch.isalpha() or ch == "_":

@@ -1,6 +1,16 @@
-"""Dense ``Fraction`` matrix product and inverse, kept as test oracles for the sparse forms."""
+"""Dense ``Fraction`` oracles for the integer forms.
 
+The matrix product and inverse check the sparse matrix forms of
+``ramcond.linalg``; the pairing and induction, summed in ``Fraction`` and
+``CycloNum`` arithmetic, check the integer class-function form of
+``ramcond.characters``.
+"""
+
+from fractions import Fraction
+
+from ramcond.characters import ClassFunction
 from ramcond.errors import CheckFailure, InputError
+from ramcond.exact import CycloNum
 from ramcond.linalg import as_matrix, identity_matrix, rref
 
 
@@ -28,3 +38,30 @@ def mat_inv(a):
     if pivots != tuple(range(n)):
         raise CheckFailure("matrix not invertible")
     return tuple(row[n:] for row in red)
+
+
+def pair_rational(f, g):
+    """``pair(f, g)`` for a rational ``g``, summed on ``Fraction`` coefficient vectors."""
+    grp = f.group
+    acc = [Fraction(0)] * len(f.values[0].coeffs)
+    for s in range(grp.order):
+        q = g.values[grp.inv(s)].coeffs[0]
+        if q:
+            for i, c in enumerate(f.values[s].coeffs):
+                acc[i] += q * c
+    return CycloNum(f.level, tuple(c / grp.order for c in acc))
+
+
+def induce_sum(f, sub):
+    """``induce(f, sub)`` by |G|^2 ``CycloNum`` additions and |G| multiplications."""
+    grp = sub.parent
+    _, to_sub, _ = sub.as_group()
+    values = []
+    for s in range(grp.order):
+        acc = CycloNum.from_rational(0)
+        for t in range(grp.order):
+            c = grp.conj(t, s)
+            if c in to_sub:
+                acc = acc + f.values[to_sub[c]]
+        values.append(acc * Fraction(1, sub.order))
+    return ClassFunction(grp, values)

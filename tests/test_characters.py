@@ -3,8 +3,10 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from dense import mat_inv, mat_mul
+from dense import induce_sum, mat_inv, mat_mul, pair_rational
 
 from ramcond.catalog import catalog, random_module, random_unit_conjugate
 from ramcond.characters import (
@@ -25,6 +27,8 @@ from ramcond.exact import CycloNum, euler_phi
 from ramcond.groups import conjugacy_classes, make_cyclic, make_symmetric, subgroup
 from ramcond.linalg import identity_matrix
 from ramcond.ramification import bisection, ram_data
+
+CATALOG_GROUPS = tuple({rd.group.name: rd.group for rd in catalog()}.values())
 
 
 def tame_c3():
@@ -98,6 +102,85 @@ def test_pair_rational_path_matches_generic_sum():
             assert pair(f, rational).coeffs == generic.coeffs
             assert pair(rational, f).coeffs == generic.coeffs
             assert pair(rational, rational) == pair(lifted, lifted)
+
+
+RATIONALS = st.one_of(
+    st.just(Fraction(0)),
+    st.builds(Fraction, st.integers(-40, 40), st.integers(1, 12)),
+)
+
+
+# zeros, negatives and mixed denominators for the induction oracle
+SAMPLE_RATIONALS = (0, 0, -3, Fraction(5, 4), Fraction(-7, 6), Fraction(2, 9))
+
+
+def _class_function(grp, level, rational):
+    """A class function at ``level`` whose coefficients are drawn by ``rational()``."""
+    vals = [None] * grp.order
+    for cls in conjugacy_classes(grp):
+        v = CycloNum(level, [rational() for _ in range(euler_phi(level))])
+        for s in cls:
+            vals[s] = v
+    return ClassFunction(grp, vals)
+
+
+@st.composite
+def rational_pairings(draw):
+    """(f, g, q): a pairing with a rational side q, which is f or g."""
+    grp = draw(st.sampled_from(CATALOG_GROUPS))
+    v = _class_function(grp, draw(st.sampled_from((1, 3, 4, 8, 12))), lambda: draw(RATIONALS))
+    q = _class_function(grp, 1, lambda: draw(RATIONALS))
+    return (q, v, q) if draw(st.booleans()) else (v, q, q)
+
+
+@settings(max_examples=80, deadline=None)
+@given(rational_pairings())
+def test_pair_matches_fraction_oracle(sides):
+    f, g, q = sides
+    other = g if q is f else f
+    got = pair(f, g)
+    want = pair_rational(other, q)
+    assert got.level == want.level and got.coeffs == want.coeffs
+
+
+@pytest.mark.parametrize("rd", catalog(), ids=[rd.name for rd in catalog()])
+def test_induce_matches_cyclonum_oracle(rd):
+    rng = random.Random(rd.name)
+    g = rd.group
+    for elems in g.subgroups():
+        h = subgroup(g, elems)
+        hgrp = h.as_group()[0]
+        for level in (1, 8):
+            f = _class_function(hgrp, level, lambda: rng.choice(SAMPLE_RATIONALS))
+            got = induce(f, h)
+            want = induce_sum(f, h)
+            assert got.level == want.level == level, (rd.name, elems)
+            assert [v.coeffs for v in got.values] == [v.coeffs for v in want.values]
+
+
+def test_rational_pairing_and_induction_make_no_field_multiplication(monkeypatch):
+    g = make_cyclic(64)
+    rd = ram_data(g, 3, [], (1, 1))
+    ba = bisection(rd)
+    assert ba.level == 64
+    thirds = ClassFunction(g, [Fraction(s % 5 - 2, 3) for s in range(64)])
+    chis = [regular_character(g), trivial_character(g), thirds]
+    h = subgroup(g, range(0, 64, 4))
+    f = restrict(ba, h)
+    want_pairs = [pair_rational(ba, chi) for chi in chis]
+    want_induced = induce_sum(f, h)
+    calls = []
+    real = CycloNum.__mul__
+
+    def counted(self, other):
+        calls.append(other)
+        return real(self, other)
+
+    monkeypatch.setattr(CycloNum, "__mul__", counted)
+    monkeypatch.setattr(CycloNum, "__rmul__", counted)
+    assert [pair(ba, chi).coeffs for chi in chis] == [w.coeffs for w in want_pairs]
+    assert induce(f, h) == want_induced
+    assert calls == []
 
 
 def test_conjugate_rational_fixed():

@@ -176,6 +176,21 @@ def test_invalid_scenario_exit_2(tmp_path, capsys):
 
 
 @pytest.mark.parametrize(
+    "raw",
+    [b'{"prime": "\xff"}', b"[" * 100000 + b"]" * 100000],
+    ids=["not-utf8", "deep-nesting"],
+)
+def test_unreadable_scenario_exit_2(tmp_path, capsys, raw):
+    bad = tmp_path / "bad.json"
+    bad.write_bytes(raw)
+    assert main(["series", "run", str(bad)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: invalid input:")
+    assert captured.err.count("\n") == 1
+
+
+@pytest.mark.parametrize(
     "argv",
     [
         ["verify", "--random", "x", "3"],
@@ -193,6 +208,8 @@ def test_invalid_scenario_exit_2(tmp_path, capsys):
         ["series", "gauss", "p^100000*S", "--p", "3"],
         ["series", "gauss", "2^10000000000*S", "--p", "3"],
         ["series", "wdiv", "--g", "p^-257*Z^3", "--f", "2+Z+Z^2", "--p", "2"],
+        # beyond Python's 4,300-digit limit for int()
+        ["series", "gauss", "p^" + "9" * 5000 + "*S", "--p", "3"],
     ],
 )
 def test_bad_flag_values_exit_2(capsys, argv):
@@ -206,6 +223,18 @@ def test_bad_flag_values_exit_2(capsys, argv):
 def load_json(name):
     with open(scenario_path(name), encoding="utf-8") as fh:
         return json.load(fh)
+
+
+class JsonLiteral:
+    """A JSON value given as its text, for what ``json.dumps`` cannot write.
+
+    Python refuses to convert an int of more than 4,300 digits to a string.
+    """
+
+    PLACEHOLDER = "@json-literal@"
+
+    def __init__(self, text):
+        self.text = text
 
 
 @pytest.mark.parametrize(
@@ -258,13 +287,21 @@ def load_json(name):
             ("modules", [{"name": "m", "kind": "matrices", "matrices": {"1": mat}}])
             for mat in ([["1", "0"]], [["1"], ["0"]])
         ),
+        # a matrix given for the identity must be the identity matrix
+        ("modules", [{"name": "m", "kind": "matrices", "matrices": {"0": [["-1"]], "1": [["1"]]}}]),
+        # an integer beyond Python's 4,300-digit limit for int()
+        ("prime", JsonLiteral("9" * 5000)),
     ],
 )
 def test_malformed_scenario_field_exit_2(tmp_path, capsys, key, value):
     # a wild filtration needs a wild base; every other field fits the tame one
     base = "wild_cyclic2.json" if key == "filtration" else "tame_cyclic3.json"
     bad = tmp_path / "bad.json"
-    bad.write_text(json.dumps({**load_json(base), key: value}))
+    if isinstance(value, JsonLiteral):
+        text = json.dumps({**load_json(base), key: JsonLiteral.PLACEHOLDER})
+        bad.write_text(text.replace(json.dumps(JsonLiteral.PLACEHOLDER), value.text))
+    else:
+        bad.write_text(json.dumps({**load_json(base), key: value}))
     assert main(["series", "run", str(bad)]) == 2
     captured = capsys.readouterr()
     assert captured.out == ""

@@ -508,6 +508,15 @@ def test_module_from_generators_rejects_non_square(matrix):
     assert str(excinfo.value) == "generator matrices must be square"
 
 
+def test_module_from_generators_checks_a_given_identity():
+    g = make_cyclic(3)
+    with pytest.raises(InputError) as excinfo:
+        module_from_generators("m", g, 2, {0: ((-1,),), 1: ((1,),)})
+    assert str(excinfo.value) == "identity must act by the identity matrix"
+    given = module_from_generators("m", g, 2, {0: ((1,),), 1: ((1,),)})
+    assert given.action == trivial_module(g, 2).action
+
+
 def test_zero_rank_module_is_legal():
     g = make_cyclic(2)
     zero = CharModule("zero", g, 2, {0: (), 1: ()})

@@ -91,6 +91,16 @@ def test_bisection_is_held_on_the_ram_data():
     assert bisection(fresh) == ba
 
 
+def test_artin_character_is_held_on_the_ram_data():
+    for rd in catalog():
+        fresh = ram_data(rd.group, rd.p, rd.wild_chain, dict(enumerate(rd.omega_exp)), name=rd.name)
+        a = artin_character(rd)
+        assert artin_character(rd) is a
+        assert rd == fresh and repr(rd) == repr(fresh)
+        built = artin_character(fresh)
+        assert built is not a and built == a, rd.name
+
+
 def test_disc_valuation_examples():
     rd = tame_c3()
     full = subgroup(rd.group, range(3))
