@@ -12,7 +12,7 @@ from math import gcd
 
 from .conductors import CharModule, permutation_module
 from .groups import make_cyclic, make_product, make_symmetric, subgroup
-from .linalg import from_sparse, sparse_mul, sparse_rows
+from .linalg import sparse_mul, sparse_rows
 from .ramification import ram_data
 
 __all__ = [
@@ -187,8 +187,7 @@ def random_unit_conjugate(rng, module):
             u[i][k] += c * u[j][k]
             uinv[k][j] -= c * uinv[k][i]
     u, uinv = sparse_rows(u), sparse_rows(uinv)
-    action = {
-        g: from_sparse(sparse_mul(uinv, sparse_mul(sparse_rows(module.matrix(g)), u)))
-        for g in range(module.group.order)
+    forms = {
+        g: sparse_mul(uinv, sparse_mul(module.forms[g], u)) for g in range(module.group.order)
     }
-    return CharModule(f"{module.name}~", module.group, module.p, action)
+    return CharModule._from_forms(f"{module.name}~", module.group, module.p, forms)

@@ -14,7 +14,7 @@ from math import lcm
 from .errors import CheckFailure, InputError
 from .exact import CycloNum
 from .groups import Subgroup, conjugacy_classes
-from .linalg import identity_matrix, sparse_mul, sparse_rows
+from .linalg import identity_form, identity_matrix, sparse_mul, sparse_rows
 
 __all__ = [
     "ClassFunction",
@@ -24,7 +24,10 @@ __all__ = [
     "conjugate",
     "induce",
     "restrict",
+    "check_shapes",
+    "check_forms",
     "check_action",
+    "trace_forms",
     "trace_character",
     "artin_conductor",
 ]
@@ -211,17 +214,8 @@ def restrict(f, sub):
     return ClassFunction(hgrp, tuple(f.values[x] for x in from_sub))
 
 
-def check_action(group, action, forms=None):
-    """Check that a matrix action is a homomorphism and return its rank.
-
-    Every element maps to a square matrix of one rank, the identity to the
-    identity matrix, and g*s to the product for each generator s (which
-    suffices).  Entries must be rational.  Each product is taken by
-    :func:`~ramcond.linalg.sparse_mul` on the sparse forms and compared with
-    the form of g*s, so a Cayley edge costs O(nonzeros), and O(d) for
-    monomial matrices.  ``forms`` maps each element to the form of its
-    matrix when the caller already has it.
-    """
+def check_shapes(group, action):
+    """Check that a dense action maps every element to a square matrix of one rank; return it."""
     if set(action) != set(range(group.order)):
         raise InputError("action must map every group element")
     ranks = {len(m) for m in action.values()}
@@ -231,26 +225,61 @@ def check_action(group, action, forms=None):
     for m in action.values():
         if any(len(row) != d for row in m):
             raise InputError("action matrices must be square")
+    return d
+
+
+def check_forms(group, forms):
+    """Check that the forms of a square action of one rank are a homomorphism.
+
+    ``forms`` maps every element to the :func:`~ramcond.linalg.sparse_rows`
+    form of its matrix.  The identity must map to the identity matrix, and
+    g*s to the product for each generator s (which suffices).  Each product
+    is taken by :func:`~ramcond.linalg.sparse_mul` and compared with the form
+    of g*s, so a Cayley edge costs O(nonzeros), and O(d) for monomial
+    matrices.
+    """
+    d = len(forms[0][1])
     if d > 0:
-        if action[0] != identity_matrix(d):
+        if forms[0] != identity_form(d):
             raise InputError("identity must act by the identity matrix")
-        if forms is None:
-            forms = {g: sparse_rows(m) for g, m in action.items()}
         gens = group.generating_set()
         for g in range(group.order):
             for s in gens:
                 if sparse_mul(forms[g], forms[s]) != forms[group.mult(g, s)]:
                     raise InputError(f"action is not a homomorphism at ({g}, {s})")
+
+
+def check_action(group, action):
+    """Check that a matrix action is a homomorphism and return its rank.
+
+    Every element maps to a square matrix of one rank (:func:`check_shapes`),
+    entries are rational, and the forms of the matrices pass
+    :func:`check_forms`.  The identity is compared densely first, so a wrong
+    identity is named before a non-rational entry.
+    """
+    d = check_shapes(group, action)
+    if d > 0 and action[0] != identity_matrix(d):
+        raise InputError("identity must act by the identity matrix")
+    check_forms(group, {g: sparse_rows(m) for g, m in action.items()})
     return d
 
 
-def trace_character(group, action):
-    """Trace character of an action checked by :func:`check_action`; reads only diagonals."""
+def trace_forms(group, forms):
+    """Trace character of an action given by the forms of its matrices.
+
+    The trace of each element is one integer sum of diagonal numerators over
+    that form's denominator, so each value costs one ``Fraction``.
+    """
     values = []
     for g in range(group.order):
-        m = action[g]
-        values.append(sum((m[i][i] for i in range(len(m))), Fraction(0)))
+        den, rows = forms[g]
+        values.append(Fraction(sum(row.get(i, 0) for i, row in enumerate(rows)), den))
     return ClassFunction(group, values, verified=True)
+
+
+def trace_character(group, action):
+    """Trace character of an action checked by :func:`check_action`, read on the forms of its matrices."""
+    return trace_forms(group, {g: sparse_rows(action[g]) for g in range(group.order)})
 
 
 def artin_conductor(rd, chi):

@@ -18,8 +18,9 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from math import lcm
 
-from .characters import check_action, induce, pair, trace_character
+from .characters import check_forms, check_shapes, induce, pair, trace_forms
 from .errors import CheckFailure, InputError
 from .exact import p_valuation
 from .groups import Subgroup
@@ -28,6 +29,7 @@ from .linalg import (
     det,
     from_sparse,
     hnf_rows,
+    identity_form,
     identity_matrix,
     integer_kernel,
     lattice_contains,
@@ -64,44 +66,84 @@ __all__ = [
 class CharModule:
     """Finite free lattice with a group action by p-integral exact matrices.
 
-    Construction checks the action in full: p-integrality from each matrix's
-    common denominator, then :func:`check_action` on every Cayley edge at
-    O(nonzeros) per edge.  There is no determinant check: once the action is
-    a homomorphism of a finite group, each matrix has finite order, so its
-    rational determinant is +-1.
+    The action is stored as ``forms``: each element's matrix in its
+    :func:`~ramcond.linalg.sparse_rows` form, integer rows over the least
+    common denominator.  ``action`` and :meth:`matrix` are a dense view of
+    ``Fraction`` rows, built from the forms on first read.
+
+    Construction checks the action in full: p-integrality from each form's
+    denominator, then :func:`~ramcond.characters.check_forms` on every
+    Cayley edge at O(nonzeros) per edge.  The public constructor is the
+    strict reader of dense matrices; the package's builders hand over forms
+    through :meth:`_from_forms`, which runs the same form checks.  There is
+    no determinant check: once the action is a homomorphism of a finite
+    group, each matrix has finite order, so its rational determinant is +-1.
     """
 
-    __slots__ = ("name", "group", "p", "rank", "action", "_char")
+    __slots__ = ("name", "group", "p", "rank", "forms", "_action", "_char")
 
     def __init__(self, name, group, p, action):
         action = {int(g): as_matrix(m) for g, m in action.items()}
         forms = {g: sparse_rows(m) for g, m in action.items()}
-        for g, m in action.items():
-            # p divides the common denominator iff it divides some entry's
-            if m and p_valuation(forms[g][0], p) > 0:
-                x = next(x for row in m for x in row if p_valuation(x, p) < 0)
-                raise InputError(f"entry {x} is not p-integral at p={p}")
-        d = check_action(group, action, forms)
+        _check_p_integral(forms, p)
+        check_shapes(group, action)
+        self._set(name, group, p, forms, action)
+
+    @classmethod
+    def _from_forms(cls, name, group, p, forms):
+        """A module on the forms of a square action of one rank on every element.
+
+        The builders of this package make the forms; they are kept, not
+        copied, and checked as the public constructor checks them.
+        """
+        _check_p_integral(forms, p)
+        self = object.__new__(cls)
+        self._set(name, group, p, forms, None)
+        return self
+
+    def _set(self, name, group, p, forms, action):
+        check_forms(group, forms)
         object.__setattr__(self, "name", name)
         object.__setattr__(self, "group", group)
         object.__setattr__(self, "p", int(p))
-        object.__setattr__(self, "rank", d)
-        object.__setattr__(self, "action", action)
+        object.__setattr__(self, "rank", len(forms[0][1]))
+        object.__setattr__(self, "forms", forms)
+        object.__setattr__(self, "_action", action)
         object.__setattr__(self, "_char", None)
 
     def __setattr__(self, name, value):
         raise AttributeError("CharModule is immutable")
 
+    @property
+    def action(self):
+        """Element id -> its matrix as ``Fraction`` rows, built from ``forms`` on first read."""
+        if self._action is None:
+            dense = {g: from_sparse(form) for g, form in self.forms.items()}
+            object.__setattr__(self, "_action", dense)
+        return self._action
+
     def matrix(self, g):
         return self.action[g]
 
     def is_integral(self):
-        return all(
-            x.denominator == 1 for m in self.action.values() for row in m for x in row
-        )
+        return all(den == 1 for den, _ in self.forms.values())
 
     def __repr__(self):
         return f"CharModule({self.name!r}, {self.group.name}, rank={self.rank})"
+
+
+def _check_p_integral(forms, p):
+    """Refuse an action with an entry that is not p-integral, naming the first in row-major order."""
+    for den, rows in forms.values():
+        # p divides the common denominator iff it divides some entry's
+        if rows and p_valuation(den, p) > 0:
+            x = next(
+                x
+                for row in rows
+                for x in (Fraction(row[j], den) for j in sorted(row))
+                if p_valuation(x, p) < 0
+            )
+            raise InputError(f"entry {x} is not p-integral at p={p}")
 
 
 def module_from_generators(name, group, p, gen_action):
@@ -120,7 +162,7 @@ def module_from_generators(name, group, p, gen_action):
     if 0 in gen_action and gen_action[0] != identity_matrix(d):
         raise InputError("identity must act by the identity matrix")
     gen_forms = {s: sparse_rows(m) for s, m in gen_action.items()}
-    forms = {0: sparse_rows(identity_matrix(d))}
+    forms = {0: identity_form(d)}
     frontier = [0]
     while frontier:
         g = frontier.pop()
@@ -131,50 +173,58 @@ def module_from_generators(name, group, p, gen_action):
                 frontier.append(h)
     if len(forms) != group.order:
         raise InputError("given generators do not generate the group")
-    return CharModule(name, group, p, {g: from_sparse(form) for g, form in forms.items()})
+    return CharModule._from_forms(name, group, p, forms)
 
 
 def trivial_module(group, p, rank=1, name=None):
-    ident = identity_matrix(rank)
-    return CharModule(
+    ident = identity_form(rank)
+    return CharModule._from_forms(
         name or f"trivial:{rank}", group, p, {g: ident for g in range(group.order)}
     )
 
 
-def _place_blocks(n, blocks):
-    """The n x n matrix that is zero outside the given ``(row, col, block)`` squares."""
-    m = [[Fraction(0)] * n for _ in range(n)]
-    for r0, c0, block in blocks:
-        for r, row in enumerate(block):
-            m[r0 + r][c0 : c0 + len(row)] = row
-    return tuple(tuple(row) for row in m)
+def _stack_forms(placed):
+    """The form of a block matrix from its block rows, top to bottom.
+
+    ``placed`` lists one ``(column offset, form)`` pair per block row.  The
+    denominator is the lcm of the block denominators; the result stays in
+    lowest terms because each block's form is, so it is the one
+    :func:`~ramcond.linalg.sparse_rows` form of the matrix.
+    """
+    den = lcm(*(form[0] for _, form in placed))
+    rows = []
+    for offset, (block_den, block_rows) in placed:
+        k = den // block_den
+        rows.extend({offset + j: x * k for j, x in row.items()} for row in block_rows)
+    return den, tuple(rows)
 
 
 def _induced_action(sub, blocks):
-    """Action induced from ``sub``, on which h acts by the square ``blocks[h]``.
+    """Forms of the action induced from ``sub``, on which h acts by the form ``blocks[h]``.
 
     Over the left transversal (t_i), g maps block column i to block row j by
     the block of h, where g * t_i = t_j * h.
     """
     grp = sub.parent
     transversal, coset_of = sub.left_transversal()
-    d = len(blocks[0])
-    action = {}
+    d = len(blocks[0][1])
+    forms = {}
     for g in range(grp.order):
-        placed = []
+        placed = [None] * len(transversal)
         for i, t in enumerate(transversal):
             gt = grp.mult(g, t)
             j = coset_of[gt]
             h = grp.mult(grp.inv(transversal[j]), gt)
-            placed.append((j * d, i * d, blocks[h]))
-        action[g] = _place_blocks(d * len(transversal), placed)
-    return action
+            placed[j] = (i * d, blocks[h])
+        forms[g] = _stack_forms(placed)
+    return forms
 
 
 def permutation_module(sub, p, name=None):
     """Left translation on the left cosets of ``sub``: the induced trivial block."""
-    action = _induced_action(sub, {h: ((Fraction(1),),) for h in sub.elements})
-    return CharModule(name or f"perm[{sub.order}]", sub.parent, p, action)
+    one = identity_form(1)
+    forms = _induced_action(sub, {h: one for h in sub.elements})
+    return CharModule._from_forms(name or f"perm[{sub.order}]", sub.parent, p, forms)
 
 
 def regular_module(group, p, name="regular"):
@@ -183,9 +233,9 @@ def regular_module(group, p, name="regular"):
 
 
 def module_character(m):
-    """Trace character of the module action (validated at construction)."""
+    """Trace character of the module action (validated at construction), read on its forms."""
     if m._char is None:
-        chi = trace_character(m.group, m.action)
+        chi = trace_forms(m.group, m.forms)
         object.__setattr__(m, "_char", chi)
     return m._char
 
@@ -236,8 +286,8 @@ def weil_restriction(m_sub, sub):
     hgrp, to_sub, _ = sub.as_group()
     if m_sub.group != hgrp:
         raise InputError("module does not live on the given subgroup")
-    action = _induced_action(sub, {h: m_sub.matrix(to_sub[h]) for h in sub.elements})
-    result = CharModule(f"Ind({m_sub.name})", sub.parent, m_sub.p, action)
+    forms = _induced_action(sub, {h: m_sub.forms[to_sub[h]] for h in sub.elements})
+    result = CharModule._from_forms(f"Ind({m_sub.name})", sub.parent, m_sub.p, forms)
     if module_character(result) != induce(module_character(m_sub), sub):
         raise CheckFailure("induced module character mismatch")
     return result
@@ -284,11 +334,10 @@ def direct_sum(m1, m2):
     if m1.p != m2.p:
         raise InputError("direct sum across different primes")
     d1 = m1.rank
-    action = {
-        g: _place_blocks(d1 + m2.rank, ((0, 0, m1.matrix(g)), (d1, d1, m2.matrix(g))))
-        for g in range(m1.group.order)
+    forms = {
+        g: _stack_forms(((0, m1.forms[g]), (d1, m2.forms[g]))) for g in range(m1.group.order)
     }
-    return CharModule(f"{m1.name}+{m2.name}", m1.group, m1.p, action)
+    return CharModule._from_forms(f"{m1.name}+{m2.name}", m1.group, m1.p, forms)
 
 
 def _check_idempotent(m, e):
@@ -302,7 +351,7 @@ def _check_idempotent(m, e):
     if sparse_mul(form, form) != form:
         raise InputError("matrix is not idempotent")
     for s in m.group.generating_set():
-        ms = sparse_rows(m.matrix(s))
+        ms = m.forms[s]
         if sparse_mul(form, ms) != sparse_mul(ms, form):
             raise InputError("idempotent does not commute with the action")
     return e

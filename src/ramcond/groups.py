@@ -51,10 +51,24 @@ class FiniteGroup:
                         raise InputError(
                             f"associativity fails at ({a}, {b}, {c})"
                         )
-        self.order = n
+        self._set(table, name, tuple(inverses))
+
+    @classmethod
+    def _from_checked(cls, table, name, inverses):
+        """A group on a table known to be a group, with its inverses; nothing is re-checked.
+
+        :meth:`Subgroup.as_group` builds its re-indexed group this way: the
+        subgroup is checked closed, and associativity holds in the parent.
+        """
+        self = object.__new__(cls)
+        self._set(table, name, inverses)
+        return self
+
+    def _set(self, table, name, inverses):
+        self.order = len(table)
         self.table = table
         self.name = name
-        self._inv = tuple(inverses)
+        self._inv = inverses
         self._classes = None
         self._subgroups = None
 
@@ -254,7 +268,10 @@ class Subgroup:
                 tuple(to_sub[self.parent.mult(a, b)] for b in self.elements)
                 for a in self.elements
             )
-            grp = FiniteGroup(table, name=f"{self.parent.name}|{self.elements}")
+            inverses = tuple(to_sub[self.parent.inv(x)] for x in self.elements)
+            grp = FiniteGroup._from_checked(
+                table, f"{self.parent.name}|{self.elements}", inverses
+            )
             self._as_group = (grp, to_sub, self.elements)
         return self._as_group
 

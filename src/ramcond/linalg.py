@@ -5,6 +5,8 @@ and group orders of a few dozen).  Elimination and the lattice routines are
 dense.  The one matrix product, :func:`sparse_mul`, works on the one form of
 a matrix, :func:`sparse_rows`: its rows as ``{col: int}`` maps over the least
 common denominator.  So products cost O(nonzeros) and compare with ``==``.
+Module actions are stored in this form; their dense ``Fraction`` view
+(:func:`from_sparse`) is built only when something reads it.
 """
 
 from __future__ import annotations
@@ -43,6 +45,11 @@ def identity_matrix(n):
     return tuple(
         tuple(Fraction(1) if i == j else Fraction(0) for j in range(n)) for i in range(n)
     )
+
+
+def identity_form(n):
+    """The :func:`sparse_rows` form of the n x n identity matrix."""
+    return 1, tuple({i: 1} for i in range(n))
 
 
 def sparse_rows(a):

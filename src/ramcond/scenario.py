@@ -44,6 +44,18 @@ __all__ = [
 ]
 
 
+# Size budgets.  A Cayley table of order 128 is built and validated in about
+# 0.2 s.  A trivial module of rank 16 induced from the trivial subgroup of
+# such a group has rank 2048; with its conductors it takes about 1 s.
+GROUP_ORDER_BOUND = 128
+TRIVIAL_RANK_BOUND = 16
+
+
+def _check_order(n, where):
+    if n > GROUP_ORDER_BOUND:
+        raise InputError(f"{where}: group order must be at most {GROUP_ORDER_BOUND}, got {n}")
+
+
 def parse_rational(text):
     """Parse an exact rational from its string form."""
     if isinstance(text, int) and not isinstance(text, bool):
@@ -100,6 +112,7 @@ def _parse_group(spec):
         n = _read_int(spec["cyclic"], "group.cyclic")
         if n < 1:
             raise InputError("group.cyclic must be a positive integer")
+        _check_order(n, "group.cyclic")
         return make_cyclic(n)
     if "product" in spec:
         factors = spec["product"]
@@ -107,11 +120,14 @@ def _parse_group(spec):
             raise InputError("group.product needs at least two factors")
         grp = _parse_group(factors[0])
         for sub in factors[1:]:
-            grp = make_product(grp, _parse_group(sub))
+            factor = _parse_group(sub)
+            _check_order(grp.order * factor.order, "group.product")
+            grp = make_product(grp, factor)
         return grp
     table = spec["table"]
     if not isinstance(table, list):
         raise InputError("group.table must be a list of rows")
+    _check_order(len(table), "group.table")
     rows = [_read_ids(row, "group.table row") for row in table]
     return make_from_table(rows, name="table")
 
@@ -221,6 +237,8 @@ def _parse_module(spec, group, prime, where, id_map=None):
         rank = _read_int(spec.get("rank", 1), f"{where}: trivial rank")
         if rank < 0:
             raise InputError(f"{where}: trivial rank must be a natural number")
+        if rank > TRIVIAL_RANK_BOUND:
+            raise InputError(f"{where}: trivial rank must be at most {TRIVIAL_RANK_BOUND}, got {rank}")
         return name, trivial_module(group, prime, rank=rank, name=name)
     if kind == "matrices":
         mats = spec.get("matrices")

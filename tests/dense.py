@@ -1,9 +1,11 @@
 """Dense ``Fraction`` oracles for the integer forms.
 
 The matrix product and inverse check the sparse matrix forms of
-``ramcond.linalg``; the pairing and induction, summed in ``Fraction`` and
-``CycloNum`` arithmetic, check the integer class-function form of
-``ramcond.characters``.
+``ramcond.linalg``; the diagonal trace and the placed blocks check the trace
+and the block builders that ``ramcond.characters`` and
+``ramcond.conductors`` run on those forms; the pairing and induction,
+summed in ``Fraction`` and ``CycloNum`` arithmetic, check the integer
+class-function form of ``ramcond.characters``.
 """
 
 from fractions import Fraction
@@ -38,6 +40,41 @@ def mat_inv(a):
     if pivots != tuple(range(n)):
         raise CheckFailure("matrix not invertible")
     return tuple(row[n:] for row in red)
+
+
+def trace_diagonals(group, action):
+    """``trace_character(group, action)`` as a ``Fraction`` sum of each matrix's diagonal."""
+    values = []
+    for g in range(group.order):
+        m = action[g]
+        values.append(sum((m[i][i] for i in range(len(m))), Fraction(0)))
+    return ClassFunction(group, values, verified=True)
+
+
+def place_blocks(n, blocks):
+    """The n x n matrix that is zero outside the given ``(row, col, block)`` squares."""
+    m = [[Fraction(0)] * n for _ in range(n)]
+    for r0, c0, block in blocks:
+        for r, row in enumerate(block):
+            m[r0 + r][c0 : c0 + len(row)] = row
+    return tuple(tuple(row) for row in m)
+
+
+def induced_action(sub, blocks):
+    """The dense action induced from ``sub``, on which h acts by the square ``blocks[h]``."""
+    grp = sub.parent
+    transversal, coset_of = sub.left_transversal()
+    d = len(blocks[0])
+    action = {}
+    for g in range(grp.order):
+        placed = []
+        for i, t in enumerate(transversal):
+            gt = grp.mult(g, t)
+            j = coset_of[gt]
+            h = grp.mult(grp.inv(transversal[j]), gt)
+            placed.append((j * d, i * d, blocks[h]))
+        action[g] = place_blocks(d * len(transversal), placed)
+    return action
 
 
 def pair_rational(f, g):

@@ -291,6 +291,14 @@ class JsonLiteral:
         ("modules", [{"name": "m", "kind": "matrices", "matrices": {"0": [["-1"]], "1": [["1"]]}}]),
         # an integer beyond Python's 4,300-digit limit for int()
         ("prime", JsonLiteral("9" * 5000)),
+        # beyond the group order budget 128: refused before a table of that order is built
+        ("group", {"cyclic": 5000}),
+        ("group", {"cyclic": 129}),
+        ("group", {"product": [{"cyclic": 2}, {"cyclic": 8}, {"cyclic": 9}]}),
+        ("group", {"table": [[(i + j) % 129 for j in range(129)] for i in range(129)]}),
+        # beyond the trivial rank budget 16
+        ("modules", [{"name": "t", "kind": "trivial", "rank": 17}]),
+        ("weil", [{"module": {"name": "u", "kind": "trivial", "rank": 10**6}, "subgroup": [0]}]),
     ],
 )
 def test_malformed_scenario_field_exit_2(tmp_path, capsys, key, value):

@@ -4,9 +4,11 @@ from types import SimpleNamespace
 
 import pytest
 
-from dense import mat_inv, mat_mul
+from dense import induced_action, mat_inv, mat_mul, place_blocks, trace_diagonals
 
+from ramcond import conductors, linalg
 from ramcond.catalog import catalog, random_module, random_unit_conjugate
+from ramcond.characters import trace_character
 from ramcond.conductors import (
     CharModule,
     adapt_lattice,
@@ -475,24 +477,115 @@ def dense_bfs_action(group, gen_action):
     return action
 
 
+def _fractional_generators(rng, grp, p, primes=(3, 5, 7)):
+    """Generators of a permutation module conjugated by a random unit, then by diag(q, 1, ..., 1).
+
+    They are not monomial, and q, the first of ``primes`` other than p, is
+    prime to p, so some entries have denominator q.  The trivial group gets
+    its identity.
+    """
+    m = random_unit_conjugate(rng, random_module(rng, grp, p))
+    q = next(q for q in primes if q != p)
+    d = m.rank
+    diag = tuple(tuple(q if i == j == 0 else int(i == j) for j in range(d)) for i in range(d))
+    gens = {
+        s: mat_mul(mat_inv(diag), mat_mul(m.matrix(s), diag))
+        for s in grp.generating_set() or (0,)
+    }
+    return gens, q
+
+
 def test_module_from_generators_matches_dense_bfs():
-    # non-monomial generators: permutation modules conjugated by a random
-    # unit, then by diag(q, 1, ..., 1) for denominators prime to p
     rng = random.Random(5)
     dense_rows = fractions = 0
     for rd in catalog():
-        grp, p = rd.group, rd.p
-        m = random_unit_conjugate(rng, random_module(rng, grp, p))
-        q = next(q for q in (3, 5, 7) if q != p)
-        d = m.rank
-        diag = tuple(tuple(q if i == j == 0 else int(i == j) for j in range(d)) for i in range(d))
-        gens = {s: mat_mul(mat_inv(diag), mat_mul(m.matrix(s), diag)) for s in grp.generating_set()}
-        built = module_from_generators("gens", grp, p, gens)
-        assert built.action == dense_bfs_action(grp, gens), rd.name
+        gens, q = _fractional_generators(rng, rd.group, rd.p)
+        built = module_from_generators("gens", rd.group, rd.p, gens)
+        assert built._action is None  # the dense view is built on first read
+        assert built.action == dense_bfs_action(rd.group, gens), rd.name
+        assert built.action is built.action
         entries = [row for mat in gens.values() for row in mat]
         dense_rows += sum(sum(1 for x in row if x) > 1 for row in entries)
         fractions += sum(x.denominator == q for row in entries for x in row)
     assert dense_rows and fractions
+
+
+def test_module_character_matches_diagonal_oracle():
+    rng = random.Random(8)
+    for rd in catalog():
+        grp, p = rd.group, rd.p
+        modules = [trivial_module(grp, p, rank=2), regular_module(grp, p)]
+        for _ in range(3):
+            m = random_module(rng, grp, p)
+            modules += [m, random_unit_conjugate(rng, m)]
+        modules.append(module_from_generators("gens", grp, p, _fractional_generators(rng, grp, p)[0]))
+        modules.append(direct_sum(modules[-1], modules[-2]))
+        for m in modules:
+            chi = module_character(m)
+            assert chi == trace_diagonals(grp, m.action), (rd.name, m.name)
+            assert trace_character(grp, m.action) == chi
+
+
+def test_block_builders_match_dense_blocks():
+    # blocks with denominators 3 and 5 (7 where p is one of them) are stacked over their lcm
+    rng = random.Random(10)
+
+    def mixed_sum(grp, p):
+        thirds, fifths = (
+            module_from_generators("m", grp, p, _fractional_generators(rng, grp, p, primes)[0])
+            for primes in ((3, 7), (5, 7))
+        )
+        return thirds, fifths, direct_sum(thirds, fifths)
+
+    dens = set()
+    for rd in catalog():
+        grp, p = rd.group, rd.p
+        thirds, fifths, summed = mixed_sum(grp, p)
+        dens |= {den for den, _ in summed.forms.values()}
+        d1, d2 = thirds.rank, fifths.rank
+        for g in range(grp.order):
+            blocks = ((0, 0, thirds.matrix(g)), (d1, d1, fifths.matrix(g)))
+            assert summed.matrix(g) == place_blocks(d1 + d2, blocks), (rd.name, g)
+        for elems in grp.subgroups():
+            sub = subgroup(grp, elems)
+            hgrp, _, from_sub = sub.as_group()
+            m_sub = mixed_sum(hgrp, p)[2]
+            blocks = {x: m_sub.matrix(i) for i, x in enumerate(from_sub)}
+            assert weil_restriction(m_sub, sub).action == induced_action(sub, blocks), rd.name
+    assert {15, 21, 35} <= dens
+
+
+def test_builders_and_conductor_make_no_dense_matrix(monkeypatch):
+    rng = random.Random(9)
+    inputs = []
+    for rd in catalog():
+        grp = rd.group
+        action = random_module(rng, grp, rd.p).action
+        gens = {s: action[s] for s in grp.generating_set()}
+        sub = subgroup(grp, grp.subgroups()[len(grp.subgroups()) // 2])
+        inputs.append((rd, gens, sub, sub.as_group()[0]))
+    # module_from_generators reads each given generator once with as_matrix;
+    # nothing on the path converts a matrix per group element
+    calls = {"as_matrix": 0, "from_sparse": 0}
+    for module in (linalg, conductors):
+        for name in calls:
+
+            def counted(*args, name=name, real=getattr(module, name)):
+                calls[name] += 1
+                return real(*args)
+
+            monkeypatch.setattr(module, name, counted)
+    for rd, gens, sub, hgrp in inputs:
+        p = rd.p
+        modules = [
+            module_from_generators("gens", rd.group, p, gens),
+            permutation_module(sub, p),
+            weil_restriction(trivial_module(hgrp, p, rank=2), sub),
+            weil_restriction(regular_module(hgrp, p), sub),
+        ]
+        for m in modules:
+            conductor(m, rd)
+    assert calls == {"as_matrix": sum(len(gens) for _, gens, _, _ in inputs), "from_sparse": 0}
 
 
 @pytest.mark.parametrize("entry", [-1.0, "-1", True, CycloNum.from_rational(-1)])

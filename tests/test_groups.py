@@ -2,8 +2,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from ramcond.catalog import catalog
 from ramcond.errors import InputError
 from ramcond.groups import (
+    FiniteGroup,
     conjugacy_classes,
     make_cyclic,
     make_from_table,
@@ -110,6 +112,16 @@ def test_as_group_reindexes():
     assert hgrp.order == 3
     assert from_sub == (0, 2, 4)
     assert hgrp.mult(to_sub[2], to_sub[4]) == to_sub[0]
+
+
+def test_as_group_equals_the_validated_group():
+    # as_group trusts the parent's checks; the full validation must agree with it
+    for group in {rd.group.name: rd.group for rd in catalog()}.values():
+        for elems in group.subgroups():
+            hgrp, _, _ = subgroup(group, elems).as_group()
+            checked = FiniteGroup(hgrp.table, name=hgrp.name)
+            assert hgrp == checked and hgrp.order == checked.order
+            assert hgrp._inv == checked._inv, (group.name, elems)
 
 
 @given(st.integers(1, 10), st.integers(1, 4))

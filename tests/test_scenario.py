@@ -4,6 +4,8 @@ import pytest
 
 from ramcond.errors import InputError
 from ramcond.scenario import (
+    GROUP_ORDER_BOUND,
+    TRIVIAL_RANK_BOUND,
     parse_rational,
     parse_scenario,
     parse_series_expression,
@@ -47,6 +49,18 @@ def test_scenario_rejects_unknown_keys():
         parse_scenario(minimal(surprise=1))
     with pytest.raises(InputError):
         parse_scenario(minimal(modules=[{"name": "m", "kind": "regular", "junk": 0}]))
+
+
+def test_scenario_size_budgets_admit_their_bounds():
+    # one past each bound exits 2: see tests/test_cli.py::test_malformed_scenario_field_exit_2
+    trivial = {"name": "t", "kind": "trivial", "rank": TRIVIAL_RANK_BOUND}
+    sc = parse_scenario(minimal(prime=3, group={"cyclic": GROUP_ORDER_BOUND}, modules=[trivial]))
+    assert sc.group.order == GROUP_ORDER_BOUND
+    assert sc.modules["t"].rank == TRIVIAL_RANK_BOUND
+    factors = [{"cyclic": 2}] * 7  # (C2)^7, one wild step at p = 2
+    wild = [list(range(GROUP_ORDER_BOUND))]
+    sc = parse_scenario(minimal(group={"product": factors}, filtration=wild, omega=None))
+    assert sc.group.order == GROUP_ORDER_BOUND
 
 
 def test_scenario_product_group_and_modules():
