@@ -83,7 +83,7 @@ class ClassFunction:
         """
         form = self._form
         if form is None:
-            den = lcm(*(c.denominator for v in self.values for c in v.coeffs))
+            den = lcm(*[c.denominator for v in self.values for c in v.coeffs])
             rows = tuple(
                 tuple(c.numerator * (den // c.denominator) for c in v.coeffs)
                 for v in self.values

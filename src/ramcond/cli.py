@@ -27,6 +27,8 @@ from .verify import run_catalog_suites, run_random_bisection
 
 # display decimals come from double precision; more digits show only noise
 MAX_DECIMAL_DIGITS = 100
+# one randomized bisection check takes about 5.5 ms, so 10,000 about 55 s
+RANDOM_CHECKS_BOUND = 10_000
 
 
 def _decimal(value, digits):
@@ -66,7 +68,7 @@ def _emit(report, args):
             print(f"[{name}]")
             headers = _headers(table)
             widths = [
-                max(len(h), *(len(str(row.get(h, ""))) for row in table))
+                max(len(h), *[len(str(row.get(h, ""))) for row in table])
                 for h in headers
             ]
             print("  " + "  ".join(h.ljust(w) for h, w in zip(headers, widths)))
@@ -210,13 +212,15 @@ def cmd_weil(args):
     return 0 if all_ok else 1
 
 
-def _int_arg(flag, text, minimum=None):
+def _int_arg(flag, text, minimum=None, maximum=None):
     try:
         value = int(text)
     except ValueError:
         raise InputError(f"{flag} needs an integer, got {text!r}") from None
     if minimum is not None and value < minimum:
         raise InputError(f"{flag} must be at least {minimum}, got {value}")
+    if maximum is not None and value > maximum:
+        raise InputError(f"{flag} must be at most {maximum}, got {value}")
     return value
 
 
@@ -226,7 +230,8 @@ def cmd_verify(args):
     if args.random:
         seed, count = args.random
         results += run_random_bisection(
-            _int_arg("--random SEED", seed), _int_arg("--random N", count, minimum=1)
+            _int_arg("--random SEED", seed),
+            _int_arg("--random N", count, minimum=1, maximum=RANDOM_CHECKS_BOUND),
         )
     if args.catalog or not args.random:
         results = run_catalog_suites() + results

@@ -191,7 +191,7 @@ def _stack_forms(placed):
     lowest terms because each block's form is, so it is the one
     :func:`~ramcond.linalg.sparse_rows` form of the matrix.
     """
-    den = lcm(*(form[0] for _, form in placed))
+    den = lcm(*[form[0] for _, form in placed])
     rows = []
     for offset, (block_den, block_rows) in placed:
         k = den // block_den

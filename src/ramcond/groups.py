@@ -59,6 +59,7 @@ class FiniteGroup:
 
         :meth:`Subgroup.as_group` builds its re-indexed group this way: the
         subgroup is checked closed, and associativity holds in the parent.
+        So does :func:`make_product`, from two groups.
         """
         self = object.__new__(cls)
         self._set(table, name, inverses)
@@ -155,7 +156,11 @@ def make_cyclic(n):
 
 
 def make_product(g, h):
-    """Direct product; id of (a, b) is a*|H| + b."""
+    """Direct product; id of (a, b) is a*|H| + b.
+
+    The factors are groups, so their product is one and is not re-checked;
+    the inverse of (a, b) is (a^-1, b^-1).
+    """
     n, m = g.order, h.order
     table = []
     for a1 in range(n):
@@ -165,7 +170,8 @@ def make_product(g, h):
                 for b2 in range(m):
                     row.append(g.table[a1][a2] * m + h.table[b1][b2])
             table.append(tuple(row))
-    return FiniteGroup(tuple(table), name=f"{g.name}x{h.name}")
+    inverses = tuple(g._inv[a] * m + h._inv[b] for a in range(n) for b in range(m))
+    return FiniteGroup._from_checked(tuple(table), f"{g.name}x{h.name}", inverses)
 
 
 def make_from_table(table, name="G"):

@@ -63,7 +63,7 @@ def sparse_rows(a):
     bad = [x for row in rows for _, x in row if not isinstance(x, (int, Fraction))]
     if bad:
         raise _not_rational(bad[0])
-    den = lcm(*(x.denominator for row in rows for _, x in row))
+    den = lcm(*[x.denominator for row in rows for _, x in row])
     return den, tuple(
         {j: x.numerator * (den // x.denominator) for j, x in row} for row in rows
     )
@@ -87,7 +87,7 @@ def sparse_mul(a, b):
         rows.append({j: v for j, v in acc.items() if v})
     den = den_a * den_b
     if den != 1:
-        g = gcd(den, *(v for row in rows for v in row.values()))
+        g = gcd(den, *[v for row in rows for v in row.values()])
         if g != 1:
             den //= g
             rows = [{j: v // g for j, v in row.items()} for row in rows]
@@ -186,7 +186,7 @@ def _int_rows(a):
     """Scale each row to integers (kernel and row span are unchanged)."""
     out = []
     for row in as_matrix(a):
-        scale = lcm(*(x.denominator for x in row)) if row else 1
+        scale = lcm(*[x.denominator for x in row]) if row else 1
         out.append([int(x * scale) for x in row])
     return out
 

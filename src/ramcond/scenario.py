@@ -46,8 +46,11 @@ __all__ = [
 
 # Size budgets.  A Cayley table of order 128 is built and validated in about
 # 0.2 s.  A trivial module of rank 16 induced from the trivial subgroup of
-# such a group has rank 2048; with its conductors it takes about 1 s.
+# such a group has rank 2048; with its conductors it takes about 1 s.  Seven
+# factors of order 2 already reach order 128, and factors of order 1 add
+# nothing to the order, so a product takes at most log2(128) = 7 factors.
 GROUP_ORDER_BOUND = 128
+PRODUCT_FACTOR_BOUND = 7
 TRIVIAL_RANK_BOUND = 16
 
 
@@ -118,6 +121,10 @@ def _parse_group(spec):
         factors = spec["product"]
         if not isinstance(factors, list) or len(factors) < 2:
             raise InputError("group.product needs at least two factors")
+        if len(factors) > PRODUCT_FACTOR_BOUND:
+            raise InputError(
+                f"group.product takes at most {PRODUCT_FACTOR_BOUND} factors, got {len(factors)}"
+            )
         grp = _parse_group(factors[0])
         for sub in factors[1:]:
             factor = _parse_group(sub)

@@ -15,10 +15,13 @@ a p-integral rational.
 
 Products run on integers.  Each series builds its product form once, on
 first use as a factor: one common denominator and the numerators grouped by
-total degree.  A product visits only degree pairs d1 + d2 <= D, adds integer
-products and divides once per output coefficient.  Series are immutable, so
-the form never goes stale.  The binomial coefficients of [r] come from the
-recurrence c_k = c_(k-1) (r - k + 1) / k; [r](f) is evaluated degree by
+total degree, keyed by the packed exponent.  Series are immutable, so the
+form never goes stale.  One loop, :func:`_mul_forms`, multiplies two forms:
+it visits only degree pairs d1 + d2 <= D and adds integer products.  A
+series product divides once per output coefficient; Weierstrass division
+multiplies, shifts and adds forms from start to end and builds one series,
+its quotient, after the loop.  The binomial coefficients of [r] come from
+the recurrence c_k = c_(k-1) (r - k + 1) / k; [r](f) is evaluated degree by
 degree from a recurrence on (1 + f)^r, see :func:`endo_apply`.
 
 Budgets: the degree cap D is at most DEGREE_CAP_BOUND = 32, the valuation
@@ -182,25 +185,25 @@ class MixedSeries:
     def _product_form(self):
         """(den, buckets): the coefficients over one common denominator.
 
-        ``den`` is the lcm of the coefficient denominators.  ``buckets`` lists
-        (d, terms) by ascending total degree d, each term a pair (key, n) with
-        coefficient n/den.  The key packs the exponent in base cap + 1, so
-        adding two keys whose degrees sum to at most cap adds the exponents.
+        ``den`` is the lcm of the coefficient denominators and ``buckets``
+        the terms (key, n), coefficient n/den, grouped by total degree (see
+        :func:`_buckets`).  The key packs the exponent in base cap + 1, the
+        exponent of variable i as digit i, so adding two keys whose degrees
+        sum to at most cap adds the exponents.
         """
         form = self._form
         if form is None:
             coeffs = self.coeffs
-            den = lcm(*(c.denominator for c in coeffs.values()))
-            base = self.ring.degree_cap + 1
-            by_degree = {}
+            den = lcm(*[c.denominator for c in coeffs.values()])
+            ring = self.ring
+            base = ring.degree_cap + 1
+            terms = []
             for expo, c in coeffs.items():
                 key = 0
                 for e in reversed(expo):
                     key = key * base + e
-                by_degree.setdefault(sum(expo), []).append(
-                    (key, c.numerator * (den // c.denominator))
-                )
-            form = (den, sorted(by_degree.items()))
+                terms.append((key, c.numerator * (den // c.denominator)))
+            form = (den, _buckets(base, terms))
             object.__setattr__(self, "_form", form)
         return form
 
@@ -249,20 +252,8 @@ class MixedSeries:
             return NotImplemented
         self._check_ring(other)
         ring = self.ring
-        cap = ring.degree_cap
-        den_a, buckets_a = self._product_form()
-        den_b, buckets_b = other._product_form()
-        acc = {}
-        get = acc.get
-        for d1, terms1 in buckets_a:
-            for d2, terms2 in buckets_b:
-                if d1 + d2 > cap:
-                    break
-                for k1, n1 in terms1:
-                    for k2, n2 in terms2:
-                        k = k1 + k2
-                        acc[k] = get(k, 0) + n1 * n2
-        return MixedSeries._clean(ring, _unpack(ring, den_a * den_b, acc, {}))
+        den, acc = _mul_forms(ring.degree_cap, self._product_form(), other._product_form())
+        return MixedSeries._clean(ring, _unpack(ring, den, acc.items(), {}))
 
     __rmul__ = __mul__
 
@@ -292,12 +283,52 @@ class MixedSeries:
         return f"MixedSeries({self.ring!r}, {dict(self.terms())!r})"
 
 
-def _unpack(ring, den, acc, out):
-    """Add to ``out`` the terms n/den of ``acc``, a map from packed keys (see
-    :meth:`MixedSeries._product_form`) to integers; zeros are left out."""
+def _mul_forms(cap, fa, fb):
+    """The product of two product forms as (den, {key: numerator}).
+
+    This is the one series product loop.  It visits only the degree bucket
+    pairs d1 + d2 <= cap and adds integer products; numerators that cancel
+    to zero stay in the map.
+    """
+    den_a, buckets_a = fa
+    den_b, buckets_b = fb
+    acc = {}
+    get = acc.get
+    for d1, terms1 in buckets_a:
+        for d2, terms2 in buckets_b:
+            if d1 + d2 > cap:
+                break
+            for k1, n1 in terms1:
+                for k2, n2 in terms2:
+                    k = k1 + k2
+                    acc[k] = get(k, 0) + n1 * n2
+    return den_a * den_b, acc
+
+
+def _buckets(base, terms):
+    """Group (key, n) pairs into (d, terms) by ascending total degree d.
+
+    d is the digit sum of the key in ``base``.  Keys carry no degree digit,
+    so they stay small: in two variables up to cap 15 every key is below
+    257, and Python allocates no int for the sum of two such keys.
+    """
+    by_degree = {}
+    for term in terms:
+        k = term[0]
+        d = 0
+        while k:
+            k, e = divmod(k, base)
+            d += e
+        by_degree.setdefault(d, []).append(term)
+    return sorted(by_degree.items())
+
+
+def _unpack(ring, den, terms, out):
+    """Add to ``out`` the coefficients n/den of the (key, n) pairs ``terms``
+    (keys as in :meth:`MixedSeries._product_form`); zeros are left out."""
     base = ring.degree_cap + 1
     nvars = len(ring.variables)
-    for k, n in acc.items():
+    for k, n in terms:
         if n:
             expo = []
             for _ in range(nvars):
@@ -406,13 +437,16 @@ def _z_low(f, zi, n):
     return MixedSeries._clean(f.ring, {e: c for e, c in f.coeffs.items() if e[zi] < n})
 
 
-def _z_shift_down(f, zi, n):
-    out = {}
-    for e, c in f.coeffs.items():
-        if e[zi] >= n:
-            shifted = tuple(x - n if j == zi else x for j, x in enumerate(e))
-            out[shifted] = c
-    return MixedSeries._clean(f.ring, out)
+def _z_shift_down(ring, zi, n, terms):
+    """Divide the (key, n) pairs ``terms`` by z^n, z the variable ``zi``.
+
+    Returns {key: n}.  A key whose z digit, key // base**zi % base, is at
+    least n loses n from that digit; other keys and zero numerators are
+    dropped.
+    """
+    base = ring.degree_cap + 1
+    unit = base**zi
+    return {k - n * unit: c for k, c in terms if c and k // unit % base >= n}
 
 
 def _unit_inverse(b):
@@ -440,6 +474,13 @@ def weierstrass_divide(g, f, z, val_bound=32):
     certified_valuation = +inf) or has Gauss valuation >= val_bound (the
     certified p-adic precision of the reported pair).  val_bound must be an
     integer in 1..VAL_BOUND_MAX.
+
+    With f = a + z^n b, deg_z a < n, the loop starts from q = delta =
+    b^-1 (g / z^n) and steps delta <- -b^-1 (delta a / z^n), q <- q + delta,
+    where / z^n drops the terms of z-degree below n.  It runs on product
+    forms (see :func:`_mul_forms`) and never builds a series: every form it
+    multiplies is in lowest terms, q accumulates over the lcm of the
+    denominators of the deltas, and q becomes a series once, at the end.
     """
     if type(val_bound) is not int or not 1 <= val_bound <= VAL_BOUND_MAX:
         raise InputError(f"val_bound must be an integer in 1..{VAL_BOUND_MAX}, got {val_bound!r}")
@@ -448,36 +489,72 @@ def weierstrass_divide(g, f, z, val_bound=32):
     ok, n = is_distinguished(f, z)
     if not ok:
         raise InputError(f"divisor is not distinguished in {z}")
-    zi = f.ring.index_of(z)
-    a = _z_low(f, zi, n)
-    b = _z_shift_down(f, zi, n)
-    binv = _unit_inverse(b)
+    ring = f.ring
+    cap = ring.degree_cap
+    base = cap + 1
+    zi = ring.index_of(z)
+    a = _z_low(f, zi, n)._product_form()
+    den_f, buckets_f = f._product_form()
+    b = _unpack(ring, den_f, _z_shift_down(ring, zi, n, _flat(buckets_f)).items(), {})
+    binv = _unit_inverse(MixedSeries._clean(ring, b))._product_form()
 
-    tg = _z_shift_down(g, zi, n)
-    delta = binv * tg
-    q = delta
+    den_g, buckets_g = g._product_form()
+    den, tg, _ = _lowest_terms(den_g, _z_shift_down(ring, zi, n, _flat(buckets_g)))
+    den, delta, _ = _lowest_terms(*_mul_forms(cap, binv, (den, _buckets(base, tg))))
+    q_den, q = den, dict(delta)
     certified = inf
     vg = gauss_valuation(g)
     headroom = -vg if (not g.is_zero() and vg < 0) else 0
-    max_iter = val_bound + 2 * f.ring.degree_cap + headroom + 64
+    max_iter = val_bound + 2 * cap + headroom + 64
     for _ in range(max_iter):
-        if delta.is_zero():
+        if not delta:
             certified = inf
             break
-        delta = -(binv * _z_shift_down(delta * a, zi, n))
-        if delta.is_zero():
+        den, acc = _mul_forms(cap, (den, _buckets(base, delta)), a)
+        den, shifted, _ = _lowest_terms(den, _z_shift_down(ring, zi, n, acc.items()))
+        den, acc = _mul_forms(cap, binv, (den, _buckets(base, shifted)))
+        den, delta, g_delta = _lowest_terms(den, acc, -1)
+        if not delta:
             certified = inf
             break
-        q = q + delta
-        if gauss_valuation(delta) >= val_bound:
+        new_den = lcm(q_den, den)
+        if new_den != q_den:
+            scale = new_den // q_den
+            q = {k: c * scale for k, c in q.items()}
+            q_den = new_den
+        scale = q_den // den
+        get = q.get
+        for k, c in delta:
+            q[k] = get(k, 0) + c * scale
+        if p_valuation(Fraction(g_delta, den), ring.p) >= val_bound:
             certified = val_bound
             break
     else:
         raise CheckFailure("weierstrass division failed to stabilize")
 
+    q = MixedSeries._clean(ring, _unpack(ring, q_den, q.items(), {}))
     remainder_full = g - q * f
     r = _z_low(remainder_full, zi, n)
     return WeierstrassResult(q, r, certified)
+
+
+def _flat(buckets):
+    return [term for _, terms in buckets for term in terms]
+
+
+def _lowest_terms(den, acc, sign=1):
+    """(den, terms, g): ``sign`` times the form {key: n} over den, in lowest terms.
+
+    den and every numerator are divided by their gcd h; ``terms`` lists the
+    nonzero (key, n) pairs and g is the gcd of the new numerators.  The
+    Gauss valuation of the form is v_p(g) - v_p(den).  Zero is (1, [], 0).
+    """
+    g = gcd(*acc.values())
+    if not g:
+        return 1, [], 0
+    h = gcd(den, g)
+    s = sign * h
+    return den // h, [(k, c // s) for k, c in acc.items() if c], g // h
 
 
 # ---------------------------------------------------------------------------
@@ -530,7 +607,7 @@ def endo_apply(r, f):
     out = {}
     for n in range(1, ring.degree_cap + 1):
         pairs = [(k, terms, parts[n - k]) for k, terms in buckets if k <= n and parts[n - k][1]]
-        den = lcm(*(d for _, _, (d, _) in pairs))
+        den = lcm(*[d for _, _, (d, _) in pairs])
         acc = {}
         get = acc.get
         for k, terms, (d, numerators) in pairs:
@@ -543,9 +620,9 @@ def endo_apply(r, f):
         acc = {key: v for key, v in acc.items() if v}
         den *= n * b * den_f
         g = gcd(den, *acc.values())
-        part = (den // g, {key: v // g for key, v in acc.items()})
-        parts.append(part)
-        _unpack(ring, *part, out)
+        numerators = {key: v // g for key, v in acc.items()}
+        parts.append((den // g, numerators))
+        _unpack(ring, den // g, numerators.items(), out)
     return MixedSeries._clean(ring, out)
 
 
@@ -595,11 +672,12 @@ def substitute(f, images):
 
     out = MixedSeries.zero(ring)
     for expo, c in f.terms():
-        term = MixedSeries.const(ring, c)
+        term = None
         for name, e in zip(names, expo):
             if e:
-                term = term * var_power(name, e)
-        out = out + term
+                power = var_power(name, e)
+                term = power if term is None else term * power
+        out = out + (MixedSeries.const(ring, c) if term is None else term * c)
     return out
 
 

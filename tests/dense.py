@@ -5,15 +5,27 @@ The matrix product and inverse check the sparse matrix forms of
 and the block builders that ``ramcond.characters`` and
 ``ramcond.conductors`` run on those forms; the pairing and induction,
 summed in ``Fraction`` and ``CycloNum`` arithmetic, check the integer
-class-function form of ``ramcond.characters``.
+class-function form of ``ramcond.characters``; the Weierstrass division on
+``Fraction`` series checks the one that ``ramcond.series`` runs on integer
+product forms.
 """
 
 from fractions import Fraction
+from math import inf
 
 from ramcond.characters import ClassFunction
 from ramcond.errors import CheckFailure, InputError
 from ramcond.exact import CycloNum
 from ramcond.linalg import as_matrix, identity_matrix, rref
+from ramcond.series import (
+    VAL_BOUND_MAX,
+    MixedSeries,
+    WeierstrassResult,
+    _unit_inverse,
+    _z_low,
+    gauss_valuation,
+    is_distinguished,
+)
 
 
 def mat_mul(a, b):
@@ -102,3 +114,54 @@ def induce_sum(f, sub):
                 acc = acc + f.values[to_sub[c]]
         values.append(acc * Fraction(1, sub.order))
     return ClassFunction(grp, values)
+
+
+def z_shift_down(f, zi, n):
+    """The terms of f of z-degree at least n, divided by z^n, z the variable ``zi``."""
+    out = {}
+    for e, c in f.coeffs.items():
+        if e[zi] >= n:
+            shifted = tuple(x - n if j == zi else x for j, x in enumerate(e))
+            out[shifted] = c
+    return MixedSeries._clean(f.ring, out)
+
+
+def weierstrass_divide(g, f, z, val_bound=32):
+    """``weierstrass_divide`` with every step in ``Fraction`` series arithmetic."""
+    if type(val_bound) is not int or not 1 <= val_bound <= VAL_BOUND_MAX:
+        raise InputError(f"val_bound must be an integer in 1..{VAL_BOUND_MAX}, got {val_bound!r}")
+    if g.ring != f.ring:
+        raise InputError("series ring spec mismatch")
+    ok, n = is_distinguished(f, z)
+    if not ok:
+        raise InputError(f"divisor is not distinguished in {z}")
+    zi = f.ring.index_of(z)
+    a = _z_low(f, zi, n)
+    b = z_shift_down(f, zi, n)
+    binv = _unit_inverse(b)
+
+    tg = z_shift_down(g, zi, n)
+    delta = binv * tg
+    q = delta
+    certified = inf
+    vg = gauss_valuation(g)
+    headroom = -vg if (not g.is_zero() and vg < 0) else 0
+    max_iter = val_bound + 2 * f.ring.degree_cap + headroom + 64
+    for _ in range(max_iter):
+        if delta.is_zero():
+            certified = inf
+            break
+        delta = -(binv * z_shift_down(delta * a, zi, n))
+        if delta.is_zero():
+            certified = inf
+            break
+        q = q + delta
+        if gauss_valuation(delta) >= val_bound:
+            certified = val_bound
+            break
+    else:
+        raise CheckFailure("weierstrass division failed to stabilize")
+
+    remainder_full = g - q * f
+    r = _z_low(remainder_full, zi, n)
+    return WeierstrassResult(q, r, certified)

@@ -210,6 +210,8 @@ def test_unreadable_scenario_exit_2(tmp_path, capsys, raw):
         ["series", "wdiv", "--g", "p^-257*Z^3", "--f", "2+Z+Z^2", "--p", "2"],
         # beyond Python's 4,300-digit limit for int()
         ["series", "gauss", "p^" + "9" * 5000 + "*S", "--p", "3"],
+        # beyond the budget of 10,000 randomized checks: refused before any runs
+        ["verify", "--random", "1", "10001"],
     ],
 )
 def test_bad_flag_values_exit_2(capsys, argv):
@@ -299,6 +301,8 @@ class JsonLiteral:
         # beyond the trivial rank budget 16
         ("modules", [{"name": "t", "kind": "trivial", "rank": 17}]),
         ("weil", [{"module": {"name": "u", "kind": "trivial", "rank": 10**6}, "subgroup": [0]}]),
+        # beyond the product budget of 7 factors, even of order 1
+        ("group", {"product": [{"cyclic": 3}] + [{"cyclic": 1}] * 7}),
     ],
 )
 def test_malformed_scenario_field_exit_2(tmp_path, capsys, key, value):

@@ -124,9 +124,22 @@ def test_as_group_equals_the_validated_group():
             assert hgrp._inv == checked._inv, (group.name, elems)
 
 
+def test_make_product_equals_the_validated_group():
+    # make_product trusts its factors; the full validation must agree with it
+    groups = {rd.group.name: rd.group for rd in catalog()}.values()
+    for g in groups:
+        for h in groups:
+            prod = make_product(g, h)
+            checked = FiniteGroup(prod.table, name=prod.name)
+            assert prod == checked and prod.order == g.order * h.order
+            assert prod._inv == checked._inv, prod.name
+
+
 @given(st.integers(1, 10), st.integers(1, 4))
 @settings(max_examples=30, deadline=None)
 def test_product_group_law_valid(n, m):
-    # construction validates associativity, identity and inverses internally
+    # the full validation accepts the product table and finds the same inverses
     g = make_product(make_cyclic(n), make_cyclic(m))
     assert g.order == n * m
+    checked = FiniteGroup(g.table)
+    assert g == checked and g._inv == checked._inv

@@ -38,3 +38,21 @@ def test_imports_only_standard_library(path):
         if top != "ramcond" and top not in sys.stdlib_module_names
     }
     assert foreign == set()
+
+
+def _calls_unpacking_a_generator(path):
+    """Line numbers of calls ``f(*(x for ...))`` in a file."""
+    for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+        if isinstance(node, ast.Call):
+            for arg in node.args:
+                if isinstance(arg, ast.Starred) and isinstance(arg.value, ast.GeneratorExp):
+                    yield node.lineno
+
+
+@pytest.mark.parametrize("path", SOURCES, ids=[p.name for p in SOURCES])
+def test_no_call_unpacks_a_generator(path):
+    # f(*generator) takes its argument tuple from the free list of size 10,
+    # resizes it, and frees it to the list of its final size: each call moves
+    # one tuple between free lists, which then hold up to 2,000 tuples each
+    # until a full collection.  Unpack a list instead.
+    assert list(_calls_unpacking_a_generator(path)) == []

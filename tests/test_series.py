@@ -1,11 +1,14 @@
 import math
 from fractions import Fraction
-from math import factorial
+from math import factorial, gcd
+from unittest import mock
 
+import dense
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from ramcond import series
 from ramcond.errors import CheckFailure, InputError
 from ramcond.groups import make_cyclic
 from ramcond.series import (
@@ -348,6 +351,118 @@ def test_weierstrass_agrees_with_polynomial_division():
         dr = r_w - r_c
         assert dq.is_zero() or gauss_valuation(dq) >= certified
         assert dr.is_zero() or gauss_valuation(dr) >= certified
+
+
+@st.composite
+def division_case(draw):
+    """A z-distinguished f, a dividend g and a small valuation bound.
+
+    One to three variables, one of them z, split between the two blocks;
+    p is 2, 3 or 5.  The coefficients of f are p-integral with denominators
+    1, 7 or 11.  Those of g have denominators 1, 7 or 11 times a power of p
+    up to p^2.  f has a unit coefficient at z^n, p-divisible pure z-terms
+    below it and random terms elsewhere; g has a term of z-degree n or more.
+    """
+    p = draw(st.sampled_from([2, 3, 5]))
+    nvars = draw(st.integers(1, 3))
+    names = ("A", "B", "C")[:nvars]
+    split = draw(st.integers(0, nvars))
+    cap = draw(st.integers(2, 8 if nvars < 3 else 6))
+    ring = SeriesRingSpec(p, s_vars=names[:split], t_vars=names[split:], degree_cap=cap)
+    zi = draw(st.integers(0, nvars - 1))
+    n = draw(st.integers(1, min(3, cap)))
+
+    def coeff(low, high):
+        return st.builds(
+            lambda num, v, den: Fraction(num, den) * Fraction(p) ** v,
+            st.integers(-9, 9).filter(bool),
+            st.integers(low, high),
+            st.sampled_from([1, 7, 11]),
+        )
+
+    expo = st.tuples(*(st.integers(0, cap) for _ in range(nvars))).filter(
+        lambda e: sum(e) <= cap
+    )
+
+    def pure_z(k):
+        return tuple(k if j == zi else 0 for j in range(nvars))
+
+    f = {
+        e: c
+        for e, c in draw(st.dictionaries(expo, coeff(0, 2), max_size=4)).items()
+        if e != pure_z(e[zi]) or e[zi] > n
+    }
+    for k in range(n):
+        f[pure_z(k)] = p * draw(coeff(0, 1))
+    f[pure_z(n)] = Fraction(draw(st.integers(1, 9).filter(lambda u: u % p)), draw(st.sampled_from([1, 7, 11])))
+    g = draw(st.dictionaries(expo, coeff(-2, 2), max_size=4))
+    g[pure_z(draw(st.integers(n, cap)))] = draw(coeff(-2, 2))  # q is not zero
+    return MixedSeries(ring, f), MixedSeries(ring, g), names[zi], draw(st.integers(1, 6))
+
+
+def _in_lowest_terms(form):
+    den, buckets = form
+    return gcd(den, *[num for _, terms in buckets for _, num in terms]) == 1
+
+
+@given(division_case())
+@settings(max_examples=120, deadline=None)
+def test_weierstrass_matches_fraction_oracle(case):
+    """The division on integer forms gives the oracle's q, r and certified valuation.
+
+    Every form that reaches the product kernel is in lowest terms, so the
+    integers stay as small as the oracle's ``Fraction`` coefficients.
+    """
+    f, g, z, val_bound = case
+    expected = dense.weierstrass_divide(g, f, z, val_bound)
+    kernel = series._mul_forms
+
+    def checked(cap, fa, fb):
+        assert _in_lowest_terms(fa) and _in_lowest_terms(fb)
+        return kernel(cap, fa, fb)
+
+    with mock.patch.object(series, "_mul_forms", checked):
+        q, r, certified = weierstrass_divide(g, f, z, val_bound)
+    assert q.coeffs == expected.q.coeffs
+    assert r.coeffs == expected.r.coeffs
+    assert certified == expected.certified_valuation
+    assert_clean(q)
+    assert_clean(r)
+
+
+def test_weierstrass_series_products_do_not_grow_with_iterations(monkeypatch):
+    """The division loop multiplies forms only: MixedSeries.__mul__ runs the
+    same number of times whatever the number of iterations."""
+    z, s = zvar(), zvar("S")
+    f = 2 * z**3 + z * z * Fraction(1, 5) + 2 * z + 2
+    g = z**4 * Fraction(1, 4) + s * z**3 * Fraction(3, 7) + 1
+    series_mul, kernel = MixedSeries.__mul__, series._mul_forms
+    counts = {"mul": 0, "kernel": 0}
+
+    def counting_mul(a, b):
+        if isinstance(b, MixedSeries):
+            counts["mul"] += 1
+        return series_mul(a, b)
+
+    def counting_kernel(cap, fa, fb):
+        assert _in_lowest_terms(fa) and _in_lowest_terms(fb)
+        counts["kernel"] += 1
+        return kernel(cap, fa, fb)
+
+    monkeypatch.setattr(MixedSeries, "__mul__", counting_mul)
+    monkeypatch.setattr(series, "_mul_forms", counting_kernel)
+    seen = []
+    for val_bound in (1, 4, 12, 24):
+        counts.update(mul=0, kernel=0)
+        result = weierstrass_divide(g, f, "Z", val_bound)
+        seen.append((counts["mul"], counts["kernel"]))
+        assert result.certified_valuation == val_bound
+        assert result == dense.weierstrass_divide(g, f, "Z", val_bound)
+    assert len({m for m, _ in seen}) == 1
+    # the start and two products per iteration: 1 + 2 * iterations
+    loop_products = [k - m for m, k in seen]
+    assert all(x % 2 == 1 for x in loop_products)
+    assert loop_products == sorted(set(loop_products))
 
 
 ENDO2 = SeriesRingSpec(2, s_vars=("T",), degree_cap=12)
