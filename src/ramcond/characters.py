@@ -14,7 +14,7 @@ from math import lcm
 from .errors import CheckFailure, InputError
 from .exact import CycloNum
 from .groups import Subgroup, conjugacy_classes
-from .linalg import identity_form, identity_matrix, sparse_mul, sparse_rows
+from .linalg import identity_form, sparse_mul
 
 __all__ = [
     "ClassFunction",
@@ -26,9 +26,7 @@ __all__ = [
     "restrict",
     "check_shapes",
     "check_forms",
-    "check_action",
     "trace_forms",
-    "trace_character",
     "artin_conductor",
 ]
 
@@ -249,21 +247,6 @@ def check_forms(group, forms):
                     raise InputError(f"action is not a homomorphism at ({g}, {s})")
 
 
-def check_action(group, action):
-    """Check that a matrix action is a homomorphism and return its rank.
-
-    Every element maps to a square matrix of one rank (:func:`check_shapes`),
-    entries are rational, and the forms of the matrices pass
-    :func:`check_forms`.  The identity is compared densely first, so a wrong
-    identity is named before a non-rational entry.
-    """
-    d = check_shapes(group, action)
-    if d > 0 and action[0] != identity_matrix(d):
-        raise InputError("identity must act by the identity matrix")
-    check_forms(group, {g: sparse_rows(m) for g, m in action.items()})
-    return d
-
-
 def trace_forms(group, forms):
     """Trace character of an action given by the forms of its matrices.
 
@@ -275,11 +258,6 @@ def trace_forms(group, forms):
         den, rows = forms[g]
         values.append(Fraction(sum(row.get(i, 0) for i, row in enumerate(rows)), den))
     return ClassFunction(group, values, verified=True)
-
-
-def trace_character(group, action):
-    """Trace character of an action checked by :func:`check_action`, read on the forms of its matrices."""
-    return trace_forms(group, {g: sparse_rows(action[g]) for g in range(group.order)})
 
 
 def artin_conductor(rd, chi):

@@ -261,7 +261,22 @@ class Conductor:
 
 
 def conductor(m, rd):
-    """The base change conductor as the bisection/character pairing."""
+    """The base change conductor as the bisection/character pairing.
+
+    The pairing (bA, chi_M) is rational when ``rd`` comes from
+    :func:`~ramcond.ramification.ram_data`.  Let sigma_k fix Q and send
+    zeta_n to zeta_n^k, gcd(k, n) = 1.  As gcd(n, p) = 1, there is k' with
+    k' = k mod n and k' = 1 mod p.  Then k' is prime to |G| = n |Gamma_1|, so
+    s -> s^k' is a bijection of G with <s^k'> = <s>; it maps every Gamma_j
+    onto itself and keeps i(s).  Since omega is a homomorphism to the n-th
+    roots of unity, sigma_k(bA(s)) = bA(s^k') on tame, wild and identity
+    values alike.  The eigenvalues of M(s) are |G|-th roots of unity, so
+    chi_M(s^k') = tau(chi_M(s)) for tau: zeta -> zeta^k' on Q(zeta_|G|);
+    chi_M(s) is rational, so chi_M(s^k') = chi_M(s).  Summing over t = s^k'
+    gives sigma_k((bA, chi_M)) = (bA, chi_M), so the pairing is fixed by
+    Gal(Q(zeta_n)/Q) and lies in Q.  The CheckFailure below guards
+    hand-built :class:`~ramcond.ramification.RamData` only.
+    """
     if m.group != rd.group:
         raise InputError("module and ramification data live on different groups")
     if m.p != rd.p:

@@ -20,9 +20,10 @@ form never goes stale.  One loop, :func:`_mul_forms`, multiplies two forms:
 it visits only degree pairs d1 + d2 <= D and adds integer products.  A
 series product divides once per output coefficient; Weierstrass division
 multiplies, shifts and adds forms from start to end and builds one series,
-its quotient, after the loop.  The binomial coefficients of [r] come from
-the recurrence c_k = c_(k-1) (r - k + 1) / k; [r](f) is evaluated degree by
-degree from a recurrence on (1 + f)^r, see :func:`endo_apply`.
+its quotient, after the loop.  Every power (1 + u)^r of a series u with
+u(0) = 0 comes from one recurrence, degree by degree, in :func:`endo_apply`:
+[r](f), the expansion [r](T) of :func:`mult_endo`, and (r = -1) the inverse
+of the unit part of a Weierstrass divisor.
 
 Budgets: the degree cap D is at most DEGREE_CAP_BOUND = 32, the valuation
 bound of Weierstrass division lies in 1..VAL_BOUND_MAX = 256 and an exponent
@@ -450,19 +451,16 @@ def _z_shift_down(ring, zi, n, terms):
 
 
 def _unit_inverse(b):
-    """Invert a series whose all-variables constant term is a nonzero rational."""
+    """Invert a series whose all-variables constant term c0 is a nonzero rational.
+
+    b = c0 (1 + u) with u(0) = 0, so b^-1 = ([-1](u) + 1) / c0, evaluated by
+    :func:`endo_apply` in any number of variables.
+    """
     c0 = b.constant_term()
     if c0 == 0:
         raise CheckFailure("series inversion: constant term vanishes")
-    h = MixedSeries.const(b.ring, 1) - b * (Fraction(1) / c0)
-    out = MixedSeries.const(b.ring, 1)
-    power = MixedSeries.const(b.ring, 1)
-    for _ in range(b.ring.degree_cap):
-        power = power * h
-        if power.is_zero():
-            break
-        out = out + power
-    return out * (Fraction(1) / c0)
+    scale = 1 / c0
+    return (endo_apply(-1, b * scale - 1) + 1) * scale
 
 
 def weierstrass_divide(g, f, z, val_bound=32):
@@ -566,23 +564,14 @@ def mult_endo(r, ring):
 
     r must be a p-integral rational (a p-adic integer presented exactly); the
     expansion coefficients are then p-adic integers too, which is asserted.
-    The binomial coefficients come from c_k = c_(k-1) (r - k + 1) / k.
+    The series is :func:`endo_apply` of r on the variable T.
     """
     if len(ring.variables) != 1:
         raise InputError("mult_endo needs a single-variable ring")
-    r = Fraction(r)
-    if p_valuation(r, ring.p) < 0:
-        raise InputError(f"{r} is not a p-adic integer for p={ring.p}")
-    out = {}
-    c = Fraction(1)
-    for k in range(1, ring.degree_cap + 1):
-        c = c * (r - k + 1) / k
-        if c == 0:
-            break  # r is a natural number below k: every later coefficient vanishes
-        if p_valuation(c, ring.p) < 0:
-            raise CheckFailure("binomial coefficient of a p-adic integer not integral")
-        out[(k,)] = c
-    return MixedSeries._clean(ring, out)
+    out = endo_apply(r, MixedSeries.variable(ring, ring.variables[0]))
+    if not is_lattice_member(out):
+        raise CheckFailure("binomial coefficient of a p-adic integer not integral")
+    return out
 
 
 def endo_apply(r, f):

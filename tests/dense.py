@@ -7,7 +7,9 @@ and the block builders that ``ramcond.characters`` and
 summed in ``Fraction`` and ``CycloNum`` arithmetic, check the integer
 class-function form of ``ramcond.characters``; the Weierstrass division on
 ``Fraction`` series checks the one that ``ramcond.series`` runs on integer
-product forms.
+product forms, and the binomial loop and the geometric power sum check the
+one recurrence for (1 + u)^r that ``ramcond.series`` evaluates [r] and unit
+inverses by.
 """
 
 from fractions import Fraction
@@ -15,13 +17,12 @@ from math import inf
 
 from ramcond.characters import ClassFunction
 from ramcond.errors import CheckFailure, InputError
-from ramcond.exact import CycloNum
+from ramcond.exact import CycloNum, p_valuation
 from ramcond.linalg import as_matrix, identity_matrix, rref
 from ramcond.series import (
     VAL_BOUND_MAX,
     MixedSeries,
     WeierstrassResult,
-    _unit_inverse,
     _z_low,
     gauss_valuation,
     is_distinguished,
@@ -126,6 +127,41 @@ def z_shift_down(f, zi, n):
     return MixedSeries._clean(f.ring, out)
 
 
+def mult_endo(r, ring):
+    """[r](T) = (1 + T)^r - 1 by the binomial recurrence c_k = c_(k-1) (r - k + 1) / k."""
+    if len(ring.variables) != 1:
+        raise InputError("mult_endo needs a single-variable ring")
+    r = Fraction(r)
+    if p_valuation(r, ring.p) < 0:
+        raise InputError(f"{r} is not a p-adic integer for p={ring.p}")
+    out = {}
+    c = Fraction(1)
+    for k in range(1, ring.degree_cap + 1):
+        c = c * (r - k + 1) / k
+        if c == 0:
+            break  # r is a natural number below k: every later coefficient vanishes
+        if p_valuation(c, ring.p) < 0:
+            raise CheckFailure("binomial coefficient of a p-adic integer not integral")
+        out[(k,)] = c
+    return MixedSeries._clean(ring, out)
+
+
+def unit_inverse(b):
+    """b^-1 = (1/c0) sum_k h^k with h = 1 - b/c0, summed in ``Fraction`` series arithmetic."""
+    c0 = b.constant_term()
+    if c0 == 0:
+        raise CheckFailure("series inversion: constant term vanishes")
+    h = MixedSeries.const(b.ring, 1) - b * (Fraction(1) / c0)
+    out = MixedSeries.const(b.ring, 1)
+    power = MixedSeries.const(b.ring, 1)
+    for _ in range(b.ring.degree_cap):
+        power = power * h
+        if power.is_zero():
+            break
+        out = out + power
+    return out * (Fraction(1) / c0)
+
+
 def weierstrass_divide(g, f, z, val_bound=32):
     """``weierstrass_divide`` with every step in ``Fraction`` series arithmetic."""
     if type(val_bound) is not int or not 1 <= val_bound <= VAL_BOUND_MAX:
@@ -138,7 +174,7 @@ def weierstrass_divide(g, f, z, val_bound=32):
     zi = f.ring.index_of(z)
     a = _z_low(f, zi, n)
     b = z_shift_down(f, zi, n)
-    binv = _unit_inverse(b)
+    binv = unit_inverse(b)
 
     tg = z_shift_down(g, zi, n)
     delta = binv * tg

@@ -12,16 +12,14 @@ from ramcond.catalog import catalog, random_module, random_unit_conjugate
 from ramcond.characters import (
     ClassFunction,
     artin_conductor,
-    check_action,
     conjugate,
     induce,
     pair,
     regular_character,
     restrict,
-    trace_character,
     trivial_character,
 )
-from ramcond.conductors import regular_module
+from ramcond.conductors import CharModule, module_character, regular_module
 from ramcond.errors import CheckFailure, InputError
 from ramcond.exact import CycloNum, euler_phi
 from ramcond.groups import conjugacy_classes, make_cyclic, make_symmetric, subgroup
@@ -256,15 +254,17 @@ def test_frobenius_reciprocity_randomized():
             assert pair(induce(f, h), chi) == pair(f, restrict(chi, h))
 
 
-# the character of a representation: check_action validates it, trace_character reads it
+# the character of a representation: the public CharModule constructor
+# validates it, module_character reads it
 def test_char_of_rep_regular_c2():
     g = make_cyclic(2)
     rep = {
         0: ((1, 0), (0, 1)),
         1: ((0, 1), (1, 0)),
     }
-    assert check_action(g, rep) == 2
-    chi = trace_character(g, rep)
+    m = CharModule("rep", g, 2, rep)
+    assert m.rank == 2
+    chi = module_character(m)
     assert [v.rational_part()[1] for v in chi.values] == [2, 0]
     assert chi.verified
 
@@ -275,7 +275,7 @@ def test_char_of_rep_cyclotomic_onedim():
     z = CycloNum.zeta(3)
     rep = {0: ((CycloNum.from_rational(1),),), 1: ((z,),), 2: ((z * z,),)}
     with pytest.raises(InputError, match="matrix entries must be int or Fraction, got CycloNum"):
-        check_action(g, rep)
+        CharModule("rep", g, 2, rep)
 
 
 def test_char_of_rep_rational_faithful_c3():
@@ -283,8 +283,9 @@ def test_char_of_rep_rational_faithful_c3():
     m = ((0, -1), (1, -1))
     m2 = ((-1, 1), (-1, 0))
     rep = {0: ((1, 0), (0, 1)), 1: m, 2: m2}
-    assert check_action(g, rep) == 2
-    chi = trace_character(g, rep)
+    module = CharModule("rep", g, 2, rep)
+    assert module.rank == 2
+    chi = module_character(module)
     assert [v.rational_part()[1] for v in chi.values] == [2, -1, -1]
 
 
@@ -292,7 +293,7 @@ def test_char_of_rep_rejects_non_homomorphism():
     g = make_cyclic(3)
     rep = {0: ((1,),), 1: ((2,),), 2: ((3,),)}
     with pytest.raises(InputError):
-        check_action(g, rep)
+        CharModule("rep", g, 2, rep)
 
 
 def test_char_of_rep_block_sum_addition():
@@ -303,16 +304,18 @@ def test_char_of_rep_block_sum_addition():
         0: ((1, 0), (0, 1)),
         1: ((-1, 0), (0, 1)),
     }
-    assert [check_action(g, rep) for rep in (a, b, summed)] == [1, 1, 2]
-    chi_a, chi_b, chi_sum = (trace_character(g, rep) for rep in (a, b, summed))
+    modules = [CharModule("rep", g, 2, rep) for rep in (a, b, summed)]
+    assert [m.rank for m in modules] == [1, 1, 2]
+    chi_a, chi_b, chi_sum = (module_character(m) for m in modules)
     assert chi_sum == chi_a + chi_b
 
 
 def dense_check_action(group, action):
-    """Oracle for check_action on a well-shaped action: dense products on every Cayley edge.
+    """Oracle for the CharModule constructor on a well-shaped p-integral action:
+    dense products on every Cayley edge.
 
     Returns None when the action is a rational homomorphism, else the
-    message check_action must raise.
+    message the constructor must raise.
     """
     if action[0] != identity_matrix(len(action[0])):
         return "identity must act by the identity matrix"
@@ -352,7 +355,7 @@ def _catalog_actions(rd):
     dens = {x.denominator for m in good[-1].values() for row in m for x in row}
     assert dens != {1} and all(den % p for den in dens)
     bad = [_perturbed(rng, a, delta) for delta in (1, Fraction(1, q)) for a in good]
-    return grp, good, bad
+    return grp, p, good, bad
 
 
 def _cyclotomic_actions():
@@ -361,7 +364,7 @@ def _cyclotomic_actions():
     z = CycloNum.zeta(3)
     rep = {0: ((CycloNum.from_rational(1),),), 1: ((z,),), 2: ((z * z,),)}
     bad = [{**rep, 2: ((z,),)}, {**rep, 1: ((z * z,),)}, {**rep, 1: ((z * Fraction(1, 2),),)}]
-    return g, [], [rep, *bad]
+    return g, 2, [], [rep, *bad]
 
 
 @pytest.mark.parametrize(
@@ -370,15 +373,15 @@ def _cyclotomic_actions():
     ids=[*(rd.name for rd in catalog()), "cyclotomic-C3"],
 )
 def test_check_action_matches_dense_oracle(actions):
-    grp, good, bad = actions()
+    grp, p, good, bad = actions()
     for action in good:
         assert dense_check_action(grp, action) is None
-        check_action(grp, action)
+        CharModule("action", grp, p, action)
     for action in bad:
         expected = dense_check_action(grp, action)
         assert expected is not None
         with pytest.raises(InputError) as excinfo:
-            check_action(grp, action)
+            CharModule("action", grp, p, action)
         assert str(excinfo.value) == expected
 
 

@@ -1,3 +1,4 @@
+import dataclasses
 import random
 from fractions import Fraction
 from types import SimpleNamespace
@@ -8,7 +9,6 @@ from dense import induced_action, mat_inv, mat_mul, place_blocks, trace_diagonal
 
 from ramcond import conductors, linalg
 from ramcond.catalog import catalog, random_module, random_unit_conjugate
-from ramcond.characters import trace_character
 from ramcond.conductors import (
     CharModule,
     adapt_lattice,
@@ -139,6 +139,15 @@ def test_conductor_rationality_guard():
         c = conductor(regular_module(rd.group, rd.p), rd)
         assert (c.value * rd.group.order).denominator == 1
         assert c.value >= 0
+
+
+def test_conductor_guard_refuses_hand_built_ramdata():
+    # omega_exp (0, 1, 1) is no homomorphism C3 -> Z/3, so ram_data would
+    # refuse it; the pairing of its bisection with the trivial character is
+    # 2/(3 (zeta_3 - 1)), which is not rational
+    rd = dataclasses.replace(tame_c3(), omega_exp=(0, 1, 1))
+    with pytest.raises(CheckFailure, match="conductor pairing is not rational"):
+        conductor(trivial_module(rd.group, rd.p), rd)
 
 
 def test_weil_restriction_examples():
@@ -523,7 +532,7 @@ def test_module_character_matches_diagonal_oracle():
         for m in modules:
             chi = module_character(m)
             assert chi == trace_diagonals(grp, m.action), (rd.name, m.name)
-            assert trace_character(grp, m.action) == chi
+            assert module_character(CharModule(m.name, grp, p, m.action)) == chi
 
 
 def test_block_builders_match_dense_blocks():

@@ -1,4 +1,5 @@
 import math
+import re
 from fractions import Fraction
 from math import factorial, gcd
 from unittest import mock
@@ -465,6 +466,52 @@ def test_weierstrass_series_products_do_not_grow_with_iterations(monkeypatch):
     assert loop_products == sorted(set(loop_products))
 
 
+@st.composite
+def unit_case(draw):
+    """A unit b = c0 + (terms of positive degree), c0 != 0.
+
+    One to three variables split between the two blocks, cap 1..16, p 2 or
+    3.  c0 and the other coefficients have denominators 1, 5, 7 or 11 times
+    a power of p between p^-2 and p^2.
+    """
+    p = draw(st.sampled_from([2, 3]))
+    nvars = draw(st.integers(1, 3))
+    names = ("A", "B", "C")[:nvars]
+    split = draw(st.integers(0, nvars))
+    cap = draw(st.integers(1, 16))
+    ring = SeriesRingSpec(p, s_vars=names[:split], t_vars=names[split:], degree_cap=cap)
+    coeff = st.builds(
+        lambda num, v, den: Fraction(num, den) * Fraction(p) ** v,
+        st.integers(-9, 9).filter(bool),
+        st.integers(-2, 2),
+        st.sampled_from([1, 5, 7, 11]),
+    )
+    expo = st.tuples(*(st.integers(0, cap) for _ in range(nvars))).filter(
+        lambda e: 0 < sum(e) <= cap
+    )
+    terms = draw(st.dictionaries(expo, coeff, max_size=4))
+    terms[(0,) * nvars] = draw(coeff)
+    return MixedSeries(ring, terms)
+
+
+@given(unit_case())
+@settings(max_examples=120, deadline=None)
+def test_unit_inverse_matches_power_sum_oracle(b):
+    """[-1] by the degree recurrence inverts b: it equals the geometric power
+    sum of the oracle and b * b^-1 = 1 on the whole window."""
+    inverse = series._unit_inverse(b)
+    assert inverse == dense.unit_inverse(b)
+    assert b * inverse == MixedSeries.const(b.ring, 1)
+    assert_clean(inverse)
+
+
+def test_unit_inverse_rejects_vanishing_constant_term():
+    z = zvar()
+    for inverse in (series._unit_inverse, dense.unit_inverse):
+        with pytest.raises(CheckFailure, match="constant term vanishes"):
+            inverse(z + z * z)
+
+
 ENDO2 = SeriesRingSpec(2, s_vars=("T",), degree_cap=12)
 
 
@@ -480,6 +527,28 @@ def test_mult_endo_small_scalars():
 def test_mult_endo_rejects_non_integral():
     with pytest.raises(InputError):
         mult_endo(Fraction(1, 2), ENDO2)
+
+
+@pytest.mark.parametrize("p", [2, 3, 5])
+@pytest.mark.parametrize("r", [0, 1, 7, -1, -6, Fraction(1, 3), Fraction(-5, 7), Fraction(4, 9)])
+def test_mult_endo_matches_binomial_loop(p, r):
+    """The recurrence of endo_apply gives the binomial loop's series, or its InputError."""
+    ring = SeriesRingSpec(p, s_vars=("T",), degree_cap=DEGREE_CAP_BOUND)
+    try:
+        expected = dense.mult_endo(r, ring)
+    except InputError as exc:
+        with pytest.raises(InputError, match=re.escape(str(exc))):
+            mult_endo(r, ring)
+        return
+    assert mult_endo(r, ring).coeffs == expected.coeffs
+
+
+def test_mult_endo_ring_and_integrality_checks(monkeypatch):
+    monkeypatch.setattr(series, "endo_apply", lambda r, f: f * Fraction(1, 2))
+    with pytest.raises(CheckFailure, match="not integral"):
+        mult_endo(3, ENDO2)
+    with pytest.raises(InputError, match="single-variable"):
+        mult_endo(3, S_RING2)
 
 
 def test_endo_to_scalar():
