@@ -18,7 +18,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from math import lcm
+from math import lcm, prod
 
 from .characters import check_forms, check_shapes, induce, pair, trace_forms
 from .errors import CheckFailure, InputError
@@ -26,19 +26,14 @@ from .exact import p_valuation
 from .groups import Subgroup
 from .linalg import (
     as_matrix,
-    det,
+    echelon_coords,
     from_sparse,
     hnf_rows,
     identity_form,
-    identity_matrix,
     integer_kernel,
     lattice_contains,
-    mat_sub,
-    mat_vec,
-    solve,
     sparse_mul,
     sparse_rows,
-    transpose,
 )
 from .ramification import bisection, disc_valuation, restrict_ramdata
 
@@ -158,10 +153,10 @@ def module_from_generators(name, group, p, gen_action):
     (d,) = ranks
     if any(len(row) != d for m in gen_action.values() for row in m):
         raise InputError("generator matrices must be square")
-    # the completion starts from the identity, so a given matrix for it is only checked
-    if 0 in gen_action and gen_action[0] != identity_matrix(d):
-        raise InputError("identity must act by the identity matrix")
     gen_forms = {s: sparse_rows(m) for s, m in gen_action.items()}
+    # the completion starts from the identity, so a given matrix for it is only checked
+    if gen_forms.get(0, identity_form(d)) != identity_form(d):
+        raise InputError("identity must act by the identity matrix")
     forms = {0: identity_form(d)}
     frontier = [0]
     while frontier:
@@ -356,6 +351,7 @@ def direct_sum(m1, m2):
 
 
 def _check_idempotent(m, e):
+    """The matrix and the form of a p-integral idempotent that commutes with the action."""
     e = as_matrix(e)
     d = m.rank
     if len(e) != d or any(len(row) != d for row in e):
@@ -369,22 +365,24 @@ def _check_idempotent(m, e):
         ms = m.forms[s]
         if sparse_mul(form, ms) != sparse_mul(ms, form):
             raise InputError("idempotent does not commute with the action")
-    return e
+    return e, form
 
 
-def _restricted_action(m, basis_rows):
-    """Action matrices in the coordinates of a stable lattice basis (rows)."""
-    if not basis_rows:
-        return {g: () for g in range(m.group.order)}
-    bt = transpose(as_matrix(basis_rows))
-    action = {}
-    for g in range(m.group.order):
-        cols = []
-        for v in basis_rows:
-            image = mat_vec(m.matrix(g), v)
-            cols.append(solve(bt, image))
-        action[g] = transpose(as_matrix(cols))
-    return action
+def _kernels(e):
+    """The image and kernel lattices of E: integer kernels of 1 - E and E, with left inverses."""
+    one_minus_e = [[int(i == j) - x for j, x in enumerate(row)] for i, row in enumerate(e)]
+    return integer_kernel(one_minus_e), integer_kernel(e)
+
+
+def _summand(m, name, basis, left):
+    """The module on the stable lattice with rows ``basis``: g acts by ``left M(g) basis^T``.
+
+    ``left`` reads coordinates on the basis, so column i is the image of basis vector i.
+    """
+    left = sparse_rows(left)
+    cols = 1, tuple({i: v[k] for i, v in enumerate(basis) if v[k]} for k in range(m.rank))
+    forms = {g: sparse_mul(sparse_mul(left, m.forms[g]), cols) for g in range(m.group.order)}
+    return CharModule._from_forms(name, m.group, m.p, forms)
 
 
 def split_idempotent(m, e):
@@ -394,29 +392,29 @@ def split_idempotent(m, e):
     E, hence saturated; their ranks add to the module rank and their
     characters add to the module character (asserted).
     """
-    e = _check_idempotent(m, e)
-    d = m.rank
-    ident = identity_matrix(d)
-    plus_rows = integer_kernel(mat_sub(ident, e))
-    minus_rows = integer_kernel(e)
-    if len(plus_rows) + len(minus_rows) != d:
+    e, _ = _check_idempotent(m, e)
+    (plus_rows, plus_left), (minus_rows, minus_left) = _kernels(e)
+    if len(plus_rows) + len(minus_rows) != m.rank:
         raise CheckFailure("idempotent split ranks do not add up")
-    m_plus = CharModule(f"{m.name}.plus", m.group, m.p, _restricted_action(m, plus_rows))
-    m_minus = CharModule(f"{m.name}.minus", m.group, m.p, _restricted_action(m, minus_rows))
-    if m_plus.rank or m_minus.rank:
-        total = module_character(direct_sum(m_plus, m_minus))
-        if total != module_character(m):
-            raise CheckFailure("split characters do not add to the module character")
+    m_plus = _summand(m, f"{m.name}.plus", plus_rows, plus_left)
+    m_minus = _summand(m, f"{m.name}.minus", minus_rows, minus_left)
+    if module_character(direct_sum(m_plus, m_minus)) != module_character(m):
+        raise CheckFailure("split characters do not add to the module character")
     return m_plus, m_minus
 
 
-def _lift_mod_pk(x, p, k):
-    """Integer congruent mod p^k to a rational with denominator prime to p."""
-    mod = p**k
-    den = x.denominator
-    if den % p == 0:
-        raise CheckFailure("cannot lift a rational with p in the denominator")
-    return (x.numerator * pow(den, -1, mod)) % mod
+def _integer_rows(rows, what):
+    """Rows of integers; an integral ``Fraction`` is read as its integer, anything else refused."""
+    rows = [tuple(row) for row in rows]
+    for x in (x for row in rows for x in row):
+        if type(x) is not int and not (type(x) is Fraction and x.denominator == 1):
+            raise InputError(f"{what} entries must be integers, got {x!r}")
+    return tuple(tuple(map(int, row)) for row in rows)
+
+
+def _apply(form, v):
+    """The image of the integer vector v under the numerators of a form."""
+    return tuple(sum(x * v[k] for k, x in row.items()) for row in form[1])
 
 
 def adapt_lattice(m, e, precision=8, within=None):
@@ -425,37 +423,36 @@ def adapt_lattice(m, e, precision=8, within=None):
     Follows the approximation recipe: take integer generators of the image
     and kernel lattices of E, approximate each one modulo p^precision by a
     vector of the target lattice (the ambient lattice, or ``within`` for the
-    nested variant), and return a Hermite basis of their group span.  The
-    output is verified by :func:`check_adapted_basis`; by Nakayama the span
-    has p-unit index whenever the approximation is within p times the
-    ambient lattice.
+    nested variant, read through its Hermite basis), and return a Hermite
+    basis of their group span.  The output is verified by
+    :func:`check_adapted_basis`; by Nakayama the span has p-unit index
+    whenever the approximation is within p times the ambient lattice.
     """
     if precision < 1:
         raise InputError("precision must be at least 1")
-    e = _check_idempotent(m, e)
+    e, _ = _check_idempotent(m, e)
     if not m.is_integral():
         raise InputError("adapt_lattice expects an integral module action")
     d = m.rank
-    if d == 0:
-        return ()
-    ident = identity_matrix(d)
-    gens = list(integer_kernel(mat_sub(ident, e))) + list(integer_kernel(e))
+    gens = [v for rows, _ in _kernels(e) for v in rows]
     if within is not None:
-        bt = transpose(as_matrix(within))
+        within = _integer_rows(within, "within")
+        if any(len(row) != d for row in within):
+            raise InputError("within rows must have the module's rank as length")
+        h = hnf_rows(within)
+        mod = m.p**precision
         approx = []
         for v in gens:
-            coords = solve(bt, v)
-            lifted = tuple(
-                Fraction(_lift_mod_pk(c, m.p, precision)) for c in coords
-            )
-            w = mat_vec(bt, lifted)
-            approx.append(tuple(int(x) for x in w))
+            coords = echelon_coords(h, v)
+            if coords is None or any(c.denominator % m.p == 0 for c in coords):
+                raise CheckFailure(
+                    "within does not contain the image and kernel lattices p-integrally"
+                )
+            # each coordinate lifted to the integer congruent to it mod p^precision
+            lifted = [c.numerator * pow(c.denominator, -1, mod) % mod for c in coords]
+            approx.append(tuple(sum(c * row[j] for c, row in zip(lifted, h)) for j in range(d)))
         gens = approx
-    span = []
-    for v in gens:
-        for g in range(m.group.order):
-            image = mat_vec(m.matrix(g), v)
-            span.append(tuple(int(x) for x in image))
+    span = [_apply(m.forms[g], v) for v in gens for g in range(m.group.order)]
     basis = hnf_rows(span)
     if len(basis) != d:
         raise CheckFailure(
@@ -484,28 +481,33 @@ def check_adapted_basis(m, e, basis):
     lattice into itself p-integrally (equivalently, the idempotent
     decomposition restricts to the lattice after p-completion).  Any basis
     passing these checks is acceptable; the output is not unique.
+
+    The checks read the Hermite basis H = U B of the lattice, U unimodular:
+    the index |det B| is the product of H's pivots, and coordinates on H are
+    integral or p-integral exactly when they are on B.  The action must be
+    integral and the basis entries integers; anything else is refused.
     """
-    e = as_matrix(e)
     d = m.rank
-    basis = tuple(tuple(int(x) for x in row) for row in basis)
+    _, e_form = _check_idempotent(m, e)
+    if not m.is_integral():
+        raise InputError("check_adapted_basis expects an integral module action")
+    basis = _integer_rows(basis, "adapted basis")
     if len(basis) != d or any(len(row) != d for row in basis):
         raise CheckFailure("adapted basis has the wrong shape")
-    dval = det(basis)
-    if dval == 0:
+    h = hnf_rows(basis)
+    if len(h) != d:
         raise CheckFailure("adapted basis is singular")
-    if p_valuation(dval, m.p) != 0:
-        raise CheckFailure(f"adapted basis index {dval} is not a p-unit")
+    index = prod(row[i] for i, row in enumerate(h))
+    if p_valuation(index, m.p) != 0:
+        raise CheckFailure(f"adapted basis index {index} is not a p-unit")
     for g in m.group.generating_set():
-        for v in basis:
-            image = mat_vec(m.matrix(g), v)
-            if not lattice_contains(basis, tuple(int(x) for x in image)):
+        for v in h:
+            coords = echelon_coords(h, _apply(m.forms[g], v))
+            if coords is None or any(c.denominator != 1 for c in coords):
                 raise CheckFailure("adapted basis is not action-stable")
-    bt = transpose(as_matrix(basis))
-    for v in basis:
-        image = mat_vec(e, v)
-        coords = solve(bt, image)
-        for c in coords:
-            if p_valuation(c, m.p) < 0:
+    for v in h:
+        for c in echelon_coords(h, _apply(e_form, v)):
+            if p_valuation(c / e_form[0], m.p) < 0:
                 raise CheckFailure(
                     "idempotent does not preserve the adapted lattice p-integrally"
                 )

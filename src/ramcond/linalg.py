@@ -1,12 +1,14 @@
-"""Exact linear algebra over the rationals plus integer-lattice routines.
+"""Exact rational matrices in one sparse integer form, plus integer-lattice routines.
 
 Matrices are tuples of row tuples, meant for small dimensions (module ranks
-and group orders of a few dozen).  Elimination and the lattice routines are
-dense.  The one matrix product, :func:`sparse_mul`, works on the one form of
-a matrix, :func:`sparse_rows`: its rows as ``{col: int}`` maps over the least
-common denominator.  So products cost O(nonzeros) and compare with ``==``.
-Module actions are stored in this form; their dense ``Fraction`` view
-(:func:`from_sparse`) is built only when something reads it.
+and group orders of a few dozen).  The one matrix product, :func:`sparse_mul`,
+works on the one form of a matrix, :func:`sparse_rows`: its rows as
+``{col: int}`` maps over the least common denominator.  So products cost
+O(nonzeros) and compare with ``==``.  Module actions are stored in this form;
+their dense ``Fraction`` view (:func:`from_sparse`) is built only when
+something reads it.  The lattice routines are integer reductions: unimodular
+column reduction for kernels (with a left inverse), row reduction to a
+Hermite basis, and one triangular pass for coordinates on that basis.
 """
 
 from __future__ import annotations
@@ -14,7 +16,7 @@ from __future__ import annotations
 from fractions import Fraction
 from math import gcd, lcm
 
-from .errors import CheckFailure, InputError
+from .errors import InputError
 
 
 def _not_rational(x):
@@ -39,12 +41,6 @@ def as_matrix(rows):
     if mat and any(len(row) != len(mat[0]) for row in mat):
         raise InputError("ragged matrix")
     return mat
-
-
-def identity_matrix(n):
-    return tuple(
-        tuple(Fraction(1) if i == j else Fraction(0) for j in range(n)) for i in range(n)
-    )
 
 
 def identity_form(n):
@@ -102,86 +98,6 @@ def from_sparse(form):
     return tuple(tuple(Fraction(row[j], den) if j in row else zero for j in n) for row in rows)
 
 
-def mat_vec(a, v):
-    return tuple(sum((x * y for x, y in zip(row, v)), Fraction(0)) for row in a)
-
-
-def mat_sub(a, b):
-    return tuple(tuple(x - y for x, y in zip(ra, rb)) for ra, rb in zip(a, b))
-
-
-def transpose(a):
-    return tuple(zip(*a)) if a else ()
-
-
-def rref(a):
-    """Reduced row echelon form; returns (matrix, pivot column indices)."""
-    m = [list(row) for row in a]
-    rows = len(m)
-    cols = len(m[0]) if rows else 0
-    pivots = []
-    r = 0
-    for c in range(cols):
-        pr = next((i for i in range(r, rows) if m[i][c] != 0), None)
-        if pr is None:
-            continue
-        m[r], m[pr] = m[pr], m[r]
-        pv = m[r][c]
-        m[r] = [x / pv for x in m[r]]
-        for i in range(rows):
-            if i != r and m[i][c] != 0:
-                f = m[i][c]
-                m[i] = [x - f * y for x, y in zip(m[i], m[r])]
-        pivots.append(c)
-        r += 1
-        if r == rows:
-            break
-    return tuple(tuple(row) for row in m), tuple(pivots)
-
-
-def det(a):
-    """Determinant by fraction-free-ish Gaussian elimination (exact)."""
-    n = len(a)
-    if n == 0:
-        return Fraction(1)
-    m = [list(map(Fraction, row)) for row in a]
-    sign = 1
-    d = Fraction(1)
-    for c in range(n):
-        pr = next((i for i in range(c, n) if m[i][c] != 0), None)
-        if pr is None:
-            return Fraction(0)
-        if pr != c:
-            m[c], m[pr] = m[pr], m[c]
-            sign = -sign
-        d *= m[c][c]
-        inv = 1 / m[c][c]
-        for i in range(c + 1, n):
-            if m[i][c] != 0:
-                f = m[i][c] * inv
-                m[i] = [x - f * y for x, y in zip(m[i], m[c])]
-    return sign * d
-
-
-def solve(a, b):
-    """Solve A x = b exactly; A must have full column rank."""
-    a = as_matrix(a)
-    b = tuple(Fraction(x) for x in b)
-    if len(a) != len(b):
-        raise InputError("solve: shape mismatch")
-    cols = len(a[0]) if a else 0
-    aug = tuple(row + (bv,) for row, bv in zip(a, b))
-    red, pivots = rref(aug)
-    if cols in pivots:
-        raise CheckFailure("solve: inconsistent linear system")
-    if len(pivots) != cols:
-        raise CheckFailure("solve: matrix does not have full column rank")
-    x = [Fraction(0)] * cols
-    for r, c in enumerate(pivots):
-        x[c] = red[r][cols]
-    return tuple(x)
-
-
 def _int_rows(a):
     """Scale each row to integers (kernel and row span are unchanged)."""
     out = []
@@ -192,19 +108,21 @@ def _int_rows(a):
 
 
 def integer_kernel(a):
-    """Basis of {x in Z^d : A x = 0} for a rational matrix A.
+    """Basis of {x in Z^d : A x = 0} for a rational matrix A, with a left inverse.
 
-    Unimodular column reduction; the resulting basis spans the full
-    (saturated) integer kernel, not merely a finite-index sublattice.
+    Unimodular column reduction A U; the columns of U over the columns of
+    A U that vanish span the full (saturated) integer kernel, not merely a
+    finite-index sublattice.  Returns ``(kernel, left)``: those columns of U
+    and the matching rows of U^-1, so ``left`` sends each x in the span of
+    the kernel to its coordinates there.
     """
     m = _int_rows(a)
     nrows = len(m)
     d = len(m[0]) if nrows else 0
-    if d == 0:
-        return ()
-    # columns of A paired with columns of the unimodular transform
+    # columns of A paired with columns of the unimodular transform, and rows of its inverse
     acols = [[m[r][c] for r in range(nrows)] for c in range(d)]
     ucols = [[1 if i == c else 0 for i in range(d)] for c in range(d)]
+    urows = [[1 if i == c else 0 for i in range(d)] for c in range(d)]
     active = list(range(d))
     for r in range(nrows):
         live = [j for j in active if acols[j][r] != 0]
@@ -217,10 +135,12 @@ def integer_kernel(a):
                 if q:
                     acols[j] = [x - q * y for x, y in zip(acols[j], acols[piv])]
                     ucols[j] = [x - q * y for x, y in zip(ucols[j], ucols[piv])]
+                    # col j -= q * col piv on U is row piv += q * row j on its inverse
+                    urows[piv] = [x + q * y for x, y in zip(urows[piv], urows[j])]
             live = [j for j in live if acols[j][r] != 0]
         if live:
             active.remove(live[0])
-    return tuple(tuple(ucols[j]) for j in active)
+    return tuple(tuple(ucols[j]) for j in active), tuple(tuple(urows[j]) for j in active)
 
 
 def hnf_rows(vectors):
@@ -258,14 +178,27 @@ def hnf_rows(vectors):
     return tuple(tuple(row) for row in rows[:r])
 
 
+def echelon_coords(h, v):
+    """Coordinates x with sum_i x_i h_i == v, for integer echelon rows h as :func:`hnf_rows` gives.
+
+    One pass down the rows: x_i is what is left of v at the pivot of h_i, over
+    that pivot; the rest stays integral over a running scale.  None if v is
+    outside the rational row span of h.
+    """
+    rest, scale = list(v), 1  # what is left of v, times scale
+    coords = []
+    for row in h:
+        c = next(j for j, x in enumerate(row) if x)
+        g = gcd(rest[c], row[c])
+        a, b = row[c] // g, rest[c] // g
+        coords.append(Fraction(b, scale * a))
+        if b:
+            rest = [a * x - b * y for x, y in zip(rest, row)]
+            scale *= a
+    return None if any(rest) else tuple(coords)
+
+
 def lattice_contains(basis_rows, v):
-    """Is v in the integer row span of basis_rows?  Exact rational solve."""
-    if not any(v):
-        return True
-    if not basis_rows:
-        return False
-    try:
-        x = solve(transpose(as_matrix(basis_rows)), v)
-    except CheckFailure:
-        return False
-    return all(c.denominator == 1 for c in x)
+    """Is the integer vector v in the integer row span of basis_rows (which may be dependent)?"""
+    coords = echelon_coords(hnf_rows(basis_rows), v)
+    return coords is not None and all(c.denominator == 1 for c in coords)

@@ -52,6 +52,11 @@ __all__ = [
 GROUP_ORDER_BOUND = 128
 PRODUCT_FACTOR_BOUND = 7
 TRIVIAL_RANK_BOUND = 16
+# An endo request takes at most 8 scalars of at most 16 digits over 16 digits:
+# at cap 32, eight equal such fractions compose in about 0.8 s, and [r](T) has
+# coefficients of at most 32 * 17 + 36 digits, which Python prints.
+SCALAR_COUNT_BOUND = 8
+SCALAR_DIGITS_BOUND = 16
 
 
 def _check_order(n, where):
@@ -60,11 +65,13 @@ def _check_order(n, where):
 
 
 def parse_rational(text):
-    """Parse an exact rational from its string form."""
+    """Parse an exact rational from its string form; exponent notation such as "1e5" is refused."""
     if isinstance(text, int) and not isinstance(text, bool):
         return Fraction(text)
     if not isinstance(text, str):
         raise InputError(f"rationals must be strings, got {text!r}")
+    if "e" in text.lower():
+        raise InputError(f"bad rational {text!r}: exponent notation is not accepted")
     try:
         return Fraction(text.replace("−", "-").strip())
     except (ValueError, ZeroDivisionError) as exc:
@@ -277,7 +284,15 @@ def _read_str(value, where):
 def _read_scalars(value, where):
     if not isinstance(value, list) or not value:
         raise InputError(f"{where} must be a nonempty list of rationals")
-    return [parse_rational(x) for x in value]
+    if len(value) > SCALAR_COUNT_BOUND:
+        raise InputError(f"{where}: at most {SCALAR_COUNT_BOUND} scalars, got {len(value)}")
+    scalars = [parse_rational(x) for x in value]
+    limit = 10**SCALAR_DIGITS_BOUND
+    if any(abs(r.numerator) >= limit or r.denominator >= limit for r in scalars):
+        raise InputError(
+            f"{where}: numerators and denominators must have at most {SCALAR_DIGITS_BOUND} digits"
+        )
+    return scalars
 
 
 def _gauss_row(req, p, degree_cap):

@@ -9,7 +9,12 @@ class-function form of ``ramcond.characters``; the Weierstrass division on
 ``Fraction`` series checks the one that ``ramcond.series`` runs on integer
 product forms, and the binomial loop and the geometric power sum check the
 one recurrence for (1 + u)^r that ``ramcond.series`` evaluates [r] and unit
-inverses by.
+inverses by.  Gauss-Jordan elimination (``rref``, ``solve``, ``det``) with
+``mat_vec``, ``mat_sub`` and ``transpose`` drives the dense idempotent
+split (``split_actions``, one rational solve per element and basis vector),
+lattice adaptation (``adapt_lattice``, ``adapt_lattice_pair``) and basis
+check (``check_adapted_basis``, by determinant) that check the integer
+reductions ``ramcond.conductors`` runs them on.
 """
 
 from fractions import Fraction
@@ -18,7 +23,7 @@ from math import inf
 from ramcond.characters import ClassFunction
 from ramcond.errors import CheckFailure, InputError
 from ramcond.exact import CycloNum, p_valuation
-from ramcond.linalg import as_matrix, identity_matrix, rref
+from ramcond.linalg import as_matrix, hnf_rows, integer_kernel
 from ramcond.series import (
     VAL_BOUND_MAX,
     MixedSeries,
@@ -46,6 +51,92 @@ def mat_mul(a, b):
     return tuple(out)
 
 
+def identity_matrix(n):
+    return tuple(
+        tuple(Fraction(1) if i == j else Fraction(0) for j in range(n)) for i in range(n)
+    )
+
+
+def mat_vec(a, v):
+    return tuple(sum((x * y for x, y in zip(row, v)), Fraction(0)) for row in a)
+
+
+def mat_sub(a, b):
+    return tuple(tuple(x - y for x, y in zip(ra, rb)) for ra, rb in zip(a, b))
+
+
+def transpose(a):
+    return tuple(zip(*a)) if a else ()
+
+
+def rref(a):
+    """Reduced row echelon form; returns (matrix, pivot column indices)."""
+    m = [list(row) for row in a]
+    rows = len(m)
+    cols = len(m[0]) if rows else 0
+    pivots = []
+    r = 0
+    for c in range(cols):
+        pr = next((i for i in range(r, rows) if m[i][c] != 0), None)
+        if pr is None:
+            continue
+        m[r], m[pr] = m[pr], m[r]
+        pv = m[r][c]
+        m[r] = [x / pv for x in m[r]]
+        for i in range(rows):
+            if i != r and m[i][c] != 0:
+                f = m[i][c]
+                m[i] = [x - f * y for x, y in zip(m[i], m[r])]
+        pivots.append(c)
+        r += 1
+        if r == rows:
+            break
+    return tuple(tuple(row) for row in m), tuple(pivots)
+
+
+def det(a):
+    """Determinant by Gaussian elimination over ``Fraction``."""
+    n = len(a)
+    if n == 0:
+        return Fraction(1)
+    m = [list(map(Fraction, row)) for row in a]
+    sign = 1
+    d = Fraction(1)
+    for c in range(n):
+        pr = next((i for i in range(c, n) if m[i][c] != 0), None)
+        if pr is None:
+            return Fraction(0)
+        if pr != c:
+            m[c], m[pr] = m[pr], m[c]
+            sign = -sign
+        d *= m[c][c]
+        inv = 1 / m[c][c]
+        for i in range(c + 1, n):
+            if m[i][c] != 0:
+                f = m[i][c] * inv
+                m[i] = [x - f * y for x, y in zip(m[i], m[c])]
+    return sign * d
+
+
+def solve(a, b):
+    """Solve A x = b exactly; A must have full column rank."""
+    a = as_matrix(a)
+    b = tuple(Fraction(x) for x in b)
+    if len(a) != len(b):
+        raise InputError("solve: shape mismatch")
+    cols = len(a[0]) if a else 0
+    aug = tuple(row + (bv,) for row, bv in zip(a, b))
+    red, pivots = rref(aug)
+    if cols in pivots:
+        raise CheckFailure("solve: inconsistent linear system")
+    if len(pivots) != cols:
+        raise CheckFailure("solve: matrix does not have full column rank")
+    x = [Fraction(0)] * cols
+    for r, c in enumerate(pivots):
+        x[c] = red[r][cols]
+    return tuple(x)
+
+
 def mat_inv(a):
     n = len(a)
     aug = tuple(tuple(row) + irow for row, irow in zip(as_matrix(a), identity_matrix(n)))
@@ -53,6 +144,76 @@ def mat_inv(a):
     if pivots != tuple(range(n)):
         raise CheckFailure("matrix not invertible")
     return tuple(row[n:] for row in red)
+
+
+def _kernel_gens(e):
+    """Integer kernels of 1 - E and E, from the kernel part of ``integer_kernel``."""
+    ident = identity_matrix(len(e))
+    return integer_kernel(mat_sub(ident, e))[0], integer_kernel(e)[0]
+
+
+def restricted_action(m, basis_rows):
+    """Action matrices in the coordinates of a stable lattice basis (rows), one solve per image."""
+    if not basis_rows:
+        return {g: () for g in range(m.group.order)}
+    bt = transpose(as_matrix(basis_rows))
+    action = {}
+    for g in range(m.group.order):
+        cols = [solve(bt, mat_vec(m.matrix(g), v)) for v in basis_rows]
+        action[g] = transpose(as_matrix(cols))
+    return action
+
+
+def split_actions(m, e):
+    """The dense actions of ``split_idempotent(m, e)`` on its image and kernel lattices."""
+    plus_rows, minus_rows = _kernel_gens(as_matrix(e))
+    return restricted_action(m, plus_rows), restricted_action(m, minus_rows)
+
+
+def adapt_lattice(m, e, precision=8, within=None):
+    """The basis ``adapt_lattice`` returns, from dense images and rational solves."""
+    gens = [v for rows in _kernel_gens(as_matrix(e)) for v in rows]
+    mod = m.p**precision
+    if within is not None:
+        bt = transpose(as_matrix(within))
+        approx = []
+        for v in gens:
+            lifted = [
+                Fraction((c.numerator * pow(c.denominator, -1, mod)) % mod) for c in solve(bt, v)
+            ]
+            approx.append(tuple(int(x) for x in mat_vec(bt, lifted)))
+        gens = approx
+    span = [
+        tuple(int(x) for x in mat_vec(m.matrix(g), v)) for v in gens for g in range(m.group.order)
+    ]
+    return hnf_rows(span)
+
+
+def adapt_lattice_pair(m, e_inner, e_outer, precision=8):
+    outer = adapt_lattice(m, e_outer, precision)
+    return adapt_lattice(m, e_inner, precision, within=outer), outer
+
+
+def check_adapted_basis(m, e, basis):
+    """``check_adapted_basis`` on an integral module and integer basis, by determinant and solves."""
+    e = as_matrix(e)
+    d = m.rank
+    if len(basis) != d or any(len(row) != d for row in basis):
+        raise CheckFailure("adapted basis has the wrong shape")
+    dval = det(basis)
+    if dval == 0:
+        raise CheckFailure("adapted basis is singular")
+    if p_valuation(dval, m.p) != 0:
+        raise CheckFailure(f"adapted basis index {abs(dval)} is not a p-unit")
+    bt = transpose(as_matrix(basis))
+    for g in m.group.generating_set():
+        for v in basis:
+            if any(c.denominator != 1 for c in solve(bt, mat_vec(m.matrix(g), v))):
+                raise CheckFailure("adapted basis is not action-stable")
+    for v in basis:
+        if any(p_valuation(c, m.p) < 0 for c in solve(bt, mat_vec(e, v))):
+            raise CheckFailure("idempotent does not preserve the adapted lattice p-integrally")
+    return True
 
 
 def trace_diagonals(group, action):

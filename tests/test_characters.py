@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from dense import induce_sum, mat_inv, mat_mul, pair_rational
+from dense import identity_matrix, induce_sum, mat_inv, mat_mul, pair_rational
 
 from ramcond.catalog import catalog, random_module, random_unit_conjugate
 from ramcond.characters import (
@@ -23,7 +23,6 @@ from ramcond.conductors import CharModule, module_character, regular_module
 from ramcond.errors import CheckFailure, InputError
 from ramcond.exact import CycloNum, euler_phi
 from ramcond.groups import conjugacy_classes, make_cyclic, make_symmetric, subgroup
-from ramcond.linalg import identity_matrix
 from ramcond.ramification import bisection, ram_data
 
 CATALOG_GROUPS = tuple({rd.group.name: rd.group for rd in catalog()}.values())

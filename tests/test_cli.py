@@ -303,6 +303,11 @@ class JsonLiteral:
         ("weil", [{"module": {"name": "u", "kind": "trivial", "rank": 10**6}, "subgroup": [0]}]),
         # beyond the product budget of 7 factors, even of order 1
         ("group", {"product": [{"cyclic": 3}] + [{"cyclic": 1}] * 7}),
+        # exponent notation, and one past the endo budgets of 8 scalars and 16 digits
+        ("series", [{"op": "endo", "scalars": ["1e100000000"]}]),
+        ("modules", [{"name": "m", "kind": "matrices", "matrices": {"1": [["1E0"]]}}]),
+        ("series", [{"op": "endo", "scalars": ["3"] * 9}]),
+        ("series", [{"op": "endo", "scalars": ["1/" + "3" * 17]}]),
     ],
 )
 def test_malformed_scenario_field_exit_2(tmp_path, capsys, key, value):
@@ -319,6 +324,38 @@ def test_malformed_scenario_field_exit_2(tmp_path, capsys, key, value):
     assert captured.out == ""
     assert captured.err.startswith("error: invalid input:")
     assert captured.err.count("\n") == 1
+
+
+@pytest.mark.parametrize(
+    "mode, scalars",
+    [
+        # exponent notation: the reader would build 10**100000000
+        ("eval", ["1e100000000"]),
+        ("compose", ["2", "3E2"]),
+        # one past the endo budgets: 9 scalars, or 17 digits above or below the bar
+        ("compose", ["3"] * 9),
+        ("eval", ["1" + "0" * 16]),
+        ("eval", ["1/" + "3" * 17]),
+        ("eval", ["9" * 1000]),
+    ],
+)
+def test_series_endo_refusals_exit_2(capsys, mode, scalars):
+    code = main(["--degree-cap", "32", "series", "endo", mode, *scalars, "--p", "2"])
+    captured = capsys.readouterr()
+    assert code == 2 and captured.out == ""
+    assert captured.err.startswith("error: invalid input:") and captured.err.count("\n") == 1
+
+
+def test_series_endo_at_the_budget(capsys):
+    top = "9" * 16
+    r = f"{top}/{int(top) - 2}"
+    code, report, _ = run_json(capsys, "--degree-cap", "32", "series", "endo", "eval", r, "--p", "2")
+    assert code == 0
+    assert report["tables"]["series"][0]["series"].endswith("*T^32")
+    scalars = ["3"] * 7 + [top]
+    code, report, _ = run_json(capsys, "series", "endo", "compose", *scalars, "--p", "2")
+    assert code == 0
+    assert report["tables"]["series"][0]["scalar"] == str(3**7 * int(top))
 
 
 def _subcommand_argv(req, p, degree_cap):

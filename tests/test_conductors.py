@@ -1,11 +1,21 @@
 import dataclasses
 import random
+import re
 from fractions import Fraction
 from types import SimpleNamespace
 
 import pytest
 
-from dense import induced_action, mat_inv, mat_mul, place_blocks, trace_diagonals
+import dense
+from dense import (
+    det,
+    identity_matrix,
+    induced_action,
+    mat_inv,
+    mat_mul,
+    place_blocks,
+    trace_diagonals,
+)
 
 from ramcond import conductors, linalg
 from ramcond.catalog import catalog, random_module, random_unit_conjugate
@@ -31,8 +41,6 @@ from ramcond.exact import CycloNum
 from ramcond.groups import make_cyclic, make_symmetric, subgroup
 from ramcond.linalg import (
     as_matrix,
-    det,
-    identity_matrix,
     lattice_contains,
     sparse_mul,
     sparse_rows,
@@ -341,9 +349,8 @@ def test_split_idempotent_validation():
         split_idempotent(regular_module(g, 2), e)
 
 
-def test_split_idempotent_rational_entry_module():
-    # module entries rational (5 in denominators) but 3-integral; the
-    # averaging idempotent splits it into p-integral rank-1 summands
+def _tilted():
+    """A C2 module with entries over 5, 3-integral but not integral, and its averaging idempotent."""
     g = make_cyclic(2)
     m = module_from_generators(
         "tilted",
@@ -355,6 +362,13 @@ def test_split_idempotent_rational_entry_module():
         tuple((m.matrix(0)[r][c] + m.matrix(1)[r][c]) / 2 for c in range(2))
         for r in range(2)
     )
+    return m, e
+
+
+def test_split_idempotent_rational_entry_module():
+    # module entries rational (5 in denominators) but 3-integral; the
+    # averaging idempotent splits it into p-integral rank-1 summands
+    m, e = _tilted()
     plus, minus = split_idempotent(m, e)
     assert plus.rank == 1 and minus.rank == 1
     assert module_character(plus).values[1] == 1
@@ -397,6 +411,52 @@ def test_adapt_lattice_checker_rejects_bad_bases():
         check_adapted_basis(reg, e, ((1, 0), (0, 2)))  # not E-stable p-integrally
     with pytest.raises(InputError):
         adapt_lattice(reg, e, precision=0)
+
+
+def test_check_adapted_basis_refuses_a_non_integral_action():
+    # M(1) e_1 = (-3/5, 4/5) is not in Z^2, so no integer basis can be checked
+    m, e = _tilted()
+    with pytest.raises(InputError) as excinfo:
+        check_adapted_basis(m, e, ((1, 0), (0, 1)))
+    assert str(excinfo.value) == "check_adapted_basis expects an integral module action"
+
+
+@pytest.mark.parametrize(
+    "entry, shown", [(1.7, "1.7"), (1.0, "1.0"), (True, "True"), (Fraction(3, 2), "Fraction(3, 2)")]
+)
+def test_check_adapted_basis_reads_entries_strictly(entry, shown):
+    reg = regular_module(make_cyclic(2), 3)
+    e = ((Fraction(1, 2), Fraction(1, 2)), (Fraction(1, 2), Fraction(1, 2)))
+    with pytest.raises(InputError) as excinfo:
+        check_adapted_basis(reg, e, ((entry, 1), (1, -1)))
+    assert str(excinfo.value) == f"adapted basis entries must be integers, got {shown}"
+    # an integral Fraction is its integer
+    assert check_adapted_basis(reg, e, ((Fraction(1), 1), (1, -1)))
+
+
+def test_check_adapted_basis_names_the_positive_index():
+    reg = regular_module(make_cyclic(2), 3)
+    e = ((Fraction(1, 2), Fraction(1, 2)), (Fraction(1, 2), Fraction(1, 2)))
+    # det = -3
+    with pytest.raises(CheckFailure) as excinfo:
+        check_adapted_basis(reg, e, ((0, 1), (3, 0)))
+    assert str(excinfo.value) == "adapted basis index 3 is not a p-unit"
+
+
+def test_adapt_lattice_reads_within_strictly():
+    reg = regular_module(make_cyclic(2), 3)
+    e = ((Fraction(1, 2), Fraction(1, 2)), (Fraction(1, 2), Fraction(1, 2)))
+    with pytest.raises(InputError, match=r"^within entries must be integers, got 1\.5$"):
+        adapt_lattice(reg, e, within=((1.5, 0), (0, 1)))
+    with pytest.raises(InputError, match="^within rows must have the module's rank as length$"):
+        adapt_lattice(reg, e, within=((1, 0, 0), (0, 1, 0)))
+    # (1, 1) has coordinate 1/3 on a lattice of index 3
+    with pytest.raises(CheckFailure, match="^within does not contain"):
+        adapt_lattice(reg, e, within=((3, 0), (0, 1)))
+    # a basis that is not Hermite is read through the Hermite basis of its lattice
+    basis = adapt_lattice(reg, e, within=((1, 1), (0, -1)))
+    assert basis == adapt_lattice(reg, e, within=((1, 0), (0, 1)))
+    assert check_adapted_basis(reg, e, basis)
 
 
 def test_adapt_lattice_nested():
@@ -442,6 +502,115 @@ def test_adapt_lattice_randomized_small():
         )
         basis = adapt_lattice(m, e)
         assert check_adapted_basis(m, e, basis)
+
+
+def _averaging_idempotent(m, elems):
+    """(1/|H|) sum of M(h) over H, read from the forms so the module's dense view stays unbuilt."""
+    d = m.rank
+    acc = [[Fraction(0)] * d for _ in range(d)]
+    for h in elems:
+        for r, row in enumerate(linalg.from_sparse(m.forms[h])):
+            for c, x in enumerate(row):
+                acc[r][c] += x / len(elems)
+    return tuple(tuple(row) for row in acc)
+
+
+def _split_inputs(seed, per_group=3):
+    """Unit conjugates of permutation modules on every catalog group, with nested idempotents.
+
+    Each module comes with the averaging idempotents of a normal p'-subgroup
+    K and of its normal p'-subgroups H; e_K e_H = e_H e_K = e_K, so e_K is the
+    inner and e_H the outer idempotent of a nested pair.
+    """
+    rng = random.Random(seed)
+    for rd in catalog():
+        grp, p = rd.group, rd.p
+        subs = [subgroup(grp, elems) for elems in grp.subgroups()]
+        subs = [s for s in subs if s.order % p and s.is_normal()]
+        for _ in range(per_group):
+            m = random_unit_conjugate(rng, random_module(rng, grp, p))
+            for k in subs:
+                inner = [h for h in subs if set(h.elements) <= set(k.elements)]
+                h = inner[rng.randrange(len(inner))]
+                yield m, _averaging_idempotent(m, k.elements), _averaging_idempotent(m, h.elements)
+
+
+def test_split_and_adapt_match_dense_oracle():
+    count = ranks = 0
+    for m, e, e_outer in _split_inputs(21, per_group=6):
+        plus, minus = split_idempotent(m, e)
+        assert (plus.action, minus.action) == dense.split_actions(m, e), m
+        basis = adapt_lattice(m, e)
+        assert basis == dense.adapt_lattice(m, e)
+        assert dense.check_adapted_basis(m, e, basis)
+        pair = adapt_lattice_pair(m, e, e_outer)
+        assert pair == dense.adapt_lattice_pair(m, e, e_outer)
+        count += 1
+        ranks += 0 < plus.rank < m.rank
+    assert count >= 100 and ranks >= 20
+
+
+def _perturbed_bases(rng, basis, p):
+    """Integer bases near an adapted one: rows scaled by p or by a p-unit, added, swapped, negated."""
+    d = len(basis)
+    unit = next(u for u in (2, 3, 5) if u % p)
+    for _ in range(6):
+        rows = [list(row) for row in basis]
+        i, j = rng.randrange(d), rng.randrange(d)
+        move = rng.randrange(4)
+        if move == 0:
+            rows[i] = [x * rng.choice((p, unit)) for x in rows[i]]
+        elif move == 1 and i != j:
+            rows[i] = [x + rng.choice((-1, 1, p)) * y for x, y in zip(rows[i], rows[j])]
+        elif move == 2:
+            rows[i], rows[j] = rows[j], rows[i]
+        else:
+            rows[i] = [x * rng.choice((-1, 0)) for x in rows[i]]
+        yield tuple(tuple(row) for row in rows)
+
+
+def _check_outcome(check, m, e, basis):
+    try:
+        return check(m, e, basis)
+    except CheckFailure as exc:
+        return str(exc)
+
+
+def test_check_adapted_basis_matches_dense_checker():
+    rng = random.Random(4)
+    outcomes = set()
+    for m, e, _ in _split_inputs(22, per_group=1):
+        for basis in _perturbed_bases(rng, adapt_lattice(m, e), m.p):
+            got = _check_outcome(check_adapted_basis, m, e, basis)
+            assert got == _check_outcome(dense.check_adapted_basis, m, e, basis), (m, basis)
+            outcomes.add(got if got is True else re.sub(r"\d+", "N", got))
+    # an averaging idempotent of a p'-subgroup maps a stable lattice into
+    # itself p-integrally, so only the first three checks can fail here
+    assert outcomes == {
+        True,
+        "adapted basis is singular",
+        "adapted basis index N is not a p-unit",
+        "adapted basis is not action-stable",
+    }
+
+
+def test_split_adapt_and_check_make_no_dense_matrix(monkeypatch):
+    inputs = list(_split_inputs(23, per_group=1))
+    calls = {"from_sparse": 0}
+    for module in (linalg, conductors):
+
+        def counted(*args, real=module.from_sparse):
+            calls["from_sparse"] += 1
+            return real(*args)
+
+        monkeypatch.setattr(module, "from_sparse", counted)
+    for m, e, e_outer in inputs:
+        for summand in split_idempotent(m, e):
+            assert summand._action is None
+        check_adapted_basis(m, e, adapt_lattice(m, e))
+        adapt_lattice_pair(m, e, e_outer)
+        assert m._action is None
+    assert calls == {"from_sparse": 0}
 
 
 def dense_unit_conjugate(rng, module):

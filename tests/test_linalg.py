@@ -4,23 +4,19 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from dense import mat_inv, mat_mul
+from dense import det, mat_inv, mat_mul, mat_vec, rref, solve, transpose
 
 from ramcond.errors import CheckFailure, InputError
 from ramcond.exact import CycloNum
 from ramcond.linalg import (
     as_matrix,
-    det,
+    echelon_coords,
     from_sparse,
     hnf_rows,
     integer_kernel,
     lattice_contains,
-    mat_vec,
-    rref,
-    solve,
     sparse_mul,
     sparse_rows,
-    transpose,
 )
 
 
@@ -50,17 +46,17 @@ def test_rref_pivots():
 
 def test_integer_kernel_saturated():
     # kernel of (2 4): the saturated lattice spanned by (-2, 1), not (4, -2)
-    (v,) = integer_kernel(((2, 4),))
+    (v,), _ = integer_kernel(((2, 4),))
     assert tuple(map(abs, v)) in {(2, 1)}
     # rational rows are cleared row-wise first
-    (w,) = integer_kernel(((Fraction(1, 2), Fraction(1, 4)),))
+    (w,), _ = integer_kernel(((Fraction(1, 2), Fraction(1, 4)),))
     assert tuple(map(abs, w)) == (1, 2)
 
 
 def test_integer_kernel_full_and_empty():
-    assert integer_kernel(((1, 0), (0, 1))) == ()
-    vs = integer_kernel(((0, 0),))
-    assert len(vs) == 2
+    assert integer_kernel(((1, 0), (0, 1))) == ((), ())
+    vs, left = integer_kernel(((0, 0),))
+    assert vs == left == ((1, 0), (0, 1))
 
 
 def test_hnf_rows_examples():
@@ -77,6 +73,11 @@ def test_lattice_contains_edge_cases():
     assert lattice_contains(((2, 0),), (4, 0))
     assert not lattice_contains(((2, 0),), (3, 0))
     assert not lattice_contains(((2, 0),), (0, 1))
+    # dependent rows: the integer row span, not a full-rank solve
+    assert lattice_contains(((1, 0), (2, 0)), (1, 0))
+    assert lattice_contains(((2, 0), (4, 0)), (2, 0))
+    assert not lattice_contains(((2, 0), (4, 0)), (1, 0))
+    assert lattice_contains(((4, 6), (6, 9)), (2, 3))
 
 
 small_int_matrices = st.integers(1, 4).flatmap(
@@ -89,8 +90,23 @@ small_int_matrices = st.integers(1, 4).flatmap(
 @given(small_int_matrices)
 @settings(max_examples=60, deadline=None)
 def test_kernel_vectors_annihilate(m):
-    for v in integer_kernel(m):
+    for v in integer_kernel(m)[0]:
         assert all(x == 0 for x in mat_vec(m, v))
+
+
+@given(small_int_matrices)
+@settings(max_examples=60, deadline=None)
+def test_kernel_left_inverse(m):
+    kernel, left = integer_kernel(m)
+    r = len(kernel)
+    assert len(left) == r
+    if r:
+        # left K is the identity, so left reads the coordinates of any kernel vector
+        assert mat_mul(left, transpose(kernel)) == tuple(
+            tuple(int(i == j) for j in range(r)) for i in range(r)
+        )
+        v = tuple(sum((i + 2) * k[j] for i, k in enumerate(kernel)) for j in range(len(m)))
+        assert mat_vec(left, v) == tuple(range(2, r + 2))
 
 
 @given(small_int_matrices)
@@ -117,6 +133,26 @@ def test_hnf_spans_same_lattice(rows):
         # each basis vector is an integer combination of the input rows:
         # solve over Q against the input span and clear to integers via HNF
         assert lattice_contains(hnf_rows(rows), b)
+
+
+@given(small_int_matrices)
+@settings(max_examples=60, deadline=None)
+def test_hnf_rows_is_idempotent(rows):
+    basis = hnf_rows(rows)
+    assert hnf_rows(basis) == basis
+
+
+@given(small_int_matrices, st.lists(st.integers(-6, 6), min_size=4, max_size=4))
+@settings(max_examples=80, deadline=None)
+def test_echelon_coords_match_rational_solve(rows, w):
+    basis = hnf_rows(rows)
+    v = tuple(w[: len(rows)])
+    coords = echelon_coords(basis, v)
+    try:
+        expected = solve(transpose(basis), v) if basis else None if any(v) else ()
+    except CheckFailure:  # v is outside the rational row span
+        expected = None
+    assert coords == expected
 
 
 # entries with denominators prime to p = 2, mixed within one matrix; each value
