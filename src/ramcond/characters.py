@@ -40,55 +40,74 @@ def _as_cyclo(x):
 class ClassFunction:
     """A cyclotomic-valued function on a group, constant on conjugacy classes.
 
-    All values live at one level.  :meth:`_pairing_form` gives them over one
-    common denominator as integer rows; :func:`pair` and :func:`induce` work
-    on that form, built once on first use and kept in the ``_form`` slot.
-    Class functions are immutable, so the form cannot go stale.
+    All values live at one level.  The stored representation is the integer
+    form ``_form = (den, rows)``: ``rows[s]`` lists the integer numerators of
+    the value at s in the power basis over the common denominator ``den``,
+    which need not be in lowest terms.  :func:`pair`, :func:`induce` and
+    :func:`restrict` work on the form.  ``values``, the ``CycloNum`` tuple, is
+    a view built from the form on first read.
+
+    The public constructor reads values and keeps them as the view; the
+    package's builders hand over forms through :meth:`_from_form`.  Both run
+    the same conjugacy-class check, on the rows: since they share ``den``,
+    rows are equal exactly when values are.  Class functions are immutable,
+    so neither form nor view can go stale.
     """
 
-    __slots__ = ("group", "values", "level", "verified", "_form")
+    __slots__ = ("group", "level", "verified", "_form", "_values")
 
     def __init__(self, group, values, verified=False):
         values = tuple(_as_cyclo(v) for v in values)
         if len(values) != group.order:
             raise InputError("class function needs one value per group element")
-        level = 1
-        for v in values:
-            level = lcm(level, v.level)
+        level = lcm(*[v.level for v in values])
         values = tuple(v.embed(level) for v in values)
+        den = lcm(*[c.denominator for v in values for c in v.coeffs])
+        rows = tuple(
+            tuple(c.numerator * (den // c.denominator) for c in v.coeffs) for v in values
+        )
+        self._set(group, level, (den, rows), verified, values)
+
+    @classmethod
+    def _from_form(cls, group, level, form, verified=False):
+        """A class function at ``level`` with the integer form ``(den, rows)``.
+
+        Each row is a tuple of ``euler_phi(level)`` integers.  The builders of
+        this package make the form; it is kept, not copied, and checked as the
+        public constructor checks its values.
+        """
+        self = object.__new__(cls)
+        self._set(group, level, form, verified, None)
+        return self
+
+    def _set(self, group, level, form, verified, values):
+        rows = form[1]
         for cls in conjugacy_classes(group):
-            v0 = values[cls[0]]
+            r0 = rows[cls[0]]
             for s in cls[1:]:
-                if values[s] != v0:
+                if rows[s] != r0:
                     raise InputError(
                         f"values not constant on the conjugacy class of {cls[0]}"
                     )
         object.__setattr__(self, "group", group)
-        object.__setattr__(self, "values", values)
         object.__setattr__(self, "level", level)
         object.__setattr__(self, "verified", bool(verified))
-        object.__setattr__(self, "_form", None)
+        object.__setattr__(self, "_form", form)
+        object.__setattr__(self, "_values", values)
 
     def __setattr__(self, name, value):
         raise AttributeError("ClassFunction is immutable")
 
-    def _pairing_form(self):
-        """(den, rows): the values over one common denominator.
-
-        ``den`` is the lcm of the denominators of all coefficients, and
-        ``rows[s]`` lists the integer numerators of ``values[s]`` in the power
-        basis, so ``values[s].coeffs[i] == Fraction(rows[s][i], den)``.
-        """
-        form = self._form
-        if form is None:
-            den = lcm(*[c.denominator for v in self.values for c in v.coeffs])
-            rows = tuple(
-                tuple(c.numerator * (den // c.denominator) for c in v.coeffs)
-                for v in self.values
+    @property
+    def values(self):
+        """The values as ``CycloNum``, built from ``_form`` on first read."""
+        if self._values is None:
+            den, rows = self._form
+            values = tuple(
+                CycloNum(self.level, tuple(Fraction(x, den) for x in row)) for row in rows
             )
-            form = (den, rows)
-            object.__setattr__(self, "_form", form)
-        return form
+            object.__setattr__(self, "_values", values)
+        return self._values
 
     def __call__(self, s):
         return self.values[s]
@@ -126,13 +145,12 @@ class ClassFunction:
 
 
 def trivial_character(group):
-    return ClassFunction(group, (1,) * group.order, verified=True)
+    return ClassFunction._from_form(group, 1, (1, ((1,),) * group.order), verified=True)
 
 
 def regular_character(group):
-    values = [0] * group.order
-    values[0] = group.order
-    return ClassFunction(group, values, verified=True)
+    rows = ((group.order,),) + ((0,),) * (group.order - 1)
+    return ClassFunction._from_form(group, 1, (1, rows), verified=True)
 
 
 def pair(f, g):
@@ -140,10 +158,10 @@ def pair(f, g):
 
     When either argument is rational (level 1), the pairing is
     |G|^-1 sum_s q(s^-1) * v(s) with q the rational and v the other
-    function's coefficient vectors.  Both sides are read in their
-    :meth:`~ClassFunction._pairing_form`, so the sum adds Python ints, with
-    no field multiplication and no reduction, and each output coefficient is
-    one ``Fraction`` over ``den_f * den_g * |G|``.
+    function's coefficient vectors.  Both sides are read in their integer
+    forms, so the sum adds Python ints, with no field multiplication and no
+    reduction, and each output coefficient is one ``Fraction`` over
+    ``den_f * den_g * |G|``.
     """
     if f.group != g.group:
         raise InputError("pairing across different groups")
@@ -151,8 +169,8 @@ def pair(f, g):
     if f.level == 1:
         f, g = g, f
     if g.level == 1:
-        den_f, rows_f = f._pairing_form()
-        den_g, rows_g = g._pairing_form()
+        den_f, rows_f = f._form
+        den_g, rows_g = g._form
         acc = [0] * len(rows_f[0])
         for s in range(grp.order):
             q = rows_g[grp.inv(s)][0]
@@ -176,9 +194,8 @@ def induce(f, sub):
 
     ``f`` lives on ``sub.as_group()``; the result lives on the parent.
     (Ind f)(s) = |H|^-1 * sum over t in G with t s t^-1 in H of f(t s t^-1).
-    The sum adds the integer rows of ``f``'s
-    :meth:`~ClassFunction._pairing_form`, each conjugate weighted by the
-    number of t that give it, and divides once by ``den * |H|``.
+    The sum adds the integer rows of ``f``'s form, each conjugate weighted by
+    the number of t that give it, over the denominator ``den * |H|``.
     """
     if not isinstance(sub, Subgroup):
         raise InputError("induce needs a Subgroup")
@@ -186,9 +203,8 @@ def induce(f, sub):
     hgrp, to_sub, _ = sub.as_group()
     if f.group != hgrp:
         raise InputError("class function does not live on the given subgroup")
-    den, rows = f._pairing_form()
-    den *= sub.order
-    values = []
+    den, rows = f._form
+    out = []
     for s in range(grp.order):
         counts = {}
         for t in range(grp.order):
@@ -198,18 +214,19 @@ def induce(f, sub):
         acc = [0] * len(rows[0])
         for c, k in counts.items():
             acc = [a + k * x for a, x in zip(acc, rows[to_sub[c]])]
-        values.append(CycloNum(f.level, tuple(Fraction(a, den) for a in acc)))
-    return ClassFunction(grp, values)
+        out.append(tuple(acc))
+    return ClassFunction._from_form(grp, f.level, (den * sub.order, tuple(out)))
 
 
 def restrict(f, sub):
-    """Valuewise restriction to a subgroup, re-indexed on sub.as_group()."""
+    """Valuewise restriction to a subgroup: the rows re-indexed on sub.as_group()."""
     if not isinstance(sub, Subgroup):
         raise InputError("restrict needs a Subgroup")
     if f.group != sub.parent:
         raise InputError("class function does not live on the parent group")
     hgrp, _, from_sub = sub.as_group()
-    return ClassFunction(hgrp, tuple(f.values[x] for x in from_sub))
+    den, rows = f._form
+    return ClassFunction._from_form(hgrp, f.level, (den, tuple(rows[x] for x in from_sub)))
 
 
 def check_shapes(group, action):
@@ -250,14 +267,15 @@ def check_forms(group, forms):
 def trace_forms(group, forms):
     """Trace character of an action given by the forms of its matrices.
 
-    The trace of each element is one integer sum of diagonal numerators over
-    that form's denominator, so each value costs one ``Fraction``.
+    The trace of each element is one integer sum of diagonal numerators,
+    scaled to the lcm of the form denominators.
     """
-    values = []
+    den = lcm(*[forms[g][0] for g in range(group.order)])
+    rows = []
     for g in range(group.order):
-        den, rows = forms[g]
-        values.append(Fraction(sum(row.get(i, 0) for i, row in enumerate(rows)), den))
-    return ClassFunction(group, values, verified=True)
+        d, form_rows = forms[g]
+        rows.append((sum(row.get(i, 0) for i, row in enumerate(form_rows)) * (den // d),))
+    return ClassFunction._from_form(group, 1, (den, tuple(rows)), verified=True)
 
 
 def artin_conductor(rd, chi):

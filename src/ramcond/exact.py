@@ -167,19 +167,27 @@ def _fold(n, terms):
     return acc
 
 
+def _inverse_zeta_minus_one_row(n, k):
+    """n/(zeta_n^k - 1) as integer power basis coefficients, by the closed form.
+
+    For any w with w^n = 1 and w != 1, (w - 1) * sum_{j<n} j w^j = n, so
+    n/(zeta_n^k - 1) = sum_{j<n} j zeta_n^(jk) for every k that is not 0
+    mod n, primitive or not.
+    """
+    k %= n
+    if k == 0:
+        raise ZeroDivisionError("zeta^k - 1 is zero for k = 0 mod n")
+    return _fold(n, ((j * k, j) for j in range(1, n)))
+
+
 def inverse_zeta_minus_one(level, exponent):
     """1/(zeta_level^exponent - 1) in closed form, without inversion.
 
-    For any w with w^n = 1 and w != 1, (w - 1) * sum_{j<n} j w^j = n, so
-    1/(zeta_n^k - 1) = (1/n) * sum_{j<n} j zeta_n^(jk) for every k that is
-    not 0 mod n, primitive or not.
+    The integer numerators over ``level`` come from
+    :func:`_inverse_zeta_minus_one_row`.
     """
-    n = level
-    k = exponent % n
-    if k == 0:
-        raise ZeroDivisionError("zeta^k - 1 is zero for k = 0 mod n")
-    acc = _fold(n, ((j * k, j) for j in range(1, n)))
-    return CycloNum(n, tuple(Fraction(c, n) for c in acc))
+    acc = _inverse_zeta_minus_one_row(level, exponent)
+    return CycloNum(level, tuple(Fraction(c, level) for c in acc))
 
 
 class CycloNum:

@@ -143,9 +143,18 @@ def integer_kernel(a):
     return tuple(tuple(ucols[j]) for j in active), tuple(tuple(urows[j]) for j in active)
 
 
+def _int_vector(v):
+    """The entries of v as a list; an entry that is not an int (bool, float) is an InputError."""
+    v = list(v)
+    for x in v:
+        if type(x) is not int:
+            raise InputError(f"lattice entries must be integers, got {x!r}")
+    return v
+
+
 def hnf_rows(vectors):
     """Hermite-style basis (as rows) of the lattice spanned by integer rows."""
-    rows = [list(map(int, v)) for v in vectors if any(v)]
+    rows = [v for v in map(_int_vector, vectors) if any(v)]
     if not rows:
         return ()
     d = len(rows[0])
@@ -200,5 +209,5 @@ def echelon_coords(h, v):
 
 def lattice_contains(basis_rows, v):
     """Is the integer vector v in the integer row span of basis_rows (which may be dependent)?"""
-    coords = echelon_coords(hnf_rows(basis_rows), v)
+    coords = echelon_coords(hnf_rows(basis_rows), _int_vector(v))
     return coords is not None and all(c.denominator == 1 for c in coords)

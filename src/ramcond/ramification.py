@@ -11,12 +11,11 @@ valuations of subextensions and restricted ramification data.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from fractions import Fraction
 from math import gcd
 
 from .characters import ClassFunction
 from .errors import CheckFailure, InputError
-from .exact import CycloNum, inverse_zeta_minus_one, is_prime
+from .exact import _inverse_zeta_minus_one_row, euler_phi, is_prime
 from .groups import FiniteGroup, Subgroup, intersect, subgroup
 
 __all__ = [
@@ -182,15 +181,14 @@ def _sum_i(rd, elems):
 def artin_character(rd):
     """-i(s) off the identity, normalized to sum to zero over the group.
 
-    Computed once per ``rd`` and held on it, like :func:`bisection`.
+    Built on its integer form over the denominator 1, once per ``rd`` and
+    held on it, like :func:`bisection`.
     """
     if rd._artin is not None:
         return rd._artin
-    values = [Fraction(0)] * rd.group.order
-    for s in range(1, rd.group.order):
-        values[s] = Fraction(-i_gamma(rd, s))
-    values[0] = Fraction(_sum_i(rd, range(rd.group.order)))
-    object.__setattr__(rd, "_artin", ClassFunction(rd.group, values))
+    breaks = [i_gamma(rd, s) for s in range(1, rd.group.order)]
+    rows = ((sum(breaks),),) + tuple((-b,) for b in breaks)
+    object.__setattr__(rd, "_artin", ClassFunction._from_form(rd.group, 1, (1, rows)))
     return rd._artin
 
 
@@ -203,22 +201,29 @@ def bisection(rd):
 
     Tame values use the closed form 1/(w - 1) = (1/n) * sum_{j<n} j * w^j,
     which holds for every w != 1 with w^n = 1, since
-    (w - 1) * sum_{j<n} j * w^j = n.  No field inversion is made.  The value
-    is computed once per ``rd`` and held on it.
+    (w - 1) * sum_{j<n} j * w^j = n.  No field inversion is made.  The
+    class function is built on its integer form over the denominator 2n,
+    with one tame row per omega exponent, once per ``rd`` and held on it.
     """
     if rd._bisection is not None:
         return rd._bisection
     grp = rd.group
+    n = rd.n
     wild = set(rd.wild_subgroup.elements)
-    values = []
+    pad = (0,) * (euler_phi(n) - 1)
+    tame = {}  # omega exponent -> its row
+    rows = []
     for s in range(grp.order):
         if s == 0:
-            values.append(CycloNum.from_rational(Fraction(_sum_i(rd, grp.elements()), 2)))
+            rows.append((n * _sum_i(rd, grp.elements()),) + pad)
         elif s in wild:
-            values.append(CycloNum.from_rational(Fraction(-i_gamma(rd, s), 2)))
+            rows.append((-n * i_gamma(rd, s),) + pad)
         else:
-            values.append(inverse_zeta_minus_one(rd.n, rd.omega_exp[s]))
-    object.__setattr__(rd, "_bisection", ClassFunction(grp, values))
+            k = rd.omega_exp[s]
+            if k not in tame:
+                tame[k] = tuple(2 * c for c in _inverse_zeta_minus_one_row(n, k))
+            rows.append(tame[k])
+    object.__setattr__(rd, "_bisection", ClassFunction._from_form(grp, n, (2 * n, tuple(rows))))
     return rd._bisection
 
 

@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import hashlib
 import json
+import re
 from fractions import Fraction
 from math import inf
 from typing import Callable, NamedTuple
@@ -64,17 +65,24 @@ def _check_order(n, where):
         raise InputError(f"{where}: group order must be at most {GROUP_ORDER_BOUND}, got {n}")
 
 
+# The accepted spellings of a rational: "7", "-1/3" and "0.25", ASCII digits
+# only, with "-" or U+2212 as the minus sign.  Fraction alone also takes
+# "1_0", "+7", " 7", "٣" and "1e5", which would give one rational several
+# spellings (and "1e100000000" an unbounded integer).
+_RATIONAL_FORM = re.compile(r"[-−]?[0-9]+(?:/[0-9]+|\.[0-9]+)?")
+
+
 def parse_rational(text):
-    """Parse an exact rational from its string form; exponent notation such as "1e5" is refused."""
+    """Parse an exact rational written as "7", "-1/3" or "0.25"; any other spelling is refused."""
     if isinstance(text, int) and not isinstance(text, bool):
         return Fraction(text)
     if not isinstance(text, str):
         raise InputError(f"rationals must be strings, got {text!r}")
-    if "e" in text.lower():
-        raise InputError(f"bad rational {text!r}: exponent notation is not accepted")
+    if not _RATIONAL_FORM.fullmatch(text):
+        raise InputError(f'bad rational {text!r}: write it as "7", "-1/3" or "0.25"')
     try:
-        return Fraction(text.replace("−", "-").strip())
-    except (ValueError, ZeroDivisionError) as exc:
+        return Fraction(text.replace("−", "-"))
+    except (ValueError, ZeroDivisionError) as exc:  # beyond the int digit limit, or "1/0"
         raise InputError(f"bad rational {text!r}: {exc}") from None
 
 

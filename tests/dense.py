@@ -5,7 +5,9 @@ The matrix product and inverse check the sparse matrix forms of
 and the block builders that ``ramcond.characters`` and
 ``ramcond.conductors`` run on those forms; the pairing and induction,
 summed in ``Fraction`` and ``CycloNum`` arithmetic, check the integer
-class-function form of ``ramcond.characters``; the Weierstrass division on
+class-function form of ``ramcond.characters``, and the ``CycloNum``-valued
+``bisection``, ``artin_character`` and ``trace_forms`` check the builders
+that hand that form over; the Weierstrass division on
 ``Fraction`` series checks the one that ``ramcond.series`` runs on integer
 product forms, and the binomial loop and the geometric power sum check the
 one recurrence for (1 + u)^r that ``ramcond.series`` evaluates [r] and unit
@@ -22,8 +24,9 @@ from math import inf
 
 from ramcond.characters import ClassFunction
 from ramcond.errors import CheckFailure, InputError
-from ramcond.exact import CycloNum, p_valuation
+from ramcond.exact import CycloNum, inverse_zeta_minus_one, p_valuation
 from ramcond.linalg import as_matrix, hnf_rows, integer_kernel
+from ramcond.ramification import i_gamma
 from ramcond.series import (
     VAL_BOUND_MAX,
     MixedSeries,
@@ -275,6 +278,40 @@ def induce_sum(f, sub):
             if c in to_sub:
                 acc = acc + f.values[to_sub[c]]
         values.append(acc * Fraction(1, sub.order))
+    return ClassFunction(grp, values)
+
+
+def trace_forms(group, forms):
+    """``characters.trace_forms`` as one ``Fraction`` per element's diagonal numerator sum."""
+    values = []
+    for g in range(group.order):
+        den, rows = forms[g]
+        values.append(Fraction(sum(row.get(i, 0) for i, row in enumerate(rows)), den))
+    return ClassFunction(group, values, verified=True)
+
+
+def artin_character(rd):
+    """``ramification.artin_character``, read from ``Fraction`` values."""
+    values = [Fraction(0)] * rd.group.order
+    for s in range(1, rd.group.order):
+        values[s] = Fraction(-i_gamma(rd, s))
+    values[0] = -sum(values)
+    return ClassFunction(rd.group, values)
+
+
+def bisection(rd):
+    """``ramification.bisection``, one ``CycloNum`` per element, embedded at the level n."""
+    grp = rd.group
+    wild = set(rd.wild_subgroup.elements)
+    values = []
+    for s in range(grp.order):
+        if s == 0:
+            total = sum(i_gamma(rd, t) for t in range(1, grp.order))
+            values.append(CycloNum.from_rational(Fraction(total, 2)))
+        elif s in wild:
+            values.append(CycloNum.from_rational(Fraction(-i_gamma(rd, s), 2)))
+        else:
+            values.append(inverse_zeta_minus_one(rd.n, rd.omega_exp[s]))
     return ClassFunction(grp, values)
 
 

@@ -6,6 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import dense
 from dense import identity_matrix, induce_sum, mat_inv, mat_mul, pair_rational
 
 from ramcond.catalog import catalog, random_module, random_unit_conjugate
@@ -19,11 +20,18 @@ from ramcond.characters import (
     restrict,
     trivial_character,
 )
-from ramcond.conductors import CharModule, module_character, regular_module
+from ramcond.conductors import (
+    CharModule,
+    conductor,
+    module_character,
+    permutation_module,
+    regular_module,
+)
 from ramcond.errors import CheckFailure, InputError
 from ramcond.exact import CycloNum, euler_phi
 from ramcond.groups import conjugacy_classes, make_cyclic, make_symmetric, subgroup
-from ramcond.ramification import bisection, ram_data
+from ramcond.linalg import sparse_mul, sparse_rows
+from ramcond.ramification import artin_character, bisection, ram_data, restrict_ramdata
 
 CATALOG_GROUPS = tuple({rd.group.name: rd.group for rd in catalog()}.values())
 
@@ -428,3 +436,89 @@ def test_class_function_rejects_nonconstant_values():
     vals[1] = 1  # a 3-cycle gets a different value from its conjugate
     with pytest.raises(InputError):
         ClassFunction(g, vals)
+
+
+def _same_values(got, want):
+    return (got.group, got.level, got.verified, [v.coeffs for v in got.values]) == (
+        want.group,
+        want.level,
+        want.verified,
+        [v.coeffs for v in want.values],
+    )
+
+
+def _catalog_modules(rng, group, p):
+    """Permutation modules on every subgroup, a unit conjugate of each, and a
+    conjugate of the regular module whose forms have a denominator prime to p."""
+    perms = [permutation_module(subgroup(group, elems), p) for elems in group.subgroups()]
+    reg = regular_module(group, p)
+    q = next(q for q in (2, 3, 5) if q != p)
+
+    def diagonal(first):
+        d = reg.rank
+        rows = [[first if i == j == 0 else int(i == j) for j in range(d)] for i in range(d)]
+        return sparse_rows(rows)
+
+    u, uinv = diagonal(q), diagonal(Fraction(1, q))
+    forms = {g: sparse_mul(uinv, sparse_mul(reg.forms[g], u)) for g in range(group.order)}
+    scaled = CharModule._from_forms("regular~q", group, p, forms)
+    assert group.order == 1 or {form[0] for form in forms.values()} != {1}
+    return perms + [random_unit_conjugate(rng, m) for m in perms] + [scaled]
+
+
+def _restrict_values(f, h):
+    """``restrict(f, h)`` read valuewise, through the public constructor."""
+    hgrp, _, from_sub = h.as_group()
+    return ClassFunction(hgrp, [f.values[x] for x in from_sub])
+
+
+@pytest.mark.parametrize("rd", catalog(), ids=[rd.name for rd in catalog()])
+def test_built_class_functions_match_cyclonum_oracles(rd):
+    """The integer-form builders give the values, pairings and inductions of the CycloNum path."""
+    rng = random.Random(rd.name)
+    g = rd.group
+    subs = [subgroup(g, elems) for elems in g.subgroups()]
+    for rd_x in [rd] + [restrict_ramdata(rd, h) for h in subs]:
+        grp = rd_x.group
+        ba, want_ba = bisection(rd_x), dense.bisection(rd_x)
+        art, want_art = artin_character(rd_x), dense.artin_character(rd_x)
+        assert _same_values(ba, want_ba) and ba.level == rd_x.n, rd_x.name
+        assert _same_values(art, want_art), rd_x.name
+        chis = []
+        for m in _catalog_modules(rng, grp, rd_x.p):
+            chi, want_chi = module_character(m), dense.trace_forms(grp, m.forms)
+            assert _same_values(chi, want_chi), (rd_x.name, m)
+            for f, want_f in ((ba, want_ba), (art, want_art)):
+                assert pair(f, chi).coeffs == pair_rational(want_f, want_chi).coeffs
+            chis.append((chi, want_chi))
+        for h in (subgroup(grp, elems) for elems in grp.subgroups()):
+            for f, want_f in [(ba, want_ba), (art, want_art)] + chis:
+                got = induce(restrict(f, h), h)
+                assert _same_values(got, induce_sum(_restrict_values(want_f, h), h)), (
+                    rd_x.name,
+                    h.elements,
+                )
+
+
+def test_from_form_refuses_a_form_not_constant_on_a_class():
+    g = make_symmetric(3)
+    transpositions = [x for x in range(6) if g.element_order(x) == 2]
+    rows = [(0,)] * 6
+    rows[transpositions[-1]] = (1,)
+    with pytest.raises(InputError) as public:
+        ClassFunction(g, [row[0] for row in rows])
+    with pytest.raises(InputError) as private:
+        ClassFunction._from_form(g, 1, (1, tuple(rows)))
+    want = f"values not constant on the conjugacy class of {transpositions[0]}"
+    assert str(private.value) == str(public.value) == want
+
+
+def test_conductors_build_no_values_view():
+    # the pairings read integer forms only; a values view here means a CycloNum round trip
+    g = make_cyclic(6)
+    rd = ram_data(g, 2, [(0, 3)] * 3, (1, 1))  # a fresh copy of the catalog's mixed C6
+    m = permutation_module(subgroup(g, (0, 2, 4)), 2)
+    conductor(m, rd)
+    artin_conductor(rd, module_character(m))
+    for f in (bisection(rd), artin_character(rd), module_character(m)):
+        assert f._values is None

@@ -308,6 +308,13 @@ class JsonLiteral:
         ("modules", [{"name": "m", "kind": "matrices", "matrices": {"1": [["1E0"]]}}]),
         ("series", [{"op": "endo", "scalars": ["3"] * 9}]),
         ("series", [{"op": "endo", "scalars": ["1/" + "3" * 17]}]),
+        # a rational has one spelling: no digit separators, no non-ASCII digits
+        *(
+            ("modules", [{"name": "m", "kind": "matrices", "matrices": {"1": mat}}])
+            for mat in ([["0", "-1"], ["0_1", "-1"]], [["0", "-1"], ["١", "-1"]])
+        ),
+        ("series", [{"op": "endo", "scalars": ["1_0"]}]),
+        ("series", [{"op": "endo", "scalars": ["٣"]}]),
     ],
 )
 def test_malformed_scenario_field_exit_2(tmp_path, capsys, key, value):
@@ -337,6 +344,10 @@ def test_malformed_scenario_field_exit_2(tmp_path, capsys, key, value):
         ("eval", ["1" + "0" * 16]),
         ("eval", ["1/" + "3" * 17]),
         ("eval", ["9" * 1000]),
+        # spellings Fraction takes but a rational string does not have
+        ("compose", ["1_0", "٣"]),
+        ("eval", ["+3"]),
+        ("eval", [" 3"]),
     ],
 )
 def test_series_endo_refusals_exit_2(capsys, mode, scalars):

@@ -80,6 +80,17 @@ def test_lattice_contains_edge_cases():
     assert lattice_contains(((4, 6), (6, 9)), (2, 3))
 
 
+@pytest.mark.parametrize("bad", [1.7, 1.0, 0.0, True, Fraction(1), "1"])
+def test_lattice_routines_refuse_non_integer_entries(bad):
+    # a float used to be truncated: hnf_rows([(1.7, 0)]) read as ((1, 0),)
+    with pytest.raises(InputError):
+        hnf_rows([(bad, 0)])
+    with pytest.raises(InputError):
+        lattice_contains(((bad, 0),), (1, 0))
+    with pytest.raises(InputError):
+        lattice_contains(((1, 0),), (bad, 0))
+
+
 small_int_matrices = st.integers(1, 4).flatmap(
     lambda n: st.lists(
         st.lists(st.integers(-6, 6), min_size=n, max_size=n), min_size=n, max_size=n

@@ -28,9 +28,12 @@ def minimal(**extra):
 def test_parse_rational_forms():
     assert parse_rational("-1/3") == Fraction(-1, 3)
     assert parse_rational("7") == 7
+    assert parse_rational("0.25") == Fraction(1, 4)
     assert parse_rational("−2/5") == Fraction(-2, 5)  # unicode minus tolerated
-    with pytest.raises(InputError):
-        parse_rational("1.5x")
+    # one spelling per rational: Fraction takes most of these, the reader none
+    for text in ("1.5x", "1_0", "٣", "+7", " 7", "7\n", ".5", "5.", "1/-2", "1e5"):
+        with pytest.raises(InputError):
+            parse_rational(text)
     with pytest.raises(InputError):
         parse_rational(1.5)
 
