@@ -188,6 +188,7 @@ def random_unit_conjugate(rng, module):
             uinv[k][j] -= c * uinv[k][i]
     u, uinv = sparse_rows(u), sparse_rows(uinv)
     forms = {
-        g: sparse_mul(uinv, sparse_mul(module.forms[g], u)) for g in range(module.group.order)
+        g: sparse_mul(uinv, sparse_mul(module.forms[g], u))
+        for g in (0, *module.group.generating_set())
     }
     return CharModule._from_forms(f"{module.name}~", module.group, module.p, forms)

@@ -12,7 +12,7 @@ from fractions import Fraction
 from math import lcm
 
 from .errors import CheckFailure, InputError
-from .exact import CycloNum
+from .exact import CycloNum, _fold
 from .groups import Subgroup, conjugacy_classes
 from .linalg import identity_form, sparse_mul
 
@@ -35,6 +35,12 @@ def _as_cyclo(x):
     if isinstance(x, CycloNum):
         return x
     return CycloNum.from_rational(Fraction(x))
+
+
+def _embed_rows(rows, level, m):
+    """Rows at ``level`` embedded at its multiple ``m``, as ``CycloNum.embed`` embeds values."""
+    step = m // level
+    return [_fold(m, ((i * step, c) for i, c in enumerate(row))) for row in rows]
 
 
 class ClassFunction:
@@ -113,10 +119,18 @@ class ClassFunction:
         return self.values[s]
 
     def __eq__(self, other):
+        """Equal values, read on the forms: rows at the lcm level, cross-multiplied."""
         if not isinstance(other, ClassFunction):
             return NotImplemented
-        return self.group == other.group and all(
-            a == b for a, b in zip(self.values, other.values)
+        if self.group != other.group:
+            return False
+        (den_a, rows_a), (den_b, rows_b) = self._form, other._form
+        if self.level != other.level:
+            level = lcm(self.level, other.level)
+            rows_a = _embed_rows(rows_a, self.level, level)
+            rows_b = _embed_rows(rows_b, other.level, level)
+        return all(
+            x * den_b == y * den_a for a, b in zip(rows_a, rows_b) for x, y in zip(a, b)
         )
 
     __hash__ = None
@@ -244,24 +258,40 @@ def check_shapes(group, action):
 
 
 def check_forms(group, forms):
-    """Check that the forms of a square action of one rank are a homomorphism.
+    """Complete an action from its generators' forms and check it, on one Cayley walk.
 
-    ``forms`` maps every element to the :func:`~ramcond.linalg.sparse_rows`
-    form of its matrix.  The identity must map to the identity matrix, and
-    g*s to the product for each generator s (which suffices).  Each product
-    is taken by :func:`~ramcond.linalg.sparse_mul` and compared with the form
-    of g*s, so a Cayley edge costs O(nonzeros), and O(d) for monomial
-    matrices.
+    ``forms`` maps the identity, which must act by the identity matrix, and
+    a generating set, or more elements, to the
+    :func:`~ramcond.linalg.sparse_rows` forms of square matrices of one
+    rank.  S is the greedy generating subset of the given elements.  The
+    walk visits them in ascending order, then the new ones as found, and
+    takes each edge g -> g*s (s in S) once, at O(nonzeros): it stores
+    F(g) F(s) as F(g*s) when g*s is new and compares it when g*s is known.
+    Every element is a word over S, so F(1) = 1 and these edges prove F a
+    homomorphism; every element is the target of an edge, so every given
+    form is compared.  The walk misses an element exactly when the given
+    elements do not generate.  Returns every element's form in ascending order.
     """
     d = len(forms[0][1])
-    if d > 0:
-        if forms[0] != identity_form(d):
-            raise InputError("identity must act by the identity matrix")
-        gens = group.generating_set()
-        for g in range(group.order):
-            for s in gens:
-                if sparse_mul(forms[g], forms[s]) != forms[group.mult(g, s)]:
-                    raise InputError(f"action is not a homomorphism at ({g}, {s})")
+    if forms[0] != identity_form(d):
+        raise InputError("identity must act by the identity matrix")
+    gens = group.generating_set(forms)
+    out = dict(forms)
+    walk = sorted(forms)
+    for g in walk:
+        form = out[g]
+        for s in gens:
+            h = group.mult(g, s)
+            product = sparse_mul(form, out[s])
+            known = out.get(h)
+            if known is None:
+                out[h] = product
+                walk.append(h)
+            elif product != known:
+                raise InputError(f"action is not a homomorphism at ({g}, {s})")
+    if len(out) != group.order:
+        raise InputError("given generators do not generate the group")
+    return dict(sorted(out.items()))
 
 
 def trace_forms(group, forms):

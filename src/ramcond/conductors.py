@@ -66,13 +66,16 @@ class CharModule:
     common denominator.  ``action`` and :meth:`matrix` are a dense view of
     ``Fraction`` rows, built from the forms on first read.
 
-    Construction checks the action in full: p-integrality from each form's
-    denominator, then :func:`~ramcond.characters.check_forms` on every
-    Cayley edge at O(nonzeros) per edge.  The public constructor is the
-    strict reader of dense matrices; the package's builders hand over forms
-    through :meth:`_from_forms`, which runs the same form checks.  There is
-    no determinant check: once the action is a homomorphism of a finite
-    group, each matrix has finite order, so its rational determinant is +-1.
+    A module is completed from the forms of its generators and checked by
+    one walk.  p-integrality is read from each given form's denominator (a
+    product of p-integral matrices is p-integral), then
+    :func:`~ramcond.characters.check_forms` completes and checks the action
+    on each Cayley edge over the generators once.  The public constructor
+    is the strict reader of dense matrices for every element; the package's
+    builders hand over the forms of the identity and the generators through
+    :meth:`_from_forms`.  There is no determinant check: once the action is
+    a homomorphism of a finite group, each matrix has finite order, so its
+    rational determinant is +-1.
     """
 
     __slots__ = ("name", "group", "p", "rank", "forms", "_action", "_char")
@@ -86,10 +89,10 @@ class CharModule:
 
     @classmethod
     def _from_forms(cls, name, group, p, forms):
-        """A module on the forms of a square action of one rank on every element.
+        """A module on the forms of square matrices of one rank for 0 and generators, or more.
 
-        The builders of this package make the forms; they are kept, not
-        copied, and checked as the public constructor checks them.
+        The builders of this package make the forms; they are checked, and
+        completed, as the public constructor's are.
         """
         _check_p_integral(forms, p)
         self = object.__new__(cls)
@@ -97,7 +100,7 @@ class CharModule:
         return self
 
     def _set(self, name, group, p, forms, action):
-        check_forms(group, forms)
+        forms = check_forms(group, forms)
         object.__setattr__(self, "name", name)
         object.__setattr__(self, "group", group)
         object.__setattr__(self, "p", int(p))
@@ -142,7 +145,7 @@ def _check_p_integral(forms, p):
 
 
 def module_from_generators(name, group, p, gen_action):
-    """Complete an action given on a generating set to the whole group."""
+    """Complete an action given on a generating set to the whole group, checking each matrix."""
     gen_action = {int(g): as_matrix(m) for g, m in gen_action.items()}
     for g in gen_action:
         if not 0 <= g < group.order:
@@ -153,28 +156,14 @@ def module_from_generators(name, group, p, gen_action):
     (d,) = ranks
     if any(len(row) != d for m in gen_action.values() for row in m):
         raise InputError("generator matrices must be square")
-    gen_forms = {s: sparse_rows(m) for s, m in gen_action.items()}
-    # the completion starts from the identity, so a given matrix for it is only checked
-    if gen_forms.get(0, identity_form(d)) != identity_form(d):
-        raise InputError("identity must act by the identity matrix")
-    forms = {0: identity_form(d)}
-    frontier = [0]
-    while frontier:
-        g = frontier.pop()
-        for s, form in gen_forms.items():
-            h = group.mult(g, s)
-            if h not in forms:
-                forms[h] = sparse_mul(forms[g], form)
-                frontier.append(h)
-    if len(forms) != group.order:
-        raise InputError("given generators do not generate the group")
+    forms = {0: identity_form(d), **{s: sparse_rows(m) for s, m in gen_action.items()}}
     return CharModule._from_forms(name, group, p, forms)
 
 
 def trivial_module(group, p, rank=1, name=None):
     ident = identity_form(rank)
     return CharModule._from_forms(
-        name or f"trivial:{rank}", group, p, {g: ident for g in range(group.order)}
+        name or f"trivial:{rank}", group, p, {g: ident for g in (0, *group.generating_set())}
     )
 
 
@@ -197,14 +186,15 @@ def _stack_forms(placed):
 def _induced_action(sub, blocks):
     """Forms of the action induced from ``sub``, on which h acts by the form ``blocks[h]``.
 
-    Over the left transversal (t_i), g maps block column i to block row j by
-    the block of h, where g * t_i = t_j * h.
+    They are given on 0 and the parent's generators.  Over the left
+    transversal (t_i), g maps block column i to block row j by the block of
+    h, where g * t_i = t_j * h.
     """
     grp = sub.parent
     transversal, coset_of = sub.left_transversal()
     d = len(blocks[0][1])
     forms = {}
-    for g in range(grp.order):
+    for g in (0, *grp.generating_set()):
         placed = [None] * len(transversal)
         for i, t in enumerate(transversal):
             gt = grp.mult(g, t)
@@ -345,7 +335,8 @@ def direct_sum(m1, m2):
         raise InputError("direct sum across different primes")
     d1 = m1.rank
     forms = {
-        g: _stack_forms(((0, m1.forms[g]), (d1, m2.forms[g]))) for g in range(m1.group.order)
+        g: _stack_forms(((0, m1.forms[g]), (d1, m2.forms[g])))
+        for g in (0, *m1.group.generating_set())
     }
     return CharModule._from_forms(f"{m1.name}+{m2.name}", m1.group, m1.p, forms)
 
@@ -381,7 +372,10 @@ def _summand(m, name, basis, left):
     """
     left = sparse_rows(left)
     cols = 1, tuple({i: v[k] for i, v in enumerate(basis) if v[k]} for k in range(m.rank))
-    forms = {g: sparse_mul(sparse_mul(left, m.forms[g]), cols) for g in range(m.group.order)}
+    forms = {
+        g: sparse_mul(sparse_mul(left, m.forms[g]), cols)
+        for g in (0, *m.group.generating_set())
+    }
     return CharModule._from_forms(name, m.group, m.p, forms)
 
 

@@ -115,10 +115,15 @@ class FiniteGroup:
                         frontier.append(y)
         return tuple(sorted(seen))
 
-    def generating_set(self):
+    def generating_set(self, candidates=None):
+        """The greedy generating subset of ``candidates`` (default: every element).
+
+        Each candidate, in ascending order, is kept when it lies outside the
+        closure of those kept before it.
+        """
         gens = []
         current = {0}
-        for x in range(1, self.order):
+        for x in range(1, self.order) if candidates is None else sorted(candidates):
             if x not in current:
                 gens.append(x)
                 current = set(self.closure(gens))

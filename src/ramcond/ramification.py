@@ -141,9 +141,13 @@ def ram_data(group, p, wild_chain, omega, name=""):
             given[rep] = v
         if set(given) != set(coset_ids):
             raise InputError("omega must cover every tame coset exactly once")
+        # Gamma_1 is normal, so the generators' cosets generate the quotient:
+        # additivity on (coset, generator) gives omega(1) = 0, then all pairs
+        # by induction on a word
+        gens = group.generating_set()
         for a in coset_ids:
-            for b in coset_ids:
-                if (given[a] + given[b]) % n != given[quotient_mult(a, b)]:
+            for s in gens:
+                if (given[a] + given[coset_rep(s)]) % n != given[quotient_mult(a, s)]:
                     raise InputError("omega is not a homomorphism to Z/n")
         if len(set(given.values())) != n:
             raise InputError("omega is not injective")

@@ -679,6 +679,12 @@ def symmetric_descent(group, action):
     For each variable the |group| elementary symmetric polynomials
     of its orbit multiset are returned; each output is checked to be fixed by
     every substitution.
+
+    The check is sigma_1 = id and sigma_ab = sigma_a o sigma_b for every a
+    and every b in ``group.generating_set()``; each sigma is a ring
+    endomorphism of the window, so composition is associative.  That
+    suffices by induction on a word for c: for c = c's, sigma_ac =
+    sigma_ac' o sigma_s = sigma_a o sigma_c' o sigma_s = sigma_a o sigma_c.
     """
     ring = None
     for gid in range(group.order):
@@ -702,8 +708,9 @@ def symmetric_descent(group, action):
     for name in ring.variables:
         if action[0][name] != ident[name]:
             raise InputError("identity element must act as the identity substitution")
+    gens = group.generating_set()
     for a in range(group.order):
-        for b in range(group.order):
+        for b in gens:
             ab = group.mult(a, b)
             for name in ring.variables:
                 composed = substitute(action[b][name], action[a])

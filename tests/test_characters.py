@@ -23,9 +23,12 @@ from ramcond.characters import (
 from ramcond.conductors import (
     CharModule,
     conductor,
+    is_isogenous,
     module_character,
     permutation_module,
     regular_module,
+    split_idempotent,
+    weil_restriction,
 )
 from ramcond.errors import CheckFailure, InputError
 from ramcond.exact import CycloNum, euler_phi
@@ -522,3 +525,50 @@ def test_conductors_build_no_values_view():
     artin_conductor(rd, module_character(m))
     for f in (bisection(rd), artin_character(rd), module_character(m)):
         assert f._values is None
+
+
+def _views_equal(f, g):
+    """Class function equality read valuewise on the ``CycloNum`` views."""
+    return f.group == g.group and all(a == b for a, b in zip(f.values, g.values))
+
+
+def _at_level(f, level):
+    """``f`` with its values embedded at ``level``, through the public constructor."""
+    return ClassFunction(f.group, [v.embed(level) for v in f.values])
+
+
+def test_class_function_equality_matches_the_view_comparison():
+    rng = random.Random(16)
+    cross_level_equal = 0
+    for rd in catalog():
+        g = rd.group
+        ba, art = bisection(rd), artin_character(rd)
+        fs = [ba, conjugate(ba), art, ba + conjugate(ba), trivial_character(g)]
+        fs += [module_character(random_module(rng, g, rd.p)), regular_character(g)]
+        fs += [_at_level(f, f.level * k) for f in fs[:3] for k in (2, 3)]
+        for f in fs:
+            for h in fs:
+                assert (f == h) == _views_equal(f, h), (rd.name, f, h)
+                cross_level_equal += f.level != h.level and f == h
+    # bA + conj(bA) at level n equals the Artin character at level 1
+    assert cross_level_equal > 2 * len(catalog())
+    c2, c3 = trivial_character(make_cyclic(2)), trivial_character(make_cyclic(3))
+    assert c2 != c3 and not _views_equal(c2, c3)
+
+
+def test_character_equality_builds_no_values_view(monkeypatch):
+    g, p = make_cyclic(6), 5
+    m = regular_module(g, p)
+    sub = subgroup(g, (0, 2, 4))
+    m_sub = regular_module(sub.as_group()[0], p)
+    reads = []
+    real = ClassFunction.values
+    counted = property(lambda f: reads.append(f) or real.fget(f))
+    monkeypatch.setattr(ClassFunction, "values", counted)
+    assert is_isogenous(m, m)
+    induced = weil_restriction(m_sub, sub)
+    # the averaging idempotent, with 6 a 5-adic unit
+    plus, minus = split_idempotent(m, [[Fraction(1, 6)] * 6] * 6)
+    assert reads == []
+    for module in (m, m_sub, induced, plus, minus):
+        assert module_character(module)._values is None

@@ -17,7 +17,7 @@ from dense import (
     trace_diagonals,
 )
 
-from ramcond import conductors, linalg
+from ramcond import characters, conductors, linalg
 from ramcond.catalog import catalog, random_module, random_unit_conjugate
 from ramcond.conductors import (
     CharModule,
@@ -38,7 +38,7 @@ from ramcond.conductors import (
 )
 from ramcond.errors import CheckFailure, InputError
 from ramcond.exact import CycloNum
-from ramcond.groups import make_cyclic, make_symmetric, subgroup
+from ramcond.groups import make_cyclic, make_product, make_symmetric, subgroup
 from ramcond.linalg import (
     as_matrix,
     lattice_contains,
@@ -818,3 +818,78 @@ def test_char_module_validation():
     for gid in (-1, 2):  # generator ids outside range(|G|); -1 would index from the end
         with pytest.raises(InputError):
             module_from_generators("bad", g, 2, {gid: ((-1,),)})
+
+
+def test_module_from_generators_takes_each_edge_once(monkeypatch):
+    # one walk completes and checks the action: |G| * |S| products, nothing more
+    g = make_product(make_cyclic(8), make_cyclic(5))
+    gens = g.generating_set()
+    regular = regular_module(g, 3)
+    given = {s: regular.matrix(s) for s in gens}
+    calls = []
+    for module in (characters, conductors):
+        real = module.sparse_mul
+        monkeypatch.setattr(
+            module, "sparse_mul", lambda a, b, real=real: calls.append(1) or real(a, b)
+        )
+    built = module_from_generators("regular", g, 3, given)
+    assert len(calls) == g.order * len(gens) == 80
+    assert built.forms == regular.forms
+    assert list(built.forms) == list(range(g.order))
+
+
+@pytest.mark.parametrize(
+    "given, message",
+    [
+        ({1: ((-1,),), 2: ((-1,),)}, "action is not a homomorphism at (1, 1)"),
+        ({1: ((0, -1), (1, 0)), 2: ((1, 0), (0, 1))}, "action is not a homomorphism at (1, 1)"),
+        ({1: ((0, -1), (1, 0)), 3: ((0, -1), (1, 0))}, "action is not a homomorphism at (3, 1)"),
+        ({2: ((-1,),)}, "given generators do not generate the group"),
+        ({2: ((Fraction(1, 2),),)}, "entry 1/2 is not p-integral at p=2"),
+    ],
+)
+def test_module_from_generators_checks_every_given_matrix(given, message):
+    # on C4, S = (1,) whenever 1 is given: 2 and 3 are redundant, yet compared
+    with pytest.raises(InputError) as excinfo:
+        module_from_generators("m", make_cyclic(4), 2, given)
+    assert str(excinfo.value) == message
+
+
+def test_module_from_generators_given_every_element_is_the_public_constructor():
+    g = make_cyclic(6)
+    regular = regular_module(g, 5)
+    built = module_from_generators("regular", g, 5, regular.action)
+    assert built.forms == regular.forms
+    # the same walk over the same edges, so the same refusal
+    wrong = {**regular.action, 3: regular.action[1]}
+    with pytest.raises(InputError) as public:
+        CharModule("m", g, 5, wrong)
+    with pytest.raises(InputError) as given:
+        module_from_generators("m", g, 5, wrong)
+    assert str(public.value) == str(given.value) == "action is not a homomorphism at (2, 1)"
+
+
+def test_builders_hand_over_forms_on_the_generators_only(monkeypatch):
+    handed = []
+    real = conductors.check_forms
+
+    def recording(group, forms):
+        handed.append((group, tuple(forms)))
+        return real(group, forms)
+
+    monkeypatch.setattr(conductors, "check_forms", recording)
+    rng = random.Random(16)
+    for rd in catalog():
+        grp, p = rd.group, rd.p
+        m = random_module(rng, grp, p)
+        sub = subgroup(grp, grp.subgroups()[len(grp.subgroups()) // 2])
+        random_unit_conjugate(rng, m)
+        direct_sum(trivial_module(grp, p, rank=2), m)
+        weil_restriction(regular_module(sub.as_group()[0], p), sub)
+        module_from_generators("gens", grp, p, {s: m.matrix(s) for s in grp.generating_set()})
+    # the averaging idempotent of the regular module on C3, with 3 a 2-adic unit
+    c3 = make_cyclic(3)
+    split_idempotent(regular_module(c3, 2), [[Fraction(1, 3)] * 3] * 3)
+    assert len(handed) > 6 * len(catalog())
+    for group, keys in handed:
+        assert keys == (0, *group.generating_set()), group

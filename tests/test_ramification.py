@@ -247,3 +247,15 @@ def test_non_integral_disc_is_flagged():
     h2 = subgroup(rd.group, (0, 2))
     with pytest.raises(CheckFailure):
         disc_valuation(rd, h2)  # (7 - 2)/2 is not an integer
+
+
+def test_omega_dict_must_be_a_homomorphism():
+    # injective but not additive: 1 + 1 = 2, yet omega(2) = 3
+    with pytest.raises(InputError, match="omega is not a homomorphism to Z/n"):
+        ram_data(make_cyclic(4), 3, [], {0: 0, 1: 1, 2: 3, 3: 2})
+    assert ram_data(make_cyclic(4), 3, [], {0: 0, 1: 3, 2: 2, 3: 1}).omega_exp == (0, 3, 2, 1)
+    # on C12 over Gamma_1 = {0, 4, 8}, with coset members other than the least as keys
+    g12, wild = make_cyclic(12), [(0, 4, 8)]
+    with pytest.raises(InputError, match="omega is not a homomorphism to Z/n"):
+        ram_data(g12, 3, wild, {0: 0, 5: 1, 10: 3, 3: 2})
+    assert ram_data(g12, 3, wild, {4: 0, 5: 1, 10: 2, 3: 3}).omega_exp == (0, 1, 2, 3) * 3

@@ -801,3 +801,31 @@ def test_symmetric_descent_rejects_non_action():
     action = {0: {"s": s}, 1: {"s": s * 2}}  # squares to x4, not an involution
     with pytest.raises(InputError):
         symmetric_descent(group, action)
+
+
+def _cyclic_shift_c3():
+    """C3 permuting three variables a -> b -> c -> a; generating_set() is (1,)."""
+    ring = SeriesRingSpec(3, s_vars=("a", "b", "c"), degree_cap=4)
+    a, b, c = (MixedSeries.variable(ring, name) for name in ("a", "b", "c"))
+    action = {
+        0: {"a": a, "b": b, "c": c},
+        1: {"a": b, "b": c, "c": a},
+        2: {"a": c, "b": a, "c": b},
+    }
+    return make_cyclic(3), action, (a, b, c)
+
+
+def test_symmetric_descent_cyclic_shift():
+    group, action, (a, b, c) = _cyclic_shift_c3()
+    assert group.generating_set() == (1,)
+    result = symmetric_descent(group, action)
+    assert result["a"] == [a + b + c, a * b + b * c + c * a, a * b * c]
+
+
+@pytest.mark.parametrize("element", [2, 1], ids=["not-a-generator", "generator"])
+def test_symmetric_descent_refuses_a_wrong_substitution(element):
+    group, action, (a, b, c) = _cyclic_shift_c3()
+    # element 2 acting as 1 does, or the generator 1 swapping a and b
+    wrong = action[1] if element == 2 else {"a": b, "b": a, "c": c}
+    with pytest.raises(InputError, match="not a homomorphism"):
+        symmetric_descent(group, {**action, element: wrong})
