@@ -72,6 +72,7 @@ class FiniteGroup:
         self._inv = inverses
         self._classes = None
         self._subgroups = None
+        self._gens = None
 
     def __eq__(self, other):
         if not isinstance(other, FiniteGroup):
@@ -119,8 +120,11 @@ class FiniteGroup:
         """The greedy generating subset of ``candidates`` (default: every element).
 
         Each candidate, in ascending order, is kept when it lies outside the
-        closure of those kept before it.
+        closure of those kept before it.  The default is computed once per
+        group and held on it.
         """
+        if candidates is None and self._gens is not None:
+            return self._gens
         gens = []
         current = {0}
         for x in range(1, self.order) if candidates is None else sorted(candidates):
@@ -129,7 +133,10 @@ class FiniteGroup:
                 current = set(self.closure(gens))
                 if len(current) == self.order:
                     break
-        return tuple(gens)
+        gens = tuple(gens)
+        if candidates is None:
+            self._gens = gens
+        return gens
 
     def subgroups(self):
         """All subgroups, as sorted element tuples, found by closure growth."""
@@ -293,8 +300,3 @@ class Subgroup:
 def subgroup(parent, elements):
     return Subgroup(parent, elements)
 
-
-def intersect(h1, h2):
-    if h1.parent != h2.parent:
-        raise InputError("subgroup intersection across different groups")
-    return Subgroup(h1.parent, sorted(set(h1.elements) & set(h2.elements)))

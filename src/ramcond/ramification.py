@@ -1,11 +1,12 @@
 """Ramification data of a totally ramified extension and its invariants.
 
 A :class:`RamData` packages a finite group, the residue characteristic, the
-lower-numbering wild chain (given, not derived from field data) and the tame
-identification of the first quotient with roots of unity.  From it we compute
-the break function i(s), the Artin character, the cyclotomic bisection class
-function whose conjugate-sum recovers the Artin character, discriminant
-valuations of subextensions and restricted ramification data.
+lower-numbering filtration (given as a chain, not derived from field data)
+kept as its break function i(s), and the tame identification of the first
+quotient with roots of unity.  From it we compute the Artin character, the
+cyclotomic bisection class function whose conjugate-sum recovers the Artin
+character, discriminant valuations of subextensions and restricted
+ramification data.
 """
 
 from __future__ import annotations
@@ -16,7 +17,7 @@ from math import gcd
 from .characters import ClassFunction
 from .errors import CheckFailure, InputError
 from .exact import _inverse_zeta_minus_one_row, euler_phi, is_prime
-from .groups import FiniteGroup, Subgroup, intersect, subgroup
+from .groups import FiniteGroup, Subgroup, subgroup
 
 __all__ = [
     "RamData",
@@ -35,18 +36,12 @@ class RamData:
 
     group: FiniteGroup
     p: int
-    wild_chain: tuple  # descending subgroups Gamma_1 >= Gamma_2 >= ...
+    breaks: tuple  # element id -> i(s) = 1 + number of chain steps holding s; 0 at the identity
     n: int  # order of the tame quotient
     omega_exp: tuple  # element id -> exponent of its coset in Z/n
     name: str = field(default="", compare=False)
     _bisection: object = field(default=None, compare=False, repr=False)  # memo of bisection()
     _artin: object = field(default=None, compare=False, repr=False)  # memo of artin_character()
-
-    @property
-    def wild_subgroup(self):
-        if self.wild_chain:
-            return self.wild_chain[0]
-        return subgroup(self.group, (0,))
 
 
 def ram_data(group, p, wild_chain, omega, name=""):
@@ -57,31 +52,41 @@ def ram_data(group, p, wild_chain, omega, name=""):
     the trivial tail may be omitted.  ``omega`` is either a dict mapping
     coset-representative ids to exponents mod n, or a pair (generator_id,
     exponent) fixing the value on one generating coset.
+
+    Each run of equal consecutive entries is read as one Subgroup and
+    checked once for normality and descent.  The exponent-p and abelian
+    checks run only where the step changes: the quotient of a step by
+    itself is trivial.  A message's "step k" counts raw entries.
     """
     if not is_prime(p):
         raise InputError(f"residue characteristic {p} is not prime")
-    chain = []
-    for entry in wild_chain:
+    runs = []  # [subgroup, number of entries, index of its last entry]
+    for k, entry in enumerate(wild_chain):
         if isinstance(entry, Subgroup):
             if entry.parent != group:
                 raise InputError("wild chain subgroup has the wrong parent")
-            chain.append(entry)
+            elements = entry.elements
         else:
-            chain.append(subgroup(group, entry))
+            elements = tuple(sorted(set(int(x) for x in entry)))
+        if runs and runs[-1][0].elements == elements:
+            runs[-1][1] += 1
+            runs[-1][2] = k
+        else:
+            h = entry if isinstance(entry, Subgroup) else subgroup(group, elements)
+            runs.append([h, 1, k])
     # drop trailing trivial entries; they encode nothing
-    while chain and chain[-1].order == 1:
-        chain.pop()
-    chain = tuple(chain)
+    while runs and runs[-1][0].order == 1:
+        runs.pop()
 
     prev = None
-    for h in chain:
+    for h, _, _ in runs:
         if not h.is_normal():
             raise InputError("every wild filtration step must be normal")
         if prev is not None and not set(h.elements) <= set(prev.elements):
             raise InputError("wild filtration must be descending")
         prev = h
 
-    gamma1 = chain[0] if chain else subgroup(group, (0,))
+    gamma1 = runs[0][0] if runs else subgroup(group, (0,))
     order1 = gamma1.order
     m = order1
     while m % p == 0:
@@ -93,25 +98,26 @@ def ram_data(group, p, wild_chain, omega, name=""):
     if gcd(n, p) != 1:
         raise InputError("tame quotient order must be prime to p")
 
-    # elementary abelian exponent-p quotients along the chain (trivial tail implied)
-    extended = list(chain) + [subgroup(group, (0,))]
-    for i in range(len(chain)):
-        top, bottom = extended[i], extended[i + 1]
+    # elementary abelian exponent-p quotients where the step changes (trivial tail implied)
+    bottoms = [h for h, _, _ in runs[1:]] + [subgroup(group, (0,))]
+    for (top, _, last), bottom in zip(runs, bottoms):
         bset = set(bottom.elements)
         for x in top.elements:
             xp = x
             for _ in range(p - 1):
                 xp = group.mult(xp, x)
             if xp not in bset:
-                raise InputError(
-                    f"filtration quotient at step {i + 1} has exponent > {p}"
-                )
+                raise InputError(f"filtration quotient at step {last + 1} has exponent > {p}")
             for y in top.elements:
                 comm = group.mult(group.conj(x, y), group.inv(y))
                 if comm not in bset:
-                    raise InputError(
-                        f"filtration quotient at step {i + 1} is not abelian"
-                    )
+                    raise InputError(f"filtration quotient at step {last + 1} is not abelian")
+
+    breaks = [1] * group.order
+    for h, count, _ in runs:
+        for x in h.elements:
+            breaks[x] += count
+    breaks[0] = 0
 
     # tame quotient must be cyclic; build its coset structure
     coset_ids, coset_of = gamma1.left_transversal()
@@ -130,7 +136,6 @@ def ram_data(group, p, wild_chain, omega, name=""):
             raise InputError("omega is required when the tame quotient is nontrivial")
         omega = (0, 0)
 
-    exps = None
     if isinstance(omega, dict):
         given = {}
         for k, v in omega.items():
@@ -159,27 +164,22 @@ def ram_data(group, p, wild_chain, omega, name=""):
             raise InputError("omega generator exponent must be a unit mod n")
         rep = coset_rep(gen)
         exps = {}
-        coset, k = 0, 0
-        for _ in range(n):
+        coset = 0
+        for k in range(n):
             exps[coset] = (k * e) % n
             coset = quotient_mult(coset, rep)
-            k += 1
         if len(exps) != n:
             raise InputError("omega generator does not generate the tame quotient")
 
     omega_exp = tuple(exps[coset_rep(x)] for x in range(group.order))
-    return RamData(group, p, chain, n, omega_exp, name=name)
+    return RamData(group, p, tuple(breaks), n, omega_exp, name=name)
 
 
 def i_gamma(rd, s):
     """The break function: 1 + number of wild chain steps containing s."""
     if s == 0:
         raise InputError("the break function is not finite at the identity")
-    return 1 + sum(1 for h in rd.wild_chain if s in h)
-
-
-def _sum_i(rd, elems):
-    return sum(i_gamma(rd, s) for s in elems if s != 0)
+    return rd.breaks[s]
 
 
 def artin_character(rd):
@@ -190,8 +190,7 @@ def artin_character(rd):
     """
     if rd._artin is not None:
         return rd._artin
-    breaks = [i_gamma(rd, s) for s in range(1, rd.group.order)]
-    rows = ((sum(breaks),),) + tuple((-b,) for b in breaks)
+    rows = ((sum(rd.breaks),),) + tuple((-b,) for b in rd.breaks[1:])
     object.__setattr__(rd, "_artin", ClassFunction._from_form(rd.group, 1, (1, rows)))
     return rd._artin
 
@@ -200,8 +199,8 @@ def bisection(rd):
     """The cyclotomic class function whose sum with its conjugate is the Artin character.
 
     Values: 1/(omega(s) - 1) on tame elements, -i(s)/2 on nontrivial wild
-    elements, and half the total break sum at the identity; valued in
-    Q(zeta_n) through the tame identification.
+    elements (those with i(s) > 1), and half the total break sum at the
+    identity; valued in Q(zeta_n) through the tame identification.
 
     Tame values use the closed form 1/(w - 1) = (1/n) * sum_{j<n} j * w^j,
     which holds for every w != 1 with w^n = 1, since
@@ -213,15 +212,12 @@ def bisection(rd):
         return rd._bisection
     grp = rd.group
     n = rd.n
-    wild = set(rd.wild_subgroup.elements)
     pad = (0,) * (euler_phi(n) - 1)
     tame = {}  # omega exponent -> its row
-    rows = []
-    for s in range(grp.order):
-        if s == 0:
-            rows.append((n * _sum_i(rd, grp.elements()),) + pad)
-        elif s in wild:
-            rows.append((-n * i_gamma(rd, s),) + pad)
+    rows = [(n * sum(rd.breaks),) + pad]
+    for s in range(1, grp.order):
+        if rd.breaks[s] > 1:
+            rows.append((-n * rd.breaks[s],) + pad)
         else:
             k = rd.omega_exp[s]
             if k not in tame:
@@ -239,13 +235,9 @@ def disc_valuation(rd, h):
     """
     if not isinstance(h, Subgroup) or h.parent != rd.group:
         raise InputError("disc_valuation needs a subgroup of the ramification group")
-    total = _sum_i(rd, rd.group.elements())
-    inner = _sum_i(rd, h.elements)
-    num = total - inner
+    num = sum(rd.breaks) - sum(rd.breaks[s] for s in h.elements)
     if num % h.order != 0:
-        raise CheckFailure(
-            "different tower gave a non-integral discriminant valuation"
-        )
+        raise CheckFailure("different tower gave a non-integral discriminant valuation")
     v = num // h.order
     if v < 0:
         raise CheckFailure("negative discriminant valuation")
@@ -253,32 +245,28 @@ def disc_valuation(rd, h):
 
 
 def restrict_ramdata(rd, h):
-    """Ramification data of the subgroup: intersected chain, restricted omega."""
+    """Ramification data of the subgroup h: the break function and omega, read on h.
+
+    Nothing is re-checked: restricting valid data gives valid data, the way
+    :meth:`~ramcond.groups.Subgroup.as_group` builds on a checked table.
+    The steps H n Gamma_k are normal in H and descend, and each quotient
+    (H n Gamma_k) / (H n Gamma_(k+1)) embeds in Gamma_k / Gamma_(k+1), so it
+    is elementary abelian of exponent p; H n Gamma_1 is a p-group.  Their
+    break function is i_H = i_G on H (Serre, *Local Fields*, IV 1, Prop. 2).
+    The tame quotient H / (H n Gamma_1) is H Gamma_1 / Gamma_1, a subgroup
+    of the cyclic G / Gamma_1, so its order n_H = |H| / |H n Gamma_1|
+    divides n and is prime to p, and omega maps it injectively onto the
+    multiples of n / n_H in Z/n; division by n / n_H is then an injective
+    homomorphism onto Z/n_H.  These are the data :func:`ram_data` builds
+    from the intersected chain and that omega.
+    """
     if not isinstance(h, Subgroup) or h.parent != rd.group:
         raise InputError("restrict_ramdata needs a subgroup of the ramification group")
-    hgrp, to_sub, from_sub = h.as_group()
-    chain = []
-    for g in rd.wild_chain:
-        inter = intersect(h, g)
-        chain.append(subgroup(hgrp, tuple(to_sub[x] for x in inter.elements)))
-    wild1 = set(intersect(h, rd.wild_subgroup).elements)
-    n_h = h.order // len(wild1)
-    if rd.n % n_h != 0:
-        raise AssertionError("tame quotient of a subgroup must divide n")
+    hgrp, _, from_sub = h.as_group()
+    breaks = tuple(rd.breaks[x] for x in from_sub)
+    n_h = h.order // (1 + sum(1 for b in breaks if b > 1))
     step = rd.n // n_h
-    omega = {}
-    for x in h.elements:
-        if x in wild1:
-            omega[to_sub[x]] = 0
-        else:
-            e = rd.omega_exp[x]
-            if e % step != 0:
-                raise CheckFailure("omega exponent of a subgroup element not in range")
-            omega[to_sub[x]] = (e // step) % n_h
-    sub_rd = ram_data(
-        hgrp, rd.p, chain, omega, name=f"{rd.name}|{h.elements}" if rd.name else ""
+    omega_exp = tuple(rd.omega_exp[x] // step for x in from_sub)
+    return RamData(
+        hgrp, rd.p, breaks, n_h, omega_exp, name=f"{rd.name}|{h.elements}" if rd.name else ""
     )
-    for x in h.elements:
-        if x != 0 and i_gamma(sub_rd, to_sub[x]) != i_gamma(rd, x):
-            raise CheckFailure("restricted break function disagrees with the parent")
-    return sub_rd

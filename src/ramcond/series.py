@@ -685,6 +685,9 @@ def symmetric_descent(group, action):
     endomorphism of the window, so composition is associative.  That
     suffices by induction on a word for c: for c = c's, sigma_ac =
     sigma_ac' o sigma_s = sigma_a o sigma_c' o sigma_s = sigma_a o sigma_c.
+    The same induction lets the generators prove an output u fixed: if
+    sigma_c'(u) = u and sigma_s(u) = u, then sigma_c's(u) =
+    sigma_c'(sigma_s(u)) = u.
     """
     ring = None
     for gid in range(group.order):
@@ -731,7 +734,7 @@ def symmetric_descent(group, action):
             esym = new
         outputs = esym[1:]
         for u in outputs:
-            for gid in range(group.order):
+            for gid in gens:
                 if substitute(u, action[gid]) != u:
                     raise CheckFailure("descent generator is not action-invariant")
         results[name] = outputs

@@ -29,7 +29,6 @@ from .ramification import (
     artin_character,
     bisection,
     disc_valuation,
-    i_gamma,
     restrict_ramdata,
 )
 from .series import (
@@ -45,6 +44,7 @@ from .series import (
 )
 
 __all__ = [
+    "bisection_mismatch",
     "suite_bisection",
     "suite_restriction",
     "suite_frobenius",
@@ -62,30 +62,35 @@ def _record(results, name, ok, detail=""):
 
 
 def _first_mismatch(pairs):
-    """Witness detail of the first (s, lhs, rhs) with lhs != rhs, else None."""
-    for s, lhs, rhs in pairs:
-        if lhs != rhs:
-            return f"s={s}: lhs={lhs}, rhs={rhs}"
-    return None
+    """The first (s, lhs, rhs) with lhs != rhs, else None."""
+    return next(((s, lhs, rhs) for s, lhs, rhs in pairs if lhs != rhs), None)
+
+
+def _record_mismatch(results, name, mismatch):
+    """Record a pass, or a failure witnessed by the mismatch (s, lhs, rhs)."""
+    detail = "" if mismatch is None else "s={}: lhs={}, rhs={}".format(*mismatch)
+    _record(results, name, mismatch is None, detail)
+
+
+def bisection_mismatch(rd):
+    """The first (s, bA(s) + conj(bA(s)), a(s)) whose sides differ, else None."""
+    ba, a = bisection(rd), artin_character(rd)
+    return _first_mismatch(
+        (s, ba.values[s] + ba.values[s].conjugate(), a.values[s]) for s in range(rd.group.order)
+    )
 
 
 def check_bisection(rd, results):
-    ba = bisection(rd)
-    a = artin_character(rd)
-    witness = _first_mismatch(
-        (s, ba.values[s] + ba.values[s].conjugate(), a.values[s])
-        for s in range(rd.group.order)
-    )
-    _record(results, f"bisection[{rd.name}]", witness is None, witness or "")
+    _record_mismatch(results, f"bisection[{rd.name}]", bisection_mismatch(rd))
+    ba, a = bisection(rd), artin_character(rd)
     # bA(s) * (omega(s) - 1) == 1 on tame s: field multiplication only, so it
     # does not rely on the closed form that computed bA
-    wild = set(rd.wild_subgroup.elements)
-    witness = _first_mismatch(
+    mismatch = _first_mismatch(
         (s, ba.values[s] * (CycloNum.zeta(rd.n, rd.omega_exp[s]) - 1), 1)
         for s in range(rd.group.order)
-        if s not in wild
+        if rd.breaks[s] == 1
     )
-    _record(results, f"tame-value-identity[{rd.name}]", witness is None, witness or "")
+    _record_mismatch(results, f"tame-value-identity[{rd.name}]", mismatch)
     total = sum((v.rational_part()[1] for v in a.values), Fraction(0))
     _record(results, f"artin-sum-zero[{rd.name}]", total == 0, str(total))
     v = disc_valuation(rd, subgroup(rd.group, (0,)))
@@ -98,7 +103,7 @@ def check_bisection(rd, results):
     for cls in conjugacy_classes(rd.group):
         if cls == (0,):
             continue
-        vals = {i_gamma(rd, s) for s in cls}
+        vals = {rd.breaks[s] for s in cls}
         if len(vals) != 1:
             _record(results, f"break-class-constancy[{rd.name}]", False, str(cls))
             return

@@ -16,7 +16,10 @@ inverses by.  Gauss-Jordan elimination (``rref``, ``solve``, ``det``) with
 split (``split_actions``, one rational solve per element and basis vector),
 lattice adaptation (``adapt_lattice``, ``adapt_lattice_pair``) and basis
 check (``check_adapted_basis``, by determinant) that check the integer
-reductions ``ramcond.conductors`` runs them on.
+reductions ``ramcond.conductors`` runs them on.  The validating
+restriction (intersected chain, restricted omega dict, ``ram_data``) checks
+the literal restriction of the break function that ``ramcond.ramification``
+makes.
 """
 
 from fractions import Fraction
@@ -25,8 +28,9 @@ from math import inf
 from ramcond.characters import ClassFunction
 from ramcond.errors import CheckFailure, InputError
 from ramcond.exact import CycloNum, inverse_zeta_minus_one, p_valuation
+from ramcond.groups import subgroup
 from ramcond.linalg import as_matrix, hnf_rows, integer_kernel
-from ramcond.ramification import i_gamma
+from ramcond.ramification import i_gamma, ram_data
 from ramcond.series import (
     VAL_BOUND_MAX,
     MixedSeries,
@@ -302,17 +306,50 @@ def artin_character(rd):
 def bisection(rd):
     """``ramification.bisection``, one ``CycloNum`` per element, embedded at the level n."""
     grp = rd.group
-    wild = set(rd.wild_subgroup.elements)
     values = []
     for s in range(grp.order):
         if s == 0:
             total = sum(i_gamma(rd, t) for t in range(1, grp.order))
             values.append(CycloNum.from_rational(Fraction(total, 2)))
-        elif s in wild:
+        elif i_gamma(rd, s) > 1:
             values.append(CycloNum.from_rational(Fraction(-i_gamma(rd, s), 2)))
         else:
             values.append(inverse_zeta_minus_one(rd.n, rd.omega_exp[s]))
     return ClassFunction(grp, values)
+
+
+def wild_chain(rd):
+    """The raw filtration Gamma_1, Gamma_2, ... as element tuples: Gamma_k holds the s with i(s) > k."""
+    top = max(rd.breaks)
+    return [(0,) + tuple(s for s in range(1, rd.group.order) if rd.breaks[s] > k) for k in range(1, top)]
+
+
+def restrict_ramdata(rd, h):
+    """``ramification.restrict_ramdata`` validated again: intersected chain, restricted omega, ``ram_data``."""
+    hgrp, to_sub, _ = h.as_group()
+    chain = []
+    for step in wild_chain(rd):
+        inter = subgroup(rd.group, sorted(set(h.elements) & set(step)))
+        chain.append(subgroup(hgrp, tuple(to_sub[x] for x in inter.elements)))
+    wild1 = {x for x in h.elements if x == 0 or rd.breaks[x] > 1}
+    n_h = h.order // len(wild1)
+    if rd.n % n_h != 0:
+        raise AssertionError("tame quotient of a subgroup must divide n")
+    step = rd.n // n_h
+    omega = {}
+    for x in h.elements:
+        if x in wild1:
+            omega[to_sub[x]] = 0
+        else:
+            e = rd.omega_exp[x]
+            if e % step != 0:
+                raise CheckFailure("omega exponent of a subgroup element not in range")
+            omega[to_sub[x]] = (e // step) % n_h
+    sub_rd = ram_data(hgrp, rd.p, chain, omega, name=f"{rd.name}|{h.elements}" if rd.name else "")
+    for x in h.elements:
+        if x != 0 and i_gamma(sub_rd, to_sub[x]) != i_gamma(rd, x):
+            raise CheckFailure("restricted break function disagrees with the parent")
+    return sub_rd
 
 
 def z_shift_down(f, zi, n):

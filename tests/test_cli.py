@@ -45,6 +45,25 @@ def test_bisect_wild_cyclic2(capsys):
     assert [r["artin"] for r in rows] == ["2", "-2"]
 
 
+
+@pytest.mark.parametrize("wrong_at, statuses", [(0, ["fail", "fail"]), (2, ["pass", "fail"])])
+def test_bisect_identity_checks_name_the_identity_once(capsys, monkeypatch, wrong_at, statuses):
+    from ramcond import cli, verify
+    from ramcond.characters import ClassFunction
+    from ramcond.ramification import bisection
+
+    def wrong(rd):
+        values = list(bisection(rd).values)
+        values[wrong_at] = values[wrong_at] + 1
+        return ClassFunction(rd.group, values)
+
+    monkeypatch.setattr(cli, "bisection", wrong)
+    monkeypatch.setattr(verify, "bisection", wrong)
+    code, report, _ = run_json(capsys, "bisect", scenario_path("c4_tower.json"))
+    assert code == 1
+    checks = {c["name"]: c["status"] for c in report["checks"]}
+    assert [checks["bisection-identity-at-identity"], checks["bisection-identity"]] == statuses
+
 def test_conduct_tame_cyclic3(capsys):
     code, report, _ = run_json(capsys, "conduct", scenario_path("tame_cyclic3.json"))
     assert code == 0

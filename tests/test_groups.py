@@ -143,3 +143,16 @@ def test_product_group_law_valid(n, m):
     assert g.order == n * m
     checked = FiniteGroup(g.table)
     assert g == checked and g._inv == checked._inv
+
+
+def test_generating_set_is_held_on_the_group(monkeypatch):
+    for rd in catalog():
+        g = FiniteGroup(rd.group.table)
+        gens = g.generating_set()
+        monkeypatch.setattr(g, "closure", None)  # a second greedy pass would call it
+        assert g.generating_set() is gens
+        monkeypatch.undo()
+        # given candidates neither read nor replace the memo
+        assert g.generating_set(range(g.order - 1, 0, -1)) == gens
+        assert g.generating_set((0,)) == ()
+        assert g.generating_set() is gens

@@ -3,12 +3,13 @@ from fractions import Fraction
 
 import pytest
 
-from ramcond.catalog import catalog, random_ram_data
+import dense
+from ramcond.catalog import _CATALOG_BUILDERS, catalog, random_ram_data
 from ramcond import verify
 from ramcond.characters import ClassFunction, regular_character, restrict
 from ramcond.errors import CheckFailure, InputError
 from ramcond.exact import CycloNum
-from ramcond.groups import make_cyclic, make_product, subgroup
+from ramcond.groups import make_cyclic, make_from_table, make_product, make_symmetric, subgroup
 from ramcond.ramification import (
     artin_character,
     bisection,
@@ -92,8 +93,8 @@ def test_bisection_is_held_on_the_ram_data():
 
 
 def test_artin_character_is_held_on_the_ram_data():
-    for rd in catalog():
-        fresh = ram_data(rd.group, rd.p, rd.wild_chain, dict(enumerate(rd.omega_exp)), name=rd.name)
+    for (_, build), rd in zip(_CATALOG_BUILDERS, catalog()):
+        fresh = build()
         a = artin_character(rd)
         assert artin_character(rd) is a
         assert rd == fresh and repr(rd) == repr(fresh)
@@ -259,3 +260,81 @@ def test_omega_dict_must_be_a_homomorphism():
     with pytest.raises(InputError, match="omega is not a homomorphism to Z/n"):
         ram_data(g12, 3, wild, {0: 0, 5: 1, 10: 3, 3: 2})
     assert ram_data(g12, 3, wild, {4: 0, 5: 1, 10: 2, 3: 3}).omega_exp == (0, 1, 2, 3) * 3
+
+
+def heisenberg_mod3():
+    """Upper unitriangular 3 x 3 matrices mod 3: order 27, exponent 3, not abelian."""
+    ids = [(a, b, c) for a in range(3) for b in range(3) for c in range(3)]
+    index = {e: i for i, e in enumerate(ids)}
+    return make_from_table(
+        [[index[((a + x) % 3, (b + y) % 3, (c + z + a * y) % 3)] for x, y, z in ids] for a, b, c in ids]
+    )
+
+
+REFUSED_CHAINS = {
+    "exponent-at-repeat": (make_cyclic(4), 2, [range(4), range(4)], "filtration quotient at step 2 has exponent > 2"),
+    "exponent-counts-raw-steps": (
+        make_cyclic(8),
+        2,
+        [range(8), range(8), (0, 4), (0, 4)],
+        "filtration quotient at step 2 has exponent > 2",
+    ),
+    "exponent-at-a-later-step": (
+        make_cyclic(8),
+        2,
+        [range(8), (0, 2, 4, 6), (0, 2, 4, 6)],
+        "filtration quotient at step 3 has exponent > 2",
+    ),
+    "exponent-over-dropped-tail": (make_cyclic(4), 2, [range(4), (0,), (0,)], "filtration quotient at step 1 has exponent > 2"),
+    "not-descending": (make_cyclic(4), 2, [range(4), (0, 2), range(4)], "wild filtration must be descending"),
+    "not-normal": (make_symmetric(3), 2, [(0, 1)], "every wild filtration step must be normal"),
+    "not-abelian": (heisenberg_mod3(), 3, [range(27)], "filtration quotient at step 1 is not abelian"),
+    "not-abelian-at-repeat": (heisenberg_mod3(), 3, [range(27), range(27)], "filtration quotient at step 2 is not abelian"),
+    "wrong-parent": (make_cyclic(4), 2, [subgroup(make_cyclic(2), (0, 1))], "wild chain subgroup has the wrong parent"),
+    # every entry is read before any step is checked
+    "entries-before-normality": (make_symmetric(3), 2, [(0, 1), (0, 7)], "subgroup elements out of range"),
+    "normality-before-p-group": (make_symmetric(3), 3, [(0, 1), (0, 1)], "every wild filtration step must be normal"),
+    "p-group-before-exponent": (make_cyclic(6), 2, [range(6), range(6)], "the first wild subgroup must be a p-group"),
+}
+
+
+@pytest.mark.parametrize("case", REFUSED_CHAINS)
+def test_ram_data_refusal_messages(case):
+    group, p, chain, message = REFUSED_CHAINS[case]
+    with pytest.raises(InputError) as exc:
+        ram_data(group, p, chain, None)
+    assert str(exc.value) == message
+
+
+def _restriction_cases():
+    rng = random.Random(17)
+    for rd in list(catalog()) + [random_ram_data(rng) for _ in range(20)]:
+        for elems in rd.group.subgroups():
+            yield rd, subgroup(rd.group, elems)
+
+
+def test_restrict_ramdata_matches_validating_oracle():
+    for rd, h in _restriction_cases():
+        sub = restrict_ramdata(rd, h)
+        oracle = dense.restrict_ramdata(rd, h)
+        assert sub == oracle and sub.name == oracle.name, (rd.name, h.elements)
+        _, to_sub, _ = h.as_group()
+        for x in h.elements[1:]:
+            assert i_gamma(sub, to_sub[x]) == i_gamma(oracle, to_sub[x]) == i_gamma(rd, x)
+
+
+def test_restrict_ramdata_builds_no_subgroup_and_validates_nothing(monkeypatch):
+    import ramcond.groups as groups
+    import ramcond.ramification as ramification
+
+    cases = list(_restriction_cases())
+    for _, h in cases:
+        h.as_group()  # the re-indexed group is built on first read, held on h
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("restrict_ramdata re-validated")
+
+    monkeypatch.setattr(ramification, "ram_data", refuse)
+    monkeypatch.setattr(groups.Subgroup, "__init__", refuse)
+    for rd, h in cases:
+        assert restrict_ramdata(rd, h).group.order == h.order

@@ -829,3 +829,21 @@ def test_symmetric_descent_refuses_a_wrong_substitution(element):
     wrong = action[1] if element == 2 else {"a": b, "b": a, "c": c}
     with pytest.raises(InputError, match="not a homomorphism"):
         symmetric_descent(group, {**action, element: wrong})
+
+
+def test_symmetric_descent_substitutes_on_the_generators_only(monkeypatch):
+    group, action, _ = _cyclic_shift_c3()
+    calls = []
+    real = series.substitute
+
+    def counting(f, images):
+        calls.append(images)
+        return real(f, images)
+
+    monkeypatch.setattr(series, "substitute", counting)
+    symmetric_descent(group, action)
+    # 3 elements x 1 generator x 3 variables for the homomorphism, and
+    # 3 variables x 3 outputs x 1 generator for the invariance
+    assert len(calls) == 18
+    assert all(images is action[1] for images in calls[9:])
+
