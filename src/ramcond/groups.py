@@ -2,11 +2,15 @@
 
 Element ids are 0..order-1 with 0 the identity; every downstream structure
 (filtrations, tame identifications, class functions, module actions) is keyed
-by these ids.  The representation caps practical orders around a thousand;
-the intended scale is a few dozen, where exhaustive checks are the point.
+by these ids.  Checks and enumerations work from generators: associativity
+by Light's test, conjugacy classes as orbits under conjugation by the
+generators, and subgroups as joins of cyclic subgroups.  The table itself is
+dense, so memory grows with the square of the order.
 """
 
 from __future__ import annotations
+
+from itertools import chain
 
 from .errors import InputError
 
@@ -24,34 +28,48 @@ __all__ = [
 
 class FiniteGroup:
     def __init__(self, table, name="G"):
-        table = tuple(tuple(int(x) for x in row) for row in table)
+        """A group on ``table``, whose rows are the products ``a * b`` by id.
+
+        Entries must be ``int`` ids (not ``bool``, ``float`` or ``str``).  The
+        identity and inverses are checked over the whole table, and
+        associativity by Light's test: ``(ab)c == a(bc)`` for every ``a`` and
+        ``c`` and every ``b`` in :meth:`generating_set`, which proves it for
+        every ``b`` (see :meth:`closure`).
+        """
+        table = tuple(tuple(row) for row in table)
         n = len(table)
         if n == 0:
             raise InputError("empty Cayley table")
-        ids = range(n)
+        if set(map(type, chain.from_iterable(table))) != {int}:
+            for a, row in enumerate(table):
+                for b, x in enumerate(row):
+                    if type(x) is not int:
+                        raise InputError(f"Cayley table entry ({a}, {b}) is not an integer id: {x!r}")
+        ids = tuple(range(n))
         for row in table:
-            if len(row) != n or any(x < 0 or x >= n for x in row):
+            if len(row) != n or min(row) < 0 or max(row) >= n:
                 raise InputError("Cayley table is not square over element ids")
-        if any(table[0][i] != i or table[i][0] != i for i in ids):
+        if table[0] != ids or tuple(row[0] for row in table) != ids:
             raise InputError("element 0 must be a two-sided identity")
         inverses = [None] * n
-        for a in ids:
-            for b in ids:
-                if table[a][b] == 0:
-                    if table[b][a] != 0:
-                        raise InputError(f"one-sided inverse at element {a}")
-                    inverses[a] = b
-        if any(v is None for v in inverses):
+        for a, row in enumerate(table):
+            b = -1
+            for _ in range(row.count(0)):  # each b with ab = 0, ascending
+                b = row.index(0, b + 1)
+                if table[b][a] != 0:
+                    raise InputError(f"one-sided inverse at element {a}")
+                inverses[a] = b
+        if None in inverses:
             raise InputError("missing inverses in Cayley table")
-        for a in ids:
-            for b in ids:
-                tab = table[a][b]
-                for c in ids:
-                    if table[tab][c] != table[a][table[b][c]]:
-                        raise InputError(
-                            f"associativity fails at ({a}, {b}, {c})"
-                        )
         self._set(table, name, tuple(inverses))
+        gens = self.generating_set()
+        for a, row in enumerate(table):
+            for b in gens:
+                lhs = table[row[b]]  # (ab)c for every c
+                rhs = tuple(map(row.__getitem__, table[b]))  # a(bc) for every c
+                if lhs != rhs:
+                    c = next(c for c in ids if lhs[c] != rhs[c])
+                    raise InputError(f"associativity fails at ({a}, {b}, {c})")
 
     @classmethod
     def _from_checked(cls, table, name, inverses):
@@ -104,16 +122,33 @@ class FiniteGroup:
         return range(self.order)
 
     def closure(self, gens):
+        """The subgroup generated by ``gens``, as a sorted tuple of ids.
+
+        It is the set of ids reached from 0 by multiplying on the right by
+        generators.  That set is closed under right products by generators,
+        so it is the submonoid the generators span, and in a finite group a
+        submonoid is a subgroup (g^-1 is a power of g).
+
+        :meth:`__init__` reaches this through :meth:`generating_set` before
+        associativity is proved, and the proof (Light's test) still holds.
+        Each id reached is a left-bracketed product ``(..((g1 g2) g3)..) gk``
+        of generators.  The ids ``b`` with ``(ab)c == a(bc)`` for all ``a``
+        and ``c`` are closed under products: if ``b`` and ``b'`` are such,
+        ``(a(bb'))c = ((ab)b')c = (ab)(b'c) = a(b(b'c)) = a((bb')c)``.  So once
+        every generator passes, every id reached passes; the greedy
+        generating set reaches every id, so the whole table is associative.
+        """
+        table = self.table
+        gens = tuple(gens)
         seen = {0}
         frontier = [0]
-        gens = [g for g in gens]
         while frontier:
-            x = frontier.pop()
+            row = table[frontier.pop()]
             for g in gens:
-                for y in (self.table[x][g], self.table[g][x]):
-                    if y not in seen:
-                        seen.add(y)
-                        frontier.append(y)
+                y = row[g]
+                if y not in seen:
+                    seen.add(y)
+                    frontier.append(y)
         return tuple(sorted(seen))
 
     def generating_set(self, candidates=None):
@@ -139,18 +174,30 @@ class FiniteGroup:
         return gens
 
     def subgroups(self):
-        """All subgroups, as sorted element tuples, found by closure growth."""
+        """All subgroups, as sorted element tuples ordered by (order, elements).
+
+        A subgroup H is the join of the cyclic subgroups <h>, h in H, so a
+        chain of joins with one cyclic subgroup at a time leads from {0} to
+        H.  Each cyclic subgroup is computed once and one generator of it
+        kept; every subgroup found is grown, by each kept ``x`` outside it,
+        to the closure of its own generators and ``x``.
+        """
         if self._subgroups is None:
-            found = {(0,)}
+            cyclic = {}
+            for x in range(1, self.order):
+                cyclic.setdefault(self.closure((x,)), x)
+            found = {(0,): ()}  # subgroup -> the generators it was reached by
             frontier = [(0,)]
             while frontier:
                 elems = frontier.pop()
-                for x in range(1, self.order):
-                    if x in elems:
+                gens = found[elems]
+                inside = set(elems)
+                for x in cyclic.values():
+                    if x in inside:
                         continue
-                    bigger = self.closure(tuple(elems) + (x,))
+                    bigger = self.closure(gens + (x,))
                     if bigger not in found:
-                        found.add(bigger)
+                        found[bigger] = gens + (x,)
                         frontier.append(bigger)
             self._subgroups = tuple(sorted(found, key=lambda t: (len(t), t)))
         return self._subgroups
@@ -203,25 +250,48 @@ def make_symmetric(n):
 
 
 def conjugacy_classes(group):
-    """Partition of element ids into conjugacy classes, sorted by least element."""
+    """Partition of element ids into conjugacy classes, sorted by least element.
+
+    The class of s is its orbit under conjugation by the generators alone:
+    conjugation by a product is the composite of the conjugations, and in a
+    finite group every element is a product of generators.
+    """
     if group._classes is None:
+        gens = group.generating_set()
         seen = set()
         classes = []
         for s in range(group.order):
             if s in seen:
                 continue
-            orbit = {group.conj(t, s) for t in range(group.order)}
+            orbit = {s}
+            frontier = [s]
+            while frontier:
+                x = frontier.pop()
+                for g in gens:
+                    y = group.conj(g, x)
+                    if y not in orbit:
+                        orbit.add(y)
+                        frontier.append(y)
             seen |= orbit
             classes.append(tuple(sorted(orbit)))
-        group._classes = tuple(sorted(classes, key=lambda c: c[0]))
+        group._classes = tuple(classes)  # s is the least id of its class
     return group._classes
+
+
+def element_ids(values, what):
+    """``values`` as a sorted tuple of distinct ids, each an ``int`` (a ``bool`` is not)."""
+    values = tuple(values)
+    for x in values:
+        if type(x) is not int:
+            raise InputError(f"{what} {x!r} is not an integer id")
+    return tuple(sorted(set(values)))
 
 
 class Subgroup:
     """A validated subgroup, with a re-indexed group structure on demand."""
 
     def __init__(self, parent, elements):
-        elements = tuple(sorted(set(int(x) for x in elements)))
+        elements = element_ids(elements, "subgroup element")
         if not elements or elements[0] != 0:
             raise InputError("subgroup must contain the identity 0")
         if any(x < 0 or x >= parent.order for x in elements):
@@ -256,11 +326,12 @@ class Subgroup:
         return hash((self.parent, self.elements))
 
     def is_normal(self):
+        """Whether H is a union of conjugacy classes of its parent."""
         eset = set(self.elements)
         return all(
-            self.parent.conj(t, s) in eset
-            for t in range(self.parent.order)
-            for s in self.elements
+            eset.issuperset(c)
+            for c in conjugacy_classes(self.parent)
+            if not eset.isdisjoint(c)
         )
 
     def left_transversal(self):

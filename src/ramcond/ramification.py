@@ -17,7 +17,7 @@ from math import gcd
 from .characters import ClassFunction
 from .errors import CheckFailure, InputError
 from .exact import _inverse_zeta_minus_one_row, euler_phi, is_prime
-from .groups import FiniteGroup, Subgroup, subgroup
+from .groups import FiniteGroup, Subgroup, element_ids, subgroup
 
 __all__ = [
     "RamData",
@@ -67,7 +67,7 @@ def ram_data(group, p, wild_chain, omega, name=""):
                 raise InputError("wild chain subgroup has the wrong parent")
             elements = entry.elements
         else:
-            elements = tuple(sorted(set(int(x) for x in entry)))
+            elements = element_ids(entry, f"wild chain step {k + 1} element")
         if runs and runs[-1][0].elements == elements:
             runs[-1][1] += 1
             runs[-1][2] = k

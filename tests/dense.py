@@ -19,7 +19,10 @@ check (``check_adapted_basis``, by determinant) that check the integer
 reductions ``ramcond.conductors`` runs them on.  The validating
 restriction (intersected chain, restricted omega dict, ``ram_data``) checks
 the literal restriction of the break function that ``ramcond.ramification``
-makes.
+makes.  The full cube of associativity triples, the two-sided closure with
+its greedy generating set, the closure-growth subgroup enumeration and the
+conjugation loops for classes and normality check the checks and
+enumerations that ``ramcond.groups`` runs on generators.
 """
 
 from fractions import Fraction
@@ -322,6 +325,99 @@ def wild_chain(rd):
     """The raw filtration Gamma_1, Gamma_2, ... as element tuples: Gamma_k holds the s with i(s) > k."""
     top = max(rd.breaks)
     return [(0,) + tuple(s for s in range(1, rd.group.order) if rd.breaks[s] > k) for k in range(1, top)]
+
+
+def table_refusal(table):
+    """The message ``FiniteGroup`` refuses ``table`` with, checking every triple; None if it is a group.
+
+    Identity, inverse and range checks are those of ``FiniteGroup``; the
+    associativity check runs over all n^3 triples and names the least
+    failing one.
+    """
+    n = len(table)
+    if n == 0:
+        return "empty Cayley table"
+    ids = range(n)
+    for row in table:
+        if len(row) != n or any(x < 0 or x >= n for x in row):
+            return "Cayley table is not square over element ids"
+    if any(table[0][i] != i or table[i][0] != i for i in ids):
+        return "element 0 must be a two-sided identity"
+    inverses = [None] * n
+    for a in ids:
+        for b in ids:
+            if table[a][b] == 0:
+                if table[b][a] != 0:
+                    return f"one-sided inverse at element {a}"
+                inverses[a] = b
+    if any(v is None for v in inverses):
+        return "missing inverses in Cayley table"
+    for a in ids:
+        for b in ids:
+            tab = table[a][b]
+            for c in ids:
+                if table[tab][c] != table[a][table[b][c]]:
+                    return f"associativity fails at ({a}, {b}, {c})"
+    return None
+
+
+def closure(group, gens):
+    """The subgroup generated by ``gens``: ids reached from 0 by products with generators on either side."""
+    seen = {0}
+    frontier = [0]
+    while frontier:
+        x = frontier.pop()
+        for g in gens:
+            for y in (group.mult(x, g), group.mult(g, x)):
+                if y not in seen:
+                    seen.add(y)
+                    frontier.append(y)
+    return tuple(sorted(seen))
+
+
+def subgroups(group):
+    """All subgroups by closure growth: every subgroup found, joined with every element outside it."""
+    found = {(0,)}
+    frontier = [(0,)]
+    while frontier:
+        elems = frontier.pop()
+        for x in range(1, group.order):
+            if x in elems:
+                continue
+            bigger = closure(group, elems + (x,))
+            if bigger not in found:
+                found.add(bigger)
+                frontier.append(bigger)
+    return tuple(sorted(found, key=lambda t: (len(t), t)))
+
+
+def generating_set(group):
+    """The greedy generating set: each id, ascending, kept when outside the closure of those before it."""
+    gens = []
+    current = {0}
+    for x in range(1, group.order):
+        if x not in current:
+            gens.append(x)
+            current = set(closure(group, gens))
+    return tuple(gens)
+
+
+def conjugacy_classes(group):
+    """The orbits { t s t^-1 : t in G }, sorted by least element."""
+    seen = set()
+    classes = []
+    for s in group.elements():
+        if s not in seen:
+            orbit = {group.conj(t, s) for t in group.elements()}
+            seen |= orbit
+            classes.append(tuple(sorted(orbit)))
+    return tuple(sorted(classes, key=lambda c: c[0]))
+
+
+def is_normal(h):
+    """Whether t s t^-1 lies in H for every t in the parent and s in H."""
+    eset = set(h.elements)
+    return all(h.parent.conj(t, s) in eset for t in h.parent.elements() for s in h.elements)
 
 
 def restrict_ramdata(rd, h):

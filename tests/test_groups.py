@@ -1,3 +1,6 @@
+import random
+
+import dense
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -41,6 +44,64 @@ def test_bad_tables_rejected():
         make_from_table([[0, 1], [1, 1]])  # not a permutation row
     with pytest.raises(InputError):
         make_from_table([[1, 0], [0, 1]])  # 0 not the identity
+
+
+# a loop: identity and two-sided inverses, but (1 * 1) * 2 = 2 and 1 * (1 * 2) = 3
+LOOP5 = [[0, 1, 2, 3, 4], [1, 0, 4, 2, 3], [2, 3, 0, 4, 1], [3, 4, 1, 0, 2], [4, 2, 3, 1, 0]]
+
+
+def test_non_associative_loop_refused():
+    assert dense.table_refusal(LOOP5) == "associativity fails at (1, 1, 2)"
+    with pytest.raises(InputError, match=r"^associativity fails at \(1, 1, 2\)$"):
+        make_from_table(LOOP5)
+
+
+def _random_tables(rng, count):
+    """Tables of order <= 6 with identity 0: uniform ones, and relabeled groups, half with one entry changed."""
+    groups = [make_cyclic(n) for n in range(2, 7)] + [
+        make_symmetric(3),
+        make_product(make_cyclic(2), make_cyclic(2)),
+        make_product(make_cyclic(2), make_cyclic(3)),
+    ]
+    for k in range(count):
+        if k % 2:
+            n = rng.randint(1, 6)
+            table = [[a if b == 0 else b if a == 0 else rng.randrange(n) for b in range(n)] for a in range(n)]
+        else:
+            g = rng.choice(groups)
+            n = g.order
+            label = [0] + rng.sample(range(1, n), n - 1)
+            back = {x: i for i, x in enumerate(label)}
+            table = [[label[g.mult(back[a], back[b])] for b in range(n)] for a in range(n)]
+            if n > 2 and k % 4:
+                table[rng.randrange(1, n)][rng.randrange(1, n)] = rng.randrange(n)
+        yield table
+
+
+def test_light_test_accepts_exactly_the_groups():
+    # Light's test checks the triples with b a generator only; it must accept
+    # exactly the tables the full cube accepts.  Among the associativity
+    # failures, the triple it names is a failing one, not always the least.
+    accepted = refused = 0
+    for table in _random_tables(random.Random(18), 3000):
+        expected = dense.table_refusal(table)
+        try:
+            g = make_from_table(table)
+        except InputError as exc:
+            refused += 1
+            message = str(exc)
+            assert expected is not None, table
+            if expected.startswith("associativity fails at"):
+                assert message.startswith("associativity fails at ("), table
+                a, b, c = map(int, message.removeprefix("associativity fails at (").rstrip(")").split(", "))
+                assert table[table[a][b]][c] != table[a][table[b][c]], (table, message)
+            else:
+                assert message == expected, table
+        else:
+            accepted += 1
+            assert expected is None, table
+            assert g.table == tuple(map(tuple, table))
+    assert accepted > 100 and refused > 100
 
 
 def test_conjugacy_classes():
@@ -156,3 +217,68 @@ def test_generating_set_is_held_on_the_group(monkeypatch):
         assert g.generating_set(range(g.order - 1, 0, -1)) == gens
         assert g.generating_set((0,)) == ()
         assert g.generating_set() is gens
+
+
+def _oracle_groups():
+    c2, s3 = make_cyclic(2), make_symmetric(3)
+    extra = {
+        "S3": s3,
+        "S4": make_symmetric(4),
+        "S3xC2": make_product(s3, c2),
+        "C2^4": make_product(make_product(c2, c2), make_product(c2, c2)),
+        "C4xC4": make_product(make_cyclic(4), make_cyclic(4)),
+        "C12xC5": make_product(make_cyclic(12), make_cyclic(5)),
+        "C60": make_cyclic(60),
+        "C64": make_cyclic(64),
+    }
+    return {**{f"catalog:{rd.group.name}": rd.group for rd in catalog()}, **extra}
+
+
+ORACLE_GROUPS = _oracle_groups()
+
+
+@pytest.mark.parametrize("name", ORACLE_GROUPS)
+def test_subgroups_and_generators_equal_the_closure_oracles(name):
+    group = ORACLE_GROUPS[name]
+    assert group.subgroups() == dense.subgroups(group)
+    assert group.generating_set() == dense.generating_set(group)
+    for x in group.elements():
+        assert group.closure((x,)) == dense.closure(group, (x,))
+    for elems in group.subgroups():
+        gens = group.generating_set(elems)
+        assert group.closure(gens) == dense.closure(group, gens) == elems
+
+
+@pytest.mark.parametrize("name", ORACLE_GROUPS)
+def test_conjugacy_classes_equal_the_conjugation_loop(name):
+    group = ORACLE_GROUPS[name]
+    assert conjugacy_classes(group) == dense.conjugacy_classes(group)
+
+
+@pytest.mark.parametrize("name", ["S4", "S3xC2"])
+def test_is_normal_equals_the_conjugation_loop(name):
+    group = ORACLE_GROUPS[name]
+    normal = [elems for elems in group.subgroups() if subgroup(group, elems).is_normal()]
+    assert normal == [elems for elems in group.subgroups() if dense.is_normal(subgroup(group, elems))]
+    assert 2 < len(normal) < len(group.subgroups())
+
+
+@pytest.mark.parametrize(
+    "table, message",
+    [
+        ([[0, 1.9], [1, 0.2]], "Cayley table entry (0, 1) is not an integer id: 1.9"),
+        ([[0, 1], [True, 0]], "Cayley table entry (1, 0) is not an integer id: True"),
+        ([[0, "1"], [1, 0]], "Cayley table entry (0, 1) is not an integer id: '1'"),
+    ],
+)
+def test_table_entries_must_be_ints(table, message):
+    with pytest.raises(InputError) as exc:
+        make_from_table(table)
+    assert str(exc.value) == message
+
+
+@pytest.mark.parametrize("bad", [2.7, 2.0, True, "2"])
+def test_subgroup_elements_must_be_ints(bad):
+    with pytest.raises(InputError) as exc:
+        subgroup(make_cyclic(4), [0, bad])
+    assert str(exc.value) == f"subgroup element {bad!r} is not an integer id"

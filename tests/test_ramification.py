@@ -306,6 +306,14 @@ def test_ram_data_refusal_messages(case):
     assert str(exc.value) == message
 
 
+@pytest.mark.parametrize("bad", [2.0, 2.5, True])
+def test_ram_data_chain_ids_must_be_ints(bad):
+    # a float or bool id is refused, not truncated to an int
+    with pytest.raises(InputError) as exc:
+        ram_data(make_cyclic(4), 2, [(0, 1, bad, 3)], None)
+    assert str(exc.value) == f"wild chain step 1 element {bad!r} is not an integer id"
+
+
 def _restriction_cases():
     rng = random.Random(17)
     for rd in list(catalog()) + [random_ram_data(rng) for _ in range(20)]:
