@@ -23,7 +23,7 @@ from math import lcm, prod
 from .characters import check_forms, check_shapes, induce, pair, trace_forms
 from .errors import CheckFailure, InputError
 from .exact import p_valuation
-from .groups import Subgroup
+from .groups import Subgroup, element_ids
 from .linalg import (
     as_matrix,
     echelon_coords,
@@ -81,7 +81,8 @@ class CharModule:
     __slots__ = ("name", "group", "p", "rank", "forms", "_action", "_char")
 
     def __init__(self, name, group, p, action):
-        action = {int(g): as_matrix(m) for g, m in action.items()}
+        element_ids(action, "module action element")
+        action = {g: as_matrix(m) for g, m in action.items()}
         forms = {g: sparse_rows(m) for g, m in action.items()}
         _check_p_integral(forms, p)
         check_shapes(group, action)
@@ -146,7 +147,8 @@ def _check_p_integral(forms, p):
 
 def module_from_generators(name, group, p, gen_action):
     """Complete an action given on a generating set to the whole group, checking each matrix."""
-    gen_action = {int(g): as_matrix(m) for g, m in gen_action.items()}
+    element_ids(gen_action, "generator")
+    gen_action = {g: as_matrix(m) for g, m in gen_action.items()}
     for g in gen_action:
         if not 0 <= g < group.order:
             raise InputError(f"generator {g} is not an element id of {group.name}")

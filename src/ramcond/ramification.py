@@ -51,7 +51,8 @@ def ram_data(group, p, wild_chain, omega, name=""):
     iterables; equal consecutive entries encode repeated filtration steps and
     the trivial tail may be omitted.  ``omega`` is either a dict mapping
     coset-representative ids to exponents mod n, or a pair (generator_id,
-    exponent) fixing the value on one generating coset.
+    exponent) fixing the value on one generating coset.  Every id and
+    exponent in ``omega`` must be an ``int`` (a ``bool`` is not).
 
     Each run of equal consecutive entries is read as one Subgroup and
     checked once for normality and descent.  The exponent-p and abelian
@@ -123,7 +124,6 @@ def ram_data(group, p, wild_chain, omega, name=""):
     coset_ids, coset_of = gamma1.left_transversal()
 
     def coset_rep(x):
-        x = int(x)
         if not 0 <= x < group.order:
             raise InputError(f"omega names element {x} outside the group")
         return coset_ids[coset_of[x]]
@@ -137,10 +137,13 @@ def ram_data(group, p, wild_chain, omega, name=""):
         omega = (0, 0)
 
     if isinstance(omega, dict):
+        element_ids(omega, "omega element")
         given = {}
         for k, v in omega.items():
             rep = coset_rep(k)
-            v = int(v) % n
+            if type(v) is not int:
+                raise InputError(f"omega exponent {v!r} of element {k} is not an integer")
+            v %= n
             if given.get(rep, v) != v:
                 raise InputError("omega assigns conflicting exponents to one coset")
             given[rep] = v
@@ -159,7 +162,10 @@ def ram_data(group, p, wild_chain, omega, name=""):
         exps = given
     else:
         gen, e = omega
-        e = int(e) % n
+        element_ids((gen,), "omega element")
+        if type(e) is not int:
+            raise InputError(f"omega exponent {e!r} is not an integer")
+        e %= n
         if gcd(e, n) != 1:
             raise InputError("omega generator exponent must be a unit mod n")
         rep = coset_rep(gen)

@@ -17,13 +17,14 @@ Products run on integers.  Each series builds its product form once, on
 first use as a factor: one common denominator and the numerators grouped by
 total degree, keyed by the packed exponent.  Series are immutable, so the
 form never goes stale.  One loop, :func:`_mul_forms`, multiplies two forms:
-it visits only degree pairs d1 + d2 <= D and adds integer products.  A
-series product divides once per output coefficient; Weierstrass division
-multiplies, shifts and adds forms from start to end and builds one series,
-its quotient, after the loop.  Every power (1 + u)^r of a series u with
-u(0) = 0 comes from one recurrence, degree by degree, in :func:`endo_apply`:
-[r](f), the expansion [r](T) of :func:`mult_endo`, and (r = -1) the inverse
-of the unit part of a Weierstrass divisor.
+it visits only degree pairs d1 + d2 <= D and adds integer products, grouped
+by the degree d1 + d2.  A series product divides once per output
+coefficient; Weierstrass division multiplies, shifts, solves by the unit
+part of the divisor (:func:`_solve`) and adds forms from start to end,
+keeping them grouped by degree, and builds one series, its quotient, after
+the loop.  Every power (1 + u)^r of a series u with u(0) = 0 comes from one
+recurrence, degree by degree, in :func:`endo_apply`: [r](f) and the
+expansion [r](T) of :func:`mult_endo`.
 
 Budgets: the degree cap D is at most DEGREE_CAP_BOUND = 32, the valuation
 bound of Weierstrass division lies in 1..VAL_BOUND_MAX = 256 and an exponent
@@ -36,6 +37,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import chain
 from math import gcd, inf, lcm
 from typing import NamedTuple
 
@@ -254,7 +256,8 @@ class MixedSeries:
         self._check_ring(other)
         ring = self.ring
         den, acc = _mul_forms(ring.degree_cap, self._product_form(), other._product_form())
-        return MixedSeries._clean(ring, _unpack(ring, den, acc.items(), {}))
+        terms = chain.from_iterable(map(dict.items, filter(None, acc)))
+        return MixedSeries._clean(ring, _unpack(ring, den, terms, {}))
 
     __rmul__ = __mul__
 
@@ -285,25 +288,32 @@ class MixedSeries:
 
 
 def _mul_forms(cap, fa, fb):
-    """The product of two product forms as (den, {key: numerator}).
+    """The product of two product forms as (den, groups).
 
     This is the one series product loop.  It visits only the degree bucket
-    pairs d1 + d2 <= cap and adds integer products; numerators that cancel
-    to zero stay in the map.
+    pairs d1 + d2 <= cap and adds integer products into the group of degree
+    d1 + d2: ``groups[d]`` is {key: numerator} for the keys of degree d, or
+    None where no pair lands, for d in 0..cap.  A group is looked up once
+    per term of fa and bucket of fb, not per term pair; Weierstrass division
+    passes its short factor first.  Numerators that cancel to zero stay in
+    the groups.
     """
     den_a, buckets_a = fa
     den_b, buckets_b = fb
-    acc = {}
-    get = acc.get
+    groups = [None] * (cap + 1)
     for d1, terms1 in buckets_a:
-        for d2, terms2 in buckets_b:
-            if d1 + d2 > cap:
-                break
-            for k1, n1 in terms1:
+        for k1, n1 in terms1:
+            for d2, terms2 in buckets_b:
+                d = d1 + d2
+                if d > cap:
+                    break
+                out = groups[d]
+                if out is None:
+                    out = groups[d] = {}
                 for k2, n2 in terms2:
                     k = k1 + k2
-                    acc[k] = get(k, 0) + n1 * n2
-    return den_a * den_b, acc
+                    out[k] = out.get(k, 0) + n1 * n2
+    return den_a * den_b, groups
 
 
 def _buckets(base, terms):
@@ -328,13 +338,13 @@ def _unpack(ring, den, terms, out):
     """Add to ``out`` the coefficients n/den of the (key, n) pairs ``terms``
     (keys as in :meth:`MixedSeries._product_form`); zeros are left out."""
     base = ring.degree_cap + 1
-    nvars = len(ring.variables)
+    digits = range(len(ring.variables))
     for k, n in terms:
         if n:
             expo = []
-            for _ in range(nvars):
-                k, e = divmod(k, base)
-                expo.append(e)
+            for _ in digits:
+                expo.append(k % base)
+                k //= base
             out[tuple(expo)] = Fraction(n, den)
     return out
 
@@ -438,29 +448,21 @@ def _z_low(f, zi, n):
     return MixedSeries._clean(f.ring, {e: c for e, c in f.coeffs.items() if e[zi] < n})
 
 
-def _z_shift_down(ring, zi, n, terms):
-    """Divide the (key, n) pairs ``terms`` by z^n, z the variable ``zi``.
+def _z_shift_down(ring, zi, n, groups):
+    """Divide the numerators ``groups`` (as :func:`_mul_forms` returns them)
+    by z^n, z the variable ``zi``.
 
-    Returns {key: n}.  A key whose z digit, key // base**zi % base, is at
-    least n loses n from that digit; other keys and zero numerators are
-    dropped.
+    A key whose z digit, key // base**zi % base, is at least n loses n from
+    that digit, so its degree drops by n; other keys and zero numerators are
+    dropped.  The result is indexed by the new degree.
     """
     base = ring.degree_cap + 1
     unit = base**zi
-    return {k - n * unit: c for k, c in terms if c and k // unit % base >= n}
-
-
-def _unit_inverse(b):
-    """Invert a series whose all-variables constant term c0 is a nonzero rational.
-
-    b = c0 (1 + u) with u(0) = 0, so b^-1 = ([-1](u) + 1) / c0, evaluated by
-    :func:`endo_apply` in any number of variables.
-    """
-    c0 = b.constant_term()
-    if c0 == 0:
-        raise CheckFailure("series inversion: constant term vanishes")
-    scale = 1 / c0
-    return (endo_apply(-1, b * scale - 1) + 1) * scale
+    shift = n * unit
+    return [
+        None if terms is None else {k - shift: c for k, c in terms.items() if c and k // unit % base >= n}
+        for terms in groups[n:]
+    ]
 
 
 def weierstrass_divide(g, f, z, val_bound=32):
@@ -473,12 +475,16 @@ def weierstrass_divide(g, f, z, val_bound=32):
     certified p-adic precision of the reported pair).  val_bound must be an
     integer in 1..VAL_BOUND_MAX.
 
-    With f = a + z^n b, deg_z a < n, the loop starts from q = delta =
-    b^-1 (g / z^n) and steps delta <- -b^-1 (delta a / z^n), q <- q + delta,
-    where / z^n drops the terms of z-degree below n.  It runs on product
-    forms (see :func:`_mul_forms`) and never builds a series: every form it
-    multiplies is in lowest terms, q accumulates over the lcm of the
-    denominators of the deltas, and q becomes a series once, at the end.
+    With f = a + z^n b, deg_z a < n, the loop starts from the solution delta
+    of b delta = g / z^n, q = delta, and steps to the solution of
+    b delta = -(delta a / z^n), q <- q + delta, where / z^n drops the terms
+    of z-degree below n.  Each step is one product (:func:`_mul_forms`) and
+    one triangular solve by the unit b (:func:`_solve`); b^-1, dense in the
+    window, is never formed.  The loop never builds a series: its forms keep
+    their numerators grouped by total degree from step to step, every form
+    it multiplies or solves with is in lowest terms, q accumulates over the
+    lcm of the denominators of the deltas, and q becomes a series once, at
+    the end.
     """
     if type(val_bound) is not int or not 1 <= val_bound <= VAL_BOUND_MAX:
         raise InputError(f"val_bound must be an integer in 1..{VAL_BOUND_MAX}, got {val_bound!r}")
@@ -489,30 +495,27 @@ def weierstrass_divide(g, f, z, val_bound=32):
         raise InputError(f"divisor is not distinguished in {z}")
     ring = f.ring
     cap = ring.degree_cap
-    base = cap + 1
     zi = ring.index_of(z)
     a = _z_low(f, zi, n)._product_form()
     den_f, buckets_f = f._product_form()
-    b = _unpack(ring, den_f, _z_shift_down(ring, zi, n, _flat(buckets_f)).items(), {})
-    binv = _unit_inverse(MixedSeries._clean(ring, b))._product_form()
-
+    b, _ = _lowest_terms(den_f, _z_shift_down(ring, zi, n, _by_degree(cap, buckets_f)))
     den_g, buckets_g = g._product_form()
-    den, tg, _ = _lowest_terms(den_g, _z_shift_down(ring, zi, n, _flat(buckets_g)))
-    den, delta, _ = _lowest_terms(*_mul_forms(cap, binv, (den, _buckets(base, tg))))
-    q_den, q = den, dict(delta)
+    tg, _ = _lowest_terms(den_g, _z_shift_down(ring, zi, n, _by_degree(cap, buckets_g)))
+    delta, _ = _solve(cap, b, tg)
+    q_den, q = delta[0], {k: c for _, terms in delta[1] for k, c in terms}
     certified = inf
     vg = gauss_valuation(g)
     headroom = -vg if (not g.is_zero() and vg < 0) else 0
     max_iter = val_bound + 2 * cap + headroom + 64
     for _ in range(max_iter):
-        if not delta:
+        if not delta[1]:
             certified = inf
             break
-        den, acc = _mul_forms(cap, (den, _buckets(base, delta)), a)
-        den, shifted, _ = _lowest_terms(den, _z_shift_down(ring, zi, n, acc.items()))
-        den, acc = _mul_forms(cap, binv, (den, _buckets(base, shifted)))
-        den, delta, g_delta = _lowest_terms(den, acc, -1)
-        if not delta:
+        den, acc = _mul_forms(cap, a, delta)
+        shifted, _ = _lowest_terms(den, _z_shift_down(ring, zi, n, acc))
+        delta, g_delta = _solve(cap, b, shifted, -1)
+        den, buckets = delta
+        if not buckets:
             certified = inf
             break
         new_den = lcm(q_den, den)
@@ -522,8 +525,9 @@ def weierstrass_divide(g, f, z, val_bound=32):
             q_den = new_den
         scale = q_den // den
         get = q.get
-        for k, c in delta:
-            q[k] = get(k, 0) + c * scale
+        for _, terms in buckets:
+            for k, c in terms:
+                q[k] = get(k, 0) + c * scale
         if p_valuation(Fraction(g_delta, den), ring.p) >= val_bound:
             certified = val_bound
             break
@@ -536,23 +540,86 @@ def weierstrass_divide(g, f, z, val_bound=32):
     return WeierstrassResult(q, r, certified)
 
 
-def _flat(buckets):
-    return [term for _, terms in buckets for term in terms]
+def _solve(cap, fb, fy, sign=1):
+    """``sign`` times the solution x of b x = y, truncated at degree cap.
 
+    b and y are product forms, b with a nonzero constant term n0/den_b.
+    Returns ((den, buckets), g) as :func:`_lowest_terms` does.  Let lo be
+    the lowest degree of y, and B_k and Y_d the numerators of degree k of b
+    and of degree d of y.  Forward substitution, degree by degree, gives
+    x_d = X_d den_b / (den_y n0^(d - lo + 1)) with the integer parts
 
-def _lowest_terms(den, acc, sign=1):
-    """(den, terms, g): ``sign`` times the form {key: n} over den, in lowest terms.
+        X_d = n0^(d - lo) Y_d - sum_(k >= 1) n0^(k - 1) B_k X_(d - k),
 
-    den and every numerator are divided by their gcd h; ``terms`` lists the
-    nonzero (key, n) pairs and g is the gcd of the new numerators.  The
-    Gauss valuation of the form is v_p(g) - v_p(den).  Zero is (1, [], 0).
+    so x has the numerators X_d den_b n0^(cap - d) over den_y n0^(cap - lo + 1).
+    Each X_(d - k) meets the terms of B_k only: a sparse b costs as many
+    term pairs as it has terms, where b^-1 is dense in the window.
     """
-    g = gcd(*acc.values())
+    den_b, buckets_b = fb
+    den_y, buckets_y = fy
+    if not buckets_y:
+        return (1, []), 0
+    (_, ((_, n0),)), *rest = buckets_b  # degree 0 holds the one key 0
+    flip = -1 if n0 < 0 else 1  # x = -(y / -b) keeps the denominator positive
+    n0, sign = flip * n0, flip * sign
+    rest = [(k, -flip * n0 ** (k - 1), terms) for k, terms in rest]
+    lo = buckets_y[0][0]
+    ys = dict(buckets_y)
+    groups = [None] * (cap + 1)
+    for d in range(lo, cap + 1):
+        w = n0 ** (d - lo)
+        acc = {k: w * c for k, c in ys.get(d, ())}
+        for k, wk, terms in rest:
+            if d - k < lo:
+                break
+            x = groups[d - k].items()
+            for k1, n1 in terms:
+                c1 = wk * n1
+                for k2, n2 in x:
+                    key = k1 + k2
+                    acc[key] = acc.get(key, 0) + c1 * n2
+        groups[d] = acc
+    for d in range(lo, cap + 1):
+        scale = den_b * n0 ** (cap - d)
+        if scale != 1:
+            groups[d] = {key: c * scale for key, c in groups[d].items()}
+    return _lowest_terms(den_y * n0 ** (cap - lo + 1), groups, sign)
+
+
+def _by_degree(cap, buckets):
+    """The buckets of a product form as groups, indexed by degree as
+    :func:`_mul_forms` returns them."""
+    groups = [None] * (cap + 1)
+    for d, terms in buckets:
+        groups[d] = dict(terms)
+    return groups
+
+
+def _lowest_terms(den, groups, sign=1):
+    """((den, buckets), g): ``sign`` times the numerators ``groups`` over
+    den, in lowest terms.
+
+    ``groups`` is indexed by degree as :func:`_mul_forms` returns it.  den
+    and every numerator are divided by their gcd h; ``buckets`` lists the
+    nonzero (key, n) pairs of each degree that has one, in ascending degree
+    as in a product form, and g is the gcd of the new numerators.  The Gauss
+    valuation of the form is v_p(g) - v_p(den).  Zero is ((1, []), 0).
+    """
+    g = 0
+    for terms in groups:
+        if terms:
+            g = gcd(g, *terms.values())
     if not g:
-        return 1, [], 0
+        return (1, []), 0
     h = gcd(den, g)
     s = sign * h
-    return den // h, [(k, c // s) for k, c in acc.items() if c], g // h
+    buckets = []
+    for d, terms in enumerate(groups):
+        if terms:
+            terms = [(k, c // s) for k, c in terms.items() if c]
+            if terms:
+                buckets.append((d, terms))
+    return (den // h, buckets), g // h
 
 
 # ---------------------------------------------------------------------------

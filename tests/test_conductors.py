@@ -772,6 +772,18 @@ def test_module_from_generators_strict_entries(entry):
         module_from_generators("sign", make_cyclic(2), 3, {1: ((entry,),)})
 
 
+@pytest.mark.parametrize("bad", [1.7, True, "1"])
+def test_module_action_keys_must_be_ints(bad):
+    # int() would read each of these as element 1 and accept the sign module
+    c2 = make_cyclic(2)
+    with pytest.raises(InputError) as exc:
+        CharModule("x", c2, 3, {0: [[1]], bad: [[-1]]})
+    assert str(exc.value) == f"module action element {bad!r} is not an integer id"
+    with pytest.raises(InputError) as exc:
+        module_from_generators("x", c2, 3, {bad: [[-1]]})
+    assert str(exc.value) == f"generator {bad!r} is not an integer id"
+
+
 @pytest.mark.parametrize("matrix", [((1, 0),), ((1,), (0,))])
 def test_module_from_generators_rejects_non_square(matrix):
     with pytest.raises(InputError) as excinfo:

@@ -314,6 +314,24 @@ def test_ram_data_chain_ids_must_be_ints(bad):
     assert str(exc.value) == f"wild chain step 1 element {bad!r} is not an integer id"
 
 
+@pytest.mark.parametrize("bad", [1.9, 1.5, True, "1"])
+def test_ram_data_omega_must_be_ints(bad):
+    # C4 with p = 3 is tame of order 4: omega reads every id and exponent strictly,
+    # where int() would truncate 1.9 and 1.5 to 1 and accept (0, 1, 2, 3)
+    c4 = make_cyclic(4)
+    assert ram_data(c4, 3, [], (1, 1)).omega_exp == (0, 1, 2, 3)
+    refusals = [
+        ((1, bad), f"omega exponent {bad!r} is not an integer"),
+        ((bad, 1), f"omega element {bad!r} is not an integer id"),
+        ({0: 0, 1: bad, 2: 2, 3: 3}, f"omega exponent {bad!r} of element 1 is not an integer"),
+        ({0: 0, bad: 1, 2: 2, 3: 3}, f"omega element {bad!r} is not an integer id"),
+    ]
+    for omega, message in refusals:
+        with pytest.raises(InputError) as exc:
+            ram_data(c4, 3, [], omega)
+        assert str(exc.value) == message
+
+
 def _restriction_cases():
     rng = random.Random(17)
     for rd in list(catalog()) + [random_ram_data(rng) for _ in range(20)]:

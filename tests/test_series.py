@@ -361,8 +361,9 @@ def division_case(draw):
     One to three variables, one of them z, split between the two blocks;
     p is 2, 3 or 5.  The coefficients of f are p-integral with denominators
     1, 7 or 11.  Those of g have denominators 1, 7 or 11 times a power of p
-    up to p^2.  f has a unit coefficient at z^n, p-divisible pure z-terms
-    below it and random terms elsewhere; g has a term of z-degree n or more.
+    up to p^2.  f has a unit coefficient of either sign at z^n, p-divisible
+    pure z-terms below it and random terms elsewhere; g has a term of
+    z-degree n or more.
     """
     p = draw(st.sampled_from([2, 3, 5]))
     nvars = draw(st.integers(1, 3))
@@ -395,7 +396,8 @@ def division_case(draw):
     }
     for k in range(n):
         f[pure_z(k)] = p * draw(coeff(0, 1))
-    f[pure_z(n)] = Fraction(draw(st.integers(1, 9).filter(lambda u: u % p)), draw(st.sampled_from([1, 7, 11])))
+    unit = draw(st.integers(1, 9).filter(lambda u: u % p)) * draw(st.sampled_from([1, -1]))
+    f[pure_z(n)] = Fraction(unit, draw(st.sampled_from([1, 7, 11])))
     g = draw(st.dictionaries(expo, coeff(-2, 2), max_size=4))
     g[pure_z(draw(st.integers(n, cap)))] = draw(coeff(-2, 2))  # q is not zero
     return MixedSeries(ring, f), MixedSeries(ring, g), names[zi], draw(st.integers(1, 6))
@@ -432,13 +434,15 @@ def test_weierstrass_matches_fraction_oracle(case):
 
 
 def test_weierstrass_series_products_do_not_grow_with_iterations(monkeypatch):
-    """The division loop multiplies forms only: MixedSeries.__mul__ runs the
-    same number of times whatever the number of iterations."""
+    """The division loop works on forms only: MixedSeries.__mul__ and the
+    bucketing of series run the same number of times whatever the number of
+    iterations, and each iteration is one product and one solve by the unit
+    part of f, on forms in lowest terms."""
     z, s = zvar(), zvar("S")
     f = 2 * z**3 + z * z * Fraction(1, 5) + 2 * z + 2
     g = z**4 * Fraction(1, 4) + s * z**3 * Fraction(3, 7) + 1
-    series_mul, kernel = MixedSeries.__mul__, series._mul_forms
-    counts = {"mul": 0, "kernel": 0}
+    series_mul, kernel, solve, buckets = MixedSeries.__mul__, series._mul_forms, series._solve, series._buckets
+    counts = dict.fromkeys(("mul", "kernel", "solve", "buckets"), 0)
 
     def counting_mul(a, b):
         if isinstance(b, MixedSeries):
@@ -450,20 +454,34 @@ def test_weierstrass_series_products_do_not_grow_with_iterations(monkeypatch):
         counts["kernel"] += 1
         return kernel(cap, fa, fb)
 
+    def counting_solve(cap, fb, fy, sign=1):
+        assert _in_lowest_terms(fb) and _in_lowest_terms(fy)
+        counts["solve"] += 1
+        return solve(cap, fb, fy, sign)
+
+    def counting_buckets(base, terms):
+        counts["buckets"] += 1
+        return buckets(base, terms)
+
     monkeypatch.setattr(MixedSeries, "__mul__", counting_mul)
     monkeypatch.setattr(series, "_mul_forms", counting_kernel)
+    monkeypatch.setattr(series, "_solve", counting_solve)
+    monkeypatch.setattr(series, "_buckets", counting_buckets)
     seen = []
     for val_bound in (1, 4, 12, 24):
-        counts.update(mul=0, kernel=0)
-        result = weierstrass_divide(g, f, "Z", val_bound)
-        seen.append((counts["mul"], counts["kernel"]))
+        # fresh copies, so that no product form is held over from the last round
+        fresh_f, fresh_g = MixedSeries(WRING, f.coeffs), MixedSeries(WRING, g.coeffs)
+        counts.update(dict.fromkeys(counts, 0))
+        result = weierstrass_divide(fresh_g, fresh_f, "Z", val_bound)
+        seen.append(dict(counts))
         assert result.certified_valuation == val_bound
         assert result == dense.weierstrass_divide(g, f, "Z", val_bound)
-    assert len({m for m, _ in seen}) == 1
-    # the start and two products per iteration: 1 + 2 * iterations
-    loop_products = [k - m for m, k in seen]
-    assert all(x % 2 == 1 for x in loop_products)
-    assert loop_products == sorted(set(loop_products))
+    assert len({c["mul"] for c in seen}) == 1
+    assert len({c["buckets"] for c in seen}) == 1
+    # one product per iteration, and the first solve plus one per iteration
+    iterations = [c["kernel"] - c["mul"] for c in seen]
+    assert [c["solve"] for c in seen] == [1 + i for i in iterations]
+    assert iterations == sorted(set(iterations))
 
 
 @st.composite
@@ -494,22 +512,33 @@ def unit_case(draw):
     return MixedSeries(ring, terms)
 
 
-@given(unit_case())
+@given(st.data())
 @settings(max_examples=120, deadline=None)
-def test_unit_inverse_matches_power_sum_oracle(b):
-    """[-1] by the degree recurrence inverts b: it equals the geometric power
-    sum of the oracle and b * b^-1 = 1 on the whole window."""
-    inverse = series._unit_inverse(b)
-    assert inverse == dense.unit_inverse(b)
-    assert b * inverse == MixedSeries.const(b.ring, 1)
-    assert_clean(inverse)
+def test_solve_by_a_unit_matches_the_inverse_oracle(data):
+    """The triangular solve by a unit b: b x = y on the whole window, x for
+    y = 1 is the oracle's geometric power sum b^-1, and every result is in
+    lowest terms with g the gcd of its numerators."""
+    b = data.draw(unit_case())
+    ring, cap = b.ring, b.ring.degree_cap
+    nvars = len(ring.variables)
+    expo = st.tuples(*(st.integers(0, cap) for _ in range(nvars))).filter(lambda e: sum(e) <= cap)
+    coeff = st.fractions(min_value=-50, max_value=50, max_denominator=30)
+    y = MixedSeries(ring, data.draw(st.dictionaries(expo, coeff, max_size=5)))
+    for rhs, sign in ((y, 1), (y, -1), (MixedSeries.const(ring, 1), 1)):
+        (den, buckets), g = series._solve(cap, b._product_form(), rhs._product_form(), sign)
+        x = MixedSeries._clean(ring, series._unpack(ring, den, [t for _, ts in buckets for t in ts], {}))
+        assert b * x == rhs * sign
+        numerators = [n for _, terms in buckets for _, n in terms]
+        assert den > 0 and gcd(den, *numerators) == 1 and g == gcd(*numerators)
+        assert [d for d, _ in buckets] == sorted({d for d, _ in buckets})
+        assert_clean(x)
+    assert x == dense.unit_inverse(b)
 
 
 def test_unit_inverse_rejects_vanishing_constant_term():
     z = zvar()
-    for inverse in (series._unit_inverse, dense.unit_inverse):
-        with pytest.raises(CheckFailure, match="constant term vanishes"):
-            inverse(z + z * z)
+    with pytest.raises(CheckFailure, match="constant term vanishes"):
+        dense.unit_inverse(z + z * z)
 
 
 ENDO2 = SeriesRingSpec(2, s_vars=("T",), degree_cap=12)
