@@ -63,15 +63,15 @@ class ClassFunction:
     __slots__ = ("group", "level", "verified", "_form", "_values")
 
     def __init__(self, group, values, verified=False):
-        values = tuple(_as_cyclo(v) for v in values)
+        values = tuple([_as_cyclo(v) for v in values])
         if len(values) != group.order:
             raise InputError("class function needs one value per group element")
         level = lcm(*[v.level for v in values])
-        values = tuple(v.embed(level) for v in values)
+        values = tuple([v.embed(level) for v in values])
         den = lcm(*[c.denominator for v in values for c in v.coeffs])
-        rows = tuple(
-            tuple(c.numerator * (den // c.denominator) for c in v.coeffs) for v in values
-        )
+        rows = tuple([
+            tuple([c.numerator * (den // c.denominator) for c in v.coeffs]) for v in values
+        ])
         self._set(group, level, (den, rows), verified, values)
 
     @classmethod
@@ -109,9 +109,9 @@ class ClassFunction:
         """The values as ``CycloNum``, built from ``_form`` on first read."""
         if self._values is None:
             den, rows = self._form
-            values = tuple(
-                CycloNum(self.level, tuple(Fraction(x, den) for x in row)) for row in rows
-            )
+            values = tuple([
+                CycloNum(self.level, tuple([Fraction(x, den) for x in row])) for row in rows
+            ])
             object.__setattr__(self, "_values", values)
         return self._values
 
@@ -143,14 +143,14 @@ class ClassFunction:
         else:
             raise InputError("can only add class functions")
         return ClassFunction(
-            self.group, tuple(a + b for a, b in zip(self.values, other))
+            self.group, tuple([a + b for a, b in zip(self.values, other)])
         )
 
     def __sub__(self, other):
         return self.__add__(other * Fraction(-1))
 
     def __mul__(self, scalar):
-        return ClassFunction(self.group, tuple(v * scalar for v in self.values))
+        return ClassFunction(self.group, tuple([v * scalar for v in self.values]))
 
     __rmul__ = __mul__
 
@@ -191,7 +191,7 @@ def pair(f, g):
             if q:
                 acc = [a + q * c for a, c in zip(acc, rows_f[s])]
         den = den_f * den_g * grp.order
-        return CycloNum(f.level, tuple(Fraction(a, den) for a in acc))
+        return CycloNum(f.level, tuple([Fraction(a, den) for a in acc]))
     acc = CycloNum.from_rational(0)
     for s in range(grp.order):
         acc = acc + f.values[s] * g.values[grp.inv(s)]
@@ -200,7 +200,7 @@ def pair(f, g):
 
 def conjugate(f):
     """Apply zeta -> zeta^-1 valuewise."""
-    return ClassFunction(f.group, tuple(v.conjugate() for v in f.values))
+    return ClassFunction(f.group, tuple([v.conjugate() for v in f.values]))
 
 
 def induce(f, sub):
@@ -240,7 +240,7 @@ def restrict(f, sub):
         raise InputError("class function does not live on the parent group")
     hgrp, _, from_sub = sub.as_group()
     den, rows = f._form
-    return ClassFunction._from_form(hgrp, f.level, (den, tuple(rows[x] for x in from_sub)))
+    return ClassFunction._from_form(hgrp, f.level, (den, tuple([rows[x] for x in from_sub])))
 
 
 def check_shapes(group, action):

@@ -373,7 +373,7 @@ def _summand(m, name, basis, left):
     ``left`` reads coordinates on the basis, so column i is the image of basis vector i.
     """
     left = sparse_rows(left)
-    cols = 1, tuple({i: v[k] for i, v in enumerate(basis) if v[k]} for k in range(m.rank))
+    cols = 1, tuple([{i: v[k] for i, v in enumerate(basis) if v[k]} for k in range(m.rank)])
     forms = {
         g: sparse_mul(sparse_mul(left, m.forms[g]), cols)
         for g in (0, *m.group.generating_set())
@@ -405,12 +405,12 @@ def _integer_rows(rows, what):
     for x in (x for row in rows for x in row):
         if type(x) is not int and not (type(x) is Fraction and x.denominator == 1):
             raise InputError(f"{what} entries must be integers, got {x!r}")
-    return tuple(tuple(map(int, row)) for row in rows)
+    return tuple([tuple(map(int, row)) for row in rows])
 
 
 def _apply(form, v):
     """The image of the integer vector v under the numerators of a form."""
-    return tuple(sum(x * v[k] for k, x in row.items()) for row in form[1])
+    return tuple([sum(x * v[k] for k, x in row.items()) for row in form[1]])
 
 
 def adapt_lattice(m, e, precision=8, within=None):
@@ -446,7 +446,7 @@ def adapt_lattice(m, e, precision=8, within=None):
                 )
             # each coordinate lifted to the integer congruent to it mod p^precision
             lifted = [c.numerator * pow(c.denominator, -1, mod) % mod for c in coords]
-            approx.append(tuple(sum(c * row[j] for c, row in zip(lifted, h)) for j in range(d)))
+            approx.append(tuple([sum(c * row[j] for c, row in zip(lifted, h)) for j in range(d)]))
         gens = approx
     span = [_apply(m.forms[g], v) for v in gens for g in range(m.group.order)]
     basis = hnf_rows(span)

@@ -140,7 +140,7 @@ def _zeta_powers(n):
     row = [1] + [0] * (len(phi_n) - 2)
     rows = []
     for _ in range(n):
-        rows.append(tuple((i, t) for i, t in enumerate(row) if t))
+        rows.append(tuple([(i, t) for i, t in enumerate(row) if t]))
         # multiply by x; Phi_n is monic, so x^phi = -(lower terms of Phi_n)
         top = row[-1]
         row = [0] + row[:-1]
@@ -187,7 +187,7 @@ def inverse_zeta_minus_one(level, exponent):
     :func:`_inverse_zeta_minus_one_row`.
     """
     acc = _inverse_zeta_minus_one_row(level, exponent)
-    return CycloNum(level, tuple(Fraction(c, level) for c in acc))
+    return CycloNum(level, tuple([Fraction(c, level) for c in acc]))
 
 
 class CycloNum:
@@ -199,7 +199,7 @@ class CycloNum:
         if level < 1:
             raise InputError("CycloNum level must be positive")
         # a Fraction is immutable and already in lowest terms, so it is kept
-        coeffs = tuple(c if type(c) is Fraction else Fraction(c) for c in coeffs)
+        coeffs = tuple([c if type(c) is Fraction else Fraction(c) for c in coeffs])
         if len(coeffs) != euler_phi(level):
             raise InputError(
                 f"CycloNum at level {level} needs {euler_phi(level)} coefficients, "
@@ -252,19 +252,19 @@ class CycloNum:
         if pair is None:
             return NotImplemented
         a, b = pair
-        return CycloNum(a.level, tuple(x + y for x, y in zip(a.coeffs, b.coeffs)))
+        return CycloNum(a.level, tuple([x + y for x, y in zip(a.coeffs, b.coeffs)]))
 
     __radd__ = __add__
 
     def __neg__(self):
-        return CycloNum(self.level, tuple(-c for c in self.coeffs))
+        return CycloNum(self.level, tuple([-c for c in self.coeffs]))
 
     def __sub__(self, other):
         pair = self._pair(other)
         if pair is None:
             return NotImplemented
         a, b = pair
-        return CycloNum(a.level, tuple(x - y for x, y in zip(a.coeffs, b.coeffs)))
+        return CycloNum(a.level, tuple([x - y for x, y in zip(a.coeffs, b.coeffs)]))
 
     def __rsub__(self, other):
         return (-self).__add__(other)
@@ -272,14 +272,14 @@ class CycloNum:
     def __mul__(self, other):
         # a rational operand scales the coefficients of the other one
         if isinstance(other, (int, Fraction)):
-            return CycloNum(self.level, tuple(c * other for c in self.coeffs))
+            return CycloNum(self.level, tuple([c * other for c in self.coeffs]))
         if isinstance(other, CycloNum):
             if other.level == 1:
                 q = other.coeffs[0]
-                return CycloNum(self.level, tuple(c * q for c in self.coeffs))
+                return CycloNum(self.level, tuple([c * q for c in self.coeffs]))
             if self.level == 1:
                 q = self.coeffs[0]
-                return CycloNum(other.level, tuple(q * c for c in other.coeffs))
+                return CycloNum(other.level, tuple([q * c for c in other.coeffs]))
         pair = self._pair(other)
         if pair is None:
             return NotImplemented

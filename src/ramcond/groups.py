@@ -36,7 +36,7 @@ class FiniteGroup:
         ``c`` and every ``b`` in :meth:`generating_set`, which proves it for
         every ``b`` (see :meth:`closure`).
         """
-        table = tuple(tuple(row) for row in table)
+        table = tuple([tuple(row) for row in table])
         n = len(table)
         if n == 0:
             raise InputError("empty Cayley table")
@@ -49,7 +49,7 @@ class FiniteGroup:
         for row in table:
             if len(row) != n or min(row) < 0 or max(row) >= n:
                 raise InputError("Cayley table is not square over element ids")
-        if table[0] != ids or tuple(row[0] for row in table) != ids:
+        if table[0] != ids or tuple([row[0] for row in table]) != ids:
             raise InputError("element 0 must be a two-sided identity")
         inverses = [None] * n
         for a, row in enumerate(table):
@@ -210,7 +210,7 @@ def make_cyclic(n):
     """Cyclic group of order n; element 1 generates and ids are its powers."""
     if n < 1:
         raise InputError("cyclic group order must be positive")
-    table = tuple(tuple((i + j) % n for j in range(n)) for i in range(n))
+    table = tuple([tuple([(i + j) % n for j in range(n)]) for i in range(n)])
     return FiniteGroup(table, name=f"C{n}")
 
 
@@ -229,7 +229,7 @@ def make_product(g, h):
                 for b2 in range(m):
                     row.append(g.table[a1][a2] * m + h.table[b1][b2])
             table.append(tuple(row))
-    inverses = tuple(g._inv[a] * m + h._inv[b] for a in range(n) for b in range(m))
+    inverses = tuple([g._inv[a] * m + h._inv[b] for a in range(n) for b in range(m)])
     return FiniteGroup._from_checked(tuple(table), f"{g.name}x{h.name}", inverses)
 
 
@@ -243,9 +243,9 @@ def make_symmetric(n):
 
     perms = sorted(itertools.permutations(range(n)))
     index = {p: i for i, p in enumerate(perms)}
-    table = tuple(
-        tuple(index[tuple(p[q[i]] for i in range(n))] for q in perms) for p in perms
-    )
+    table = tuple([
+        tuple([index[tuple([p[q[i]] for i in range(n)])] for q in perms]) for p in perms
+    ])
     return FiniteGroup(table, name=f"S{n}")
 
 
@@ -353,11 +353,11 @@ class Subgroup:
         """(group, parent_id -> sub_id map, sub_id -> parent_id tuple)."""
         if self._as_group is None:
             to_sub = {x: i for i, x in enumerate(self.elements)}
-            table = tuple(
-                tuple(to_sub[self.parent.mult(a, b)] for b in self.elements)
+            table = tuple([
+                tuple([to_sub[self.parent.mult(a, b)] for b in self.elements])
                 for a in self.elements
-            )
-            inverses = tuple(to_sub[self.parent.inv(x)] for x in self.elements)
+            ])
+            inverses = tuple([to_sub[self.parent.inv(x)] for x in self.elements])
             grp = FiniteGroup._from_checked(
                 table, f"{self.parent.name}|{self.elements}", inverses
             )

@@ -35,9 +35,9 @@ def as_matrix(rows):
     A Fraction is kept as it is; any other entry (bool, float, str, CycloNum)
     raises InputError.
     """
-    mat = tuple(
-        tuple(x if type(x) is Fraction else _as_rational(x) for x in row) for row in rows
-    )
+    mat = tuple([
+        tuple([x if type(x) is Fraction else _as_rational(x) for x in row]) for row in rows
+    ])
     if mat and any(len(row) != len(mat[0]) for row in mat):
         raise InputError("ragged matrix")
     return mat
@@ -45,7 +45,7 @@ def as_matrix(rows):
 
 def identity_form(n):
     """The :func:`sparse_rows` form of the n x n identity matrix."""
-    return 1, tuple({i: 1} for i in range(n))
+    return 1, tuple([{i: 1} for i in range(n)])
 
 
 def sparse_rows(a):
@@ -55,14 +55,14 @@ def sparse_rows(a):
     value is a nonzero int and zeros are left out, so equal matrices have
     equal forms.  A non-rational entry raises InputError.
     """
-    rows = tuple([(j, x) for j, x in enumerate(row) if x] for row in a)
+    rows = tuple([[(j, x) for j, x in enumerate(row) if x] for row in a])
     bad = [x for row in rows for _, x in row if not isinstance(x, (int, Fraction))]
     if bad:
         raise _not_rational(bad[0])
     den = lcm(*[x.denominator for row in rows for _, x in row])
-    return den, tuple(
+    return den, tuple([
         {j: x.numerator * (den // x.denominator) for j, x in row} for row in rows
-    )
+    ])
 
 
 def sparse_mul(a, b):
@@ -95,7 +95,7 @@ def from_sparse(form):
     den, rows = form
     zero = Fraction(0)
     n = range(len(rows))
-    return tuple(tuple(Fraction(row[j], den) if j in row else zero for j in n) for row in rows)
+    return tuple([tuple([Fraction(row[j], den) if j in row else zero for j in n]) for row in rows])
 
 
 def _int_rows(a):
@@ -140,7 +140,7 @@ def integer_kernel(a):
             live = [j for j in live if acols[j][r] != 0]
         if live:
             active.remove(live[0])
-    return tuple(tuple(ucols[j]) for j in active), tuple(tuple(urows[j]) for j in active)
+    return tuple([tuple(ucols[j]) for j in active]), tuple([tuple(urows[j]) for j in active])
 
 
 def _int_vector(v):
@@ -184,7 +184,7 @@ def hnf_rows(vectors):
         r += 1
         if r == len(rows):
             break
-    return tuple(tuple(row) for row in rows[:r])
+    return tuple([tuple(row) for row in rows[:r]])
 
 
 def echelon_coords(h, v):

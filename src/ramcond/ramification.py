@@ -177,7 +177,7 @@ def ram_data(group, p, wild_chain, omega, name=""):
         if len(exps) != n:
             raise InputError("omega generator does not generate the tame quotient")
 
-    omega_exp = tuple(exps[coset_rep(x)] for x in range(group.order))
+    omega_exp = tuple([exps[coset_rep(x)] for x in range(group.order)])
     return RamData(group, p, tuple(breaks), n, omega_exp, name=name)
 
 
@@ -196,7 +196,7 @@ def artin_character(rd):
     """
     if rd._artin is not None:
         return rd._artin
-    rows = ((sum(rd.breaks),),) + tuple((-b,) for b in rd.breaks[1:])
+    rows = ((sum(rd.breaks),),) + tuple([(-b,) for b in rd.breaks[1:]])
     object.__setattr__(rd, "_artin", ClassFunction._from_form(rd.group, 1, (1, rows)))
     return rd._artin
 
@@ -227,7 +227,7 @@ def bisection(rd):
         else:
             k = rd.omega_exp[s]
             if k not in tame:
-                tame[k] = tuple(2 * c for c in _inverse_zeta_minus_one_row(n, k))
+                tame[k] = tuple([2 * c for c in _inverse_zeta_minus_one_row(n, k)])
             rows.append(tame[k])
     object.__setattr__(rd, "_bisection", ClassFunction._from_form(grp, n, (2 * n, tuple(rows))))
     return rd._bisection
@@ -269,10 +269,10 @@ def restrict_ramdata(rd, h):
     if not isinstance(h, Subgroup) or h.parent != rd.group:
         raise InputError("restrict_ramdata needs a subgroup of the ramification group")
     hgrp, _, from_sub = h.as_group()
-    breaks = tuple(rd.breaks[x] for x in from_sub)
+    breaks = tuple([rd.breaks[x] for x in from_sub])
     n_h = h.order // (1 + sum(1 for b in breaks if b > 1))
     step = rd.n // n_h
-    omega_exp = tuple(rd.omega_exp[x] // step for x in from_sub)
+    omega_exp = tuple([rd.omega_exp[x] // step for x in from_sub])
     return RamData(
         hgrp, rd.p, breaks, n_h, omega_exp, name=f"{rd.name}|{h.elements}" if rd.name else ""
     )

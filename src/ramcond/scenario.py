@@ -277,9 +277,9 @@ def _parse_module(spec, group, prime, where, id_map=None):
                 if gid not in id_map:
                     raise InputError(f"{where}: generator {gid} outside the subgroup")
                 gid = id_map[gid]
-            gen_action[gid] = tuple(
-                tuple(parse_rational(x) for x in row) for row in matrix
-            )
+            gen_action[gid] = tuple([
+                tuple([parse_rational(x) for x in row]) for row in matrix
+            ])
         module = module_from_generators(name, group, prime, gen_action)
         return name, module
     raise InputError(f"{where}: unknown module kind {kind!r}")
@@ -497,8 +497,8 @@ def parse_series_expression(text, p, degree_cap=DEFAULT_DEGREE_CAP, ring=None):
     """
     if ring is None:
         names = _collect_names(text)
-        t_vars = tuple(n for n in names if n.upper().startswith("T"))
-        s_vars = tuple(n for n in names if not n.upper().startswith("T"))
+        t_vars = tuple([n for n in names if n.upper().startswith("T")])
+        s_vars = tuple([n for n in names if not n.upper().startswith("T")])
         ring = SeriesRingSpec(p, s_vars=s_vars, t_vars=t_vars, degree_cap=degree_cap)
     toks = _Tokens(text)
 

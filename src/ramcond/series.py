@@ -13,18 +13,18 @@ lattice membership criterion.  Prime-to-p denominators are legitimate p-adic
 integers and do occur, e.g. in multiplicative-group endomorphisms [r] with r
 a p-integral rational.
 
-Products run on integers.  Each series builds its product form once, on
-first use as a factor: one common denominator and the numerators grouped by
-total degree, keyed by the packed exponent.  Series are immutable, so the
-form never goes stale.  One loop, :func:`_mul_forms`, multiplies two forms:
-it visits only degree pairs d1 + d2 <= D and adds integer products, grouped
-by the degree d1 + d2.  A series product divides once per output
-coefficient; Weierstrass division multiplies, shifts, solves by the unit
-part of the divisor (:func:`_solve`) and adds forms from start to end,
-keeping them grouped by degree, and builds one series, its quotient, after
-the loop.  Every power (1 + u)^r of a series u with u(0) = 0 comes from one
-recurrence, degree by degree, in :func:`endo_apply`: [r](f) and the
-expansion [r](T) of :func:`mult_endo`.
+A series is its integer form (see :class:`MixedSeries`): one denominator and
+integer numerators grouped by total degree, in lowest terms.  Series compare
+by their forms, and the ``Fraction`` coefficients are a view for display and
+checks.  One loop, :func:`_mul_forms`, multiplies two forms, visiting only
+degree pairs d1 + d2 <= D; one loop, :func:`_accumulate`, adds them, for
+sums, scalar multiples, substitution, [r](f) and the Weierstrass quotient;
+:func:`_lowest_terms` reduces every result.  The Gauss valuation of a form is
+v_p(g) - v_p(den), g the gcd of its numerators.  Weierstrass division
+multiplies, shifts and solves by the unit part of the divisor
+(:func:`_solve`) on forms from start to end.  Every power (1 + u)^r of a
+series u with u(0) = 0 comes from one recurrence, degree by degree, in
+:func:`endo_apply`: [r](f) and the expansion [r](T) of :func:`mult_endo`.
 
 Budgets: the degree cap D is at most DEGREE_CAP_BOUND = 32, the valuation
 bound of Weierstrass division lies in 1..VAL_BOUND_MAX = 256 and an exponent
@@ -37,8 +37,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import chain
 from math import gcd, inf, lcm
+from types import MappingProxyType
 from typing import NamedTuple
 
 from .errors import CheckFailure, InputError
@@ -81,6 +81,14 @@ class SeriesRingSpec:
     degree_cap: int = DEFAULT_DEGREE_CAP
 
     def __post_init__(self):
+        if type(self.p) is not int:
+            raise InputError(f"ring prime {self.p!r} is not an integer")
+        for block in (self.s_vars, self.t_vars):
+            if type(block) not in (tuple, list):
+                raise InputError(f"variable block {block!r} is not a tuple of names")
+            for name in block:
+                if type(name) is not str:
+                    raise InputError(f"variable name {name!r} is not a str")
         object.__setattr__(self, "s_vars", tuple(self.s_vars))
         object.__setattr__(self, "t_vars", tuple(self.t_vars))
         if not is_prime(self.p):
@@ -105,15 +113,23 @@ class SeriesRingSpec:
             raise InputError(f"unknown variable {name!r}") from None
 
 
-class MixedSeries:
-    """A truncated series: exponent multi-index -> nonzero rational coefficient.
+_ONE = (1, [(0, {0: 1})])  # the form of the constant 1
 
-    Series are immutable.  ``coeffs`` maps int tuples of total degree within
-    the window to nonzero ``Fraction``s; ``_form`` holds the product form of
-    the coefficients, built by :meth:`_product_form` on first use.
+
+class MixedSeries:
+    """A truncated series, held as its integer form.
+
+    Series are immutable.  ``_form`` is (den, buckets): den > 0, and
+    ``buckets`` lists (d, {key: n}) for each total degree d that has a term,
+    in ascending order, where n/den is the nonzero coefficient of the
+    exponent packed in key: the exponent of variable i is digit i of key in
+    base cap + 1, so adding two keys whose degrees sum to at most cap adds
+    the exponents.  gcd(den, every n) = 1, so the form is canonical and
+    ``==`` compares forms.  ``coeffs`` (exponent multi-index -> nonzero
+    ``Fraction``) is a read-only view, built from the form on first read.
     """
 
-    __slots__ = ("ring", "coeffs", "_form")
+    __slots__ = ("ring", "_form", "_coeffs")
 
     def __init__(self, ring, coeffs):
         """Read user input: int or Fraction coefficients keyed by int tuples.
@@ -134,17 +150,25 @@ class MixedSeries:
                 raise InputError(f"series coefficient {c!r} is not an int or Fraction")
             if c != 0 and sum(expo) <= cap:
                 cleaned[expo] = Fraction(c)
+        # Over the lcm of reduced denominators the numerators are coprime to den.
+        den = lcm(*[c.denominator for c in cleaned.values()])
+        groups = {}
+        for expo, c in cleaned.items():
+            key = 0
+            for e in reversed(expo):
+                key = key * (cap + 1) + e
+            groups.setdefault(sum(expo), {})[key] = c.numerator * (den // c.denominator)
         object.__setattr__(self, "ring", ring)
-        object.__setattr__(self, "coeffs", cleaned)
-        object.__setattr__(self, "_form", None)
+        object.__setattr__(self, "_form", (den, sorted(groups.items())))
+        object.__setattr__(self, "_coeffs", MappingProxyType(cleaned))
 
     @classmethod
-    def _clean(cls, ring, coeffs):
-        """Wrap a dict that is already clean; it is kept, not copied."""
+    def _from_form(cls, ring, form):
+        """Wrap a form that meets the class invariants; it is kept, not copied."""
         self = object.__new__(cls)
         object.__setattr__(self, "ring", ring)
-        object.__setattr__(self, "coeffs", coeffs)
-        object.__setattr__(self, "_form", None)
+        object.__setattr__(self, "_form", form)
+        object.__setattr__(self, "_coeffs", None)
         return self
 
     def __setattr__(self, name, value):
@@ -154,7 +178,7 @@ class MixedSeries:
 
     @classmethod
     def zero(cls, ring):
-        return cls._clean(ring, {})
+        return cls._from_form(ring, (1, []))
 
     @classmethod
     def const(cls, ring, value):
@@ -162,106 +186,89 @@ class MixedSeries:
 
     @classmethod
     def variable(cls, ring, name):
-        i = ring.index_of(name)
-        expo = tuple(1 if j == i else 0 for j in range(len(ring.variables)))
-        return cls._clean(ring, {expo: Fraction(1)})
+        key = (ring.degree_cap + 1) ** ring.index_of(name)
+        return cls._from_form(ring, (1, [(1, {key: 1})]))
 
     # -- bookkeeping ---------------------------------------------------------
+
+    @property
+    def coeffs(self):
+        view = self._coeffs
+        if view is None:
+            den, buckets = self._form
+            base = self.ring.degree_cap + 1
+            nvars = len(self.ring.variables)
+            view = MappingProxyType(
+                {
+                    _exponent(k, base, nvars): Fraction(n, den)
+                    for _, terms in buckets
+                    for k, n in terms.items()
+                }
+            )
+            object.__setattr__(self, "_coeffs", view)
+        return view
 
     def terms(self):
         """Deterministically ordered (exponent, coefficient) pairs."""
         return tuple(sorted(self.coeffs.items(), key=lambda kv: (sum(kv[0]), kv[0])))
 
     def is_zero(self):
-        return not self.coeffs
+        return not self._form[1]
 
     def __bool__(self):
-        return bool(self.coeffs)
+        return bool(self._form[1])
 
     def constant_term(self):
-        return self.coeffs.get((0,) * len(self.ring.variables), Fraction(0))
+        den, buckets = self._form
+        if buckets and buckets[0][0] == 0:
+            return Fraction(buckets[0][1][0], den)
+        return Fraction(0)
 
     def _check_ring(self, other):
         if self.ring != other.ring:
             raise InputError("series ring spec mismatch")
 
-    def _product_form(self):
-        """(den, buckets): the coefficients over one common denominator.
-
-        ``den`` is the lcm of the coefficient denominators and ``buckets``
-        the terms (key, n), coefficient n/den, grouped by total degree (see
-        :func:`_buckets`).  The key packs the exponent in base cap + 1, the
-        exponent of variable i as digit i, so adding two keys whose degrees
-        sum to at most cap adds the exponents.
-        """
-        form = self._form
-        if form is None:
-            coeffs = self.coeffs
-            den = lcm(*[c.denominator for c in coeffs.values()])
-            ring = self.ring
-            base = ring.degree_cap + 1
-            terms = []
-            for expo, c in coeffs.items():
-                key = 0
-                for e in reversed(expo):
-                    key = key * base + e
-                terms.append((key, c.numerator * (den // c.denominator)))
-            form = (den, _buckets(base, terms))
-            object.__setattr__(self, "_form", form)
-        return form
-
     # -- arithmetic ----------------------------------------------------------
 
-    def __add__(self, other):
+    def _add(self, a, other, b):
+        """a * self + b * other for a series or scalar ``other``."""
         if isinstance(other, (int, Fraction)):
             other = MixedSeries.const(self.ring, other)
         if not isinstance(other, MixedSeries):
             return NotImplemented
         self._check_ring(other)
-        out = dict(self.coeffs)
-        for expo, c in other.coeffs.items():
-            s = out.get(expo)
-            if s is None:
-                out[expo] = c
-                continue
-            s += c
-            if s:
-                out[expo] = s
-            else:
-                del out[expo]
-        return MixedSeries._clean(self.ring, out)
+        form = _combine(self.ring.degree_cap, [(a, self._form), (b, other._form)])
+        return MixedSeries._from_form(self.ring, form)
+
+    def __add__(self, other):
+        return self._add(1, other, 1)
 
     __radd__ = __add__
 
     def __neg__(self):
-        return MixedSeries._clean(self.ring, {e: -c for e, c in self.coeffs.items()})
+        return self * -1
 
     def __sub__(self, other):
-        if isinstance(other, (int, Fraction)):
-            other = MixedSeries.const(self.ring, other)
-        if not isinstance(other, MixedSeries):
-            return NotImplemented
-        return self.__add__(-other)
+        return self._add(1, other, -1)
 
     def __rsub__(self, other):
-        return (-self).__add__(other)
+        return self._add(-1, other, 1)
 
     def __mul__(self, other):
+        ring = self.ring
         if isinstance(other, (int, Fraction)):
-            c = Fraction(other)
-            out = {e: c * v for e, v in self.coeffs.items()} if c else {}
-            return MixedSeries._clean(self.ring, out)
+            return MixedSeries._from_form(ring, _combine(ring.degree_cap, [(other, self._form)]))
         if not isinstance(other, MixedSeries):
             return NotImplemented
         self._check_ring(other)
-        ring = self.ring
-        den, acc = _mul_forms(ring.degree_cap, self._product_form(), other._product_form())
-        terms = chain.from_iterable(map(dict.items, filter(None, acc)))
-        return MixedSeries._clean(ring, _unpack(ring, den, terms, {}))
+        form = _lowest_terms(*_mul_forms(ring.degree_cap, self._form, other._form))
+        return MixedSeries._from_form(ring, form)
 
     __rmul__ = __mul__
 
     def __pow__(self, k):
+        if type(k) is not int:
+            raise InputError(f"series exponent {k!r} is not an integer")
         if k < 0:
             raise InputError("negative series power")
         out = MixedSeries.const(self.ring, 1)
@@ -276,7 +283,7 @@ class MixedSeries:
     def __eq__(self, other):
         if not isinstance(other, MixedSeries):
             return NotImplemented
-        return self.ring == other.ring and self.coeffs == other.coeffs
+        return self.ring == other.ring and self._form == other._form
 
     __hash__ = None
 
@@ -287,8 +294,17 @@ class MixedSeries:
         return f"MixedSeries({self.ring!r}, {dict(self.terms())!r})"
 
 
+def _exponent(key, base, nvars):
+    """The exponent multi-index packed in ``key``: its nvars digits in ``base``."""
+    expo = []
+    for _ in range(nvars):
+        expo.append(key % base)
+        key //= base
+    return tuple(expo)
+
+
 def _mul_forms(cap, fa, fb):
-    """The product of two product forms as (den, groups).
+    """The product of two forms as (den, groups).
 
     This is the one series product loop.  It visits only the degree bucket
     pairs d1 + d2 <= cap and adds integer products into the group of degree
@@ -300,9 +316,10 @@ def _mul_forms(cap, fa, fb):
     """
     den_a, buckets_a = fa
     den_b, buckets_b = fb
+    buckets_b = [(d2, terms2.items()) for d2, terms2 in buckets_b]
     groups = [None] * (cap + 1)
     for d1, terms1 in buckets_a:
-        for k1, n1 in terms1:
+        for k1, n1 in terms1.items():
             for d2, terms2 in buckets_b:
                 d = d1 + d2
                 if d > cap:
@@ -316,37 +333,58 @@ def _mul_forms(cap, fa, fb):
     return den_a * den_b, groups
 
 
-def _buckets(base, terms):
-    """Group (key, n) pairs into (d, terms) by ascending total degree d.
+def _combine(cap, pairs):
+    """The form of the sum of c f over ``pairs`` (c, f) of an int or
+    Fraction c and a form f, which need not be in lowest terms.
 
-    d is the digit sum of the key in ``base``.  Keys carry no degree digit,
-    so they stay small: in two variables up to cap 15 every key is below
-    257, and Python allocates no int for the sum of two such keys.
+    The sum is taken over the lcm of the denominators of the c f, added by
+    :func:`_accumulate` and reduced by :func:`_lowest_terms`.
     """
-    by_degree = {}
-    for term in terms:
-        k = term[0]
-        d = 0
-        while k:
-            k, e = divmod(k, base)
-            d += e
-        by_degree.setdefault(d, []).append(term)
-    return sorted(by_degree.items())
+    den = lcm(*[c.denominator * d for c, (d, _) in pairs])
+    groups = [None] * (cap + 1)
+    for c, (d, buckets) in pairs:
+        _accumulate(groups, c.numerator * (den // (c.denominator * d)), buckets)
+    return _lowest_terms(den, groups)
 
 
-def _unpack(ring, den, terms, out):
-    """Add to ``out`` the coefficients n/den of the (key, n) pairs ``terms``
-    (keys as in :meth:`MixedSeries._product_form`); zeros are left out."""
-    base = ring.degree_cap + 1
-    digits = range(len(ring.variables))
-    for k, n in terms:
-        if n:
-            expo = []
-            for _ in digits:
-                expo.append(k % base)
-                k //= base
-            out[tuple(expo)] = Fraction(n, den)
-    return out
+def _accumulate(groups, w, buckets):
+    """Add w times the numerators ``buckets`` of a form into ``groups``, in
+    place; ``groups`` is indexed by degree as :func:`_mul_forms` returns it.
+
+    This is the one series addition loop.
+    """
+    for d, terms in buckets:
+        out = groups[d]
+        if out is None:
+            groups[d] = {k: w * n for k, n in terms.items()}
+            continue
+        get = out.get
+        for k, n in terms.items():
+            out[k] = get(k, 0) + w * n
+
+
+def _lowest_terms(den, groups, sign=1):
+    """The form of ``sign`` times the numerators ``groups`` over den > 0.
+
+    ``groups`` is indexed by degree as :func:`_mul_forms` returns it.  den
+    and every numerator are divided by their gcd, and zero numerators and
+    empty degrees are dropped.  Zero is (1, []).
+    """
+    g = 0
+    for terms in groups:
+        if terms:
+            g = gcd(g, *terms.values())
+    if not g:
+        return (1, [])
+    h = gcd(den, g)
+    s = sign * h
+    buckets = []
+    for d, terms in enumerate(groups):
+        if terms:
+            terms = {k: c // s for k, c in terms.items() if c}
+            if terms:
+                buckets.append((d, terms))
+    return (den // h, buckets)
 
 
 def render_series(f):
@@ -379,11 +417,18 @@ def render_series(f):
 # valuations and lattice membership
 
 
+def _valuation(p, den, buckets):
+    """The least p-valuation of a coefficient n/den in ``buckets``:
+    v_p(g) - v_p(den), g the gcd of the numerators n; +infinity for none."""
+    g = 0
+    for _, terms in buckets:
+        g = gcd(g, *terms.values())
+    return p_valuation(Fraction(g, den), p)
+
+
 def gauss_valuation(f):
     """Minimum p-valuation over stored coefficients; +infinity for zero."""
-    if f.is_zero():
-        return inf
-    return min(p_valuation(c, f.ring.p) for c in f.coeffs.values())
+    return _valuation(f.ring.p, *f._form)
 
 
 def is_lattice_member(f):
@@ -396,17 +441,16 @@ def dilatation_member(f, n):
 
     Requires a pure formal-variable ring (no power-bounded block).  A term
     with exponent multi-index m belongs iff its coefficient valuation is at
-    least -floor(|m| / (n+1)).
+    least -floor(|m| / (n+1)); the terms of one degree are tested at once,
+    by the valuation of their bucket.
     """
     if f.ring.t_vars:
         raise InputError("dilatation membership needs a ring without T-variables")
-    if n < 0:
-        raise InputError("dilatation index must be a natural number")
+    if type(n) is not int or n < 0:
+        raise InputError(f"dilatation index must be a natural number, got {n!r}")
     p = f.ring.p
-    for expo, c in f.coeffs.items():
-        if p_valuation(c, p) < -(sum(expo) // (n + 1)):
-            return False
-    return True
+    den, buckets = f._form
+    return all(_valuation(p, den, [bucket]) >= -(bucket[0] // (n + 1)) for bucket in buckets)
 
 
 # ---------------------------------------------------------------------------
@@ -419,23 +463,19 @@ def is_distinguished(f, z):
     Returns (True, residual_order) when the reduction in the residue series
     ring has a positive, finite order within the window; (False, None)
     otherwise.  Series outside the integral lattice are never distinguished.
+    A lattice member has a denominator prime to p, so a coefficient is a
+    unit iff p does not divide its numerator; the pure z^d term has the key
+    d * base**zi.
     """
     zi = f.ring.index_of(z)
     p = f.ring.p
     if not is_lattice_member(f):
         return False, None
-    residual = {}
-    for expo, c in f.coeffs.items():
-        if any(e != 0 for j, e in enumerate(expo) if j != zi):
-            continue
-        if c.numerator % p != 0:
-            residual[expo[zi]] = c
-    if not residual:
-        return False, None
-    order = min(residual)
-    if order == 0:
-        return False, None
-    return True, order
+    unit = (f.ring.degree_cap + 1) ** zi
+    for d, terms in f._form[1]:
+        if terms.get(d * unit, 0) % p:
+            return (True, d) if d else (False, None)
+    return False, None
 
 
 class WeierstrassResult(NamedTuple):
@@ -444,25 +484,25 @@ class WeierstrassResult(NamedTuple):
     certified_valuation: object  # int or math.inf when the division is exact
 
 
-def _z_low(f, zi, n):
-    return MixedSeries._clean(f.ring, {e: c for e, c in f.coeffs.items() if e[zi] < n})
+def _z_part(cap, zi, n, parts, high):
+    """The terms of z-degree below n, or at least n if ``high``, of the
+    numerators ``parts``, z the variable ``zi``.
 
-
-def _z_shift_down(ring, zi, n, groups):
-    """Divide the numerators ``groups`` (as :func:`_mul_forms` returns them)
-    by z^n, z the variable ``zi``.
-
-    A key whose z digit, key // base**zi % base, is at least n loses n from
-    that digit, so its degree drops by n; other keys and zero numerators are
-    dropped.  The result is indexed by the new degree.
+    ``parts`` yields (d, {key: numerator} or None) by degree d.  The result
+    is indexed by degree as :func:`_mul_forms` returns it.  High terms are
+    divided by z^n: the z digit of a key, key // base**zi % base, loses n,
+    and so does the degree.
     """
-    base = ring.degree_cap + 1
+    base = cap + 1
     unit = base**zi
-    shift = n * unit
-    return [
-        None if terms is None else {k - shift: c for k, c in terms.items() if c and k // unit % base >= n}
-        for terms in groups[n:]
-    ]
+    shift, drop = (n * unit, n) if high else (0, 0)
+    groups = [None] * (cap + 1)
+    for d, terms in parts:
+        if terms and d >= drop:
+            groups[d - drop] = {
+                k - shift: c for k, c in terms.items() if (k // unit % base >= n) == high
+            }
+    return groups
 
 
 def weierstrass_divide(g, f, z, val_bound=32):
@@ -480,11 +520,10 @@ def weierstrass_divide(g, f, z, val_bound=32):
     b delta = -(delta a / z^n), q <- q + delta, where / z^n drops the terms
     of z-degree below n.  Each step is one product (:func:`_mul_forms`) and
     one triangular solve by the unit b (:func:`_solve`); b^-1, dense in the
-    window, is never formed.  The loop never builds a series: its forms keep
-    their numerators grouped by total degree from step to step, every form
-    it multiplies or solves with is in lowest terms, q accumulates over the
-    lcm of the denominators of the deltas, and q becomes a series once, at
-    the end.
+    window, is never formed.  The loop never builds a series: every form it
+    multiplies or solves with is in lowest terms, q accumulates in place,
+    per degree, over the lcm of the denominators of the deltas, and q
+    becomes a series once, at the end.
     """
     if type(val_bound) is not int or not 1 <= val_bound <= VAL_BOUND_MAX:
         raise InputError(f"val_bound must be an integer in 1..{VAL_BOUND_MAX}, got {val_bound!r}")
@@ -496,57 +535,48 @@ def weierstrass_divide(g, f, z, val_bound=32):
     ring = f.ring
     cap = ring.degree_cap
     zi = ring.index_of(z)
-    a = _z_low(f, zi, n)._product_form()
-    den_f, buckets_f = f._product_form()
-    b, _ = _lowest_terms(den_f, _z_shift_down(ring, zi, n, _by_degree(cap, buckets_f)))
-    den_g, buckets_g = g._product_form()
-    tg, _ = _lowest_terms(den_g, _z_shift_down(ring, zi, n, _by_degree(cap, buckets_g)))
-    delta, _ = _solve(cap, b, tg)
-    q_den, q = delta[0], {k: c for _, terms in delta[1] for k, c in terms}
+    den_f, buckets_f = f._form
+    a = _lowest_terms(den_f, _z_part(cap, zi, n, buckets_f, False))
+    b = _lowest_terms(den_f, _z_part(cap, zi, n, buckets_f, True))
+    den_g, buckets_g = g._form
+    delta = _solve(cap, b, _lowest_terms(den_g, _z_part(cap, zi, n, buckets_g, True)))
+    q_den, q = 1, [None] * (cap + 1)
     certified = inf
-    vg = gauss_valuation(g)
-    headroom = -vg if (not g.is_zero() and vg < 0) else 0
+    headroom = max(0, -gauss_valuation(g))
     max_iter = val_bound + 2 * cap + headroom + 64
-    for _ in range(max_iter):
-        if not delta[1]:
-            certified = inf
-            break
-        den, acc = _mul_forms(cap, a, delta)
-        shifted, _ = _lowest_terms(den, _z_shift_down(ring, zi, n, acc))
-        delta, g_delta = _solve(cap, b, shifted, -1)
+    # Step i adds the delta of step i to q; the loop's product and solve
+    # give the next one.  The first delta is q's start, not a correction.
+    for i in range(max_iter + 1):
         den, buckets = delta
         if not buckets:
-            certified = inf
             break
         new_den = lcm(q_den, den)
         if new_den != q_den:
             scale = new_den // q_den
-            q = {k: c * scale for k, c in q.items()}
+            q = [terms and {k: c * scale for k, c in terms.items()} for terms in q]
             q_den = new_den
-        scale = q_den // den
-        get = q.get
-        for _, terms in buckets:
-            for k, c in terms:
-                q[k] = get(k, 0) + c * scale
-        if p_valuation(Fraction(g_delta, den), ring.p) >= val_bound:
+        _accumulate(q, q_den // den, buckets)
+        if i and _valuation(ring.p, den, buckets) >= val_bound:
             certified = val_bound
             break
-    else:
-        raise CheckFailure("weierstrass division failed to stabilize")
+        if i == max_iter:
+            raise CheckFailure("weierstrass division failed to stabilize")
+        den, acc = _mul_forms(cap, a, delta)
+        delta = _solve(cap, b, _lowest_terms(den, _z_part(cap, zi, n, enumerate(acc), True)), -1)
 
-    q = MixedSeries._clean(ring, _unpack(ring, q_den, q.items(), {}))
-    remainder_full = g - q * f
-    r = _z_low(remainder_full, zi, n)
+    q = MixedSeries._from_form(ring, _lowest_terms(q_den, q))
+    den, remainder = (g - q * f)._form
+    r = MixedSeries._from_form(ring, _lowest_terms(den, _z_part(cap, zi, n, remainder, False)))
     return WeierstrassResult(q, r, certified)
 
 
 def _solve(cap, fb, fy, sign=1):
     """``sign`` times the solution x of b x = y, truncated at degree cap.
 
-    b and y are product forms, b with a nonzero constant term n0/den_b.
-    Returns ((den, buckets), g) as :func:`_lowest_terms` does.  Let lo be
-    the lowest degree of y, and B_k and Y_d the numerators of degree k of b
-    and of degree d of y.  Forward substitution, degree by degree, gives
+    b and y are forms, b with a nonzero constant term n0/den_b.  Returns
+    the form of x in lowest terms.  Let lo be the lowest degree of y, and
+    B_k and Y_d the numerators of degree k of b and of degree d of y.
+    Forward substitution, degree by degree, gives
     x_d = X_d den_b / (den_y n0^(d - lo + 1)) with the integer parts
 
         X_d = n0^(d - lo) Y_d - sum_(k >= 1) n0^(k - 1) B_k X_(d - k),
@@ -558,17 +588,17 @@ def _solve(cap, fb, fy, sign=1):
     den_b, buckets_b = fb
     den_y, buckets_y = fy
     if not buckets_y:
-        return (1, []), 0
-    (_, ((_, n0),)), *rest = buckets_b  # degree 0 holds the one key 0
+        return (1, [])
+    n0 = buckets_b[0][1][0]  # degree 0 holds the one key 0
     flip = -1 if n0 < 0 else 1  # x = -(y / -b) keeps the denominator positive
     n0, sign = flip * n0, flip * sign
-    rest = [(k, -flip * n0 ** (k - 1), terms) for k, terms in rest]
+    rest = [(k, -flip * n0 ** (k - 1), terms.items()) for k, terms in buckets_b[1:]]
     lo = buckets_y[0][0]
     ys = dict(buckets_y)
     groups = [None] * (cap + 1)
     for d in range(lo, cap + 1):
         w = n0 ** (d - lo)
-        acc = {k: w * c for k, c in ys.get(d, ())}
+        acc = {k: w * c for k, c in ys[d].items()} if d in ys else {}
         for k, wk, terms in rest:
             if d - k < lo:
                 break
@@ -584,42 +614,6 @@ def _solve(cap, fb, fy, sign=1):
         if scale != 1:
             groups[d] = {key: c * scale for key, c in groups[d].items()}
     return _lowest_terms(den_y * n0 ** (cap - lo + 1), groups, sign)
-
-
-def _by_degree(cap, buckets):
-    """The buckets of a product form as groups, indexed by degree as
-    :func:`_mul_forms` returns them."""
-    groups = [None] * (cap + 1)
-    for d, terms in buckets:
-        groups[d] = dict(terms)
-    return groups
-
-
-def _lowest_terms(den, groups, sign=1):
-    """((den, buckets), g): ``sign`` times the numerators ``groups`` over
-    den, in lowest terms.
-
-    ``groups`` is indexed by degree as :func:`_mul_forms` returns it.  den
-    and every numerator are divided by their gcd h; ``buckets`` lists the
-    nonzero (key, n) pairs of each degree that has one, in ascending degree
-    as in a product form, and g is the gcd of the new numerators.  The Gauss
-    valuation of the form is v_p(g) - v_p(den).  Zero is ((1, []), 0).
-    """
-    g = 0
-    for terms in groups:
-        if terms:
-            g = gcd(g, *terms.values())
-    if not g:
-        return (1, []), 0
-    h = gcd(den, g)
-    s = sign * h
-    buckets = []
-    for d, terms in enumerate(groups):
-        if terms:
-            terms = [(k, c // s) for k, c in terms.items() if c]
-            if terms:
-                buckets.append((d, terms))
-    return (den // h, buckets), g // h
 
 
 # ---------------------------------------------------------------------------
@@ -648,27 +642,29 @@ def endo_apply(r, f):
     multiplies the degree-d part by d, gives (1 + f) E(g) = r g E(f), so the
     degree-n parts satisfy g_n = sum_(k=1..n) ((r + 1) k - n) f_k g_(n-k) / n
     with g_0 = 1.  Each g_n is kept as integer numerators over one
-    denominator, like a product form, so the whole evaluation costs about
-    one product f * g, whatever r is.
+    denominator, like a form, so the whole evaluation costs about one
+    product f * g, whatever r is; :func:`_combine` sums the g_n.  r must be
+    an int or a Fraction.
     """
+    if type(r) not in (int, Fraction):
+        raise InputError(f"endomorphism scalar {r!r} is not an int or Fraction")
     if f.constant_term() != 0:
         raise InputError("endo_apply needs a series with zero constant term")
-    r = Fraction(r)
-    if p_valuation(r, f.ring.p) < 0:
-        raise InputError(f"{r} is not a p-adic integer for p={f.ring.p}")
     ring = f.ring
-    den_f, buckets = f._product_form()
+    if p_valuation(r, ring.p) < 0:
+        raise InputError(f"{r} is not a p-adic integer for p={ring.p}")
+    cap = ring.degree_cap
+    den_f, buckets = f._form
     a, b = (r + 1).numerator, (r + 1).denominator
     parts = [(1, {0: 1})]  # parts[m] = (den, {packed key: numerator}) of g_m
-    out = {}
-    for n in range(1, ring.degree_cap + 1):
+    for n in range(1, cap + 1):
         pairs = [(k, terms, parts[n - k]) for k, terms in buckets if k <= n and parts[n - k][1]]
         den = lcm(*[d for _, _, (d, _) in pairs])
         acc = {}
         get = acc.get
         for k, terms, (d, numerators) in pairs:
             w = (a * k - n * b) * (den // d)
-            for k1, n1 in terms:
+            for k1, n1 in terms.items():
                 c1 = w * n1
                 for k2, n2 in numerators.items():
                     key = k1 + k2
@@ -676,10 +672,9 @@ def endo_apply(r, f):
         acc = {key: v for key, v in acc.items() if v}
         den *= n * b * den_f
         g = gcd(den, *acc.values())
-        numerators = {key: v // g for key, v in acc.items()}
-        parts.append((den // g, numerators))
-        _unpack(ring, den // g, numerators.items(), out)
-    return MixedSeries._clean(ring, out)
+        parts.append((den // g, {key: v // g for key, v in acc.items()}))
+    sums = [(1, (d, [(n, numerators)])) for n, (d, numerators) in enumerate(parts) if n]
+    return MixedSeries._from_form(ring, _combine(cap, sums))
 
 
 def endo_to_scalar(e):
@@ -688,11 +683,13 @@ def endo_to_scalar(e):
         raise InputError("endo_to_scalar needs a single-variable ring")
     if e.constant_term() != 0:
         raise InputError("endomorphisms have zero constant term")
-    r = e.coeffs.get((1,), Fraction(0))
-    if r == 0:
-        if e.is_zero():
-            return Fraction(0)
+    den, buckets = e._form
+    if not buckets:
+        return Fraction(0)
+    d, terms = buckets[0]
+    if d != 1:
         raise CheckFailure("no linear term: only [0] = 0 lacks one")
+    r = Fraction(terms[1], den)  # T has the key 1
     if p_valuation(r, e.ring.p) < 0:
         raise CheckFailure("linear coefficient is not a p-adic integer")
     if e != mult_endo(r, e.ring):
@@ -705,7 +702,12 @@ def endo_to_scalar(e):
 
 
 def substitute(f, images):
-    """Substitute variables by series with zero constant term (exact on window)."""
+    """Substitute variables by series with zero constant term (exact on window).
+
+    A term n/den of f becomes n times the product of the powers of the
+    images over den.  The powers are products of forms, cached per
+    variable, and one :func:`_combine` sums the terms.
+    """
     ring = f.ring
     for name, img in images.items():
         ring.index_of(name)
@@ -713,28 +715,25 @@ def substitute(f, images):
             raise InputError("substitution image in a different ring")
         if img.constant_term() != 0:
             raise InputError("substitution images must have zero constant term")
-    names = ring.variables
-    base = {
-        name: images.get(name, MixedSeries.variable(ring, name)) for name in names
-    }
-    # per-variable power cache: powers[name][k] = image^k
-    powers = {name: [MixedSeries.const(ring, 1)] for name in names}
-
-    def var_power(name, k):
-        cache = powers[name]
-        while len(cache) <= k:
-            cache.append(cache[-1] * base[name])
-        return cache[k]
-
-    out = MixedSeries.zero(ring)
-    for expo, c in f.terms():
-        term = None
-        for name, e in zip(names, expo):
-            if e:
-                power = var_power(name, e)
-                term = power if term is None else term * power
-        out = out + (MixedSeries.const(ring, c) if term is None else term * c)
-    return out
+    cap = ring.degree_cap
+    # powers[i][e] is the form of the e-th power of the image of variable i
+    powers = [
+        [_ONE, images[name]._form if name in images else MixedSeries.variable(ring, name)._form]
+        for name in ring.variables
+    ]
+    den, buckets = f._form
+    pairs = []
+    for _, terms in buckets:
+        for k, n in terms.items():
+            term = _ONE
+            for cache, e in zip(powers, _exponent(k, cap + 1, len(powers))):
+                if e:
+                    while len(cache) <= e:
+                        cache.append(_lowest_terms(*_mul_forms(cap, cache[-1], cache[1])))
+                    power = cache[e]
+                    term = power if term is _ONE else _lowest_terms(*_mul_forms(cap, term, power))
+            pairs.append((n, (den * term[0], term[1])))
+    return MixedSeries._from_form(ring, _combine(cap, pairs))
 
 
 def symmetric_descent(group, action):

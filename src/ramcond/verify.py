@@ -197,7 +197,7 @@ def _random_series(rng, ring, max_terms=4, max_degree=None, min_val=-3):
     terms = {}
     for _ in range(rng.randint(1, max_terms)):
         while True:
-            expo = tuple(rng.randint(0, max_degree) for _ in range(nvars))
+            expo = tuple([rng.randint(0, max_degree) for _ in range(nvars)])
             if sum(expo) <= max_degree:
                 break
         coeff = Fraction(rng.choice([n for n in range(-9, 10) if n])) * Fraction(

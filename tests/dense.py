@@ -9,7 +9,9 @@ class-function form of ``ramcond.characters``, and the ``CycloNum``-valued
 ``bisection``, ``artin_character`` and ``trace_forms`` check the builders
 that hand that form over; the Weierstrass division on
 ``Fraction`` series checks the one that ``ramcond.series`` runs on integer
-product forms, and the binomial loop and the geometric power sum check the
+forms, the minimum over the coefficients' valuations checks the Gauss
+valuation and dilatation membership that it reads off the gcd of the
+numerators, and the binomial loop and the geometric power sum check the
 one recurrence for (1 + u)^r that ``ramcond.series`` evaluates [r] and unit
 inverses by.  Gauss-Jordan elimination (``rref``, ``solve``, ``det``) with
 ``mat_vec``, ``mat_sub`` and ``transpose`` drives the dense idempotent
@@ -38,8 +40,6 @@ from ramcond.series import (
     VAL_BOUND_MAX,
     MixedSeries,
     WeierstrassResult,
-    _z_low,
-    gauss_valuation,
     is_distinguished,
 )
 
@@ -448,6 +448,25 @@ def restrict_ramdata(rd, h):
     return sub_rd
 
 
+def gauss_valuation(f):
+    """The least p-valuation over the ``Fraction`` coefficients; +infinity for zero."""
+    if f.is_zero():
+        return inf
+    return min(p_valuation(c, f.ring.p) for c in f.coeffs.values())
+
+
+def dilatation_member(f, n):
+    """Every coefficient of exponent m has valuation at least -floor(|m| / (n+1))."""
+    if f.ring.t_vars:
+        raise InputError("dilatation membership needs a ring without T-variables")
+    return all(p_valuation(c, f.ring.p) >= -(sum(e) // (n + 1)) for e, c in f.coeffs.items())
+
+
+def z_low(f, zi, n):
+    """The terms of f of z-degree below n, z the variable ``zi``."""
+    return MixedSeries(f.ring, {e: c for e, c in f.coeffs.items() if e[zi] < n})
+
+
 def z_shift_down(f, zi, n):
     """The terms of f of z-degree at least n, divided by z^n, z the variable ``zi``."""
     out = {}
@@ -455,7 +474,7 @@ def z_shift_down(f, zi, n):
         if e[zi] >= n:
             shifted = tuple(x - n if j == zi else x for j, x in enumerate(e))
             out[shifted] = c
-    return MixedSeries._clean(f.ring, out)
+    return MixedSeries(f.ring, out)
 
 
 def mult_endo(r, ring):
@@ -474,7 +493,7 @@ def mult_endo(r, ring):
         if p_valuation(c, ring.p) < 0:
             raise CheckFailure("binomial coefficient of a p-adic integer not integral")
         out[(k,)] = c
-    return MixedSeries._clean(ring, out)
+    return MixedSeries(ring, out)
 
 
 def unit_inverse(b):
@@ -503,7 +522,7 @@ def weierstrass_divide(g, f, z, val_bound=32):
     if not ok:
         raise InputError(f"divisor is not distinguished in {z}")
     zi = f.ring.index_of(z)
-    a = _z_low(f, zi, n)
+    a = z_low(f, zi, n)
     b = z_shift_down(f, zi, n)
     binv = unit_inverse(b)
 
@@ -530,5 +549,5 @@ def weierstrass_divide(g, f, z, val_bound=32):
         raise CheckFailure("weierstrass division failed to stabilize")
 
     remainder_full = g - q * f
-    r = _z_low(remainder_full, zi, n)
+    r = z_low(remainder_full, zi, n)
     return WeierstrassResult(q, r, certified)

@@ -41,9 +41,16 @@ def test_imports_only_standard_library(path):
 
 
 def _calls_unpacking_a_generator(path):
-    """Line numbers of calls ``f(*(x for ...))`` in a file."""
+    """Line numbers of calls ``f(*(x for ...))`` and ``tuple(x for ...)`` in a file."""
     for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
         if isinstance(node, ast.Call):
+            if (
+                isinstance(node.func, ast.Name)
+                and node.func.id == "tuple"
+                and node.args
+                and isinstance(node.args[0], ast.GeneratorExp)
+            ):
+                yield node.lineno
             for arg in node.args:
                 if isinstance(arg, ast.Starred) and isinstance(arg.value, ast.GeneratorExp):
                     yield node.lineno
@@ -51,8 +58,9 @@ def _calls_unpacking_a_generator(path):
 
 @pytest.mark.parametrize("path", SOURCES, ids=[p.name for p in SOURCES])
 def test_no_call_unpacks_a_generator(path):
-    # f(*generator) takes its argument tuple from the free list of size 10,
-    # resizes it, and frees it to the list of its final size: each call moves
-    # one tuple between free lists, which then hold up to 2,000 tuples each
-    # until a full collection.  Unpack a list instead.
+    # f(*generator) and tuple(generator) both build their tuple from the
+    # generator the same way: they take a tuple from the free list of size
+    # 10, resize it, and free it to the list of its final size.  Each call
+    # moves one tuple between free lists, which then hold up to 2,000 tuples
+    # each until a full collection.  Unpack or convert a list instead.
     assert list(_calls_unpacking_a_generator(path)) == []

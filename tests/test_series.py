@@ -69,7 +69,29 @@ def schoolbook_product(f, g):
     return MixedSeries(f.ring, out)
 
 
+def assert_form(f):
+    """The form invariants: den > 0, nonzero numerators with gcd 1 with den,
+    strictly ascending degrees, and each key's digits in base cap + 1
+    summing to the degree of its bucket."""
+    den, buckets = f._form
+    base = f.ring.degree_cap + 1
+    nvars = len(f.ring.variables)
+    assert type(den) is int and den > 0
+    degrees = [d for d, _ in buckets]
+    assert degrees == sorted(set(degrees))
+    numerators = []
+    for d, terms in buckets:
+        assert terms
+        for k, n in terms.items():
+            assert type(n) is int and n != 0
+            assert 0 <= k < base**nvars
+            assert sum(k // base**i % base for i in range(nvars)) == d
+            numerators.append(n)
+    assert gcd(den, *numerators) == 1
+
+
 def assert_clean(f):
+    assert_form(f)
     cap = f.ring.degree_cap
     nvars = len(f.ring.variables)
     for expo, c in f.coeffs.items():
@@ -117,6 +139,38 @@ def test_product_matches_schoolbook_oracle(case):
     assert (f * g).coeffs == h.coeffs
     assert (g * f).coeffs == h.coeffs
     assert (f * f).coeffs == schoolbook_product(f, f).coeffs
+
+
+@given(product_case())
+@settings(max_examples=100, deadline=None)
+def test_every_operation_returns_a_canonical_form(case):
+    """Sums, differences, negation, scalar multiples, products and a
+    substitution return forms in lowest terms.  The constructor reads each
+    view back to an equal series, in either order of its terms, and ==
+    agrees with equality of the views."""
+    f, g = case
+    ring = f.ring
+    image = g - g.constant_term()
+    results = [f + g, f - g, -f, f * Fraction(-3, 4), f * 0, 2 - f, f * g, (f + g) - g, f * 1]
+    results.append(substitute(f, {ring.variables[0]: image}))
+    for h in [f, g] + results:
+        assert_clean(h)
+        assert MixedSeries(ring, h.coeffs) == h
+        assert MixedSeries(ring, dict(reversed(h.coeffs.items()))) == h
+    for a, b in ((f, g), (f, (f + g) - g), (f, f * 1), (f * g, g * f), (f, -(-f))):
+        assert (a == b) == (a.coeffs == b.coeffs)
+    assert (f + g) - g == f == f * 1 == -(-f)
+
+
+@given(product_case(), st.integers(0, 5))
+@settings(max_examples=100, deadline=None)
+def test_valuations_match_the_per_coefficient_oracles(case, n):
+    """The Gauss valuation of a form and the dilatation test by degree
+    bucket equal the minimum and the test over every coefficient."""
+    f, g = case
+    for h in (f, g, f * g, f + g, f * Fraction(1, f.ring.p)):
+        assert gauss_valuation(h) == dense.gauss_valuation(h)
+        assert dilatation_member(h, n) == dense.dilatation_member(h, n)
 
 
 def test_product_drops_cancelled_and_truncated_terms():
@@ -405,7 +459,7 @@ def division_case(draw):
 
 def _in_lowest_terms(form):
     den, buckets = form
-    return gcd(den, *[num for _, terms in buckets for _, num in terms]) == 1
+    return gcd(den, *[num for _, terms in buckets for num in terms.values()]) == 1
 
 
 @given(division_case())
@@ -434,15 +488,16 @@ def test_weierstrass_matches_fraction_oracle(case):
 
 
 def test_weierstrass_series_products_do_not_grow_with_iterations(monkeypatch):
-    """The division loop works on forms only: MixedSeries.__mul__ and the
-    bucketing of series run the same number of times whatever the number of
+    """The division loop works on forms only: MixedSeries.__mul__ runs and
+    series are built the same number of times whatever the number of
     iterations, and each iteration is one product and one solve by the unit
     part of f, on forms in lowest terms."""
     z, s = zvar(), zvar("S")
     f = 2 * z**3 + z * z * Fraction(1, 5) + 2 * z + 2
     g = z**4 * Fraction(1, 4) + s * z**3 * Fraction(3, 7) + 1
-    series_mul, kernel, solve, buckets = MixedSeries.__mul__, series._mul_forms, series._solve, series._buckets
-    counts = dict.fromkeys(("mul", "kernel", "solve", "buckets"), 0)
+    series_mul, kernel, solve = MixedSeries.__mul__, series._mul_forms, series._solve
+    from_form, init = MixedSeries._from_form.__func__, MixedSeries.__init__
+    counts = dict.fromkeys(("mul", "kernel", "solve", "built"), 0)
 
     def counting_mul(a, b):
         if isinstance(b, MixedSeries):
@@ -459,25 +514,28 @@ def test_weierstrass_series_products_do_not_grow_with_iterations(monkeypatch):
         counts["solve"] += 1
         return solve(cap, fb, fy, sign)
 
-    def counting_buckets(base, terms):
-        counts["buckets"] += 1
-        return buckets(base, terms)
+    def counting_from_form(cls, ring, form):
+        counts["built"] += 1
+        return from_form(cls, ring, form)
+
+    def counting_init(self, ring, coeffs):
+        counts["built"] += 1
+        init(self, ring, coeffs)
 
     monkeypatch.setattr(MixedSeries, "__mul__", counting_mul)
     monkeypatch.setattr(series, "_mul_forms", counting_kernel)
     monkeypatch.setattr(series, "_solve", counting_solve)
-    monkeypatch.setattr(series, "_buckets", counting_buckets)
+    monkeypatch.setattr(MixedSeries, "_from_form", classmethod(counting_from_form))
+    monkeypatch.setattr(MixedSeries, "__init__", counting_init)
     seen = []
     for val_bound in (1, 4, 12, 24):
-        # fresh copies, so that no product form is held over from the last round
-        fresh_f, fresh_g = MixedSeries(WRING, f.coeffs), MixedSeries(WRING, g.coeffs)
         counts.update(dict.fromkeys(counts, 0))
-        result = weierstrass_divide(fresh_g, fresh_f, "Z", val_bound)
+        result = weierstrass_divide(g, f, "Z", val_bound)
         seen.append(dict(counts))
         assert result.certified_valuation == val_bound
         assert result == dense.weierstrass_divide(g, f, "Z", val_bound)
     assert len({c["mul"] for c in seen}) == 1
-    assert len({c["buckets"] for c in seen}) == 1
+    assert len({c["built"] for c in seen}) == 1
     # one product per iteration, and the first solve plus one per iteration
     iterations = [c["kernel"] - c["mul"] for c in seen]
     assert [c["solve"] for c in seen] == [1 + i for i in iterations]
@@ -516,8 +574,8 @@ def unit_case(draw):
 @settings(max_examples=120, deadline=None)
 def test_solve_by_a_unit_matches_the_inverse_oracle(data):
     """The triangular solve by a unit b: b x = y on the whole window, x for
-    y = 1 is the oracle's geometric power sum b^-1, and every result is in
-    lowest terms with g the gcd of its numerators."""
+    y = 1 is the oracle's geometric power sum b^-1, and every result is a
+    form in lowest terms with the oracle's Gauss valuation."""
     b = data.draw(unit_case())
     ring, cap = b.ring, b.ring.degree_cap
     nvars = len(ring.variables)
@@ -525,12 +583,11 @@ def test_solve_by_a_unit_matches_the_inverse_oracle(data):
     coeff = st.fractions(min_value=-50, max_value=50, max_denominator=30)
     y = MixedSeries(ring, data.draw(st.dictionaries(expo, coeff, max_size=5)))
     for rhs, sign in ((y, 1), (y, -1), (MixedSeries.const(ring, 1), 1)):
-        (den, buckets), g = series._solve(cap, b._product_form(), rhs._product_form(), sign)
-        x = MixedSeries._clean(ring, series._unpack(ring, den, [t for _, ts in buckets for t in ts], {}))
+        form = series._solve(cap, b._form, rhs._form, sign)
+        x = MixedSeries._from_form(ring, form)
         assert b * x == rhs * sign
-        numerators = [n for _, terms in buckets for _, n in terms]
-        assert den > 0 and gcd(den, *numerators) == 1 and g == gcd(*numerators)
-        assert [d for d, _ in buckets] == sorted({d for d, _ in buckets})
+        assert_form(x)
+        assert gauss_valuation(x) == dense.gauss_valuation(x)
         assert_clean(x)
     assert x == dense.unit_inverse(b)
 
@@ -876,3 +933,77 @@ def test_symmetric_descent_substitutes_on_the_generators_only(monkeypatch):
     assert len(calls) == 18
     assert all(images is action[1] for images in calls[9:])
 
+
+def test_kernel_never_reads_the_coefficient_view(monkeypatch):
+    """Products, sums, substitution, division, [r], the Gauss valuation and
+    dilatation membership run on forms: reading ``coeffs`` raises."""
+    z, s = zvar(), zvar("S")
+    f = 2 * z**3 + z * z * Fraction(1, 5) + 2 * z + 2
+    g = z**4 * Fraction(1, 4) + s * z**3 * Fraction(3, 7) + 1
+    t = MixedSeries.variable(ENDO2, "T")
+    target = 2 * t + t * t * 3
+    disc = MixedSeries(DISC2, {(2,): Fraction(1, 4), (5,): Fraction(3, 8)})
+
+    def no_view(self):
+        raise AssertionError("the coefficient view was read")
+
+    monkeypatch.setattr(MixedSeries, "coeffs", property(no_view))
+    results = (
+        f * g,
+        f + g,
+        f - g,
+        substitute(g, {"Z": z + s * z, "S": s * s}),
+        weierstrass_divide(g, f, "Z", 12),
+        endo_apply(Fraction(1, 3), target),
+        mult_endo(-2, ENDO2),
+        endo_to_scalar(mult_endo(5, ENDO2)),
+        gauss_valuation(g),
+        [dilatation_member(disc, n) for n in range(4)],
+    )
+    monkeypatch.undo()
+    assert results[0] == schoolbook_product(f, g)
+    assert results[1].coeffs == {e: f.coeffs.get(e, 0) + g.coeffs.get(e, 0) for e in f.coeffs | g.coeffs}
+    w = z + s * z
+    assert results[3] == w**4 * Fraction(1, 4) + s * s * w**3 * Fraction(3, 7) + 1
+    assert results[4] == dense.weierstrass_divide(g, f, "Z", 12)
+    assert results[5] == endo_apply_by_every_power(Fraction(1, 3), target)
+    assert results[6] == dense.mult_endo(-2, ENDO2)
+    assert results[7] == 5
+    assert results[8] == dense.gauss_valuation(g)
+    assert results[9] == [dense.dilatation_member(disc, n) for n in range(4)]
+
+
+@pytest.mark.parametrize(
+    "kwargs, named",
+    [
+        ({"p": 3.0, "s_vars": ("T",)}, "3.0"),
+        ({"p": True, "s_vars": ("T",)}, "True"),
+        ({"p": "3", "s_vars": ("T",)}, "'3'"),
+        ({"p": 3, "s_vars": "ST"}, "'ST'"),
+        ({"p": 3, "t_vars": "T"}, "'T'"),
+        ({"p": 3, "s_vars": 5}, "5"),
+        ({"p": 3, "s_vars": ("S", 1)}, "1"),
+        ({"p": 3, "t_vars": (b"T",)}, "b'T'"),
+    ],
+)
+def test_ring_spec_refuses_non_int_primes_and_bare_names(kwargs, named):
+    with pytest.raises(InputError, match=re.escape(named)):
+        SeriesRingSpec(**kwargs)
+
+
+@pytest.mark.parametrize("r", [0.5, 0.25, 2.0, "1/2", True, False, None])
+def test_endo_scalars_must_be_int_or_fraction(r):
+    t = MixedSeries.variable(ENDO2, "T")
+    with pytest.raises(InputError, match=re.escape(repr(r))):
+        mult_endo(r, ENDO2)
+    with pytest.raises(InputError, match=re.escape(repr(r))):
+        endo_apply(r, t)
+
+
+@pytest.mark.parametrize("k", [2.5, 2.0, True, "2", None])
+def test_power_and_dilatation_index_must_be_ints(k):
+    s = MixedSeries.variable(DISC2, "S")
+    with pytest.raises(InputError, match=re.escape(repr(k))):
+        s**k
+    with pytest.raises(InputError, match=re.escape(repr(k))):
+        dilatation_member(s, k)
