@@ -12,7 +12,6 @@ __version__ = "0.1.0"
 from .characters import (
     ClassFunction,
     artin_conductor,
-    conjugate,
     induce,
     pair,
     regular_character,

@@ -1,7 +1,7 @@
 """Class-function algebra over cyclotomic fields.
 
-Pairing, conjugation, induction, restriction and trace extraction from
-matrix representations.  The pairing is (f, g) = |G|^-1 sum_s f(s) g(s^-1),
+Pairing, induction, restriction and trace extraction from matrix
+representations.  The pairing is (f, g) = |G|^-1 sum_s f(s) g(s^-1),
 literally, with no complex-conjugation convention; this keeps pairings with
 non-character class functions (like the Artin bisection) well defined.
 """
@@ -21,26 +21,21 @@ __all__ = [
     "trivial_character",
     "regular_character",
     "pair",
-    "conjugate",
     "induce",
     "restrict",
-    "check_shapes",
     "check_forms",
     "trace_forms",
     "artin_conductor",
 ]
 
 
-def _as_cyclo(x):
-    if isinstance(x, CycloNum):
-        return x
-    return CycloNum.from_rational(Fraction(x))
-
-
-def _embed_rows(rows, level, m):
-    """Rows at ``level`` embedded at its multiple ``m``, as ``CycloNum.embed`` embeds values."""
-    step = m // level
-    return [_fold(m, ((i * step, c) for i, c in enumerate(row))) for row in rows]
+def _form_at(f, level):
+    """The form of ``f`` at a multiple ``level`` of its level, as ``CycloNum.embed`` embeds."""
+    den, rows = f._form
+    if level == f.level:
+        return den, rows
+    step = level // f.level
+    return den, [_fold(level, ((i * step, c) for i, c in enumerate(row))) for row in rows]
 
 
 class ClassFunction:
@@ -49,9 +44,10 @@ class ClassFunction:
     All values live at one level.  The stored representation is the integer
     form ``_form = (den, rows)``: ``rows[s]`` lists the integer numerators of
     the value at s in the power basis over the common denominator ``den``,
-    which need not be in lowest terms.  :func:`pair`, :func:`induce` and
-    :func:`restrict` work on the form.  ``values``, the ``CycloNum`` tuple, is
-    a view built from the form on first read.
+    which need not be in lowest terms.  :func:`pair`, :func:`induce`,
+    :func:`restrict`, ``==``, ``+`` and scalar ``*`` work on the form.
+    ``values``, the ``CycloNum`` tuple, is a view built from the form on
+    first read.
 
     The public constructor reads values and keeps them as the view; the
     package's builders hand over forms through :meth:`_from_form`.  Both run
@@ -63,7 +59,9 @@ class ClassFunction:
     __slots__ = ("group", "level", "verified", "_form", "_values")
 
     def __init__(self, group, values, verified=False):
-        values = tuple([_as_cyclo(v) for v in values])
+        values = tuple([
+            v if isinstance(v, CycloNum) else CycloNum.from_rational(v) for v in values
+        ])
         if len(values) != group.order:
             raise InputError("class function needs one value per group element")
         level = lcm(*[v.level for v in values])
@@ -108,15 +106,13 @@ class ClassFunction:
     def values(self):
         """The values as ``CycloNum``, built from ``_form`` on first read."""
         if self._values is None:
-            den, rows = self._form
-            values = tuple([
-                CycloNum(self.level, tuple([Fraction(x, den) for x in row])) for row in rows
-            ])
-            object.__setattr__(self, "_values", values)
+            object.__setattr__(self, "_values", tuple([self(s) for s in range(self.group.order)]))
         return self._values
 
     def __call__(self, s):
-        return self.values[s]
+        """The value at s, read from its row of the form."""
+        den, rows = self._form
+        return CycloNum(self.level, tuple([Fraction(x, den) for x in rows[s]]))
 
     def __eq__(self, other):
         """Equal values, read on the forms: rows at the lcm level, cross-multiplied."""
@@ -124,11 +120,8 @@ class ClassFunction:
             return NotImplemented
         if self.group != other.group:
             return False
-        (den_a, rows_a), (den_b, rows_b) = self._form, other._form
-        if self.level != other.level:
-            level = lcm(self.level, other.level)
-            rows_a = _embed_rows(rows_a, self.level, level)
-            rows_b = _embed_rows(rows_b, other.level, level)
+        level = lcm(self.level, other.level)
+        (den_a, rows_a), (den_b, rows_b) = _form_at(self, level), _form_at(other, level)
         return all(
             x * den_b == y * den_a for a, b in zip(rows_a, rows_b) for x, y in zip(a, b)
         )
@@ -136,21 +129,28 @@ class ClassFunction:
     __hash__ = None
 
     def __add__(self, other):
-        if isinstance(other, ClassFunction):
-            if other.group != self.group:
-                raise InputError("class function group mismatch")
-            other = other.values
-        else:
+        """The valuewise sum: rows at the lcm level, added over the lcm of the denominators."""
+        if not isinstance(other, ClassFunction):
             raise InputError("can only add class functions")
-        return ClassFunction(
-            self.group, tuple([a + b for a, b in zip(self.values, other)])
-        )
-
-    def __sub__(self, other):
-        return self.__add__(other * Fraction(-1))
+        if other.group != self.group:
+            raise InputError("class function group mismatch")
+        level = lcm(self.level, other.level)
+        (den_a, rows_a), (den_b, rows_b) = _form_at(self, level), _form_at(other, level)
+        den = lcm(den_a, den_b)
+        ka, kb = den // den_a, den // den_b
+        rows = tuple([
+            tuple([x * ka + y * kb for x, y in zip(a, b)]) for a, b in zip(rows_a, rows_b)
+        ])
+        return ClassFunction._from_form(self.group, level, (den, rows))
 
     def __mul__(self, scalar):
-        return ClassFunction(self.group, tuple([v * scalar for v in self.values]))
+        """The valuewise product with an ``int`` or ``Fraction`` scalar, read on the form."""
+        if type(scalar) not in (int, Fraction):
+            raise InputError(f"class function scalars must be int or Fraction, got {scalar!r}")
+        q = Fraction(scalar)
+        den, rows = self._form
+        rows = tuple([tuple([x * q.numerator for x in row]) for row in rows])
+        return ClassFunction._from_form(self.group, self.level, (den * q.denominator, rows))
 
     __rmul__ = __mul__
 
@@ -170,37 +170,33 @@ def regular_character(group):
 def pair(f, g):
     """The natural pairing |G|^-1 sum_s f(s) g(s^-1); symmetric and bilinear.
 
-    When either argument is rational (level 1), the pairing is
-    |G|^-1 sum_s q(s^-1) * v(s) with q the rational and v the other
-    function's coefficient vectors.  Both sides are read in their integer
-    forms, so the sum adds Python ints, with no field multiplication and no
-    reduction, and each output coefficient is one ``Fraction`` over
-    ``den_f * den_g * |G|``.
+    Both sides are read in their integer forms at m = lcm of the levels,
+    g being the one with fewer coefficients.  For each coefficient index j
+    of g, v_j = sum_s g_j(s^-1) * f(s) is an integer vector, and its entry
+    i is the coefficient of zeta_m^(i*m/f.level + j*m/g.level).  One fold
+    reduces all of them over ``den_f * den_g * |G|``.  So a rational g
+    costs one integer vector sum, with no field multiplication.
     """
     if f.group != g.group:
         raise InputError("pairing across different groups")
     grp = f.group
-    if f.level == 1:
+    if len(f._form[1][0]) < len(g._form[1][0]):
         f, g = g, f
-    if g.level == 1:
-        den_f, rows_f = f._form
-        den_g, rows_g = g._form
-        acc = [0] * len(rows_f[0])
-        for s in range(grp.order):
-            q = rows_g[grp.inv(s)][0]
+    (den_f, rows_f), (den_g, rows_g) = f._form, g._form
+    vectors = []
+    # column j lists g_j(s^-1) over s
+    for column in zip(*[rows_g[grp.inv(s)] for s in range(grp.order)]):
+        v = [0] * len(rows_f[0])
+        for q, row_f in zip(column, rows_f):
             if q:
-                acc = [a + q * c for a, c in zip(acc, rows_f[s])]
-        den = den_f * den_g * grp.order
-        return CycloNum(f.level, tuple([Fraction(a, den) for a in acc]))
-    acc = CycloNum.from_rational(0)
-    for s in range(grp.order):
-        acc = acc + f.values[s] * g.values[grp.inv(s)]
-    return acc * Fraction(1, grp.order)
-
-
-def conjugate(f):
-    """Apply zeta -> zeta^-1 valuewise."""
-    return ClassFunction(f.group, tuple([v.conjugate() for v in f.values]))
+                v = [a + q * c for a, c in zip(v, row_f)]
+        vectors.append(v)
+    m = lcm(f.level, g.level)
+    step_f, step_g = m // f.level, m // g.level
+    terms = ((i * step_f + j * step_g, a) for j, v in enumerate(vectors) for i, a in enumerate(v))
+    acc = _fold(m, terms)
+    den = den_f * den_g * grp.order
+    return CycloNum(m, tuple([Fraction(a, den) for a in acc]))
 
 
 def induce(f, sub):
@@ -241,20 +237,6 @@ def restrict(f, sub):
     hgrp, _, from_sub = sub.as_group()
     den, rows = f._form
     return ClassFunction._from_form(hgrp, f.level, (den, tuple([rows[x] for x in from_sub])))
-
-
-def check_shapes(group, action):
-    """Check that a dense action maps every element to a square matrix of one rank; return it."""
-    if set(action) != set(range(group.order)):
-        raise InputError("action must map every group element")
-    ranks = {len(m) for m in action.values()}
-    if len(ranks) != 1:
-        raise InputError("action matrices must share one rank")
-    (d,) = ranks
-    for m in action.values():
-        if any(len(row) != d for row in m):
-            raise InputError("action matrices must be square")
-    return d
 
 
 def check_forms(group, forms):

@@ -20,7 +20,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from math import lcm, prod
 
-from .characters import check_forms, check_shapes, induce, pair, trace_forms
+from .characters import check_forms, induce, pair, trace_forms
 from .errors import CheckFailure, InputError
 from .exact import p_valuation
 from .groups import Subgroup, element_ids
@@ -71,21 +71,20 @@ class CharModule:
     product of p-integral matrices is p-integral), then
     :func:`~ramcond.characters.check_forms` completes and checks the action
     on each Cayley edge over the generators once.  The public constructor
-    is the strict reader of dense matrices for every element; the package's
-    builders hand over the forms of the identity and the generators through
-    :meth:`_from_forms`.  There is no determinant check: once the action is
-    a homomorphism of a finite group, each matrix has finite order, so its
-    rational determinant is +-1.
+    and :func:`module_from_generators` read dense matrices by one reader;
+    the package's builders hand over the forms of the identity and the
+    generators through :meth:`_from_forms`.  There is no determinant check:
+    once the action is a homomorphism of a finite group, each matrix has
+    finite order, so its rational determinant is +-1.
     """
 
     __slots__ = ("name", "group", "p", "rank", "forms", "_action", "_char")
 
     def __init__(self, name, group, p, action):
-        element_ids(action, "module action element")
-        action = {g: as_matrix(m) for g, m in action.items()}
-        forms = {g: sparse_rows(m) for g, m in action.items()}
+        if element_ids(action, "module action element") != tuple(range(group.order)):
+            raise InputError("action must map every group element")
+        action, forms = _read_matrices(group, action, "action")
         _check_p_integral(forms, p)
-        check_shapes(group, action)
         self._set(name, group, p, forms, action)
 
     @classmethod
@@ -145,21 +144,27 @@ def _check_p_integral(forms, p):
             raise InputError(f"entry {x} is not p-integral at p={p}")
 
 
+def _read_matrices(group, given, what):
+    """Dense matrices on element ids, coerced and checked square of one rank, and their forms."""
+    matrices = {g: as_matrix(m) for g, m in given.items()}
+    for g in matrices:
+        if not 0 <= g < group.order:
+            raise InputError(f"{what} {g} is not an element id of {group.name}")
+    ranks = {len(m) for m in matrices.values()}
+    if len(ranks) != 1:
+        raise InputError(f"{what} matrices must share one rank")
+    (d,) = ranks
+    if any(len(row) != d for m in matrices.values() for row in m):
+        raise InputError(f"{what} matrices must be square")
+    return matrices, {g: sparse_rows(m) for g, m in matrices.items()}
+
+
 def module_from_generators(name, group, p, gen_action):
     """Complete an action given on a generating set to the whole group, checking each matrix."""
     element_ids(gen_action, "generator")
-    gen_action = {g: as_matrix(m) for g, m in gen_action.items()}
-    for g in gen_action:
-        if not 0 <= g < group.order:
-            raise InputError(f"generator {g} is not an element id of {group.name}")
-    ranks = {len(m) for m in gen_action.values()}
-    if len(ranks) != 1:
-        raise InputError("generator matrices must share one rank")
-    (d,) = ranks
-    if any(len(row) != d for m in gen_action.values() for row in m):
-        raise InputError("generator matrices must be square")
-    forms = {0: identity_form(d), **{s: sparse_rows(m) for s, m in gen_action.items()}}
-    return CharModule._from_forms(name, group, p, forms)
+    _, forms = _read_matrices(group, gen_action, "generator")
+    d = len(next(iter(forms.values()))[1])
+    return CharModule._from_forms(name, group, p, {0: identity_form(d), **forms})
 
 
 def trivial_module(group, p, rank=1, name=None):

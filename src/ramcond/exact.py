@@ -190,6 +190,13 @@ def inverse_zeta_minus_one(level, exponent):
     return CycloNum(level, tuple([Fraction(c, level) for c in acc]))
 
 
+def _as_fraction(x):
+    """An ``int`` (not a ``bool``) or a ``Fraction`` as a ``Fraction``; all else is refused."""
+    if type(x) is int or type(x) is Fraction:
+        return Fraction(x)
+    raise InputError(f"{x!r} is not an int or a Fraction")
+
+
 class CycloNum:
     """An exact element of the cyclotomic field Q(zeta_N)."""
 
@@ -199,7 +206,7 @@ class CycloNum:
         if level < 1:
             raise InputError("CycloNum level must be positive")
         # a Fraction is immutable and already in lowest terms, so it is kept
-        coeffs = tuple([c if type(c) is Fraction else Fraction(c) for c in coeffs])
+        coeffs = tuple([c if type(c) is Fraction else _as_fraction(c) for c in coeffs])
         if len(coeffs) != euler_phi(level):
             raise InputError(
                 f"CycloNum at level {level} needs {euler_phi(level)} coefficients, "
@@ -216,7 +223,7 @@ class CycloNum:
     @classmethod
     def from_rational(cls, value, level=1):
         phi = euler_phi(level)
-        coeffs = (Fraction(value),) + (Fraction(0),) * (phi - 1)
+        coeffs = (_as_fraction(value),) + (Fraction(0),) * (phi - 1)
         return cls(level, coeffs)
 
     @classmethod

@@ -3,9 +3,11 @@
 The matrix product and inverse check the sparse matrix forms of
 ``ramcond.linalg``; the diagonal trace and the placed blocks check the trace
 and the block builders that ``ramcond.characters`` and
-``ramcond.conductors`` run on those forms; the pairing and induction,
-summed in ``Fraction`` and ``CycloNum`` arithmetic, check the integer
-class-function form of ``ramcond.characters``, and the ``CycloNum``-valued
+``ramcond.conductors`` run on those forms; the pairing (one ``CycloNum``
+product per element) and induction, summed in ``Fraction`` and ``CycloNum``
+arithmetic, check the integer class-function form of
+``ramcond.characters``, valuewise conjugation builds the conj(bA) that
+the tests pair and compare, and the ``CycloNum``-valued
 ``bisection``, ``artin_character`` and ``trace_forms`` check the builders
 that hand that form over; the Weierstrass division on
 ``Fraction`` series checks the one that ``ramcond.series`` runs on integer
@@ -271,6 +273,20 @@ def pair_rational(f, g):
             for i, c in enumerate(f.values[s].coeffs):
                 acc[i] += q * c
     return CycloNum(f.level, tuple(c / grp.order for c in acc))
+
+
+def pair_by_values(f, g):
+    """``pair(f, g)`` as |G|^-1 sum_s f(s) g(s^-1), one ``CycloNum`` product per element."""
+    grp = f.group
+    acc = CycloNum.from_rational(0)
+    for s in range(grp.order):
+        acc = acc + f.values[s] * g.values[grp.inv(s)]
+    return acc * Fraction(1, grp.order)
+
+
+def conjugate(f):
+    """``f`` with zeta -> zeta^-1 applied valuewise."""
+    return ClassFunction(f.group, [v.conjugate() for v in f.values])
 
 
 def induce_sum(f, sub):

@@ -7,13 +7,12 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import dense
-from dense import identity_matrix, induce_sum, mat_inv, mat_mul, pair_rational
+from dense import conjugate, identity_matrix, induce_sum, mat_inv, mat_mul, pair_rational
 
 from ramcond.catalog import catalog, random_module, random_unit_conjugate
 from ramcond.characters import (
     ClassFunction,
     artin_conductor,
-    conjugate,
     induce,
     pair,
     regular_character,
@@ -103,7 +102,7 @@ def test_pair_rational_path_matches_generic_sum():
             f = ClassFunction(g, class_values(cyclotomic))
             qs = class_values(rational)
             rational = ClassFunction(g, qs)
-            # the same rationals stored at level ``level`` take the generic path
+            # the same rationals stored at level ``level``, with phi(level) coefficients each
             lifted = ClassFunction(g, [CycloNum.from_rational(q, level) for q in qs])
             assert rational.level == 1 and lifted.level == level
             generic = pair(f, lifted)
@@ -149,6 +148,73 @@ def test_pair_matches_fraction_oracle(sides):
     got = pair(f, g)
     want = pair_rational(other, q)
     assert got.level == want.level and got.coeffs == want.coeffs
+
+
+# one rational side, rational pairs, coprime and non-coprime levels, and level 64
+LEVEL_PAIRS = ((1, 1), (1, 12), (3, 1), (3, 4), (4, 6), (8, 12), (64, 1))
+
+
+def _random_pair(rng, grp, levels):
+    return [_class_function(grp, k, lambda: rng.choice(SAMPLE_RATIONALS)) for k in levels]
+
+
+@pytest.mark.parametrize("levels", LEVEL_PAIRS, ids=[f"{a}-{b}" for a, b in LEVEL_PAIRS])
+def test_pair_matches_the_value_oracle(levels):
+    rng = random.Random(str(levels))
+    for grp in CATALOG_GROUPS:
+        f, g = _random_pair(rng, grp, levels)
+        for a, b in ((f, g), (g, f)):
+            got, want = pair(a, b), dense.pair_by_values(a, b)
+            assert (got.level, got.coeffs) == (want.level, want.coeffs), (grp.name, levels)
+
+
+@pytest.mark.parametrize("levels", LEVEL_PAIRS, ids=[f"{a}-{b}" for a, b in LEVEL_PAIRS])
+def test_sum_and_rational_multiples_match_the_value_oracle(levels):
+    rng = random.Random(str(levels))
+    for grp in CATALOG_GROUPS:
+        f, g = _random_pair(rng, grp, levels)
+        want = ClassFunction(grp, [a + b for a, b in zip(f.values, g.values)])
+        assert _same_values(f + g, want) and _same_values(g + f, want), (grp.name, levels)
+        for q in (0, 3, Fraction(-5, 6)):
+            want = ClassFunction(grp, [v * q for v in g.values])
+            assert _same_values(g * q, want) and _same_values(q * g, want), (grp.name, q)
+
+
+@pytest.mark.parametrize("bad", [0.5, True, "1/3", 1e300], ids=repr)
+def test_readers_refuse_values_that_are_not_exact(bad):
+    g = make_cyclic(2)
+    chi = trivial_character(g)
+    reads = [
+        lambda: ClassFunction(g, [bad, bad]),
+        lambda: CycloNum(1, (bad,)),
+        lambda: CycloNum.from_rational(bad),
+        lambda: chi * bad,
+        lambda: bad * chi,
+    ]
+    for read in reads:
+        with pytest.raises(InputError) as excinfo:
+            read()
+        assert repr(bad) in str(excinfo.value)
+
+
+def test_class_function_scalars_are_rational():
+    chi = trivial_character(make_cyclic(3))
+    z = CycloNum.zeta(3)
+    for product in (lambda: chi * z, lambda: z * chi):
+        with pytest.raises(InputError) as excinfo:
+            product()
+        assert str(excinfo.value) == f"class function scalars must be int or Fraction, got {z!r}"
+
+
+def test_pair_sum_and_multiples_build_no_values_view():
+    g = make_cyclic(6)
+    rd = ram_data(g, 2, [(0, 3)] * 3, (1, 1))  # a fresh copy of the catalog's mixed C6
+    ba, art = bisection(rd), artin_character(rd)
+    chi = module_character(permutation_module(subgroup(g, (0, 2, 4)), 2))
+    pair(ba, ba), pair(ba, art), pair(chi, ba)
+    built = [ba + art, ba + ba, art + chi, ba * Fraction(1, 2), 3 * ba, chi * -1]
+    for f in (ba, art, chi, *built):
+        assert f._values is None
 
 
 @pytest.mark.parametrize("rd", catalog(), ids=[rd.name for rd in catalog()])

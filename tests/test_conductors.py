@@ -784,6 +784,35 @@ def test_module_action_keys_must_be_ints(bad):
     assert str(exc.value) == f"generator {bad!r} is not an integer id"
 
 
+@pytest.mark.parametrize(
+    "action, message",
+    [
+        ({0: [[1]], 1: [[1]]}, "action must map every group element"),
+        ({0: [[1]], 1: [[1]], 2: [[1, 0], [0, 1]]}, "action matrices must share one rank"),
+        ({0: [[1, 0]], 1: [[1, 0]], 2: [[1, 0]]}, "action matrices must be square"),
+        # the shape is read before the 2-adic denominator of 1/2
+        ({0: [[1]], 1: [[Fraction(1, 2)]], 2: [[1, 0]]}, "action matrices must be square"),
+    ],
+)
+def test_public_constructor_checks_shapes_before_entries(action, message):
+    with pytest.raises(InputError) as excinfo:
+        CharModule("m", make_cyclic(3), 2, action)
+    assert str(excinfo.value) == message
+
+
+@pytest.mark.parametrize(
+    "gens, message",
+    [
+        ({3: [[1]]}, "generator 3 is not an element id of C3"),
+        ({1: [[1]], 2: [[1, 0], [0, 1]]}, "generator matrices must share one rank"),
+    ],
+)
+def test_module_from_generators_reads_shapes(gens, message):
+    with pytest.raises(InputError) as excinfo:
+        module_from_generators("m", make_cyclic(3), 2, gens)
+    assert str(excinfo.value) == message
+
+
 @pytest.mark.parametrize("matrix", [((1, 0),), ((1,), (0,))])
 def test_module_from_generators_rejects_non_square(matrix):
     with pytest.raises(InputError) as excinfo:

@@ -64,3 +64,38 @@ def test_no_call_unpacks_a_generator(path):
     # moves one tuple between free lists, which then hold up to 2,000 tuples
     # each until a full collection.  Unpack or convert a list instead.
     assert list(_calls_unpacking_a_generator(path)) == []
+
+
+# The CycloNum values of a class function are a view: the CLI displays them
+# and verify checks on them independently of the forms the rest computes on.
+VALUES_VIEW_READERS = {"cli.py", "verify.py"}
+VALUES_VIEW_SCOPES = {"ClassFunction.values", "ClassFunction.__repr__"}
+
+
+def _values_reads(path):
+    """(scope, line) of each read of an attribute ``.values`` that is not a method call."""
+    tree = ast.parse(path.read_text(encoding="utf-8"))
+    called = {id(node.func) for node in ast.walk(tree) if isinstance(node, ast.Call)}
+
+    def visit(node, scope):
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+            scope = f"{scope}.{node.name}" if scope else node.name
+        if (
+            isinstance(node, ast.Attribute)
+            and node.attr == "values"
+            and isinstance(node.ctx, ast.Load)
+            and id(node) not in called
+        ):
+            yield scope, node.lineno
+        for child in ast.iter_child_nodes(node):
+            yield from visit(child, scope)
+
+    return list(visit(tree, ""))
+
+
+@pytest.mark.parametrize("path", SOURCES, ids=[p.name for p in SOURCES])
+def test_values_view_stays_off_the_computing_path(path):
+    if path.name in VALUES_VIEW_READERS:
+        return
+    reads = [(scope, line) for scope, line in _values_reads(path) if scope not in VALUES_VIEW_SCOPES]
+    assert reads == []
