@@ -12,7 +12,7 @@ from math import gcd
 
 from .conductors import CharModule, permutation_module
 from .groups import make_cyclic, make_product, make_symmetric, subgroup
-from .linalg import sparse_mul, sparse_rows
+from .linalg import read_matrix, sparse_mul
 from .ramification import ram_data
 
 __all__ = [
@@ -186,7 +186,7 @@ def random_unit_conjugate(rng, module):
         for k in range(d):
             u[i][k] += c * u[j][k]
             uinv[k][j] -= c * uinv[k][i]
-    u, uinv = sparse_rows(u), sparse_rows(uinv)
+    (u, _), (uinv, _) = read_matrix(u), read_matrix(uinv)
     forms = {
         g: sparse_mul(uinv, sparse_mul(module.forms[g], u))
         for g in (0, *module.group.generating_set())

@@ -244,15 +244,18 @@ def check_forms(group, forms):
 
     ``forms`` maps the identity, which must act by the identity matrix, and
     a generating set, or more elements, to the
-    :func:`~ramcond.linalg.sparse_rows` forms of square matrices of one
-    rank.  S is the greedy generating subset of the given elements.  The
-    walk visits them in ascending order, then the new ones as found, and
-    takes each edge g -> g*s (s in S) once, at O(nonzeros): it stores
-    F(g) F(s) as F(g*s) when g*s is new and compares it when g*s is known.
-    Every element is a word over S, so F(1) = 1 and these edges prove F a
-    homomorphism; every element is the target of an edge, so every given
-    form is compared.  The walk misses an element exactly when the given
-    elements do not generate.  Returns every element's form in ascending order.
+    :func:`~ramcond.linalg.read_matrix` forms of square matrices of one
+    rank.  S is the greedy generating subset of the given elements
+    (:meth:`~ramcond.groups.FiniteGroup.generating_set`), which starts from
+    the largest cyclic subgroups, so |S| is one on a cyclic group.  The walk
+    visits the given elements in ascending order, then the new ones as
+    found, and takes each edge g -> g*s (s in S) once, at O(nonzeros): it
+    stores F(g) F(s) as F(g*s) when g*s is new and compares it when g*s is
+    known.  Every element is a word over S, so F(1) = 1 and these edges
+    prove F a homomorphism; every element is the target of an edge, so
+    every given form is compared.  The walk misses an element exactly when
+    the given elements do not generate.  Returns every element's form in
+    ascending order.
     """
     d = len(forms[0][1])
     if forms[0] != identity_form(d):

@@ -25,15 +25,14 @@ from .errors import CheckFailure, InputError
 from .exact import p_valuation
 from .groups import Subgroup, element_ids
 from .linalg import (
-    as_matrix,
     echelon_coords,
     from_sparse,
     hnf_rows,
     identity_form,
     integer_kernel,
     lattice_contains,
+    read_matrix,
     sparse_mul,
-    sparse_rows,
 )
 from .ramification import bisection, disc_valuation, restrict_ramdata
 
@@ -62,18 +61,19 @@ class CharModule:
     """Finite free lattice with a group action by p-integral exact matrices.
 
     The action is stored as ``forms``: each element's matrix in its
-    :func:`~ramcond.linalg.sparse_rows` form, integer rows over the least
+    :func:`~ramcond.linalg.read_matrix` form, integer rows over the least
     common denominator.  ``action`` and :meth:`matrix` are a dense view of
-    ``Fraction`` rows, built from the forms on first read.
+    ``Fraction`` rows; every module builds it from its forms on first read.
 
     A module is completed from the forms of its generators and checked by
     one walk.  p-integrality is read from each given form's denominator (a
     product of p-integral matrices is p-integral), then
     :func:`~ramcond.characters.check_forms` completes and checks the action
-    on each Cayley edge over the generators once.  The public constructor
-    and :func:`module_from_generators` read dense matrices by one reader;
-    the package's builders hand over the forms of the identity and the
-    generators through :meth:`_from_forms`.  There is no determinant check:
+    on each Cayley edge over the generating set once.  The public
+    constructor and :func:`module_from_generators` read each dense matrix
+    once, by :func:`~ramcond.linalg.read_matrix`; the package's builders
+    hand over the forms of the identity and the generators through
+    :meth:`_from_forms`.  There is no determinant check:
     once the action is a homomorphism of a finite group, each matrix has
     finite order, so its rational determinant is +-1.
     """
@@ -83,9 +83,9 @@ class CharModule:
     def __init__(self, name, group, p, action):
         if element_ids(action, "module action element") != tuple(range(group.order)):
             raise InputError("action must map every group element")
-        action, forms = _read_matrices(group, action, "action")
+        forms = _read_matrices(group, action, "action")
         _check_p_integral(forms, p)
-        self._set(name, group, p, forms, action)
+        self._set(name, group, p, forms)
 
     @classmethod
     def _from_forms(cls, name, group, p, forms):
@@ -96,17 +96,17 @@ class CharModule:
         """
         _check_p_integral(forms, p)
         self = object.__new__(cls)
-        self._set(name, group, p, forms, None)
+        self._set(name, group, p, forms)
         return self
 
-    def _set(self, name, group, p, forms, action):
+    def _set(self, name, group, p, forms):
         forms = check_forms(group, forms)
         object.__setattr__(self, "name", name)
         object.__setattr__(self, "group", group)
         object.__setattr__(self, "p", int(p))
         object.__setattr__(self, "rank", len(forms[0][1]))
         object.__setattr__(self, "forms", forms)
-        object.__setattr__(self, "_action", action)
+        object.__setattr__(self, "_action", None)
         object.__setattr__(self, "_char", None)
 
     def __setattr__(self, name, value):
@@ -145,24 +145,24 @@ def _check_p_integral(forms, p):
 
 
 def _read_matrices(group, given, what):
-    """Dense matrices on element ids, coerced and checked square of one rank, and their forms."""
-    matrices = {g: as_matrix(m) for g, m in given.items()}
-    for g in matrices:
+    """The forms of dense matrices on element ids, each read once and checked square of one rank."""
+    read = {g: read_matrix(m) for g, m in given.items()}
+    for g in read:
         if not 0 <= g < group.order:
             raise InputError(f"{what} {g} is not an element id of {group.name}")
-    ranks = {len(m) for m in matrices.values()}
+    ranks = {len(form[1]) for form, _ in read.values()}
     if len(ranks) != 1:
         raise InputError(f"{what} matrices must share one rank")
     (d,) = ranks
-    if any(len(row) != d for m in matrices.values() for row in m):
+    if any(width != d for _, width in read.values()):
         raise InputError(f"{what} matrices must be square")
-    return matrices, {g: sparse_rows(m) for g, m in matrices.items()}
+    return {g: form for g, (form, _) in read.items()}
 
 
 def module_from_generators(name, group, p, gen_action):
     """Complete an action given on a generating set to the whole group, checking each matrix."""
     element_ids(gen_action, "generator")
-    _, forms = _read_matrices(group, gen_action, "generator")
+    forms = _read_matrices(group, gen_action, "generator")
     d = len(next(iter(forms.values()))[1])
     return CharModule._from_forms(name, group, p, {0: identity_form(d), **forms})
 
@@ -180,7 +180,7 @@ def _stack_forms(placed):
     ``placed`` lists one ``(column offset, form)`` pair per block row.  The
     denominator is the lcm of the block denominators; the result stays in
     lowest terms because each block's form is, so it is the one
-    :func:`~ramcond.linalg.sparse_rows` form of the matrix.
+    :func:`~ramcond.linalg.read_matrix` form of the matrix.
     """
     den = lcm(*[form[0] for _, form in placed])
     rows = []
@@ -349,12 +349,11 @@ def direct_sum(m1, m2):
 
 
 def _check_idempotent(m, e):
-    """The matrix and the form of a p-integral idempotent that commutes with the action."""
-    e = as_matrix(e)
+    """The form of a p-integral idempotent that commutes with the action."""
+    form, width = read_matrix(e)
     d = m.rank
-    if len(e) != d or any(len(row) != d for row in e):
+    if len(form[1]) != d or width != d:
         raise InputError("idempotent has the wrong shape")
-    form = sparse_rows(e)
     if p_valuation(form[0], m.p) > 0:
         raise InputError("idempotent entries must be p-integral")
     if sparse_mul(form, form) != form:
@@ -363,12 +362,19 @@ def _check_idempotent(m, e):
         ms = m.forms[s]
         if sparse_mul(form, ms) != sparse_mul(ms, form):
             raise InputError("idempotent does not commute with the action")
-    return e, form
+    return form
 
 
-def _kernels(e):
-    """The image and kernel lattices of E: integer kernels of 1 - E and E, with left inverses."""
-    one_minus_e = [[int(i == j) - x for j, x in enumerate(row)] for i, row in enumerate(e)]
+def _kernels(form):
+    """The image and kernel lattices of E: integer kernels of 1 - E and E, with left inverses.
+
+    They are read on ``den * (1 - E)`` and ``den * E``, whose integer rows
+    have the kernels of 1 - E and E.
+    """
+    den, rows = form
+    cols = range(len(rows))
+    e = [[row.get(j, 0) for j in cols] for row in rows]
+    one_minus_e = [[den * (i == j) - x for j, x in enumerate(row)] for i, row in enumerate(e)]
     return integer_kernel(one_minus_e), integer_kernel(e)
 
 
@@ -377,7 +383,7 @@ def _summand(m, name, basis, left):
 
     ``left`` reads coordinates on the basis, so column i is the image of basis vector i.
     """
-    left = sparse_rows(left)
+    left, _ = read_matrix(left)
     cols = 1, tuple([{i: v[k] for i, v in enumerate(basis) if v[k]} for k in range(m.rank)])
     forms = {
         g: sparse_mul(sparse_mul(left, m.forms[g]), cols)
@@ -393,8 +399,7 @@ def split_idempotent(m, e):
     E, hence saturated; their ranks add to the module rank and their
     characters add to the module character (asserted).
     """
-    e, _ = _check_idempotent(m, e)
-    (plus_rows, plus_left), (minus_rows, minus_left) = _kernels(e)
+    (plus_rows, plus_left), (minus_rows, minus_left) = _kernels(_check_idempotent(m, e))
     if len(plus_rows) + len(minus_rows) != m.rank:
         raise CheckFailure("idempotent split ranks do not add up")
     m_plus = _summand(m, f"{m.name}.plus", plus_rows, plus_left)
@@ -431,11 +436,11 @@ def adapt_lattice(m, e, precision=8, within=None):
     """
     if precision < 1:
         raise InputError("precision must be at least 1")
-    e, _ = _check_idempotent(m, e)
+    e_form = _check_idempotent(m, e)
     if not m.is_integral():
         raise InputError("adapt_lattice expects an integral module action")
     d = m.rank
-    gens = [v for rows, _ in _kernels(e) for v in rows]
+    gens = [v for rows, _ in _kernels(e_form) for v in rows]
     if within is not None:
         within = _integer_rows(within, "within")
         if any(len(row) != d for row in within):
@@ -489,7 +494,7 @@ def check_adapted_basis(m, e, basis):
     integral and the basis entries integers; anything else is refused.
     """
     d = m.rank
-    _, e_form = _check_idempotent(m, e)
+    e_form = _check_idempotent(m, e)
     if not m.is_integral():
         raise InputError("check_adapted_basis expects an integral module action")
     basis = _integer_rows(basis, "adapted basis")

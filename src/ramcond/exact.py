@@ -23,6 +23,7 @@ import cmath
 from fractions import Fraction
 from functools import lru_cache
 from math import gcd, inf, lcm
+from numbers import Number
 
 from .errors import InputError
 
@@ -59,7 +60,8 @@ def p_valuation(x, p):
     """Exponent of the prime p in the rational x; +infinity for x = 0."""
     if not is_prime(p):
         raise InputError(f"p_valuation: {p} is not prime")
-    x = Fraction(x)
+    if type(x) is not int:  # an int is read as it is
+        x = Fraction(x)
     if x == 0:
         return inf
     v = 0
@@ -197,14 +199,19 @@ def _as_fraction(x):
     raise InputError(f"{x!r} is not an int or a Fraction")
 
 
+def _check_level(level):
+    """Refuse a level that is not a positive ``int`` (a ``bool`` or a ``float`` is not), naming it."""
+    if type(level) is not int or level < 1:
+        raise InputError(f"CycloNum level must be a positive int, got {level!r}")
+
+
 class CycloNum:
     """An exact element of the cyclotomic field Q(zeta_N)."""
 
     __slots__ = ("level", "coeffs")
 
     def __init__(self, level, coeffs):
-        if level < 1:
-            raise InputError("CycloNum level must be positive")
+        _check_level(level)
         # a Fraction is immutable and already in lowest terms, so it is kept
         coeffs = tuple([c if type(c) is Fraction else _as_fraction(c) for c in coeffs])
         if len(coeffs) != euler_phi(level):
@@ -222,6 +229,7 @@ class CycloNum:
 
     @classmethod
     def from_rational(cls, value, level=1):
+        _check_level(level)
         phi = euler_phi(level)
         coeffs = (_as_fraction(value),) + (Fraction(0),) * (phi - 1)
         return cls(level, coeffs)
@@ -229,6 +237,7 @@ class CycloNum:
     @classmethod
     def zeta(cls, level, exponent=1):
         """zeta_level ** exponent, reduced into the power basis."""
+        _check_level(level)
         return cls(level, _fold(level, ((exponent, 1),)))
 
     # -- level bookkeeping --------------------------------------------------
@@ -245,10 +254,15 @@ class CycloNum:
         return CycloNum(m, _fold(m, ((i * step, c) for i, c in enumerate(self.coeffs))))
 
     def _pair(self, other):
-        if isinstance(other, (int, Fraction)):
+        """Both operands at the lcm level, or None when ``other`` is not a number.
+
+        A number other than a ``CycloNum`` is read by :func:`_as_fraction`, so
+        a ``bool``, a ``float`` or a ``complex`` is an InputError naming it.
+        """
+        if not isinstance(other, CycloNum):
+            if not isinstance(other, Number):
+                return None
             other = CycloNum.from_rational(other)
-        elif not isinstance(other, CycloNum):
-            return None
         m = lcm(self.level, other.level)
         return self.embed(m), other.embed(m)
 
@@ -278,19 +292,18 @@ class CycloNum:
 
     def __mul__(self, other):
         # a rational operand scales the coefficients of the other one
-        if isinstance(other, (int, Fraction)):
-            return CycloNum(self.level, tuple([c * other for c in self.coeffs]))
-        if isinstance(other, CycloNum):
-            if other.level == 1:
-                q = other.coeffs[0]
-                return CycloNum(self.level, tuple([c * q for c in self.coeffs]))
-            if self.level == 1:
-                q = self.coeffs[0]
-                return CycloNum(other.level, tuple([q * c for c in other.coeffs]))
-        pair = self._pair(other)
-        if pair is None:
-            return NotImplemented
-        a, b = pair
+        if not isinstance(other, CycloNum):
+            if not isinstance(other, Number):
+                return NotImplemented
+            q = _as_fraction(other)
+            return CycloNum(self.level, tuple([c * q for c in self.coeffs]))
+        if other.level == 1:
+            q = other.coeffs[0]
+            return CycloNum(self.level, tuple([c * q for c in self.coeffs]))
+        if self.level == 1:
+            q = self.coeffs[0]
+            return CycloNum(other.level, tuple([q * c for c in other.coeffs]))
+        a, b = self._pair(other)
         # exponents reach 2*phi - 2 and wrap through the table
         conv = [0] * (2 * len(a.coeffs) - 1)
         for i, x in enumerate(a.coeffs):
@@ -303,10 +316,9 @@ class CycloNum:
     __rmul__ = __mul__
 
     def __eq__(self, other):
-        pair = self._pair(other)
-        if pair is None:
+        if not isinstance(other, (int, Fraction, CycloNum)):
             return NotImplemented
-        a, b = pair
+        a, b = self._pair(other)
         return a.coeffs == b.coeffs
 
     __hash__ = None

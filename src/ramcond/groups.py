@@ -11,6 +11,7 @@ dense, so memory grows with the square of the order.
 from __future__ import annotations
 
 from itertools import chain
+from math import gcd
 
 from .errors import InputError
 
@@ -34,7 +35,9 @@ class FiniteGroup:
         identity and inverses are checked over the whole table, and
         associativity by Light's test: ``(ab)c == a(bc)`` for every ``a`` and
         ``c`` and every ``b`` in :meth:`generating_set`, which proves it for
-        every ``b`` (see :meth:`closure`).
+        every ``b`` (see :meth:`closure`).  That set starts from the largest
+        cyclic subgroups, so the test takes |G| rows per generator of a
+        small set: one on a cyclic group.
         """
         table = tuple([tuple(row) for row in table])
         n = len(table)
@@ -91,6 +94,7 @@ class FiniteGroup:
         self._classes = None
         self._subgroups = None
         self._gens = None
+        self._orders = None
 
     def __eq__(self, other):
         if not isinstance(other, FiniteGroup):
@@ -111,12 +115,37 @@ class FiniteGroup:
         return self.table[self.table[t][s]][self._inv[t]]
 
     def element_order(self, a):
-        x = a
-        k = 1
-        while x != 0:
-            x = self.table[x][a]
-            k += 1
-        return k
+        return self._element_orders()[a]
+
+    def _element_orders(self):
+        """The order of every element, by id; computed once per group and held on it.
+
+        One walk x, x^2, ... per cyclic subgroup <x> not yet met: it reaches
+        0 at x^k, k = |<x>|, and x^i has order k / gcd(k, i), so every power
+        is read off the walk.  So the cost is O(|<x>|) per cyclic subgroup.
+
+        :meth:`generating_set` sorts by these orders before associativity is
+        proved.  On a table that is no group a walk may miss 0; it stops after
+        |G| steps, and the numbers it gives are only a sort key: the greedy
+        rule, not the order it visits, makes the set generate.
+        """
+        if self._orders is None:
+            table, n = self.table, self.order
+            orders = [1] + [0] * (n - 1)
+            for x in range(1, n):
+                if orders[x]:
+                    continue
+                powers = [x]
+                y = table[x][x]
+                while y != 0 and len(powers) < n:
+                    powers.append(y)
+                    y = table[y][x]
+                k = len(powers) + 1
+                for i, y in enumerate(powers, 1):
+                    if not orders[y]:
+                        orders[y] = k // gcd(k, i)
+            self._orders = tuple(orders)
+        return self._orders
 
     def elements(self):
         return range(self.order)
@@ -154,24 +183,33 @@ class FiniteGroup:
     def generating_set(self, candidates=None):
         """The greedy generating subset of ``candidates`` (default: every element).
 
-        Each candidate, in ascending order, is kept when it lies outside the
-        closure of those kept before it.  The default is computed once per
-        group and held on it.
+        Candidates are visited by decreasing element order, ties by ascending
+        id, and each is kept when it lies outside the closure of those kept
+        before it; the set is returned in that order.  So a cyclic group gets
+        one generator, and a product of cyclic groups starts from its largest
+        cyclic subgroup.  The default is computed once per group and held on
+        it.  Candidates that contain it give it back: the greedy pass over
+        any superset of the default, in the same order, keeps the same
+        elements, since each element it skips lies in the closure of the
+        default members visited before it.
         """
-        if candidates is None and self._gens is not None:
+        if self._gens is None:
+            self._gens = self._greedy(range(1, self.order))
+        if candidates is None or set(candidates).issuperset(self._gens):
             return self._gens
+        return self._greedy(candidates)
+
+    def _greedy(self, candidates):
+        orders = self._element_orders()
         gens = []
         current = {0}
-        for x in range(1, self.order) if candidates is None else sorted(candidates):
+        for x in sorted(candidates, key=lambda x: (-orders[x], x)):
             if x not in current:
                 gens.append(x)
                 current = set(self.closure(gens))
                 if len(current) == self.order:
                     break
-        gens = tuple(gens)
-        if candidates is None:
-            self._gens = gens
-        return gens
+        return tuple(gens)
 
     def subgroups(self):
         """All subgroups, as sorted element tuples ordered by (order, elements).

@@ -1,81 +1,86 @@
 """Exact rational matrices in one sparse integer form, plus integer-lattice routines.
 
 Matrices are tuples of row tuples, meant for small dimensions (module ranks
-and group orders of a few dozen).  The one matrix product, :func:`sparse_mul`,
-works on the one form of a matrix, :func:`sparse_rows`: its rows as
-``{col: int}`` maps over the least common denominator.  So products cost
-O(nonzeros) and compare with ``==``.  Module actions are stored in this form;
-their dense ``Fraction`` view (:func:`from_sparse`) is built only when
-something reads it.  The lattice routines are integer reductions: unimodular
-column reduction for kernels (with a left inverse), row reduction to a
-Hermite basis, and one triangular pass for coordinates on that basis.
+and group orders of a few dozen).  A dense matrix of ints and ``Fraction``
+entries is read once, by :func:`read_matrix`, into the one form of a matrix:
+its rows as ``{col: int}`` maps over the least common denominator.  The one
+matrix product, :func:`sparse_mul`, works on that form, so products cost
+O(nonzeros), a one-term row is a scaled copy of a row, and forms compare
+with ``==``.  Module actions are stored in this form; their dense
+``Fraction`` view (:func:`from_sparse`) is built only when something reads
+it.  The lattice routines are integer reductions: unimodular column
+reduction for kernels (with a left inverse), row reduction to a Hermite
+basis, and one triangular pass for coordinates on that basis.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
+from itertools import chain
 from math import gcd, lcm
+from operator import attrgetter
 
 from .errors import InputError
 
-
-def _not_rational(x):
-    return InputError(f"matrix entries must be int or Fraction, got {x!r}")
-
-
-def _as_rational(x):
-    if type(x) is int:
-        return Fraction(x)
-    raise _not_rational(x)
-
-
-def as_matrix(rows):
-    """Coerce nested iterables of ints and Fractions into a canonical matrix.
-
-    A Fraction is kept as it is; any other entry (bool, float, str, CycloNum)
-    raises InputError.
-    """
-    mat = tuple([
-        tuple([x if type(x) is Fraction else _as_rational(x) for x in row]) for row in rows
-    ])
-    if mat and any(len(row) != len(mat[0]) for row in mat):
-        raise InputError("ragged matrix")
-    return mat
+_RATIONAL = frozenset((int, Fraction))
+_numerator = attrgetter("numerator")
+_denominator = attrgetter("denominator")
 
 
 def identity_form(n):
-    """The :func:`sparse_rows` form of the n x n identity matrix."""
+    """The :func:`read_matrix` form of the n x n identity matrix."""
     return 1, tuple([{i: 1} for i in range(n)])
 
 
-def sparse_rows(a):
-    """The form ``(den, rows)`` of a rational matrix, with ``a[i][j] == rows[i].get(j, 0) / den``.
+def read_matrix(a):
+    """``(form, width)``: the form ``(den, rows)`` of a dense rational matrix, and its row width.
 
-    ``den`` is the least common denominator of the entries, every stored
-    value is a nonzero int and zeros are left out, so equal matrices have
-    equal forms.  A non-rational entry raises InputError.
+    ``a[i][j] == rows[i].get(j, 0) / den``: ``den`` is the least common
+    denominator of the entries, every stored value is a nonzero int and
+    zeros are left out, so equal matrices have equal forms.  The entries are
+    read once.  Each must be an ``int`` or a ``Fraction``: a ``bool``,
+    ``float``, ``str`` or ``CycloNum`` is an InputError naming the first in
+    row-major order.  Then every row must be as wide as the first, or the
+    matrix is ragged.  Ints are stored as they are; a matrix with a
+    ``Fraction`` entry is scaled to its denominator.  The width of a matrix
+    with no rows is 0.
     """
-    rows = tuple([[(j, x) for j, x in enumerate(row) if x] for row in a])
-    bad = [x for row in rows for _, x in row if not isinstance(x, (int, Fraction))]
-    if bad:
-        raise _not_rational(bad[0])
-    den = lcm(*[x.denominator for row in rows for _, x in row])
-    return den, tuple([
-        {j: x.numerator * (den // x.denominator) for j, x in row} for row in rows
-    ])
+    rows = [tuple(row) for row in a]
+    flat = list(chain.from_iterable(rows))
+    kinds = set(map(type, flat))
+    if not kinds <= _RATIONAL:
+        bad = next(x for x in flat if type(x) not in _RATIONAL)
+        raise InputError(f"matrix entries must be int or Fraction, got {bad!r}")
+    width = len(rows[0]) if rows else 0
+    if any(len(row) != width for row in rows):
+        raise InputError("ragged matrix")
+    den = 1
+    if Fraction in kinds:
+        den = lcm(*map(_denominator, flat))
+        if den == 1:
+            rows = [map(_numerator, row) for row in rows]
+        else:
+            rows = [[x.numerator * (den // x.denominator) for x in row] for row in rows]
+    return (den, tuple([{j: x for j, x in enumerate(row) if x} for row in rows])), width
 
 
 def sparse_mul(a, b):
-    """The :func:`sparse_rows` form of ``A B`` from the forms of A and B.
+    """The :func:`read_matrix` form of ``A B`` from the forms of A and B.
 
     Adds integer products over ``den_a * den_b``, then divides the
     denominator and the numerators by their gcd, so the result is the one
     form of the product.  The cost is O(nonzeros): a product of monomial
-    matrices takes O(d).
+    matrices takes O(d).  A row of A with one entry x, at column k, gives
+    x times row k of B, copied without an accumulator: x and every stored
+    y are nonzero, so no product is zero and nothing is filtered.
     """
     (den_a, ra), (den_b, rb) = a, b
     rows = []
     for arow in ra:
+        if len(arow) == 1:
+            ((k, x),) = arow.items()
+            rows.append({j: x * y for j, y in rb[k].items()})
+            continue
         acc = {}
         for k, x in arow.items():
             for j, y in rb[k].items():
@@ -91,7 +96,7 @@ def sparse_mul(a, b):
 
 
 def from_sparse(form):
-    """The square ``Fraction`` matrix of a :func:`sparse_rows` form."""
+    """The square ``Fraction`` matrix of a :func:`read_matrix` form."""
     den, rows = form
     zero = Fraction(0)
     n = range(len(rows))
@@ -99,12 +104,10 @@ def from_sparse(form):
 
 
 def _int_rows(a):
-    """Scale each row to integers (kernel and row span are unchanged)."""
-    out = []
-    for row in as_matrix(a):
-        scale = lcm(*[x.denominator for x in row]) if row else 1
-        out.append([int(x * scale) for x in row])
-    return out
+    """The rows of ``den * A`` as integer lists (kernel and row span are unchanged), and the width."""
+    (_, rows), width = read_matrix(a)
+    cols = range(width)
+    return [[row.get(j, 0) for j in cols] for row in rows], width
 
 
 def integer_kernel(a):
@@ -116,9 +119,8 @@ def integer_kernel(a):
     and the matching rows of U^-1, so ``left`` sends each x in the span of
     the kernel to its coordinates there.
     """
-    m = _int_rows(a)
+    m, d = _int_rows(a)
     nrows = len(m)
-    d = len(m[0]) if nrows else 0
     # columns of A paired with columns of the unimodular transform, and rows of its inverse
     acols = [[m[r][c] for r in range(nrows)] for c in range(d)]
     ucols = [[1 if i == c else 0 for i in range(d)] for c in range(d)]

@@ -24,19 +24,24 @@ reductions ``ramcond.conductors`` runs them on.  The validating
 restriction (intersected chain, restricted omega dict, ``ram_data``) checks
 the literal restriction of the break function that ``ramcond.ramification``
 makes.  The full cube of associativity triples, the two-sided closure with
-its greedy generating set, the closure-growth subgroup enumeration and the
+its greedy generating sets (largest element order first, and ascending as a
+bound on its size), the closure-growth subgroup enumeration and the
 conjugation loops for classes and normality check the checks and
-enumerations that ``ramcond.groups`` runs on generators.
+enumerations that ``ramcond.groups`` runs on generators.  ``as_matrix``
+with ``sparse_rows``, a coercion to ``Fraction`` rows and a second read of
+their nonzero entries, checks the one-pass reader ``ramcond.linalg.read_matrix``,
+and ``read_matrices`` on them, with its checks in their old order, checks the
+module reader of ``ramcond.conductors``.
 """
 
 from fractions import Fraction
-from math import inf
+from math import inf, lcm
 
 from ramcond.characters import ClassFunction
 from ramcond.errors import CheckFailure, InputError
 from ramcond.exact import CycloNum, inverse_zeta_minus_one, p_valuation
 from ramcond.groups import subgroup
-from ramcond.linalg import as_matrix, hnf_rows, integer_kernel
+from ramcond.linalg import hnf_rows, integer_kernel
 from ramcond.ramification import i_gamma, ram_data
 from ramcond.series import (
     VAL_BOUND_MAX,
@@ -44,6 +49,52 @@ from ramcond.series import (
     WeierstrassResult,
     is_distinguished,
 )
+
+
+def _not_rational(x):
+    return InputError(f"matrix entries must be int or Fraction, got {x!r}")
+
+
+def as_matrix(rows):
+    """Coerce nested iterables of ints and Fractions into a ``Fraction`` matrix; all else is refused."""
+    mat = []
+    for row in rows:
+        out = []
+        for x in row:
+            if type(x) is not int and type(x) is not Fraction:
+                raise _not_rational(x)
+            out.append(x if type(x) is Fraction else Fraction(x))
+        mat.append(tuple(out))
+    if mat and any(len(row) != len(mat[0]) for row in mat):
+        raise InputError("ragged matrix")
+    return tuple(mat)
+
+
+def sparse_rows(a):
+    """The form ``(den, rows)`` of a rational matrix, read from its nonzero entries one by one."""
+    rows = tuple([[(j, x) for j, x in enumerate(row) if x] for row in a])
+    bad = [x for row in rows for _, x in row if not isinstance(x, (int, Fraction))]
+    if bad:
+        raise _not_rational(bad[0])
+    den = lcm(*[x.denominator for row in rows for _, x in row])
+    return den, tuple([
+        {j: x.numerator * (den // x.denominator) for j, x in row} for row in rows
+    ])
+
+
+def read_matrices(group, given, what):
+    """Forms of dense matrices on element ids: each coerced, then ids, one rank and squareness checked."""
+    matrices = {g: as_matrix(m) for g, m in given.items()}
+    for g in matrices:
+        if not 0 <= g < group.order:
+            raise InputError(f"{what} {g} is not an element id of {group.name}")
+    ranks = {len(m) for m in matrices.values()}
+    if len(ranks) != 1:
+        raise InputError(f"{what} matrices must share one rank")
+    (d,) = ranks
+    if any(len(row) != d for m in matrices.values() for row in m):
+        raise InputError(f"{what} matrices must be square")
+    return {g: sparse_rows(m) for g, m in matrices.items()}
 
 
 def mat_mul(a, b):
@@ -407,8 +458,32 @@ def subgroups(group):
     return tuple(sorted(found, key=lambda t: (len(t), t)))
 
 
-def generating_set(group):
-    """The greedy generating set: each id, ascending, kept when outside the closure of those before it."""
+def element_order(group, a):
+    """The least k >= 1 with a^k = 0, by repeated products."""
+    x, k = a, 1
+    while x != 0:
+        x = group.mult(x, a)
+        k += 1
+    return k
+
+
+def generating_set(group, candidates=None):
+    """The greedy generating subset of ``candidates`` (default: every id): each, by decreasing
+    element order and then ascending, kept when outside the closure of those before it."""
+    if candidates is None:
+        candidates = range(1, group.order)
+    order = sorted(candidates, key=lambda x: (-element_order(group, x), x))
+    gens = []
+    current = {0}
+    for x in order:
+        if x not in current:
+            gens.append(x)
+            current = set(closure(group, gens))
+    return tuple(gens)
+
+
+def ascending_generating_set(group):
+    """The greedy generating set over the ids in ascending order: a bound on the size of the other."""
     gens = []
     current = {0}
     for x in range(1, group.order):

@@ -32,7 +32,7 @@ from ramcond.conductors import (
 from ramcond.errors import CheckFailure, InputError
 from ramcond.exact import CycloNum, euler_phi
 from ramcond.groups import conjugacy_classes, make_cyclic, make_symmetric, subgroup
-from ramcond.linalg import sparse_mul, sparse_rows
+from ramcond.linalg import read_matrix, sparse_mul
 from ramcond.ramification import artin_character, bisection, ram_data, restrict_ramdata
 
 CATALOG_GROUPS = tuple({rd.group.name: rd.group for rd in catalog()}.values())
@@ -526,7 +526,7 @@ def _catalog_modules(rng, group, p):
     def diagonal(first):
         d = reg.rank
         rows = [[first if i == j == 0 else int(i == j) for j in range(d)] for i in range(d)]
-        return sparse_rows(rows)
+        return read_matrix(rows)[0]
 
     u, uinv = diagonal(q), diagonal(Fraction(1, q))
     forms = {g: sparse_mul(uinv, sparse_mul(reg.forms[g], u)) for g in range(group.order)}

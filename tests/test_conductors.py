@@ -39,12 +39,7 @@ from ramcond.conductors import (
 from ramcond.errors import CheckFailure, InputError
 from ramcond.exact import CycloNum
 from ramcond.groups import make_cyclic, make_product, make_symmetric, subgroup
-from ramcond.linalg import (
-    as_matrix,
-    lattice_contains,
-    sparse_mul,
-    sparse_rows,
-)
+from ramcond.linalg import lattice_contains, read_matrix, sparse_mul
 from ramcond.ramification import ram_data
 
 
@@ -476,7 +471,7 @@ def test_adapt_lattice_nested():
         (0, 0, 0, 0),
         (0, 0, 0, 0),
     )
-    inner, outer = sparse_rows(e_inner), sparse_rows(e_outer)
+    (inner, _), (outer, _) = read_matrix(e_inner), read_matrix(e_outer)
     assert sparse_mul(inner, outer) == sparse_mul(outer, inner) == inner
     b_inner, b_outer = adapt_lattice_pair(reg4, e_inner, e_outer)
     for v in b_inner:
@@ -642,7 +637,7 @@ def test_random_unit_conjugate_matches_dense_oracle():
 
 def dense_bfs_action(group, gen_action):
     """Oracle for module_from_generators: the same completion, one dense product per element."""
-    gen_action = {g: as_matrix(m) for g, m in gen_action.items()}
+    gen_action = {g: dense.as_matrix(m) for g, m in gen_action.items()}
     action = {0: identity_matrix(len(next(iter(gen_action.values()))))}
     frontier = [0]
     while frontier:
@@ -742,9 +737,9 @@ def test_builders_and_conductor_make_no_dense_matrix(monkeypatch):
         gens = {s: action[s] for s in grp.generating_set()}
         sub = subgroup(grp, grp.subgroups()[len(grp.subgroups()) // 2])
         inputs.append((rd, gens, sub, sub.as_group()[0]))
-    # module_from_generators reads each given generator once with as_matrix;
+    # module_from_generators reads each given generator once with read_matrix;
     # nothing on the path converts a matrix per group element
-    calls = {"as_matrix": 0, "from_sparse": 0}
+    calls = {"read_matrix": 0, "from_sparse": 0}
     for module in (linalg, conductors):
         for name in calls:
 
@@ -763,7 +758,7 @@ def test_builders_and_conductor_make_no_dense_matrix(monkeypatch):
         ]
         for m in modules:
             conductor(m, rd)
-    assert calls == {"as_matrix": sum(len(gens) for _, gens, _, _ in inputs), "from_sparse": 0}
+    assert calls == {"read_matrix": sum(len(gens) for _, gens, _, _ in inputs), "from_sparse": 0}
 
 
 @pytest.mark.parametrize("entry", [-1.0, "-1", True, CycloNum.from_rational(-1)])
@@ -782,6 +777,61 @@ def test_module_action_keys_must_be_ints(bad):
     with pytest.raises(InputError) as exc:
         module_from_generators("x", c2, 3, {bad: [[-1]]})
     assert str(exc.value) == f"generator {bad!r} is not an integer id"
+
+
+def _read_matrices_inputs():
+    """Given matrices on C4 with each fault of the old reader alone and in ordered pairs."""
+    bad_entries = (True, 1.5, "1", CycloNum.zeta(3))
+
+    def entry(m, c):
+        return [[bad_entries[c % 4]] + row[1:] if i == 0 else row for i, row in enumerate(m)]
+
+    faults = {
+        "entry": entry,
+        "ragged": lambda m, c: m[:-1] + [m[-1][:-1]],
+        "wide": lambda m, c: [row + [0] for row in m],
+        "rank": lambda m, c: [row + [0] for row in m] + [[0] * len(m) + [1]],
+        "id": None,
+    }
+    rng = random.Random(22)
+    base = {s: [[rng.choice((0, 1, -1, Fraction(1, 3))) for _ in range(2)] for _ in range(2)] for s in (1, 2, 3)}
+    cases = [base]
+    for first in faults:
+        for second in (None, *faults):
+            c = len(cases)
+            given = {s: [list(row) for row in m] for s, m in base.items()}
+            for fault, s in ((first, 1), (second, 3)):
+                if fault == "id":
+                    given[4 + c] = given.pop(s)
+                elif fault is not None:
+                    given[s] = faults[fault](given[s], c)
+            cases.append(given)
+    return cases
+
+
+def test_module_reader_gives_the_old_readers_forms_and_messages():
+    # each given matrix is read once; which check speaks first is unchanged
+    group = make_cyclic(4)
+    seen = set()
+    for given in _read_matrices_inputs():
+        try:
+            expected = dense.read_matrices(group, given, "generator")
+        except InputError as exc:
+            expected = str(exc)
+        try:
+            got = conductors._read_matrices(group, given, "generator")
+        except InputError as exc:
+            got = str(exc)
+        assert got == expected, given
+        seen.add(re.sub(r"generator \d+ is", "generator N is", expected) if isinstance(expected, str) else "forms")
+    assert seen >= {
+        "forms",
+        "ragged matrix",
+        "generator N is not an element id of C4",
+        "generator matrices must share one rank",
+        "generator matrices must be square",
+        *(f"matrix entries must be int or Fraction, got {x!r}" for x in (True, 1.5, "1", CycloNum.zeta(3))),
+    }
 
 
 @pytest.mark.parametrize(
@@ -874,7 +924,8 @@ def test_module_from_generators_takes_each_edge_once(monkeypatch):
             module, "sparse_mul", lambda a, b, real=real: calls.append(1) or real(a, b)
         )
     built = module_from_generators("regular", g, 3, given)
-    assert len(calls) == g.order * len(gens) == 80
+    # C8xC5 is cyclic, so S is one element of order 40
+    assert len(calls) == g.order * len(gens) == 40
     assert built.forms == regular.forms
     assert list(built.forms) == list(range(g.order))
 

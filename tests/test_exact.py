@@ -206,6 +206,58 @@ def test_division_by_zero():
             inverse_zeta_minus_one(3, k)
 
 
+@pytest.mark.parametrize("level", [True, False, 2.0, 3.5, "3", Fraction(3), None, 0, -2])
+def test_cyclonum_level_is_a_positive_int(level):
+    message = f"CycloNum level must be a positive int, got {level!r}"
+    for build in (
+        lambda: CycloNum(level, (1,)),
+        lambda: CycloNum.zeta(level),
+        lambda: CycloNum.from_rational(1, level),
+    ):
+        with pytest.raises(InputError) as excinfo:
+            build()
+        assert str(excinfo.value) == message
+
+
+def test_cyclonum_product_reads_its_scalar_strictly():
+    z = CycloNum.zeta(3)
+    with pytest.raises(InputError) as excinfo:
+        z * True
+    assert str(excinfo.value) == "True is not an int or a Fraction"
+    with pytest.raises(InputError) as excinfo:
+        True * z
+    assert str(excinfo.value) == "True is not an int or a Fraction"
+    assert z * 2 == 2 * z == z + z and z * Fraction(1, 2) + z * Fraction(1, 2) == z
+
+
+@pytest.mark.parametrize(
+    "op",
+    [
+        lambda z: z * 0.5,
+        lambda z: 0.5 * z,
+        lambda z: z + 0.5,
+        lambda z: 0.5 + z,
+        lambda z: z - 0.5,
+        lambda z: 0.5 - z,
+    ],
+)
+def test_cyclonum_refuses_a_float_operand(op):
+    with pytest.raises(InputError) as excinfo:
+        op(CycloNum.zeta(3))
+    assert str(excinfo.value) == "0.5 is not an int or a Fraction"
+
+
+def test_cyclonum_equality_with_a_non_number_is_not_implemented():
+    z = CycloNum.zeta(3)
+    for other in ("1", None, object(), (1,)):
+        assert z.__eq__(other) is NotImplemented
+        assert (z == other) is False and (z != other) is True
+    # nor is a float compared, though + and * refuse it
+    assert z.__eq__(0.5) is NotImplemented
+    # an operand that is no number gets its own reflected operation
+    assert z.__mul__("x") is NotImplemented and z.__add__("x") is NotImplemented
+
+
 def test_p_valuation_requires_prime():
     with pytest.raises(InputError):
         p_valuation(Fraction(1, 2), 4)

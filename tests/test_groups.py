@@ -212,11 +212,21 @@ def test_generating_set_is_held_on_the_group(monkeypatch):
         gens = g.generating_set()
         monkeypatch.setattr(g, "closure", None)  # a second greedy pass would call it
         assert g.generating_set() is gens
+        # candidates that contain the held set give it back without a pass
+        assert g.generating_set((0, *gens)) is gens
+        assert g.generating_set(range(g.order - 1, 0, -1)) is gens
         monkeypatch.undo()
-        # given candidates neither read nor replace the memo
-        assert g.generating_set(range(g.order - 1, 0, -1)) == gens
+        # other candidates neither read nor replace the memo
         assert g.generating_set((0,)) == ()
         assert g.generating_set() is gens
+
+
+def test_element_orders_are_held_and_equal_the_power_loop():
+    for name, group in GENERATING_GROUPS.items():
+        orders = group._element_orders()
+        assert group._element_orders() is orders
+        assert orders == tuple(dense.element_order(group, x) for x in group.elements()), name
+        assert all(group.element_order(x) == orders[x] for x in group.elements())
 
 
 def _oracle_groups():
@@ -246,7 +256,50 @@ def test_subgroups_and_generators_equal_the_closure_oracles(name):
         assert group.closure((x,)) == dense.closure(group, (x,))
     for elems in group.subgroups():
         gens = group.generating_set(elems)
+        assert gens == dense.generating_set(group, elems)
         assert group.closure(gens) == dense.closure(group, gens) == elems
+
+
+def _generating_groups():
+    c = make_cyclic
+    c2 = c(2)
+    powers = {"C2^1": c2}
+    for k in range(2, 6):
+        powers[f"C2^{k}"] = make_product(powers[f"C2^{k - 1}"], c2)
+    extra = {
+        "S3": make_symmetric(3),
+        "S4": make_symmetric(4),
+        "S5": make_symmetric(5),
+        **powers,
+        "C3xC8": make_product(c(3), c(8)),
+        "C12xC5": make_product(c(12), c(5)),
+        "C2xC3xC3": make_product(make_product(c2, c(3)), c(3)),
+        "C3xV4": make_product(c(3), make_product(c2, c2)),
+    }
+    return {**{f"catalog:{rd.group.name}": rd.group for rd in catalog()}, **extra}
+
+
+GENERATING_GROUPS = _generating_groups()
+
+
+@pytest.mark.parametrize("name", GENERATING_GROUPS)
+def test_generating_set_starts_from_the_largest_cyclic_subgroups(name):
+    group = GENERATING_GROUPS[name]
+    gens = group.generating_set()
+    assert gens == dense.generating_set(group)
+    assert dense.closure(group, gens) == tuple(group.elements())
+    for i, s in enumerate(gens):
+        assert s not in dense.closure(group, gens[:i]), (name, gens)
+    assert len(gens) <= len(dense.ascending_generating_set(group))
+    if any(dense.element_order(group, x) == group.order for x in group.elements()):
+        assert len(gens) == 1, (name, gens)
+
+
+def test_generating_set_examples():
+    # the ascending greedy set was (1, 8), (1, 5), (1, 3, 9), (1, 2, 4) and (1, 2, 6, 24)
+    expected = {"C3xC8": (9,), "C12xC5": (6,), "C2xC3xC3": (10, 12), "C3xV4": (5, 6), "S5": (27, 31)}
+    for name, gens in expected.items():
+        assert GENERATING_GROUPS[name].generating_set() == gens, name
 
 
 @pytest.mark.parametrize("name", ORACLE_GROUPS)

@@ -4,20 +4,24 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import dense
 from dense import det, mat_inv, mat_mul, mat_vec, rref, solve, transpose
 
 from ramcond.errors import CheckFailure, InputError
 from ramcond.exact import CycloNum
 from ramcond.linalg import (
-    as_matrix,
     echelon_coords,
     from_sparse,
     hnf_rows,
     integer_kernel,
     lattice_contains,
+    read_matrix,
     sparse_mul,
-    sparse_rows,
 )
+
+
+def form_of(a):
+    return read_matrix(a)[0]
 
 
 def test_solve_unique():
@@ -189,8 +193,8 @@ prime_to_2_pairs = st.integers(1, 4).flatmap(
 @settings(max_examples=80, deadline=None)
 def test_sparse_mul_matches_dense_product(pair):
     a, b = pair
-    product = sparse_mul(sparse_rows(a), sparse_rows(b))
-    assert product == sparse_rows(mat_mul(a, b))
+    product = sparse_mul(form_of(a), form_of(b))
+    assert product == form_of(mat_mul(a, b))
     assert from_sparse(product) == mat_mul(a, b)
 
 
@@ -204,29 +208,83 @@ def test_sparse_mul_cancels_to_zero(pair):
         return
     a = [[row[0], row[0], *row[2:]] for row in a]
     b = [b[0], [-x for x in b[0]], *b[2:]]
-    product = sparse_mul(sparse_rows(a), sparse_rows(b))
-    assert product == sparse_rows(mat_mul(a, b))
+    product = sparse_mul(form_of(a), form_of(b))
+    assert product == form_of(mat_mul(a, b))
     if len(a) == 2:
         assert product == (1, ({}, {}))
 
 
 def test_sparse_mul_reduces_to_lowest_terms():
-    third = as_matrix(((Fraction(1, 3), 0), (0, Fraction(1, 3))))
-    assert sparse_rows(third) == (3, ({0: 1}, {1: 1}))
-    assert sparse_mul(sparse_rows(third), sparse_rows(((3, 0), (0, 3)))) == (1, ({0: 1}, {1: 1}))
-    assert sparse_mul(sparse_rows(third), sparse_rows(((3, 0), (0, 1)))) == (3, ({0: 3}, {1: 1}))
+    third = ((Fraction(1, 3), 0), (0, Fraction(1, 3)))
+    assert form_of(third) == (3, ({0: 1}, {1: 1}))
+    assert sparse_mul(form_of(third), form_of(((3, 0), (0, 3)))) == (1, ({0: 1}, {1: 1}))
+    assert sparse_mul(form_of(third), form_of(((3, 0), (0, 1)))) == (3, ({0: 3}, {1: 1}))
 
 
 def test_sparse_rows_is_one_form_per_matrix():
     ints = ((0, -1), (1, -1))
-    assert sparse_rows(ints) == sparse_rows(as_matrix(ints)) == (1, ({1: -1}, {0: 1, 1: -1}))
-    assert from_sparse(sparse_rows(ints)) == as_matrix(ints)
-    assert sparse_rows(()) == (1, ()) and from_sparse((1, ())) == ()
+    oracle = dense.sparse_rows(dense.as_matrix(ints))
+    assert read_matrix(ints) == (oracle, 2) and oracle == (1, ({1: -1}, {0: 1, 1: -1}))
+    assert from_sparse(form_of(ints)) == dense.as_matrix(ints)
+    assert read_matrix(()) == ((1, ()), 0) and from_sparse((1, ())) == ()
     with pytest.raises(InputError, match="got CycloNum"):
-        sparse_rows(((CycloNum.zeta(3),),))
+        read_matrix(((CycloNum.zeta(3),),))
 
 
 def test_as_matrix_keeps_fractions():
+    # the oracle keeps a Fraction as it is; the reader stores ints unwrapped
     x = Fraction(2, 3)
-    (row,) = as_matrix(((x, 1),))
+    (row,) = dense.as_matrix(((x, 1),))
     assert row[0] is x and row[1] == 1 and type(row[1]) is Fraction
+    (den, (stored, _)), width = read_matrix(((x, 1), (0, 5)))
+    assert (den, stored, width) == (3, {0: 2, 1: 3}, 2)
+    assert {type(v) for v in stored.values()} == {int}
+    (den, rows), _ = read_matrix(((Fraction(4), 1), (0, -5)))
+    assert (den, rows) == (1, ({0: 4, 1: 1}, {1: -5}))
+    assert {type(v) for row in rows for v in row.values()} == {int}
+
+
+def _entries():
+    small = st.integers(-3, 3)
+    return st.one_of(small, small, st.builds(Fraction, small, st.integers(1, 6)))
+
+
+@st.composite
+def dense_matrices(draw):
+    """Rank 0 to 4: int and Fraction entries, some rows zero, some entries Fraction(0) or Fraction(k)."""
+    n = draw(st.integers(0, 4))
+    width = draw(st.integers(0, 4))
+    rows = []
+    for _ in range(n):
+        if draw(st.integers(0, 4)) == 0:
+            rows.append([0] * width)
+        else:
+            rows.append(draw(st.lists(_entries(), min_size=width, max_size=width)))
+    return rows
+
+
+@given(dense_matrices())
+@settings(max_examples=150, deadline=None)
+def test_read_matrix_equals_the_two_pass_oracle(a):
+    form, width = read_matrix(a)
+    assert form == dense.sparse_rows(dense.as_matrix(a))
+    assert width == (len(a[0]) if a else 0)
+    assert all(type(v) is int and v for row in form[1] for v in row.values())
+    # tuples, lists and generators of rows read alike
+    assert read_matrix(tuple(map(tuple, a))) == read_matrix(iter(a)) == (form, width)
+
+
+@pytest.mark.parametrize("bad", [True, False, 1.0, 0.0, "1", CycloNum.zeta(3)])
+def test_read_matrix_refuses_what_the_oracle_refuses(bad):
+    # the first non-rational entry in row-major order is named, zeros included,
+    # and before a ragged row is reported
+    for a in ([[1, bad]], [[0, 0], [Fraction(1, 2), bad]], [[0], [bad, 1, 2], [5]]):
+        with pytest.raises(InputError) as oracle:
+            dense.as_matrix(a)
+        with pytest.raises(InputError) as got:
+            read_matrix(a)
+        assert str(got.value) == str(oracle.value) == f"matrix entries must be int or Fraction, got {bad!r}"
+    for a in ([[1, 2], [3]], [[1], [Fraction(1, 2), 0]], [[], [0]]):
+        with pytest.raises(InputError, match="^ragged matrix$"):
+            read_matrix(a)
+
