@@ -23,7 +23,7 @@ from math import lcm, prod
 from .characters import check_forms, induce, pair, trace_forms
 from .errors import CheckFailure, InputError
 from .exact import p_valuation
-from .groups import Subgroup, element_ids
+from .groups import Subgroup, element_ids, subgroup
 from .linalg import (
     echelon_coords,
     from_sparse,
@@ -221,7 +221,7 @@ def permutation_module(sub, p, name=None):
 
 def regular_module(group, p, name="regular"):
     """Permutation matrices of left translation on the group basis."""
-    return permutation_module(Subgroup(group, (0,)), p, name)
+    return permutation_module(subgroup(group, (0,)), p, name)
 
 
 def module_character(m):

@@ -11,7 +11,8 @@ Reduction modulo the cyclotomic polynomial is one fold: products, embeddings
 and Galois twists are sums of c * zeta_N^m, each term read from a memoized
 table of zeta_N^m in the power basis.  There is no field division: the only
 inverses the toolkit needs are 1/(zeta_N^k - 1), which
-:func:`inverse_zeta_minus_one` gives in closed form.
+:func:`inverse_zeta_minus_one` gives in closed form, from integer rows
+held per level and exponent.
 
 Decimal rendering embeds zeta_N at exp(2*pi*i/N) in double precision and is
 for display only.
@@ -169,27 +170,44 @@ def _fold(n, terms):
     return acc
 
 
+_TAME_ROW_CACHE = {}
+
+
 def _inverse_zeta_minus_one_row(n, k):
-    """n/(zeta_n^k - 1) as integer power basis coefficients, by the closed form.
+    """2n/(zeta_n^k - 1) as integer power basis coefficients, by the closed form.
 
     For any w with w^n = 1 and w != 1, (w - 1) * sum_{j<n} j w^j = n, so
-    n/(zeta_n^k - 1) = sum_{j<n} j zeta_n^(jk) for every k that is not 0
-    mod n, primitive or not.
+    2n/(zeta_n^k - 1) = sum_{j<n} 2j zeta_n^(jk) for every k that is not 0
+    mod n, primitive or not.  The row is the numerators over 2n, the scale
+    :func:`~ramcond.ramification.bisection` stores its tame values at, so
+    the bisection holds these tuples as they are.
+
+    Held per (n, k mod n) and filled on first request; like
+    ``_ZETA_POWER_CACHE`` the cache is a pure idempotent map, and a level
+    holds at most n - 1 rows of phi(n) integers.  Callers pass ``int``
+    arguments: :func:`inverse_zeta_minus_one` checks them.
     """
     k %= n
-    if k == 0:
-        raise ZeroDivisionError("zeta^k - 1 is zero for k = 0 mod n")
-    return _fold(n, ((j * k, j) for j in range(1, n)))
+    row = _TAME_ROW_CACHE.get((n, k))
+    if row is None:
+        if k == 0:
+            raise ZeroDivisionError("zeta^k - 1 is zero for k = 0 mod n")
+        row = tuple(_fold(n, ((j * k, 2 * j) for j in range(1, n))))
+        _TAME_ROW_CACHE[n, k] = row
+    return row
 
 
 def inverse_zeta_minus_one(level, exponent):
     """1/(zeta_level^exponent - 1) in closed form, without inversion.
 
-    The integer numerators over ``level`` come from
-    :func:`_inverse_zeta_minus_one_row`.
+    The integer numerators over ``2 * level`` come from the held
+    :func:`_inverse_zeta_minus_one_row`.  The level and the exponent must
+    each be an ``int`` (a ``bool`` or a ``float`` is not).
     """
-    acc = _inverse_zeta_minus_one_row(level, exponent)
-    return CycloNum(level, tuple([Fraction(c, level) for c in acc]))
+    _check_level(level)
+    _check_int(exponent, "exponent")
+    row = _inverse_zeta_minus_one_row(level, exponent)
+    return CycloNum(level, tuple([Fraction(c, 2 * level) for c in row]))
 
 
 def _as_fraction(x):
@@ -203,6 +221,12 @@ def _check_level(level):
     """Refuse a level that is not a positive ``int`` (a ``bool`` or a ``float`` is not), naming it."""
     if type(level) is not int or level < 1:
         raise InputError(f"CycloNum level must be a positive int, got {level!r}")
+
+
+def _check_int(x, what):
+    """Refuse an exponent that is not an ``int`` (a ``bool`` or a ``float`` is not), naming it."""
+    if type(x) is not int:
+        raise InputError(f"{what} must be an int, got {x!r}")
 
 
 class CycloNum:
@@ -236,14 +260,16 @@ class CycloNum:
 
     @classmethod
     def zeta(cls, level, exponent=1):
-        """zeta_level ** exponent, reduced into the power basis."""
+        """zeta_level ** exponent, reduced into the power basis; the exponent must be an ``int``."""
         _check_level(level)
+        _check_int(exponent, "zeta exponent")
         return cls(level, _fold(level, ((exponent, 1),)))
 
     # -- level bookkeeping --------------------------------------------------
 
     def embed(self, m):
-        """Embed into Q(zeta_m) for a multiple m of the level."""
+        """Embed into Q(zeta_m) for a multiple m of the level; m is a level like any other."""
+        _check_level(m)
         if m % self.level != 0:
             raise InputError(f"cannot embed level {self.level} into level {m}")
         if m == self.level:
@@ -329,7 +355,8 @@ class CycloNum:
     # -- Galois operations ---------------------------------------------------
 
     def galois(self, k):
-        """Apply the automorphism zeta -> zeta^k; requires gcd(k, level) = 1."""
+        """Apply the automorphism zeta -> zeta^k; k must be an ``int`` with gcd(k, level) = 1."""
+        _check_int(k, "galois exponent")
         n = self.level
         if gcd(k % n, n) != 1:
             raise InputError(f"galois exponent {k} not a unit modulo {n}")

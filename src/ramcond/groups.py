@@ -4,8 +4,11 @@ Element ids are 0..order-1 with 0 the identity; every downstream structure
 (filtrations, tame identifications, class functions, module actions) is keyed
 by these ids.  Checks and enumerations work from generators: associativity
 by Light's test, conjugacy classes as orbits under conjugation by the
-generators, and subgroups as joins of cyclic subgroups.  The table itself is
-dense, so memory grows with the square of the order.
+generators, and subgroups as joins of cyclic subgroups.  What depends only
+on the group is computed once and held on it: its generating set, element
+orders, classes and subgroups, and one :class:`Subgroup` per element set
+that :func:`subgroup` is asked for.  The table itself is dense, so memory
+grows with the square of the order.
 """
 
 from __future__ import annotations
@@ -95,6 +98,7 @@ class FiniteGroup:
         self._subgroups = None
         self._gens = None
         self._orders = None
+        self._held_subgroups = {}  # sorted element ids -> the one Subgroup subgroup() gives on them
 
     def __eq__(self, other):
         if not isinstance(other, FiniteGroup):
@@ -326,10 +330,18 @@ def element_ids(values, what):
 
 
 class Subgroup:
-    """A validated subgroup, with a re-indexed group structure on demand."""
+    """A validated subgroup, with its cosets, normality and re-indexed group on demand.
+
+    :func:`subgroup` gives the one ``Subgroup`` held on its parent for an
+    element set, so each of these is computed once per subgroup per group;
+    the constructor builds a fresh one, checked the same way.
+    """
 
     def __init__(self, parent, elements):
-        elements = element_ids(elements, "subgroup element")
+        self._set(parent, element_ids(elements, "subgroup element"))
+
+    def _set(self, parent, elements):
+        """Check the sorted distinct ids ``elements`` closed in ``parent`` and keep them."""
         if not elements or elements[0] != 0:
             raise InputError("subgroup must contain the identity 0")
         if any(x < 0 or x >= parent.order for x in elements):
@@ -345,6 +357,7 @@ class Subgroup:
         self.elements = elements
         self._as_group = None
         self._transversal = None
+        self._normal = None
 
     @property
     def order(self):
@@ -364,13 +377,15 @@ class Subgroup:
         return hash((self.parent, self.elements))
 
     def is_normal(self):
-        """Whether H is a union of conjugacy classes of its parent."""
-        eset = set(self.elements)
-        return all(
-            eset.issuperset(c)
-            for c in conjugacy_classes(self.parent)
-            if not eset.isdisjoint(c)
-        )
+        """Whether H is a union of conjugacy classes of its parent; computed once and held."""
+        if self._normal is None:
+            eset = set(self.elements)
+            self._normal = all(
+                eset.issuperset(c)
+                for c in conjugacy_classes(self.parent)
+                if not eset.isdisjoint(c)
+            )
+        return self._normal
 
     def left_transversal(self):
         """(transversal, coset_of): the least member of each left coset x*H in
@@ -407,5 +422,19 @@ class Subgroup:
 
 
 def subgroup(parent, elements):
-    return Subgroup(parent, elements)
+    """The one :class:`Subgroup` of ``parent`` on ``elements``, held on the parent.
+
+    The ids are read once into a sorted tuple of distinct ids, which keys the
+    held subgroups, so ``(4, 0, 2, 2)`` and ``(0, 2, 4)`` give the same
+    object.  The closure check runs on the first request only, and a
+    refused set is not held: asking again refuses it again.  The held
+    subgroups live and die with their parent; nothing is held elsewhere.
+    """
+    key = element_ids(elements, "subgroup element")
+    held = parent._held_subgroups.get(key)
+    if held is None:
+        held = object.__new__(Subgroup)
+        held._set(parent, key)
+        parent._held_subgroups[key] = held
+    return held
 

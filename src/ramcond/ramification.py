@@ -54,8 +54,9 @@ def ram_data(group, p, wild_chain, omega, name=""):
     exponent) fixing the value on one generating coset.  Every id and
     exponent in ``omega`` must be an ``int`` (a ``bool`` is not).
 
-    Each run of equal consecutive entries is read as one Subgroup and
-    checked once for normality and descent.  The exponent-p and abelian
+    Each run of equal consecutive entries is read as the one Subgroup
+    :func:`~ramcond.groups.subgroup` holds on ``group``, and checked once
+    for normality and descent.  The exponent-p and abelian
     checks run only where the step changes: the quotient of a step by
     itself is trivial.  A message's "step k" counts raw entries.
     """
@@ -73,11 +74,11 @@ def ram_data(group, p, wild_chain, omega, name=""):
             runs[-1][1] += 1
             runs[-1][2] = k
         else:
-            h = entry if isinstance(entry, Subgroup) else subgroup(group, elements)
-            runs.append([h, 1, k])
+            runs.append([subgroup(group, elements), 1, k])
     # drop trailing trivial entries; they encode nothing
     while runs and runs[-1][0].order == 1:
         runs.pop()
+    trivial = subgroup(group, (0,))
 
     prev = None
     for h, _, _ in runs:
@@ -87,7 +88,7 @@ def ram_data(group, p, wild_chain, omega, name=""):
             raise InputError("wild filtration must be descending")
         prev = h
 
-    gamma1 = runs[0][0] if runs else subgroup(group, (0,))
+    gamma1 = runs[0][0] if runs else trivial
     order1 = gamma1.order
     m = order1
     while m % p == 0:
@@ -100,7 +101,7 @@ def ram_data(group, p, wild_chain, omega, name=""):
         raise InputError("tame quotient order must be prime to p")
 
     # elementary abelian exponent-p quotients where the step changes (trivial tail implied)
-    bottoms = [h for h, _, _ in runs[1:]] + [subgroup(group, (0,))]
+    bottoms = [h for h, _, _ in runs[1:]] + [trivial]
     for (top, _, last), bottom in zip(runs, bottoms):
         bset = set(bottom.elements)
         for x in top.elements:
@@ -212,23 +213,21 @@ def bisection(rd):
     which holds for every w != 1 with w^n = 1, since
     (w - 1) * sum_{j<n} j * w^j = n.  No field inversion is made.  The
     class function is built on its integer form over the denominator 2n,
-    with one tame row per omega exponent, once per ``rd`` and held on it.
+    once per ``rd`` and held on it.  Its tame rows are the tuples
+    :func:`~ramcond.exact._inverse_zeta_minus_one_row` holds per level and
+    omega exponent, already over 2n, so they are stored as they are.
     """
     if rd._bisection is not None:
         return rd._bisection
     grp = rd.group
     n = rd.n
     pad = (0,) * (euler_phi(n) - 1)
-    tame = {}  # omega exponent -> its row
     rows = [(n * sum(rd.breaks),) + pad]
     for s in range(1, grp.order):
         if rd.breaks[s] > 1:
             rows.append((-n * rd.breaks[s],) + pad)
         else:
-            k = rd.omega_exp[s]
-            if k not in tame:
-                tame[k] = tuple([2 * c for c in _inverse_zeta_minus_one_row(n, k)])
-            rows.append(tame[k])
+            rows.append(_inverse_zeta_minus_one_row(n, rd.omega_exp[s]))
     object.__setattr__(rd, "_bisection", ClassFunction._from_form(grp, n, (2 * n, tuple(rows))))
     return rd._bisection
 

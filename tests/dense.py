@@ -9,7 +9,9 @@ arithmetic, check the integer class-function form of
 ``ramcond.characters``, valuewise conjugation builds the conj(bA) that
 the tests pair and compare, and the ``CycloNum``-valued
 ``bisection``, ``artin_character`` and ``trace_forms`` check the builders
-that hand that form over; the Weierstrass division on
+that hand that form over (the tame values of ``bisection`` by
+``cyclo_inverse``, a solve on the matrix of multiplication, not from the
+rows ``ramcond.exact`` holds); the Weierstrass division on
 ``Fraction`` series checks the one that ``ramcond.series`` runs on integer
 forms, the minimum over the coefficients' valuations checks the Gauss
 valuation and dilatation membership that it reads off the gcd of the
@@ -39,7 +41,7 @@ from math import inf, lcm
 
 from ramcond.characters import ClassFunction
 from ramcond.errors import CheckFailure, InputError
-from ramcond.exact import CycloNum, inverse_zeta_minus_one, p_valuation
+from ramcond.exact import CycloNum, p_valuation
 from ramcond.groups import subgroup
 from ramcond.linalg import hnf_rows, integer_kernel
 from ramcond.ramification import i_gamma, ram_data
@@ -373,9 +375,26 @@ def artin_character(rd):
     return ClassFunction(rd.group, values)
 
 
+def cyclo_inverse(x):
+    """1/x in Q(zeta_n) by a dense solve of x * y = 1 on the matrix of multiplication by x.
+
+    Column j of that matrix is x * zeta^j for the power basis vector zeta^j;
+    it shares no code with the closed form of ``exact.inverse_zeta_minus_one``.
+    """
+    n = x.level
+    columns = [(x * CycloNum.zeta(n, j)).coeffs for j in range(len(x.coeffs))]
+    one = (1,) + (0,) * (len(x.coeffs) - 1)
+    return CycloNum(n, solve(transpose(columns), one))
+
+
 def bisection(rd):
-    """``ramification.bisection``, one ``CycloNum`` per element, embedded at the level n."""
+    """``ramification.bisection``, one ``CycloNum`` per element, embedded at the level n.
+
+    Tame values are 1/(zeta_n^k - 1) by :func:`cyclo_inverse`, not from the
+    rows ``exact`` holds.
+    """
     grp = rd.group
+    tame = {}  # omega exponent -> its value
     values = []
     for s in range(grp.order):
         if s == 0:
@@ -384,7 +403,10 @@ def bisection(rd):
         elif i_gamma(rd, s) > 1:
             values.append(CycloNum.from_rational(Fraction(-i_gamma(rd, s), 2)))
         else:
-            values.append(inverse_zeta_minus_one(rd.n, rd.omega_exp[s]))
+            k = rd.omega_exp[s]
+            if k not in tame:
+                tame[k] = cyclo_inverse(CycloNum.zeta(rd.n, k) - 1)
+            values.append(tame[k])
     return ClassFunction(grp, values)
 
 

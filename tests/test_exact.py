@@ -7,6 +7,7 @@ import sympy
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from ramcond import exact
 from ramcond.errors import InputError
 from ramcond.exact import (
     CycloNum,
@@ -164,6 +165,27 @@ def test_field_operations_match_sympy_reduction(n):
         assert inverse_zeta_minus_one(n, k).coeffs == sympy_reduce(inv, n)
 
 
+# the levels of the tame-pairing benchmark workload
+TAME_LEVELS = [8, 9, 10, 11, 12, 14, 15, 16, 18, 20, 21, 24, 28, 30, 32, 36, 40, 48, 64]
+
+
+@pytest.mark.parametrize("n", TAME_LEVELS)
+def test_held_tame_rows_match_sympy_cold_and_warm(n, monkeypatch):
+    # every k against sympy's inverse mod Phi_n: the first read computes and
+    # holds the row, the second (at k + n, the same key) reads the held one
+    monkeypatch.setattr(exact, "_TAME_ROW_CACHE", {})
+    phi_n = sympy.cyclotomic_poly(n, X)
+    for k in range(1, n):
+        want = sympy_reduce(sympy.invert(X**k - 1, phi_n, X), n)
+        cold = inverse_zeta_minus_one(n, k)
+        held = exact._TAME_ROW_CACHE[n, k]
+        warm = inverse_zeta_minus_one(n, k + n)
+        assert cold.coeffs == warm.coeffs == want, (n, k)
+        assert exact._inverse_zeta_minus_one_row(n, k) is held
+        assert held == tuple([c * 2 * n for c in want])  # the numerators over 2n
+    assert len(exact._TAME_ROW_CACHE) == n - 1
+
+
 def test_zeta_sum_relation():
     z = CycloNum.zeta(3)
     assert z + z * z == -1
@@ -213,10 +235,27 @@ def test_cyclonum_level_is_a_positive_int(level):
         lambda: CycloNum(level, (1,)),
         lambda: CycloNum.zeta(level),
         lambda: CycloNum.from_rational(1, level),
+        lambda: inverse_zeta_minus_one(level, 1),
+        lambda: CycloNum.zeta(1).embed(level),
+        lambda: CycloNum.zeta(4).embed(level),
     ):
         with pytest.raises(InputError) as excinfo:
             build()
         assert str(excinfo.value) == message
+
+
+@pytest.mark.parametrize("bad", [True, False, 1.0, 1.5, "1", Fraction(1), None])
+def test_exponents_are_ints(bad):
+    z4 = CycloNum.zeta(4)
+    inverse_zeta_minus_one(4, 1)  # a held (4, 1) row must not answer for 1.0 or True
+    for call, what in (
+        (lambda: CycloNum.zeta(3, bad), "zeta exponent"),
+        (lambda: z4.galois(bad), "galois exponent"),
+        (lambda: inverse_zeta_minus_one(4, bad), "exponent"),
+    ):
+        with pytest.raises(InputError) as excinfo:
+            call()
+        assert str(excinfo.value) == f"{what} must be an int, got {bad!r}"
 
 
 def test_cyclonum_product_reads_its_scalar_strictly():

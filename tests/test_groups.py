@@ -6,9 +6,11 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from ramcond.catalog import catalog
+from ramcond.conductors import regular_module
 from ramcond.errors import InputError
 from ramcond.groups import (
     FiniteGroup,
+    Subgroup,
     conjugacy_classes,
     make_cyclic,
     make_from_table,
@@ -335,3 +337,54 @@ def test_subgroup_elements_must_be_ints(bad):
     with pytest.raises(InputError) as exc:
         subgroup(make_cyclic(4), [0, bad])
     assert str(exc.value) == f"subgroup element {bad!r} is not an integer id"
+
+
+def test_subgroup_is_held_per_element_set():
+    g = make_cyclic(6)
+    h = subgroup(g, (4, 0, 2, 2))
+    assert subgroup(g, (0, 2, 4)) is h and h.elements == (0, 2, 4)
+    # each group holds its own, and the constructor builds a fresh one
+    other = make_cyclic(6)
+    assert subgroup(other, (0, 2, 4)) is not h and subgroup(other, (0, 2, 4)) == h
+    assert Subgroup(g, (0, 2, 4)) is not h and Subgroup(g, (0, 2, 4)) == h
+
+
+def test_refused_element_set_is_not_held():
+    g = make_cyclic(6)
+    messages = []
+    for _ in range(2):
+        with pytest.raises(InputError) as exc:
+            subgroup(g, (1, 0))
+        messages.append(str(exc.value))
+    assert messages == ["subgroup not closed under inverse at 1"] * 2
+    assert (0, 1) not in g._held_subgroups
+
+
+HELD_GROUPS = {
+    **{f"catalog:{rd.group.name}": rd.group for rd in catalog()},
+    "C2^5": GENERATING_GROUPS["C2^5"],
+}
+
+
+@pytest.mark.parametrize("name", HELD_GROUPS)
+def test_held_subgroup_data_equals_a_fresh_subgroup(name):
+    group = HELD_GROUPS[name]
+    for elems in group.subgroups():
+        held, fresh = subgroup(group, elems), Subgroup(group, elems)
+        assert subgroup(group, elems) is held
+        hgrp, to_sub, from_sub = held.as_group()
+        fgrp, f_to_sub, f_from_sub = fresh.as_group()
+        assert held.as_group()[0] is hgrp
+        assert (hgrp.table, hgrp._inv, hgrp.name) == (fgrp.table, fgrp._inv, fgrp.name)
+        assert (to_sub, from_sub) == (f_to_sub, f_from_sub)
+        assert held.left_transversal() == fresh.left_transversal()
+        assert held.is_normal() == fresh.is_normal() == dense.is_normal(fresh), (name, elems)
+
+
+def test_regular_module_uses_the_held_trivial_subgroup():
+    g = make_product(make_cyclic(2), make_cyclic(3))
+    regular_module(g, 2)
+    held = g._held_subgroups
+    assert list(held) == [(0,)]
+    # its left transversal was read, and is held for the next module
+    assert held[(0,)]._transversal is not None and subgroup(g, (0,)) is held[(0,)]

@@ -99,3 +99,85 @@ def test_values_view_stays_off_the_computing_path(path):
         return
     reads = [(scope, line) for scope, line in _values_reads(path) if scope not in VALUES_VIEW_SCOPES]
     assert reads == []
+
+
+# Methods that change a list, dict or set in place.
+MUTATING_METHODS = frozenset({
+    "append", "extend", "insert", "remove", "sort", "reverse",
+    "add", "discard", "update", "difference_update", "intersection_update",
+    "symmetric_difference_update", "setdefault", "pop", "popitem", "clear",
+    "__setitem__", "__delitem__",
+})
+
+
+def _module_state_writes(source):
+    """(name, line) of each write from inside a function to a module-level name.
+
+    A write is an item or attribute assignment or deletion on the name, a
+    call of one of its mutating methods, or a ``global`` statement for it.
+    A name the function binds itself is its own and not counted.
+    """
+    tree = ast.parse(source)
+    module_names = set()
+    for node in tree.body:
+        if isinstance(node, ast.Assign):
+            module_names.update(t.id for t in node.targets if isinstance(t, ast.Name))
+        elif isinstance(node, (ast.AnnAssign, ast.AugAssign)) and isinstance(node.target, ast.Name):
+            module_names.add(node.target.id)
+    found = set()
+    for fn in ast.walk(tree):
+        if not isinstance(fn, (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda)):
+            continue
+        nodes = list(ast.walk(fn))
+        declared = {name for node in nodes if isinstance(node, ast.Global) for name in node.names}
+        found.update((name, fn.lineno) for name in declared)
+        local = {a.arg for a in ast.walk(fn.args) if isinstance(a, ast.arg)}
+        local |= {n.id for n in nodes if isinstance(n, ast.Name) and isinstance(n.ctx, ast.Store)}
+        local -= declared
+        for node in nodes:
+            target = None
+            if isinstance(node, (ast.Subscript, ast.Attribute)):
+                if isinstance(node.ctx, (ast.Store, ast.Del)):
+                    target = node.value
+            elif isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute):
+                if node.func.attr in MUTATING_METHODS:
+                    target = node.func.value
+            if isinstance(target, ast.Name) and target.id in module_names - local:
+                found.add((target.id, node.lineno))
+    return sorted(found)
+
+
+@pytest.mark.parametrize("path", SOURCES, ids=[p.name for p in SOURCES])
+def test_module_state_is_only_a_cache(path):
+    # State shared by every caller in the process is allowed only as a pure
+    # idempotent map, named *_CACHE: it can change how fast an answer comes,
+    # never which answer.  Anything else belongs to an object callers pass.
+    writes = _module_state_writes(path.read_text(encoding="utf-8"))
+    assert [(name, line) for name, line in writes if not name.endswith("_CACHE")] == []
+
+
+def test_module_state_lint_sees_writes():
+    source = (
+        "_CACHE = {}\nSEEN = {}\nCOUNT = 0\nNAMES = []\n"
+        "def f(x):\n    _CACHE[x] = 1\n    SEEN[x] = 1\n"
+        "def g():\n    global COUNT\n    COUNT += 1\n"
+        "def h(NAMES):\n    NAMES.append(1)\n"
+        "def k(x):\n    NAMES.append(x)\n    del SEEN[x]\n"
+    )
+    assert _module_state_writes(source) == [
+        ("COUNT", 8), ("NAMES", 14), ("SEEN", 7), ("SEEN", 15), ("_CACHE", 6),
+    ]
+
+
+def test_module_caches_are_the_known_ones():
+    caches = {
+        (path.stem, name)
+        for path in SOURCES
+        for name, _ in _module_state_writes(path.read_text(encoding="utf-8"))
+    }
+    assert caches == {
+        ("catalog", "_CACHE"),
+        ("exact", "_CYCLOTOMIC_CACHE"),
+        ("exact", "_TAME_ROW_CACHE"),
+        ("exact", "_ZETA_POWER_CACHE"),
+    }

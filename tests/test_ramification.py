@@ -83,6 +83,22 @@ def test_bisection_trivial_group():
     assert bisection(rd).values[0] == 0
 
 
+@pytest.mark.parametrize("n, wild", [(8, 0), (12, 0), (24, 0), (30, 0), (8, 3), (10, 3)])
+def test_bisection_matches_the_dense_oracle_at_tame_levels(n, wild):
+    # tame C_n, or C_n x C_p with the wild factor stretched over n steps, as
+    # the tame-pairing benchmark builds them; every omega the oracle inverts
+    if wild:
+        group = make_product(make_cyclic(n), make_cyclic(wild))
+        p, chain, gen = wild, [range(wild)] * n, wild
+    else:
+        group, p, chain, gen = make_cyclic(n), 7, [], 1
+    for e in (1, n - 1):
+        rd = ram_data(group, p, chain, (gen, e))
+        got, want = bisection(rd), dense.bisection(rd)
+        assert got.level == want.level == n
+        assert [v.coeffs for v in got.values] == [v.coeffs for v in want.values], (n, wild, e)
+
+
 def test_bisection_is_held_on_the_ram_data():
     rd, fresh = c4_tower(), c4_tower()
     ba = bisection(rd)
