@@ -15,6 +15,7 @@ from __future__ import annotations
 
 from itertools import chain
 from math import gcd
+from types import MappingProxyType
 
 from .errors import InputError
 
@@ -403,9 +404,13 @@ class Subgroup:
         return self._transversal
 
     def as_group(self):
-        """(group, parent_id -> sub_id map, sub_id -> parent_id tuple)."""
+        """(group, parent_id -> sub_id map, sub_id -> parent_id tuple).
+
+        The map is a read-only view: the triple is held on this subgroup and
+        shared by every caller.
+        """
         if self._as_group is None:
-            to_sub = {x: i for i, x in enumerate(self.elements)}
+            to_sub = MappingProxyType({x: i for i, x in enumerate(self.elements)})
             table = tuple([
                 tuple([to_sub[self.parent.mult(a, b)] for b in self.elements])
                 for a in self.elements

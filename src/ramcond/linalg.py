@@ -72,14 +72,15 @@ def sparse_mul(a, b):
     form of the product.  The cost is O(nonzeros): a product of monomial
     matrices takes O(d).  A row of A with one entry x, at column k, gives
     x times row k of B, copied without an accumulator: x and every stored
-    y are nonzero, so no product is zero and nothing is filtered.
+    y are nonzero, so no product is zero and nothing is filtered.  At
+    x = 1 (a permutation row) the copy is ``dict.copy``.
     """
     (den_a, ra), (den_b, rb) = a, b
     rows = []
     for arow in ra:
         if len(arow) == 1:
             ((k, x),) = arow.items()
-            rows.append({j: x * y for j, y in rb[k].items()})
+            rows.append(rb[k].copy() if x == 1 else {j: x * y for j, y in rb[k].items()})
             continue
         acc = {}
         for k, x in arow.items():

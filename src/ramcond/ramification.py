@@ -44,6 +44,29 @@ class RamData:
     _artin: object = field(default=None, compare=False, repr=False)  # memo of artin_character()
 
 
+def _quotient_refusal(group, p, xs, bset):
+    """Why ``xs`` does not generate an elementary abelian p-group modulo the
+    normal subgroup ``bset``, or None.
+
+    Each x in order must have x^p in bset and commute with every y in xs
+    modulo it; the first failure names the reason.  Read on a generating
+    set of a subgroup this decides the subgroup's quotient: the quotient is
+    generated by the images, and pairwise commuting images of order
+    dividing p generate an elementary abelian group.  Read on all the
+    elements, it also names the least element that fails.
+    """
+    for x in xs:
+        xp = x
+        for _ in range(p - 1):
+            xp = group.mult(xp, x)
+        if xp not in bset:
+            return f"has exponent > {p}"
+        for y in xs:
+            if group.mult(group.conj(x, y), group.inv(y)) not in bset:
+                return "is not abelian"
+    return None
+
+
 def ram_data(group, p, wild_chain, omega, name=""):
     """Build and validate ramification data.
 
@@ -58,7 +81,9 @@ def ram_data(group, p, wild_chain, omega, name=""):
     :func:`~ramcond.groups.subgroup` holds on ``group``, and checked once
     for normality and descent.  The exponent-p and abelian
     checks run only where the step changes: the quotient of a step by
-    itself is trivial.  A message's "step k" counts raw entries.
+    itself is trivial.  They are decided on the generators of the step
+    (see :func:`_quotient_refusal`), and the message of a refused step
+    comes from all its elements.  A message's "step k" counts raw entries.
     """
     if not is_prime(p):
         raise InputError(f"residue characteristic {p} is not prime")
@@ -100,20 +125,15 @@ def ram_data(group, p, wild_chain, omega, name=""):
     if gcd(n, p) != 1:
         raise InputError("tame quotient order must be prime to p")
 
-    # elementary abelian exponent-p quotients where the step changes (trivial tail implied)
+    # elementary abelian exponent-p quotients where the step changes (trivial
+    # tail implied), decided on generators of the step; a refused step is
+    # read again on all its elements for the message
     bottoms = [h for h, _, _ in runs[1:]] + [trivial]
     for (top, _, last), bottom in zip(runs, bottoms):
         bset = set(bottom.elements)
-        for x in top.elements:
-            xp = x
-            for _ in range(p - 1):
-                xp = group.mult(xp, x)
-            if xp not in bset:
-                raise InputError(f"filtration quotient at step {last + 1} has exponent > {p}")
-            for y in top.elements:
-                comm = group.mult(group.conj(x, y), group.inv(y))
-                if comm not in bset:
-                    raise InputError(f"filtration quotient at step {last + 1} is not abelian")
+        if _quotient_refusal(group, p, group.generating_set(top.elements), bset):
+            reason = _quotient_refusal(group, p, top.elements, bset)
+            raise InputError(f"filtration quotient at step {last + 1} {reason}")
 
     breaks = [1] * group.order
     for h, count, _ in runs:

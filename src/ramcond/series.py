@@ -364,12 +364,26 @@ def _accumulate(groups, w, buckets):
 
 
 def _lowest_terms(den, groups, sign=1):
-    """The form of ``sign`` times the numerators ``groups`` over den > 0.
+    """The form of ``sign`` (1 or -1) times the numerators ``groups`` over den > 0.
 
-    ``groups`` is indexed by degree as :func:`_mul_forms` returns it.  den
-    and every numerator are divided by their gcd, and zero numerators and
-    empty degrees are dropped.  Zero is (1, []).
+    ``groups`` is indexed by degree as :func:`_mul_forms` returns it, and
+    it is owned by the call: every caller passes dicts it has just built,
+    and the form may keep them.  den and every numerator are divided by
+    their gcd, and zero numerators and empty degrees are dropped.  Zero is
+    (1, []).  At den == 1 the gcd is 1 and is not taken: a degree's dict is
+    kept as it is when sign is 1 and it holds no zero, and is rebuilt once
+    otherwise.
     """
+    if den == 1:
+        buckets = []
+        for d, terms in enumerate(groups):
+            if terms:
+                if sign != 1 or 0 in terms.values():
+                    terms = {k: sign * c for k, c in terms.items() if c}
+                    if not terms:
+                        continue
+                buckets.append((d, terms))
+        return (1, buckets)
     g = 0
     for terms in groups:
         if terms:
@@ -518,12 +532,13 @@ def weierstrass_divide(g, f, z, val_bound=32):
     With f = a + z^n b, deg_z a < n, the loop starts from the solution delta
     of b delta = g / z^n, q = delta, and steps to the solution of
     b delta = -(delta a / z^n), q <- q + delta, where / z^n drops the terms
-    of z-degree below n.  Each step is one product (:func:`_mul_forms`) and
-    one triangular solve by the unit b (:func:`_solve`); b^-1, dense in the
-    window, is never formed.  The loop never builds a series: every form it
-    multiplies or solves with is in lowest terms, q accumulates in place,
-    per degree, over the lcm of the denominators of the deltas, and q
-    becomes a series once, at the end.
+    of z-degree below n.  The low part is read as -a once, so a step is one
+    product delta (-a) (:func:`_mul_forms`) and one triangular solve by the
+    unit b (:func:`_solve`), with no negation in between; b^-1, dense in
+    the window, is never formed.  The loop never builds a series: every
+    form it multiplies or solves with is in lowest terms, q accumulates in
+    place, per degree, over the lcm of the denominators of the deltas, and
+    q becomes a series once, at the end.
     """
     if type(val_bound) is not int or not 1 <= val_bound <= VAL_BOUND_MAX:
         raise InputError(f"val_bound must be an integer in 1..{VAL_BOUND_MAX}, got {val_bound!r}")
@@ -536,7 +551,7 @@ def weierstrass_divide(g, f, z, val_bound=32):
     cap = ring.degree_cap
     zi = ring.index_of(z)
     den_f, buckets_f = f._form
-    a = _lowest_terms(den_f, _z_part(cap, zi, n, buckets_f, False))
+    neg_a = _lowest_terms(den_f, _z_part(cap, zi, n, buckets_f, False), -1)
     b = _lowest_terms(den_f, _z_part(cap, zi, n, buckets_f, True))
     den_g, buckets_g = g._form
     delta = _solve(cap, b, _lowest_terms(den_g, _z_part(cap, zi, n, buckets_g, True)))
@@ -561,8 +576,8 @@ def weierstrass_divide(g, f, z, val_bound=32):
             break
         if i == max_iter:
             raise CheckFailure("weierstrass division failed to stabilize")
-        den, acc = _mul_forms(cap, a, delta)
-        delta = _solve(cap, b, _lowest_terms(den, _z_part(cap, zi, n, enumerate(acc), True)), -1)
+        den, acc = _mul_forms(cap, neg_a, delta)
+        delta = _solve(cap, b, _lowest_terms(den, _z_part(cap, zi, n, enumerate(acc), True)))
 
     q = MixedSeries._from_form(ring, _lowest_terms(q_den, q))
     den, remainder = (g - q * f)._form
@@ -570,8 +585,8 @@ def weierstrass_divide(g, f, z, val_bound=32):
     return WeierstrassResult(q, r, certified)
 
 
-def _solve(cap, fb, fy, sign=1):
-    """``sign`` times the solution x of b x = y, truncated at degree cap.
+def _solve(cap, fb, fy):
+    """The solution x of b x = y, truncated at degree cap.
 
     b and y are forms, b with a nonzero constant term n0/den_b.  Returns
     the form of x in lowest terms.  Let lo be the lowest degree of y, and
@@ -583,7 +598,9 @@ def _solve(cap, fb, fy, sign=1):
 
     so x has the numerators X_d den_b n0^(cap - d) over den_y n0^(cap - lo + 1).
     Each X_(d - k) meets the terms of B_k only: a sparse b costs as many
-    term pairs as it has terms, where b^-1 is dense in the window.
+    term pairs as it has terms, where b^-1 is dense in the window.  Where
+    n0^(d - lo) is 1 (at d = lo, and everywhere when n0 is 1 after the sign
+    flip), X_d starts from a copy of Y_d.
     """
     den_b, buckets_b = fb
     den_y, buckets_y = fy
@@ -591,14 +608,19 @@ def _solve(cap, fb, fy, sign=1):
         return (1, [])
     n0 = buckets_b[0][1][0]  # degree 0 holds the one key 0
     flip = -1 if n0 < 0 else 1  # x = -(y / -b) keeps the denominator positive
-    n0, sign = flip * n0, flip * sign
+    n0 = flip * n0
     rest = [(k, -flip * n0 ** (k - 1), terms.items()) for k, terms in buckets_b[1:]]
     lo = buckets_y[0][0]
     ys = dict(buckets_y)
     groups = [None] * (cap + 1)
     for d in range(lo, cap + 1):
         w = n0 ** (d - lo)
-        acc = {k: w * c for k, c in ys[d].items()} if d in ys else {}
+        if d not in ys:
+            acc = {}
+        elif w == 1:
+            acc = dict(ys[d])  # a copy: acc is written to below
+        else:
+            acc = {k: w * c for k, c in ys[d].items()}
         for k, wk, terms in rest:
             if d - k < lo:
                 break
@@ -613,7 +635,7 @@ def _solve(cap, fb, fy, sign=1):
         scale = den_b * n0 ** (cap - d)
         if scale != 1:
             groups[d] = {key: c * scale for key, c in groups[d].items()}
-    return _lowest_terms(den_y * n0 ** (cap - lo + 1), groups, sign)
+    return _lowest_terms(den_y * n0 ** (cap - lo + 1), groups, flip)
 
 
 # ---------------------------------------------------------------------------
@@ -705,22 +727,40 @@ def substitute(f, images):
     """Substitute variables by series with zero constant term (exact on window).
 
     A term n/den of f becomes n times the product of the powers of the
-    images over den.  The powers are products of forms, cached per
-    variable, and one :func:`_combine` sums the terms.
+    images over den.  The powers are products of forms, held per variable
+    in the tables of :func:`_power_caches`, and :func:`_substitute` sums
+    the terms.
     """
-    ring = f.ring
+    return _substitute(f, _power_caches(f.ring, images))
+
+
+def _power_caches(ring, images):
+    """The power tables of a substitution dict, after checking it.
+
+    Every name must be a variable of ``ring`` and every image a series of
+    ``ring`` with zero constant term.  ``tables[i][e]`` is the form of the
+    e-th power of the image of variable i (the variable itself where
+    ``images`` has none); each table starts with e = 0 and 1, and
+    :func:`_substitute` extends it as far as it needs, so a table passed to
+    several substitutions computes each power once.
+    """
     for name, img in images.items():
         ring.index_of(name)
         if img.ring != ring:
             raise InputError("substitution image in a different ring")
         if img.constant_term() != 0:
             raise InputError("substitution images must have zero constant term")
-    cap = ring.degree_cap
-    # powers[i][e] is the form of the e-th power of the image of variable i
-    powers = [
+    return [
         [_ONE, images[name]._form if name in images else MixedSeries.variable(ring, name)._form]
         for name in ring.variables
     ]
+
+
+def _substitute(f, powers):
+    """f with each variable replaced by its image, from the power tables of
+    :func:`_power_caches` on f's ring; the tables grow in place."""
+    ring = f.ring
+    cap = ring.degree_cap
     den, buckets = f._form
     pairs = []
     for _, terms in buckets:
@@ -754,6 +794,11 @@ def symmetric_descent(group, action):
     The same induction lets the generators prove an output u fixed: if
     sigma_c'(u) = u and sigma_s(u) = u, then sigma_c's(u) =
     sigma_c'(sigma_s(u)) = u.
+
+    Each element's substitution dict is checked and given its power table
+    (:func:`_power_caches`) once, when the homomorphism check reaches it;
+    both checks substitute through these tables, so each power of each
+    image is computed at most once per call.
     """
     ring = None
     for gid in range(group.order):
@@ -778,11 +823,15 @@ def symmetric_descent(group, action):
         if action[0][name] != ident[name]:
             raise InputError("identity element must act as the identity substitution")
     gens = group.generating_set()
+    # tables[a] holds the powers of the images of sigma_a for the whole call;
+    # a group without generators substitutes, and so checks, nothing
+    tables = []
     for a in range(group.order):
+        tables.append(_power_caches(ring, action[a]) if gens else None)
         for b in gens:
             ab = group.mult(a, b)
             for name in ring.variables:
-                composed = substitute(action[b][name], action[a])
+                composed = _substitute(action[b][name], tables[a])
                 if composed != action[ab][name]:
                     raise InputError(
                         "action is not a homomorphism within the window"
@@ -801,7 +850,7 @@ def symmetric_descent(group, action):
         outputs = esym[1:]
         for u in outputs:
             for gid in gens:
-                if substitute(u, action[gid]) != u:
+                if _substitute(u, tables[gid]) != u:
                     raise CheckFailure("descent generator is not action-invariant")
         results[name] = outputs
     return results

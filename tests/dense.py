@@ -25,7 +25,9 @@ check (``check_adapted_basis``, by determinant) that check the integer
 reductions ``ramcond.conductors`` runs them on.  The validating
 restriction (intersected chain, restricted omega dict, ``ram_data``) checks
 the literal restriction of the break function that ``ramcond.ramification``
-makes.  The full cube of associativity triples, the two-sided closure with
+makes, and the all-pairs exponent and commutator loop
+(``quotient_refusal``) checks the filtration quotients it reads on
+generators.  The full cube of associativity triples, the two-sided closure with
 its greedy generating sets (largest element order first, and ascending as a
 bound on its size), the closure-growth subgroup enumeration and the
 conjugation loops for classes and normality check the checks and
@@ -414,6 +416,38 @@ def wild_chain(rd):
     """The raw filtration Gamma_1, Gamma_2, ... as element tuples: Gamma_k holds the s with i(s) > k."""
     top = max(rd.breaks)
     return [(0,) + tuple(s for s in range(1, rd.group.order) if rd.breaks[s] > k) for k in range(1, top)]
+
+
+def quotient_refusal(group, p, chain):
+    """The message the all-pairs check refuses the filtration quotients of ``chain`` with; None if none.
+
+    ``chain`` lists Gamma_1, Gamma_2, ... as element iterables, normal and
+    descending, as ``ram_data`` reads them.  Where the step changes, every
+    element x of the step, in id order, must have x^p in the next distinct
+    step (or the trivial group past the end), and then commute with every
+    y of the step modulo it; "step k" is the last raw entry of the step.
+    """
+    runs = []  # [element set, index of its last entry]
+    for k, entry in enumerate(chain):
+        elements = tuple(sorted(set(entry)))
+        if runs and runs[-1][0] == elements:
+            runs[-1][1] = k
+        else:
+            runs.append([elements, k])
+    while runs and len(runs[-1][0]) == 1:
+        runs.pop()
+    bottoms = [set(h) for h, _ in runs[1:]] + [{0}]
+    for (top, last), bset in zip(runs, bottoms):
+        for x in top:
+            xp = x
+            for _ in range(p - 1):
+                xp = group.mult(xp, x)
+            if xp not in bset:
+                return f"filtration quotient at step {last + 1} has exponent > {p}"
+            for y in top:
+                if group.mult(group.conj(x, y), group.inv(y)) not in bset:
+                    return f"filtration quotient at step {last + 1} is not abelian"
+    return None
 
 
 def table_refusal(table):

@@ -381,6 +381,14 @@ def test_held_subgroup_data_equals_a_fresh_subgroup(name):
         assert held.is_normal() == fresh.is_normal() == dense.is_normal(fresh), (name, elems)
 
 
+def test_held_subgroup_id_map_is_read_only():
+    g = make_cyclic(6)
+    to_sub = subgroup(g, (0, 2, 4)).as_group()[1]
+    with pytest.raises(TypeError):
+        to_sub[2] = 99
+    assert subgroup(g, (4, 2, 0)).as_group()[1] == {0: 0, 2: 1, 4: 2}
+
+
 def test_regular_module_uses_the_held_trivial_subgroup():
     g = make_product(make_cyclic(2), make_cyclic(3))
     regular_module(g, 2)

@@ -221,6 +221,15 @@ def test_sparse_mul_reduces_to_lowest_terms():
     assert sparse_mul(form_of(third), form_of(((3, 0), (0, 1)))) == (3, ({0: 3}, {1: 1}))
 
 
+def test_sparse_mul_copies_a_unit_one_term_row():
+    # row 0 of A is e_1 and row 1 is 2 e_0: the first is a copy of B's row
+    # 1, a new dict, the second a scaled copy of row 0
+    b = form_of(((1, 2), (3, 0)))
+    product = sparse_mul(form_of(((0, 1), (2, 0))), b)
+    assert product == (1, ({0: 3}, {0: 2, 1: 4}))
+    assert product[1][0] == b[1][1] and product[1][0] is not b[1][1]
+
+
 def test_sparse_rows_is_one_form_per_matrix():
     ints = ((0, -1), (1, -1))
     oracle = dense.sparse_rows(dense.as_matrix(ints))

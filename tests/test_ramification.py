@@ -322,6 +322,61 @@ def test_ram_data_refusal_messages(case):
     assert str(exc.value) == message
 
 
+def dihedral8():
+    """D4 of order 8: r^a s^b as id 2a + b, with s r = r^-1 s."""
+    return make_from_table(
+        [[2 * ((a + (-1) ** b * c) % 4) + (b + d) % 2 for c in range(4) for d in range(2)]
+         for a in range(4) for b in range(2)]
+    )
+
+
+def test_quotient_checks_on_generators_accept_what_all_pairs_accept():
+    """Catalog and random data pass both the generator check of ``ram_data``
+    and the all-pairs oracle."""
+    rng = random.Random(24)
+    for rd in list(catalog()) + [random_ram_data(rng) for _ in range(60)]:
+        assert dense.quotient_refusal(rd.group, rd.p, dense.wild_chain(rd)) is None, rd.name
+
+
+@pytest.mark.parametrize(
+    "group, p, elementary",
+    [
+        (make_cyclic(8), 2, False),
+        (make_product(make_cyclic(2), make_cyclic(4)), 2, False),
+        (make_product(make_cyclic(2), make_cyclic(2)), 2, True),
+        (dihedral8(), 2, False),
+        (make_cyclic(9), 3, False),
+        (make_product(make_cyclic(3), make_cyclic(3)), 3, True),
+        (heisenberg_mod3(), 3, False),
+    ],
+    ids=["C8", "C2xC4", "C2xC2", "D4", "C9", "C3xC3", "Heis3"],
+)
+def test_quotient_checks_on_generators_refuse_what_all_pairs_refuse(group, p, elementary):
+    """Every descending chain of up to three normal subgroups from the whole
+    p-group: ``ram_data`` refuses a filtration quotient iff the all-pairs
+    oracle does, with the same message: cyclic steps fail on the exponent,
+    Heis3 on commutation, and on D4 the quotient of the whole group fails
+    both checks, where the least failing element, a reflection, names
+    commutation.  Only an elementary abelian group passes every chain."""
+    normal = [h for h in group.subgroups() if subgroup(group, h).is_normal()]
+    whole = tuple(range(group.order))
+    chains = [[whole]]
+    for _ in range(2):
+        chains += [c + [h] for c in chains if len(c) == len(chains[-1]) for h in normal
+                   if set(h) <= set(c[-1])]
+    refused = 0
+    for chain in chains:
+        expected = dense.quotient_refusal(group, p, chain)
+        if expected is None:
+            ram_data(group, p, chain, None)
+            continue
+        refused += 1
+        with pytest.raises(InputError) as exc:
+            ram_data(group, p, chain, None)
+        assert str(exc.value) == expected
+    assert bool(refused) != elementary
+
+
 @pytest.mark.parametrize("bad", [2.0, 2.5, True])
 def test_ram_data_chain_ids_must_be_ints(bad):
     # a float or bool id is refused, not truncated to an int

@@ -509,10 +509,10 @@ def test_weierstrass_series_products_do_not_grow_with_iterations(monkeypatch):
         counts["kernel"] += 1
         return kernel(cap, fa, fb)
 
-    def counting_solve(cap, fb, fy, sign=1):
+    def counting_solve(cap, fb, fy):
         assert _in_lowest_terms(fb) and _in_lowest_terms(fy)
         counts["solve"] += 1
-        return solve(cap, fb, fy, sign)
+        return solve(cap, fb, fy)
 
     def counting_from_form(cls, ring, form):
         counts["built"] += 1
@@ -582,14 +582,60 @@ def test_solve_by_a_unit_matches_the_inverse_oracle(data):
     expo = st.tuples(*(st.integers(0, cap) for _ in range(nvars))).filter(lambda e: sum(e) <= cap)
     coeff = st.fractions(min_value=-50, max_value=50, max_denominator=30)
     y = MixedSeries(ring, data.draw(st.dictionaries(expo, coeff, max_size=5)))
-    for rhs, sign in ((y, 1), (y, -1), (MixedSeries.const(ring, 1), 1)):
-        form = series._solve(cap, b._form, rhs._form, sign)
+    for rhs in (y, -y, MixedSeries.const(ring, 1)):
+        form = series._solve(cap, b._form, rhs._form)
         x = MixedSeries._from_form(ring, form)
-        assert b * x == rhs * sign
+        assert b * x == rhs
         assert_form(x)
         assert gauss_valuation(x) == dense.gauss_valuation(x)
         assert_clean(x)
     assert x == dense.unit_inverse(b)
+
+
+def lowest_terms_by_gcd(den, groups, sign):
+    """The reduction of ``series._lowest_terms`` with the gcd taken at every den."""
+    g = gcd(*[c for terms in groups if terms for c in terms.values()])
+    if not g:
+        return (1, [])
+    h = gcd(den, g)
+    buckets = [(d, {k: sign * c // h for k, c in terms.items() if c}) for d, terms in enumerate(groups) if terms]
+    return (den // h, [(d, terms) for d, terms in buckets if terms])
+
+
+groups_at_den_one = st.lists(
+    st.none() | st.dictionaries(st.integers(0, 50), st.integers(-6, 6), max_size=4), max_size=6
+)
+
+
+@given(groups_at_den_one, st.sampled_from([1, -1]))
+@settings(max_examples=200, deadline=None)
+def test_lowest_terms_at_den_one_skips_only_the_gcd(groups, sign):
+    """Over den = 1 the reduction equals the gcd path, zero numerators,
+    sign -1 and all-zero degrees included, and keeps the dict of a degree
+    with no zero numerator at sign 1."""
+    expected = lowest_terms_by_gcd(1, [terms and dict(terms) for terms in groups], sign)
+    den, buckets = series._lowest_terms(1, groups, sign)
+    assert (den, buckets) == expected
+    for d, terms in buckets:
+        assert (terms is groups[d]) == (sign == 1 and 0 not in groups[d].values())
+
+
+@given(st.data(), st.sampled_from([1, -1]))
+@settings(max_examples=80, deadline=None)
+def test_solve_by_a_unit_with_constant_numerator_one(data, c0):
+    """A unit whose constant numerator is 1 or -1 over its denominator: the
+    solve starts each degree from a copy of y and still gives the oracle's
+    b^-1, and b x = y."""
+    b = data.draw(unit_case())
+    ring, cap = b.ring, b.ring.degree_cap
+    b = b - b.constant_term() + Fraction(c0, b._form[0])
+    assert b._form[1][0][1][0] == c0
+    form = series._solve(cap, b._form, MixedSeries.const(ring, 1)._form)
+    assert MixedSeries._from_form(ring, form) == dense.unit_inverse(b)
+    y = b * b + MixedSeries.const(ring, 3)
+    x = MixedSeries._from_form(ring, series._solve(cap, b._form, y._form))
+    assert b * x == y and x == b + MixedSeries.const(ring, 3) * dense.unit_inverse(b)
+    assert_form(x)
 
 
 def test_unit_inverse_rejects_vanishing_constant_term():
@@ -919,19 +965,51 @@ def test_symmetric_descent_refuses_a_wrong_substitution(element):
 
 def test_symmetric_descent_substitutes_on_the_generators_only(monkeypatch):
     group, action, _ = _cyclic_shift_c3()
-    calls = []
-    real = series.substitute
+    calls, tables = [], []
+    real_substitute, real_tables = series._substitute, series._power_caches
 
-    def counting(f, images):
-        calls.append(images)
-        return real(f, images)
+    def counting(f, powers):
+        calls.append(powers)
+        return real_substitute(f, powers)
 
-    monkeypatch.setattr(series, "substitute", counting)
+    def recording(ring, images):
+        table = real_tables(ring, images)
+        tables.append((images, table))
+        return table
+
+    monkeypatch.setattr(series, "_substitute", counting)
+    monkeypatch.setattr(series, "_power_caches", recording)
     symmetric_descent(group, action)
     # 3 elements x 1 generator x 3 variables for the homomorphism, and
     # 3 variables x 3 outputs x 1 generator for the invariance
     assert len(calls) == 18
-    assert all(images is action[1] for images in calls[9:])
+    assert len(tables) == 3 and all(images is action[a] for a, (images, _) in enumerate(tables))
+    assert all(powers is tables[1][1] for powers in calls[9:])
+
+
+def test_symmetric_descent_grows_each_power_table_once(monkeypatch):
+    """C2 acting by X -> (1 + X)^-1 - 1 at cap 16.  The image has every
+    degree 1..16, so the homomorphism check grows the table of each element
+    to X^16 (15 products each); the invariance check substitutes the two
+    outputs into the table of element 1, which holds every power already,
+    and the elementary symmetric expansion takes 3 products."""
+    ring = SeriesRingSpec(2, s_vars=("X",), degree_cap=16)
+    x = MixedSeries.variable(ring, "X")
+    inverse = endo_apply(-1, x)
+    action = {0: {"X": x}, 1: {"X": inverse}}
+    kernel = series._mul_forms
+    calls = []
+
+    def counting(cap, fa, fb):
+        calls.append(1)
+        return kernel(cap, fa, fb)
+
+    monkeypatch.setattr(series, "_mul_forms", counting)
+    result = symmetric_descent(make_cyclic(2), action)
+    assert len(calls) == 2 * 15 + 3
+    monkeypatch.undo()
+    assert result["X"] == [x + inverse, x * inverse]
+    assert substitute(x * inverse, action[1]) == x * inverse
 
 
 def test_kernel_never_reads_the_coefficient_view(monkeypatch):
@@ -971,6 +1049,35 @@ def test_kernel_never_reads_the_coefficient_view(monkeypatch):
     assert results[7] == 5
     assert results[8] == dense.gauss_valuation(g)
     assert results[9] == [dense.dilatation_member(disc, n) for n in range(4)]
+
+
+def test_results_share_no_dict_with_their_inputs():
+    """``_lowest_terms`` keeps the dicts it is given, which is safe only while
+    every caller hands it dicts it has just built: no result of a product,
+    sum, substitution, descent, division or [r] holds a dict of an input
+    form, on integral series (den 1) where the kept path runs."""
+    z, s = zvar(), zvar("S")
+    f = z**3 + 2 * z * z + 2 * s * z + 2
+    g = z**4 + s * z**3 - 1
+    t = MixedSeries.variable(ENDO2, "T")
+    target = t + t * t * 3
+    ring = SeriesRingSpec(3, s_vars=("a", "b"), degree_cap=6)
+    a, b = MixedSeries.variable(ring, "a"), MixedSeries.variable(ring, "b")
+    action = {0: {"a": a, "b": b}, 1: {"a": b, "b": a}}
+    one = MixedSeries.const(WRING, 1)
+    inputs = [f, g, z, s, t, target, a, b, one]
+    division = weierstrass_divide(g, z, "Z", 8)
+    results = [
+        f * g, f * one, one * f, f + g, f + 0, f - 0, f * 1, -f,
+        substitute(g, {"Z": z, "S": s}), substitute(g, {"Z": z + s * z}),
+        *symmetric_descent(make_cyclic(2), action)["a"],
+        *weierstrass_divide(g, f, "Z", 8)[:2], *division[:2],
+        endo_apply(1, target), endo_apply(-1, target),
+    ]
+    assert division.q == z**3 + s * z * z and division.r == MixedSeries.const(WRING, -1)
+    held = {id(terms) for x in inputs for _, terms in x._form[1]}
+    for x in results:
+        assert not any(id(terms) in held for _, terms in x._form[1]), x
 
 
 @pytest.mark.parametrize(
