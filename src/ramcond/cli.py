@@ -282,8 +282,15 @@ def cmd_series(args):
     return 0
 
 
+class _Parser(argparse.ArgumentParser):
+    """Usage errors are InputErrors, which :func:`main` reports on one line; subparsers share it."""
+
+    def error(self, message):
+        raise InputError(message)
+
+
 def build_parser():
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="ramcond",
         description="Exact ramification invariants and base change conductors.",
     )
@@ -339,18 +346,16 @@ def build_parser():
 
 
 def main(argv=None):
-    parser = build_parser()
     try:
-        args = parser.parse_args(argv)
-    except SystemExit as exc:
-        return 2 if exc.code not in (0, None) else 0
-    try:
+        args = build_parser().parse_args(argv)
         if not 0 <= args.decimal_digits <= MAX_DECIMAL_DIGITS:
             raise InputError(
                 f"--decimal-digits must be between 0 and {MAX_DECIMAL_DIGITS}, "
                 f"got {args.decimal_digits}"
             )
         return args.fn(args)
+    except SystemExit as exc:  # --help; a usage error is an InputError
+        return 2 if exc.code not in (0, None) else 0
     except InputError as exc:
         print(f"error: invalid input: {exc}", file=sys.stderr)
         return 2

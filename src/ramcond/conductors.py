@@ -18,11 +18,11 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from math import lcm, prod
+from math import gcd, lcm, prod
 
 from .characters import check_forms, induce, pair, trace_forms
 from .errors import CheckFailure, InputError
-from .exact import p_valuation
+from .exact import _check_int, is_prime, p_valuation
 from .groups import Subgroup, element_ids, subgroup
 from .linalg import (
     echelon_coords,
@@ -103,7 +103,7 @@ class CharModule:
         forms = check_forms(group, forms)
         object.__setattr__(self, "name", name)
         object.__setattr__(self, "group", group)
-        object.__setattr__(self, "p", int(p))
+        object.__setattr__(self, "p", p)
         object.__setattr__(self, "rank", len(forms[0][1]))
         object.__setattr__(self, "forms", forms)
         object.__setattr__(self, "_action", None)
@@ -131,7 +131,10 @@ class CharModule:
 
 
 def _check_p_integral(forms, p):
-    """Refuse an action with an entry that is not p-integral, naming the first in row-major order."""
+    """Refuse a p that is not a prime ``int``, then the first entry (row-major) not p-integral."""
+    _check_int(p, "module prime")
+    if not is_prime(p):
+        raise InputError(f"module prime {p} is not prime")
     for den, rows in forms.values():
         # p divides the common denominator iff it divides some entry's
         if rows and p_valuation(den, p) > 0:
@@ -168,6 +171,8 @@ def module_from_generators(name, group, p, gen_action):
 
 
 def trivial_module(group, p, rank=1, name=None):
+    if type(rank) is not int or rank < 0:
+        raise InputError(f"trivial module rank must be a non-negative int, got {rank!r}")
     ident = identity_form(rank)
     return CharModule._from_forms(
         name or f"trivial:{rank}", group, p, {g: ident for g in (0, *group.generating_set())}
@@ -366,7 +371,7 @@ def _check_idempotent(m, e):
 
 
 def _kernels(form):
-    """The image and kernel lattices of E: integer kernels of 1 - E and E, with left inverses.
+    """The image and kernel lattices of E on Hermite bases: integer kernels of 1 - E and E.
 
     They are read on ``den * (1 - E)`` and ``den * E``, whose integer rows
     have the kernels of 1 - E and E.
@@ -378,17 +383,21 @@ def _kernels(form):
     return integer_kernel(one_minus_e), integer_kernel(e)
 
 
-def _summand(m, name, basis, left):
-    """The module on the stable lattice with rows ``basis``: g acts by ``left M(g) basis^T``.
+def _summand(m, name, basis):
+    """The module on the saturated stable lattice with Hermite rows ``basis``.
 
-    ``left`` reads coordinates on the basis, so column i is the image of basis vector i.
+    Column i of g's matrix holds the coordinates of M(g) b_i on the basis:
+    those of den * M(g) b_i, read by :func:`~ramcond.linalg.echelon_coords`,
+    over den.  den * M(g) is integral and keeps the rational span, so it
+    keeps the saturated lattice and those coordinates are integers.
     """
-    left, _ = read_matrix(left)
-    cols = 1, tuple([{i: v[k] for i, v in enumerate(basis) if v[k]} for k in range(m.rank)])
-    forms = {
-        g: sparse_mul(sparse_mul(left, m.forms[g]), cols)
-        for g in (0, *m.group.generating_set())
-    }
+    forms = {0: identity_form(len(basis))}
+    for g in m.group.generating_set():
+        den, _ = form = m.forms[g]
+        cols = [[c.numerator for c in echelon_coords(basis, _apply(form, b))] for b in basis]
+        k = gcd(den, *[x for col in cols for x in col])
+        rows = [{i: x // k for i, x in enumerate(row) if x} for row in zip(*cols)]
+        forms[g] = den // k, tuple(rows)
     return CharModule._from_forms(name, m.group, m.p, forms)
 
 
@@ -396,14 +405,15 @@ def split_idempotent(m, e):
     """Split a module along an equivariant idempotent into saturated summands.
 
     The image and kernel lattices are the full integer kernels of (1 - E) and
-    E, hence saturated; their ranks add to the module rank and their
-    characters add to the module character (asserted).
+    E, hence saturated; each summand acts on the lattice's Hermite basis.
+    Their ranks add to the module rank and their characters add to the
+    module character (asserted).
     """
-    (plus_rows, plus_left), (minus_rows, minus_left) = _kernels(_check_idempotent(m, e))
+    plus_rows, minus_rows = _kernels(_check_idempotent(m, e))
     if len(plus_rows) + len(minus_rows) != m.rank:
         raise CheckFailure("idempotent split ranks do not add up")
-    m_plus = _summand(m, f"{m.name}.plus", plus_rows, plus_left)
-    m_minus = _summand(m, f"{m.name}.minus", minus_rows, minus_left)
+    m_plus = _summand(m, f"{m.name}.plus", plus_rows)
+    m_minus = _summand(m, f"{m.name}.minus", minus_rows)
     if module_character(direct_sum(m_plus, m_minus)) != module_character(m):
         raise CheckFailure("split characters do not add to the module character")
     return m_plus, m_minus
@@ -440,7 +450,7 @@ def adapt_lattice(m, e, precision=8, within=None):
     if not m.is_integral():
         raise InputError("adapt_lattice expects an integral module action")
     d = m.rank
-    gens = [v for rows, _ in _kernels(e_form) for v in rows]
+    gens = [v for rows in _kernels(e_form) for v in rows]
     if within is not None:
         within = _integer_rows(within, "within")
         if any(len(row) != d for row in within):

@@ -42,9 +42,10 @@ __all__ = [
 PRIME_BOUND = 2**32
 
 
-@lru_cache(maxsize=256)
+@lru_cache(maxsize=256, typed=True)  # typed: 3.0 is refused, not read as the 3 held
 def is_prime(n):
-    """Primality by trial division; ``n >= PRIME_BOUND`` is an ``InputError``."""
+    """Primality by trial division; a non-``int`` or ``n >= PRIME_BOUND`` is an ``InputError``."""
+    _check_int(n, "is_prime: n")
     if n >= PRIME_BOUND:
         raise InputError(f"{n} is too large: primes must be below 2**32")
     if n < 2:
@@ -78,6 +79,7 @@ def p_valuation(x, p):
 
 
 def euler_phi(n):
+    _check_int(n, "euler_phi: n")
     if n < 1:
         raise InputError("euler_phi: n must be positive")
     result = n
@@ -104,6 +106,7 @@ def cyclotomic_polynomial(n):
     X^n - 1 by each lower Phi_d in turn, exactly over the integers because
     every Phi_d is monic, and memoized (the cache is a pure idempotent map).
     """
+    _check_int(n, "cyclotomic_polynomial: n")
     if n < 1:
         raise InputError("cyclotomic_polynomial: n must be positive")
     cached = _CYCLOTOMIC_CACHE.get(n)
@@ -224,7 +227,7 @@ def _check_level(level):
 
 
 def _check_int(x, what):
-    """Refuse an exponent that is not an ``int`` (a ``bool`` or a ``float`` is not), naming it."""
+    """Refuse a value that is not an ``int`` (a ``bool`` or a ``float`` is not), naming it."""
     if type(x) is not int:
         raise InputError(f"{what} must be an int, got {x!r}")
 

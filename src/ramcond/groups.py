@@ -18,6 +18,7 @@ from math import gcd
 from types import MappingProxyType
 
 from .errors import InputError
+from .exact import _check_int
 
 __all__ = [
     "FiniteGroup",
@@ -251,6 +252,7 @@ class FiniteGroup:
 
 def make_cyclic(n):
     """Cyclic group of order n; element 1 generates and ids are its powers."""
+    _check_int(n, "cyclic group order")
     if n < 1:
         raise InputError("cyclic group order must be positive")
     table = tuple([tuple([(i + j) % n for j in range(n)]) for i in range(n)])
@@ -284,6 +286,8 @@ def make_symmetric(n):
     """Symmetric group on n letters with the identity first."""
     import itertools
 
+    if type(n) is not int or n < 0:
+        raise InputError(f"symmetric group degree must be a non-negative int, got {n!r}")
     perms = sorted(itertools.permutations(range(n)))
     index = {p: i for i, p in enumerate(perms)}
     table = tuple([

@@ -8,9 +8,9 @@ matrix product, :func:`sparse_mul`, works on that form, so products cost
 O(nonzeros), a one-term row is a scaled copy of a row, and forms compare
 with ``==``.  Module actions are stored in this form; their dense
 ``Fraction`` view (:func:`from_sparse`) is built only when something reads
-it.  The lattice routines are integer reductions: unimodular column
-reduction for kernels (with a left inverse), row reduction to a Hermite
-basis, and one triangular pass for coordinates on that basis.
+it.  The lattice routines rest on one integer reduction, row reduction to a
+Hermite basis; kernels are read off it, so they come on Hermite bases too,
+and one triangular pass gives coordinates on such a basis.
 """
 
 from __future__ import annotations
@@ -104,46 +104,18 @@ def from_sparse(form):
     return tuple([tuple([Fraction(row[j], den) if j in row else zero for j in n]) for row in rows])
 
 
-def _int_rows(a):
-    """The rows of ``den * A`` as integer lists (kernel and row span are unchanged), and the width."""
-    (_, rows), width = read_matrix(a)
-    cols = range(width)
-    return [[row.get(j, 0) for j in cols] for row in rows], width
-
-
 def integer_kernel(a):
-    """Basis of {x in Z^d : A x = 0} for a rational matrix A, with a left inverse.
+    """Hermite basis of the full (saturated) integer kernel {x in Z^d : A x = 0} of a rational A.
 
-    Unimodular column reduction A U; the columns of U over the columns of
-    A U that vanish span the full (saturated) integer kernel, not merely a
-    finite-index sublattice.  Returns ``(kernel, left)``: those columns of U
-    and the matching rows of U^-1, so ``left`` sends each x in the span of
-    the kernel to its coordinates there.
+    Row c of ``[den A^T | I_d]`` pairs column c of ``den * A`` with e_c.  Row
+    reduction is unimodular, so the e-parts of the last Hermite rows, those
+    whose A-part vanishes, are a Hermite basis of the kernel (Cohen, *A Course
+    in Computational Algebraic Number Theory*, 2.4).
     """
-    m, d = _int_rows(a)
-    nrows = len(m)
-    # columns of A paired with columns of the unimodular transform, and rows of its inverse
-    acols = [[m[r][c] for r in range(nrows)] for c in range(d)]
-    ucols = [[1 if i == c else 0 for i in range(d)] for c in range(d)]
-    urows = [[1 if i == c else 0 for i in range(d)] for c in range(d)]
-    active = list(range(d))
-    for r in range(nrows):
-        live = [j for j in active if acols[j][r] != 0]
-        while len(live) > 1:
-            live.sort(key=lambda j: abs(acols[j][r]))
-            piv = live[0]
-            pv = acols[piv][r]
-            for j in live[1:]:
-                q = acols[j][r] // pv
-                if q:
-                    acols[j] = [x - q * y for x, y in zip(acols[j], acols[piv])]
-                    ucols[j] = [x - q * y for x, y in zip(ucols[j], ucols[piv])]
-                    # col j -= q * col piv on U is row piv += q * row j on its inverse
-                    urows[piv] = [x + q * y for x, y in zip(urows[piv], urows[j])]
-            live = [j for j in live if acols[j][r] != 0]
-        if live:
-            active.remove(live[0])
-    return tuple([tuple(ucols[j]) for j in active]), tuple([tuple(urows[j]) for j in active])
+    (_, rows), d = read_matrix(a)
+    n, cols = len(rows), range(d)
+    h = hnf_rows([[row.get(c, 0) for row in rows] + [int(i == c) for i in cols] for c in cols])
+    return tuple([row[n:] for row in h if not any(row[:n])])
 
 
 def _int_vector(v):

@@ -16,7 +16,7 @@ from math import gcd
 
 from .characters import ClassFunction
 from .errors import CheckFailure, InputError
-from .exact import _inverse_zeta_minus_one_row, euler_phi, is_prime
+from .exact import _check_int, _inverse_zeta_minus_one_row, euler_phi, is_prime
 from .groups import FiniteGroup, Subgroup, element_ids, subgroup
 
 __all__ = [
@@ -85,6 +85,7 @@ def ram_data(group, p, wild_chain, omega, name=""):
     (see :func:`_quotient_refusal`), and the message of a refused step
     comes from all its elements.  A message's "step k" counts raw entries.
     """
+    _check_int(p, "residue characteristic")
     if not is_prime(p):
         raise InputError(f"residue characteristic {p} is not prime")
     runs = []  # [subgroup, number of entries, index of its last entry]
@@ -204,6 +205,8 @@ def ram_data(group, p, wild_chain, omega, name=""):
 
 def i_gamma(rd, s):
     """The break function: 1 + number of wild chain steps containing s."""
+    if type(s) is not int or not 0 <= s < rd.group.order:
+        raise InputError(f"element id must be an int in 0..{rd.group.order - 1}, got {s!r}")
     if s == 0:
         raise InputError("the break function is not finite at the identity")
     return rd.breaks[s]

@@ -437,7 +437,7 @@ def _valuation(p, den, buckets):
     g = 0
     for _, terms in buckets:
         g = gcd(g, *terms.values())
-    return p_valuation(Fraction(g, den), p)
+    return p_valuation(g, p) - p_valuation(den, p)
 
 
 def gauss_valuation(f):

@@ -22,7 +22,9 @@ inverses by.  Gauss-Jordan elimination (``rref``, ``solve``, ``det``) with
 split (``split_actions``, one rational solve per element and basis vector),
 lattice adaptation (``adapt_lattice``, ``adapt_lattice_pair``) and basis
 check (``check_adapted_basis``, by determinant) that check the integer
-reductions ``ramcond.conductors`` runs them on.  The validating
+reductions ``ramcond.conductors`` runs them on; their kernels come from a
+unimodular column reduction (``column_kernel``), which checks the kernels
+that ``ramcond.linalg`` reads off a Hermite basis.  The validating
 restriction (intersected chain, restricted omega dict, ``ram_data``) checks
 the literal restriction of the break function that ``ramcond.ramification``
 makes, and the all-pairs exponent and commutator loop
@@ -45,7 +47,7 @@ from ramcond.characters import ClassFunction
 from ramcond.errors import CheckFailure, InputError
 from ramcond.exact import CycloNum, p_valuation
 from ramcond.groups import subgroup
-from ramcond.linalg import hnf_rows, integer_kernel
+from ramcond.linalg import hnf_rows
 from ramcond.ramification import i_gamma, ram_data
 from ramcond.series import (
     VAL_BOUND_MAX,
@@ -213,10 +215,40 @@ def mat_inv(a):
     return tuple(row[n:] for row in red)
 
 
+def column_kernel(a):
+    """Basis of the saturated kernel {x in Z^d : A x = 0}, by unimodular column reduction.
+
+    Each row of A is cleared of its own denominators; then A U is reduced
+    column by column, and the columns of U over the columns of A U that
+    vanish span the full integer kernel.
+    """
+    m = []
+    for row in as_matrix(a):
+        den = lcm(*[x.denominator for x in row])
+        m.append([int(x * den) for x in row])
+    d = len(m[0]) if m else 0
+    acols = [[row[c] for row in m] for c in range(d)]
+    ucols = [[int(i == c) for i in range(d)] for c in range(d)]
+    active = list(range(d))
+    for r in range(len(m)):
+        live = [j for j in active if acols[j][r] != 0]
+        while len(live) > 1:
+            live.sort(key=lambda j: abs(acols[j][r]))
+            piv = live[0]
+            for j in live[1:]:
+                q = acols[j][r] // acols[piv][r]
+                acols[j] = [x - q * y for x, y in zip(acols[j], acols[piv])]
+                ucols[j] = [x - q * y for x, y in zip(ucols[j], ucols[piv])]
+            live = [j for j in live if acols[j][r] != 0]
+        if live:
+            active.remove(live[0])
+    return tuple([tuple(ucols[j]) for j in active])
+
+
 def _kernel_gens(e):
-    """Integer kernels of 1 - E and E, from the kernel part of ``integer_kernel``."""
+    """Hermite bases of the integer kernels of 1 - E and E, by :func:`column_kernel`."""
     ident = identity_matrix(len(e))
-    return integer_kernel(mat_sub(ident, e))[0], integer_kernel(e)[0]
+    return hnf_rows(column_kernel(mat_sub(ident, e))), hnf_rows(column_kernel(e))
 
 
 def restricted_action(m, basis_rows):

@@ -1,7 +1,11 @@
+import contextlib
+import io
 import json
 import os
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from ramcond.cli import main
 from ramcond.conductors import induction_formula
@@ -239,6 +243,29 @@ def test_bad_flag_values_exit_2(capsys, argv):
     assert captured.out == ""
     assert captured.err.startswith("error: invalid input:")
     assert captured.err.count("\n") == 1
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["series", "gauss", "S", "--p", "foo"],
+        ["--decimal-digits", "x", "bisect", "F"],
+        ["bisect"],
+        ["nosuch"],
+        ["verify", "--random", "1"],
+    ],
+)
+def test_usage_errors_exit_2_on_one_line(capsys, argv):
+    assert main(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: invalid input:")
+    assert captured.err.count("\n") == 1
+
+
+def test_help_exits_0(capsys):
+    assert main(["--help"]) == 0
+    assert capsys.readouterr().out.startswith("usage: ramcond")
 
 
 def load_json(name):
@@ -479,3 +506,63 @@ def test_decimal_digits_flag(capsys):
     )
     assert code == 0
     assert report["tables"]["bisection"][1]["bA_decimal"] == "-0.500-0.289i"
+
+
+# The fuzz pool: JSON values of every kind, at sizes the scenario budgets must refuse.
+FUZZ_POOL = [
+    None, True, False,
+    0, 1, -1, 2, 3, 7, 64, 10**6, 10**30, -(10**30),
+    0.0, 0.5, 1.0, -2.5, 1e300,
+    "", "0", "1/2", "x", "ζ_3", "\x00", "p^-9999*S", "Z^3", "9" * 400,
+    [], [[]], [0], [0, 1], [[0, 1], [1, 0]], [None, "1"], [[[[0]]]],
+    {}, {"": None}, {"cyclic": 3}, {"1": [["1"]]}, {"a": {"b": [{}]}},
+]
+SCENARIO_DOCS = [load_json(name) for name in sorted(os.listdir(SCENARIOS))]
+
+
+def _node_paths(node, path=()):
+    """Paths (key and index tuples) of every node below the root."""
+    items = ()
+    if isinstance(node, dict):
+        items = node.items()
+    elif isinstance(node, list):
+        items = enumerate(node)
+    for key, child in items:
+        yield path + (key,)
+        yield from _node_paths(child, path + (key,))
+
+
+def _replace(doc, path, value):
+    """A copy of ``doc`` with the node at ``path`` replaced by ``value``."""
+    if not path:
+        return value
+    doc = doc.copy()
+    doc[path[0]] = _replace(doc[path[0]], path[1:], value)
+    return doc
+
+
+@st.composite
+def mutated_scenarios(draw):
+    doc = draw(st.sampled_from(SCENARIO_DOCS))
+    for _ in range(draw(st.integers(1, 2))):
+        paths = list(_node_paths(doc))
+        if not paths:
+            break
+        doc = _replace(doc, draw(st.sampled_from(paths)), draw(st.sampled_from(FUZZ_POOL)))
+    return doc
+
+
+@given(mutated_scenarios(), st.sampled_from(["bisect", "conduct", "weil", "series"]), st.booleans())
+@settings(max_examples=300, deadline=None)
+def test_fuzzed_scenarios_keep_the_exit_contract(tmp_path_factory, doc, command, as_json):
+    path = tmp_path_factory.getbasetemp() / "fuzzed-scenario.json"
+    path.write_text(json.dumps(doc), encoding="utf-8")
+    argv = ["--json"] * as_json + (["series", "run"] if command == "series" else [command])
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = main(argv + [str(path)])
+    assert code in (0, 1, 2), (doc, argv)
+    if code == 2:
+        assert out.getvalue() == "", (doc, argv)
+        assert err.getvalue().startswith("error: invalid input:"), (doc, argv)
+        assert err.getvalue().count("\n") == 1, (doc, argv)

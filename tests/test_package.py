@@ -1,6 +1,7 @@
 import ast
 import importlib
 import pkgutil
+import re
 import sys
 from pathlib import Path
 
@@ -181,3 +182,31 @@ def test_module_caches_are_the_known_ones():
         ("exact", "_TAME_ROW_CACHE"),
         ("exact", "_ZETA_POWER_CACHE"),
     }
+
+
+_C4 = ramcond.make_cyclic(4)
+_C4_RD = ramcond.ram_data(_C4, 2, [range(4), (0, 2)], None)
+_WRONG_TYPES = [
+    ("make_cyclic", lambda: ramcond.make_cyclic(2.0), "2.0"),
+    ("make_cyclic-bool", lambda: ramcond.make_cyclic(True), "True"),
+    ("make_symmetric", lambda: ramcond.make_symmetric(3.0), "3.0"),
+    ("make_symmetric-negative", lambda: ramcond.make_symmetric(-1), "-1"),
+    ("cyclotomic_polynomial", lambda: ramcond.cyclotomic_polynomial(4.0), "4.0"),
+    ("trivial_module-rank", lambda: ramcond.trivial_module(_C4, 3, rank=2.0), "2.0"),
+    ("trivial_module-negative", lambda: ramcond.trivial_module(_C4, 3, rank=-1), "-1"),
+    ("i_gamma", lambda: ramcond.i_gamma(_C4_RD, 1.0), "1.0"),
+    ("i_gamma-range", lambda: ramcond.i_gamma(_C4_RD, -1), "-1"),
+    ("ram_data", lambda: ramcond.ram_data(_C4, 2.0, [range(4), (0, 2)], None), "2.0"),
+    ("is_prime", lambda: ramcond.is_prime(3.0), "3.0"),
+    ("euler_phi", lambda: ramcond.euler_phi(4.0), "4.0"),
+    ("module-prime", lambda: ramcond.trivial_module(_C4, 2.5, rank=0), "2.5"),
+    ("module-prime-composite", lambda: ramcond.trivial_module(_C4, 4, rank=0), "4"),
+]
+
+
+@pytest.mark.parametrize(
+    "call, shown", [c[1:] for c in _WRONG_TYPES], ids=[c[0] for c in _WRONG_TYPES]
+)
+def test_public_readers_refuse_a_wrong_type_naming_it(call, shown):
+    with pytest.raises(ramcond.InputError, match=re.escape(shown)):
+        call()

@@ -166,9 +166,12 @@ def test_every_operation_returns_a_canonical_form(case):
 @settings(max_examples=100, deadline=None)
 def test_valuations_match_the_per_coefficient_oracles(case, n):
     """The Gauss valuation of a form and the dilatation test by degree
-    bucket equal the minimum and the test over every coefficient."""
+    bucket equal the minimum and the test over every coefficient, read as
+    v_p(gcd of numerators) - v_p(den): p in the denominator, p in every
+    numerator, and the zero series (+infinity)."""
     f, g = case
-    for h in (f, g, f * g, f + g, f * Fraction(1, f.ring.p)):
+    p = f.ring.p
+    for h in (f, g, f * g, f + g, f * Fraction(1, p), f * p**2, f - f):
         assert gauss_valuation(h) == dense.gauss_valuation(h)
         assert dilatation_member(h, n) == dense.dilatation_member(h, n)
 
