@@ -49,7 +49,6 @@ from .groups import (
     Subgroup,
     conjugacy_classes,
     make_cyclic,
-    make_from_table,
     make_product,
     make_symmetric,
     subgroup,

@@ -133,16 +133,14 @@ def _wild_options(p):
     ]
 
 
-def random_ram_data(rng, max_order=24):
-    """A random structurally valid chain on a product group of order <= max_order."""
+def random_ram_data(rng):
+    """A random structurally valid chain on a product group of order <= 24."""
     p = rng.choice([2, 3])
     options = _wild_options(p)
     build, chains = options[rng.randrange(len(options))]
     wild = build()
     w = wild.order
-    tame_choices = [
-        n for n in range(1, max_order + 1) if n * w <= max_order and n % p != 0
-    ]
+    tame_choices = [n for n in range(1, 24 // w + 1) if n % p != 0]
     n = rng.choice(tame_choices)
     chain = [list(c) for c in chains[rng.randrange(len(chains))]]
     # repeat steps to encode equal consecutive filtration groups

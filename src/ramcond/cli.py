@@ -59,6 +59,13 @@ def _headers(table):
 
 
 def _emit(report, args):
+    tables = [t for t in report["tables"].values() if t]
+    fh = None
+    if args.csv and tables:  # opened before anything prints, so a refusal prints nothing
+        try:
+            fh = open(args.csv, "w", newline="", encoding="utf-8")
+        except OSError as exc:
+            raise InputError(f"cannot write CSV file {args.csv}: {exc.strerror}") from None
     if args.json:
         print(json.dumps(report, sort_keys=True, indent=2, ensure_ascii=False))
     else:
@@ -87,14 +94,12 @@ def _emit(report, args):
                 if check.get("rhs") is not None:
                     extra += f" rhs={check['rhs']}"
             print(f"check {check['name']}: {status}{extra}")
-    if args.csv:
-        tables = [t for t in report["tables"].values() if t]
-        if tables:
-            with open(args.csv, "w", newline="", encoding="utf-8") as fh:
-                writer = csv.DictWriter(fh, fieldnames=_headers(tables[0]), restval="")
-                writer.writeheader()
-                for row in tables[0]:
-                    writer.writerow(row)
+    if fh is not None:
+        with fh:
+            writer = csv.DictWriter(fh, fieldnames=_headers(tables[0]), restval="")
+            writer.writeheader()
+            for row in tables[0]:
+                writer.writerow(row)
 
 
 def _check(report, name, ok, lhs=None, rhs=None):

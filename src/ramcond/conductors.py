@@ -62,8 +62,8 @@ class CharModule:
 
     The action is stored as ``forms``: each element's matrix in its
     :func:`~ramcond.linalg.read_matrix` form, integer rows over the least
-    common denominator.  ``action`` and :meth:`matrix` are a dense view of
-    ``Fraction`` rows; every module builds it from its forms on first read.
+    common denominator.  ``action`` is a dense view of ``Fraction`` rows;
+    every module builds it from its forms on first read.
 
     A module is completed from the forms of its generators and checked by
     one walk.  p-integrality is read from each given form's denominator (a
@@ -119,9 +119,6 @@ class CharModule:
             dense = {g: from_sparse(form) for g, form in self.forms.items()}
             object.__setattr__(self, "_action", dense)
         return self._action
-
-    def matrix(self, g):
-        return self.action[g]
 
     def is_integral(self):
         return all(den == 1 for den, _ in self.forms.values())
@@ -312,6 +309,8 @@ def induction_formula(m_sub, sub, rd):
     the conductor over the subextension plus ``v_disc * rank / 2``, and the
     discriminant valuation ``v_disc`` of the subextension.
     """
+    if not isinstance(sub, Subgroup):
+        raise InputError("induction_formula needs a Subgroup")
     if sub.parent != rd.group:
         raise InputError("subgroup does not live on the ramification group")
     direct = conductor(weil_restriction(m_sub, sub), rd).value
@@ -433,30 +432,34 @@ def _apply(form, v):
     return tuple([sum(x * v[k] for k, x in row.items()) for row in form[1]])
 
 
-def adapt_lattice(m, e, precision=8, within=None):
+ADAPT_PRECISION = 8  # by Nakayama a lift mod p^k is valid for every k >= 1; 8 fixes which
+
+
+def adapt_lattice(m, e, within=None):
     """Find a stable sublattice of p-unit index adapted to an idempotent.
 
-    Follows the approximation recipe: take integer generators of the image
-    and kernel lattices of E, approximate each one modulo p^precision by a
-    vector of the target lattice (the ambient lattice, or ``within`` for the
-    nested variant, read through its Hermite basis), and return a Hermite
-    basis of their group span.  The output is verified by
-    :func:`check_adapted_basis`; by Nakayama the span has p-unit index
-    whenever the approximation is within p times the ambient lattice.
+    Follows the approximation recipe: integer generators of the image and
+    kernel lattices of E, approximated modulo p^ADAPT_PRECISION by vectors of
+    the target lattice, span it under the group.  Those two lattices are
+    stable (the action is integral and commutes with E), so without
+    ``within`` they span themselves and their Hermite basis is returned; with
+    ``within`` (the nested variant, read through its Hermite basis) the lifts
+    into it are spanned over the orbit.  The output is verified by
+    :func:`check_adapted_basis`.
     """
-    if precision < 1:
-        raise InputError("precision must be at least 1")
     e_form = _check_idempotent(m, e)
     if not m.is_integral():
         raise InputError("adapt_lattice expects an integral module action")
     d = m.rank
     gens = [v for rows in _kernels(e_form) for v in rows]
-    if within is not None:
+    if within is None:
+        basis = hnf_rows(gens)
+    else:
         within = _integer_rows(within, "within")
         if any(len(row) != d for row in within):
             raise InputError("within rows must have the module's rank as length")
         h = hnf_rows(within)
-        mod = m.p**precision
+        mod = m.p**ADAPT_PRECISION
         approx = []
         for v in gens:
             coords = echelon_coords(h, v)
@@ -464,25 +467,23 @@ def adapt_lattice(m, e, precision=8, within=None):
                 raise CheckFailure(
                     "within does not contain the image and kernel lattices p-integrally"
                 )
-            # each coordinate lifted to the integer congruent to it mod p^precision
+            # each coordinate lifted to the integer congruent to it mod p^ADAPT_PRECISION
             lifted = [c.numerator * pow(c.denominator, -1, mod) % mod for c in coords]
             approx.append(tuple([sum(c * row[j] for c, row in zip(lifted, h)) for j in range(d)]))
-        gens = approx
-    span = [_apply(m.forms[g], v) for v in gens for g in range(m.group.order)]
-    basis = hnf_rows(span)
+        basis = hnf_rows([_apply(m.forms[g], v) for v in approx for g in range(m.group.order)])
     if len(basis) != d:
         raise CheckFailure(
             f"adapted lattice has rank {len(basis)} < {d}; approximation failed "
-            f"within precision {precision}"
+            f"within precision {ADAPT_PRECISION}"
         )
     check_adapted_basis(m, e, basis)
     return basis
 
 
-def adapt_lattice_pair(m, e_inner, e_outer, precision=8):
-    """Adapted bases for nested idempotents, with nested output lattices."""
-    outer = adapt_lattice(m, e_outer, precision)
-    inner = adapt_lattice(m, e_inner, precision, within=outer)
+def adapt_lattice_pair(m, e_inner, e_outer):
+    """Adapted bases for nested idempotents, with nested output lattices; see :func:`adapt_lattice`."""
+    outer = adapt_lattice(m, e_outer)
+    inner = adapt_lattice(m, e_inner, within=outer)
     for v in inner:
         if not lattice_contains(outer, v):
             raise CheckFailure("nested adapted lattices are not nested")

@@ -25,7 +25,6 @@ __all__ = [
     "Subgroup",
     "make_cyclic",
     "make_product",
-    "make_from_table",
     "make_symmetric",
     "conjugacy_classes",
     "subgroup",
@@ -153,9 +152,6 @@ class FiniteGroup:
             self._orders = tuple(orders)
         return self._orders
 
-    def elements(self):
-        return range(self.order)
-
     def closure(self, gens):
         """The subgroup generated by ``gens``, as a sorted tuple of ids.
 
@@ -276,10 +272,6 @@ def make_product(g, h):
             table.append(tuple(row))
     inverses = tuple([g._inv[a] * m + h._inv[b] for a in range(n) for b in range(m)])
     return FiniteGroup._from_checked(tuple(table), f"{g.name}x{h.name}", inverses)
-
-
-def make_from_table(table, name="G"):
-    return FiniteGroup(table, name=name)
 
 
 def make_symmetric(n):

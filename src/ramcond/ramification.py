@@ -11,6 +11,7 @@ ramification data.
 
 from __future__ import annotations
 
+from collections.abc import Iterable
 from dataclasses import dataclass, field
 from math import gcd
 
@@ -73,9 +74,9 @@ def ram_data(group, p, wild_chain, omega, name=""):
     ``wild_chain`` lists Gamma_1, Gamma_2, ... as Subgroups or element-id
     iterables; equal consecutive entries encode repeated filtration steps and
     the trivial tail may be omitted.  ``omega`` is either a dict mapping
-    coset-representative ids to exponents mod n, or a pair (generator_id,
-    exponent) fixing the value on one generating coset.  Every id and
-    exponent in ``omega`` must be an ``int`` (a ``bool`` is not).
+    coset-representative ids to exponents mod n, or a tuple or list
+    (generator_id, exponent) fixing the value on one generating coset.  Every
+    id and exponent in ``omega`` must be an ``int`` (a ``bool`` is not).
 
     Each run of equal consecutive entries is read as the one Subgroup
     :func:`~ramcond.groups.subgroup` holds on ``group``, and checked once
@@ -88,14 +89,18 @@ def ram_data(group, p, wild_chain, omega, name=""):
     _check_int(p, "residue characteristic")
     if not is_prime(p):
         raise InputError(f"residue characteristic {p} is not prime")
+    if not isinstance(wild_chain, Iterable):
+        raise InputError(f"wild chain must be an iterable of steps, got {wild_chain!r}")
     runs = []  # [subgroup, number of entries, index of its last entry]
     for k, entry in enumerate(wild_chain):
         if isinstance(entry, Subgroup):
             if entry.parent != group:
                 raise InputError("wild chain subgroup has the wrong parent")
             elements = entry.elements
-        else:
+        elif isinstance(entry, Iterable):
             elements = element_ids(entry, f"wild chain step {k + 1} element")
+        else:
+            raise InputError(f"wild chain step {k + 1} must be a Subgroup or element ids, got {entry!r}")
         if runs and runs[-1][0].elements == elements:
             runs[-1][1] += 1
             runs[-1][2] = k
@@ -183,6 +188,8 @@ def ram_data(group, p, wild_chain, omega, name=""):
             raise InputError("omega is not injective")
         exps = given
     else:
+        if not isinstance(omega, (tuple, list)) or len(omega) != 2:
+            raise InputError(f"omega must be a dict or a (generator, exponent) pair, got {omega!r}")
         gen, e = omega
         element_ids((gen,), "omega element")
         if type(e) is not int:

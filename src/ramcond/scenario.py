@@ -17,11 +17,12 @@ from typing import Callable, NamedTuple
 
 from .conductors import module_from_generators, regular_module, trivial_module
 from .errors import InputError
-from .groups import make_cyclic, make_from_table, make_product, subgroup
+from .groups import FiniteGroup, make_cyclic, make_product, subgroup
 from .ramification import ram_data
 from .series import (
     DEFAULT_DEGREE_CAP,
     EXPONENT_BOUND,
+    NESTING_BOUND,
     MixedSeries,
     SeriesRingSpec,
     dilatation_member,
@@ -153,7 +154,7 @@ def _parse_group(spec):
         raise InputError("group.table must be a list of rows")
     _check_order(len(table), "group.table")
     rows = [_read_ids(row, "group.table row") for row in table]
-    return make_from_table(rows, name="table")
+    return FiniteGroup(rows, name="table")
 
 
 class Scenario:
@@ -501,6 +502,7 @@ def parse_series_expression(text, p, degree_cap=DEFAULT_DEGREE_CAP, ring=None):
         s_vars = tuple([n for n in names if not n.upper().startswith("T")])
         ring = SeriesRingSpec(p, s_vars=s_vars, t_vars=t_vars, degree_cap=degree_cap)
     toks = _Tokens(text)
+    depth = 0
 
     def parse_expr():
         node = parse_term()
@@ -518,10 +520,12 @@ def parse_series_expression(text, p, degree_cap=DEFAULT_DEGREE_CAP, ring=None):
         return node
 
     def parse_unary():
-        if toks.peek() == "-":
+        negate = False
+        while toks.peek() == "-":  # a run of signs, read without recursing per sign
             toks.next()
-            return -parse_unary()
-        return parse_power()
+            negate = not negate
+        node = parse_power()
+        return -node if negate else node
 
     def parse_power():
         base = parse_atom()
@@ -556,10 +560,15 @@ def parse_series_expression(text, p, degree_cap=DEFAULT_DEGREE_CAP, ring=None):
                 return MixedSeries.const(ring, p)
             return MixedSeries.variable(ring, value)
         if kind == "(":
+            nonlocal depth
+            depth += 1
+            if depth > NESTING_BOUND:
+                raise InputError(f"parentheses nest deeper than {NESTING_BOUND} in series expression")
             node = parse_expr()
             if toks.peek() != ")":
                 raise InputError("unbalanced parentheses in series expression")
             toks.next()
+            depth -= 1
             return node
         raise InputError(f"unexpected token {value!r} in series expression")
 

@@ -27,9 +27,10 @@ series u with u(0) = 0 comes from one recurrence, degree by degree, in
 :func:`endo_apply`: [r](f) and the expansion [r](T) of :func:`mult_endo`.
 
 Budgets: the degree cap D is at most DEGREE_CAP_BOUND = 32, the valuation
-bound of Weierstrass division lies in 1..VAL_BOUND_MAX = 256 and an exponent
-``^k`` in a series expression has |k| <= EXPONENT_BOUND = 256; anything else
-raises InputError.  Coefficients given to the public constructor must be int
+bound of Weierstrass division lies in 1..VAL_BOUND_MAX = 256, an exponent
+``^k`` in a series expression has |k| <= EXPONENT_BOUND = 256 and its
+parentheses nest at most NESTING_BOUND = 64 deep; anything else raises
+InputError.  Coefficients given to the public constructor must be int
 or Fraction and exponents non-negative ints.
 """
 
@@ -49,6 +50,7 @@ __all__ = [
     "DEGREE_CAP_BOUND",
     "VAL_BOUND_MAX",
     "EXPONENT_BOUND",
+    "NESTING_BOUND",
     "SeriesRingSpec",
     "MixedSeries",
     "gauss_valuation",
@@ -69,6 +71,7 @@ DEFAULT_DEGREE_CAP = 16
 DEGREE_CAP_BOUND = 32
 VAL_BOUND_MAX = 256
 EXPONENT_BOUND = 256
+NESTING_BOUND = 64  # the expression parser recurses once per open parenthesis
 
 
 @dataclass(frozen=True)

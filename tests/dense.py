@@ -258,7 +258,7 @@ def restricted_action(m, basis_rows):
     bt = transpose(as_matrix(basis_rows))
     action = {}
     for g in range(m.group.order):
-        cols = [solve(bt, mat_vec(m.matrix(g), v)) for v in basis_rows]
+        cols = [solve(bt, mat_vec(m.action[g], v)) for v in basis_rows]
         action[g] = transpose(as_matrix(cols))
     return action
 
@@ -283,7 +283,7 @@ def adapt_lattice(m, e, precision=8, within=None):
             approx.append(tuple(int(x) for x in mat_vec(bt, lifted)))
         gens = approx
     span = [
-        tuple(int(x) for x in mat_vec(m.matrix(g), v)) for v in gens for g in range(m.group.order)
+        tuple(int(x) for x in mat_vec(m.action[g], v)) for v in gens for g in range(m.group.order)
     ]
     return hnf_rows(span)
 
@@ -307,7 +307,7 @@ def check_adapted_basis(m, e, basis):
     bt = transpose(as_matrix(basis))
     for g in m.group.generating_set():
         for v in basis:
-            if any(c.denominator != 1 for c in solve(bt, mat_vec(m.matrix(g), v))):
+            if any(c.denominator != 1 for c in solve(bt, mat_vec(m.action[g], v))):
                 raise CheckFailure("adapted basis is not action-stable")
     for v in basis:
         if any(p_valuation(c, m.p) < 0 for c in solve(bt, mat_vec(e, v))):
@@ -585,9 +585,9 @@ def conjugacy_classes(group):
     """The orbits { t s t^-1 : t in G }, sorted by least element."""
     seen = set()
     classes = []
-    for s in group.elements():
+    for s in range(group.order):
         if s not in seen:
-            orbit = {group.conj(t, s) for t in group.elements()}
+            orbit = {group.conj(t, s) for t in range(group.order)}
             seen |= orbit
             classes.append(tuple(sorted(orbit)))
     return tuple(sorted(classes, key=lambda c: c[0]))
@@ -596,7 +596,7 @@ def conjugacy_classes(group):
 def is_normal(h):
     """Whether t s t^-1 lies in H for every t in the parent and s in H."""
     eset = set(h.elements)
-    return all(h.parent.conj(t, s) in eset for t in h.parent.elements() for s in h.elements)
+    return all(h.parent.conj(t, s) in eset for t in range(h.parent.order) for s in h.elements)
 
 
 def restrict_ramdata(rd, h):

@@ -9,7 +9,8 @@ from hypothesis import strategies as st
 
 from ramcond.cli import main
 from ramcond.conductors import induction_formula
-from ramcond.scenario import load_scenario
+from ramcond.scenario import load_scenario, parse_series_expression
+from ramcond.series import NESTING_BOUND
 
 SCENARIOS = os.path.join(os.path.dirname(__file__), "..", "scenarios")
 
@@ -141,13 +142,63 @@ def test_series_subcommands(capsys):
     assert report["tables"]["series"][0]["member"] is False
 
 
-# digits are ASCII only: "²" and "٢" are digits to str.isdigit
-@pytest.mark.parametrize("expr", ["p^-2*(S", "2²", "٢*T"])
+def nested(depth):
+    return "(" * depth + "S" + ")" * depth
+
+
+# digits are ASCII only: "²" and "٢" are digits to str.isdigit; parentheses
+# nest at most NESTING_BOUND deep
+@pytest.mark.parametrize(
+    "expr",
+    [
+        "p^-2*(S",
+        "2²",
+        "٢*T",
+        pytest.param(nested(NESTING_BOUND + 1), id="nested-past-the-budget"),
+        pytest.param(nested(250), id="nested-250"),
+    ],
+)
 def test_series_malformed_expression_exit_2(capsys, expr):
     code = main(["series", "gauss", expr, "--p", "3"])
     assert code == 2
     captured = capsys.readouterr()
     assert captured.out == "" and captured.err.count("\n") == 1
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["wdiv", "--g", nested(250), "--f", "Z^2-2", "--p", "2"],
+        ["dilate", nested(250), "0", "--p", "2"],
+    ],
+)
+def test_series_subcommands_refuse_deep_nesting(capsys, argv):
+    assert main(["series", *argv]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"error: invalid input: parentheses nest deeper than {NESTING_BOUND} in series expression\n"
+
+
+def test_series_run_refuses_deep_nesting(tmp_path, capsys):
+    doc = load_json("c4_tower.json")
+    doc["series"][0]["expr"] = nested(250)
+    path = tmp_path / "deep.json"
+    path.write_text(json.dumps(doc), encoding="utf-8")
+    assert main(["series", "run", str(path)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == "" and captured.err.count("\n") == 1
+
+
+def test_nesting_at_the_budget_and_long_sign_runs_parse(capsys):
+    code, report, _ = run_json(capsys, "series", "gauss", nested(NESTING_BOUND), "--p", "3")
+    assert code == 0 and report["tables"]["series"][0]["valuation"] == 0
+    code, report, _ = run_json(capsys, "series", "gauss", "S+" + "-" * 1500 + "S", "--p", "3")
+    assert code == 0 and report["tables"]["series"][0]["valuation"] == 0
+    s = parse_series_expression("S", 3)
+    assert parse_series_expression(nested(NESTING_BOUND), 3) == s
+    assert parse_series_expression("S+" + "-" * 1500 + "S", 3) == s + s
+    assert parse_series_expression("S+" + "-" * 1501 + "S", 3) == s - s
+    assert parse_series_expression("-" * 1501 + "S^2", 3) == -(s * s)
 
 
 def test_verify_catalog(capsys):
@@ -479,12 +530,25 @@ def test_report_roundtrip_byte_exact(tmp_path, capsys, name, command):
 
 def test_csv_export(tmp_path, capsys):
     out = tmp_path / "table.csv"
+    assert main(["conduct", scenario_path("tame_cyclic3.json")]) == 0
+    plain = capsys.readouterr()
     code = main(["--csv", str(out), "conduct", scenario_path("tame_cyclic3.json")])
-    capsys.readouterr()
+    assert capsys.readouterr() == plain  # the report is the one printed without --csv
     assert code == 0
     lines = out.read_text().strip().splitlines()
     assert lines[0].startswith("module,rank,conductor")
     assert len(lines) == 4
+
+
+@pytest.mark.parametrize("target", ["missing/x.csv", "."], ids=["missing-directory", "directory"])
+def test_csv_export_to_an_unwritable_path_exit_2(tmp_path, capsys, target):
+    path = tmp_path / target
+    code = main(["--csv", str(path), "bisect", scenario_path("c4_tower.json")])
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.out == ""
+    assert captured.err.startswith(f"error: invalid input: cannot write CSV file {path}: ")
+    assert captured.err.count("\n") == 1
 
 
 def test_degree_cap_flag(capsys):
@@ -513,7 +577,7 @@ FUZZ_POOL = [
     None, True, False,
     0, 1, -1, 2, 3, 7, 64, 10**6, 10**30, -(10**30),
     0.0, 0.5, 1.0, -2.5, 1e300,
-    "", "0", "1/2", "x", "ζ_3", "\x00", "p^-9999*S", "Z^3", "9" * 400,
+    "", "0", "1/2", "x", "ζ_3", "\x00", "p^-9999*S", "Z^3", "9" * 400, nested(250),
     [], [[]], [0], [0, 1], [[0, 1], [1, 0]], [None, "1"], [[[[0]]]],
     {}, {"": None}, {"cyclic": 3}, {"1": [["1"]]}, {"a": {"b": [{}]}},
 ]

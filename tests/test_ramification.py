@@ -9,7 +9,7 @@ from ramcond import verify
 from ramcond.characters import ClassFunction, regular_character, restrict
 from ramcond.errors import CheckFailure, InputError
 from ramcond.exact import CycloNum
-from ramcond.groups import make_cyclic, make_from_table, make_product, make_symmetric, subgroup
+from ramcond.groups import FiniteGroup, make_cyclic, make_product, make_symmetric, subgroup
 from ramcond.ramification import (
     artin_character,
     bisection,
@@ -282,7 +282,7 @@ def heisenberg_mod3():
     """Upper unitriangular 3 x 3 matrices mod 3: order 27, exponent 3, not abelian."""
     ids = [(a, b, c) for a in range(3) for b in range(3) for c in range(3)]
     index = {e: i for i, e in enumerate(ids)}
-    return make_from_table(
+    return FiniteGroup(
         [[index[((a + x) % 3, (b + y) % 3, (c + z + a * y) % 3)] for x, y, z in ids] for a, b, c in ids]
     )
 
@@ -311,6 +311,8 @@ REFUSED_CHAINS = {
     "entries-before-normality": (make_symmetric(3), 2, [(0, 1), (0, 7)], "subgroup elements out of range"),
     "normality-before-p-group": (make_symmetric(3), 3, [(0, 1), (0, 1)], "every wild filtration step must be normal"),
     "p-group-before-exponent": (make_cyclic(6), 2, [range(6), range(6)], "the first wild subgroup must be a p-group"),
+    "chain-not-iterable": (make_cyclic(4), 2, 5, "wild chain must be an iterable of steps, got 5"),
+    "step-not-iterable": (make_cyclic(4), 2, [range(4), 5], "wild chain step 2 must be a Subgroup or element ids, got 5"),
 }
 
 
@@ -324,7 +326,7 @@ def test_ram_data_refusal_messages(case):
 
 def dihedral8():
     """D4 of order 8: r^a s^b as id 2a + b, with s r = r^-1 s."""
-    return make_from_table(
+    return FiniteGroup(
         [[2 * ((a + (-1) ** b * c) % 4) + (b + d) % 2 for c in range(4) for d in range(2)]
          for a in range(4) for b in range(2)]
     )
@@ -383,6 +385,16 @@ def test_ram_data_chain_ids_must_be_ints(bad):
     with pytest.raises(InputError) as exc:
         ram_data(make_cyclic(4), 2, [(0, 1, bad, 3)], None)
     assert str(exc.value) == f"wild chain step 1 element {bad!r} is not an integer id"
+
+
+@pytest.mark.parametrize("omega", [5, (1, 1, 1), (1,), [], {1, 2}, "12", range(2)])
+def test_ram_data_omega_must_be_a_dict_or_a_pair(omega):
+    # C3 with p = 2 is tame of order 3; a list pair reads as a tuple pair
+    c3 = make_cyclic(3)
+    assert ram_data(c3, 2, [], [1, 1]) == ram_data(c3, 2, [], (1, 1))
+    with pytest.raises(InputError) as exc:
+        ram_data(c3, 2, [], omega)
+    assert str(exc.value) == f"omega must be a dict or a (generator, exponent) pair, got {omega!r}"
 
 
 @pytest.mark.parametrize("bad", [1.9, 1.5, True, "1"])

@@ -82,7 +82,7 @@ def test_scenario_product_group_and_modules():
     assert set(sc.modules) == {"reg", "t2", "m"}
     assert sc.modules["reg"].rank == 4
     assert sc.modules["t2"].rank == 2
-    assert sc.modules["m"].matrix(1) == ((Fraction(-1),),)
+    assert sc.modules["m"].action[1] == ((Fraction(-1),),)
 
 
 def test_scenario_duplicate_module_names_rejected():
@@ -151,7 +151,7 @@ def test_scenario_weil_matrices_keyed_by_parent_ids():
         }
     )
     (module, sub, _) = sc.weil[0]
-    assert module.matrix(1) == ((Fraction(-1),),)  # parent id 2 is sub id 1
+    assert module.action[1] == ((Fraction(-1),),)  # parent id 2 is sub id 1
     with pytest.raises(InputError):
         parse_scenario(
             {
