@@ -13,7 +13,7 @@ from math import lcm
 
 from .errors import CheckFailure, InputError
 from .exact import CycloNum, _fold
-from .groups import Subgroup, conjugacy_classes
+from .groups import Subgroup, conjugacy_classes, rational_classes
 from .linalg import identity_form, sparse_mul
 
 __all__ = [
@@ -27,6 +27,8 @@ __all__ = [
     "trace_forms",
     "artin_conductor",
 ]
+
+_ZERO = Fraction(0)
 
 
 def _form_at(f, level):
@@ -173,9 +175,16 @@ def pair(f, g):
     Both sides are read in their integer forms at m = lcm of the levels,
     g being the one with fewer coefficients.  For each coefficient index j
     of g, v_j = sum_s g_j(s^-1) * f(s) is an integer vector, and its entry
-    i is the coefficient of zeta_m^(i*m/f.level + j*m/g.level).  One fold
-    reduces all of them over ``den_f * den_g * |G|``.  So a rational g
-    costs one integer vector sum, with no field multiplication.
+    i is the coefficient of zeta_m^(i*m/f.level + j*m/g.level).  Grouping
+    the s by the value q = g_j(s^-1),
+
+        v_j = sum over the distinct q != 0 of  q * sum_{s : g_j(s^-1) = q} f(s),
+
+    so f's rows are summed per value, the additions in C (``sum`` over
+    ``zip``), and each sum is multiplied once per coefficient.  A character
+    takes few values, so a rational g costs one row sum per value.  One
+    fold reduces all v_j over ``den_f * den_g * |G|``; the zero
+    coefficients of the result share one ``Fraction(0)``.
     """
     if f.group != g.group:
         raise InputError("pairing across different groups")
@@ -186,17 +195,20 @@ def pair(f, g):
     vectors = []
     # column j lists g_j(s^-1) over s
     for column in zip(*[rows_g[grp.inv(s)] for s in range(grp.order)]):
-        v = [0] * len(rows_f[0])
+        by_value = {}
         for q, row_f in zip(column, rows_f):
             if q:
-                v = [a + q * c for a, c in zip(v, row_f)]
+                by_value.setdefault(q, []).append(row_f)
+        v = [0] * len(rows_f[0])
+        for q, rows in by_value.items():
+            v = [a + q * sum(c) for a, c in zip(v, zip(*rows))]
         vectors.append(v)
     m = lcm(f.level, g.level)
     step_f, step_g = m // f.level, m // g.level
     terms = ((i * step_f + j * step_g, a) for j, v in enumerate(vectors) for i, a in enumerate(v))
     acc = _fold(m, terms)
     den = den_f * den_g * grp.order
-    return CycloNum(m, tuple([Fraction(a, den) for a in acc]))
+    return CycloNum(m, tuple([Fraction(a, den) if a else _ZERO for a in acc]))
 
 
 def induce(f, sub):
@@ -264,9 +276,9 @@ def check_forms(group, forms):
     out = dict(forms)
     walk = sorted(forms)
     for g in walk:
-        form = out[g]
+        form, row = out[g], group.table[g]
         for s in gens:
-            h = group.mult(g, s)
+            h = row[s]
             product = sparse_mul(form, out[s])
             known = out.get(h)
             if known is None:
@@ -280,16 +292,27 @@ def check_forms(group, forms):
 
 
 def trace_forms(group, forms):
-    """Trace character of an action given by the forms of its matrices.
+    """Trace character of an action over Q given by the forms of its matrices.
 
-    The trace of each element is one integer sum of diagonal numerators,
-    scaled to the lcm of the form denominators.
+    One trace per rational class (:func:`~ramcond.groups.rational_classes`),
+    an integer sum of diagonal numerators at the class's least element,
+    copied across the class, all over the lcm of those elements' form
+    denominators.  This is exact for any action that :func:`check_forms`
+    accepted, and only such actions reach it: M is a homomorphism, so M(s)
+    has finite order n = ord s and its eigenvalues l_i are n-th roots of
+    unity.  For gcd(k, n) = 1 let sigma_k fix Q and send zeta_n to
+    zeta_n^k; then tr M(s^k) = sum l_i^k = sigma_k(tr M(s)), and sigma_k
+    fixes tr M(s), which is rational.  Conjugate elements have equal traces
+    too, so the trace is constant on each rational class.
     """
-    den = lcm(*[forms[g][0] for g in range(group.order)])
-    rows = []
-    for g in range(group.order):
-        d, form_rows = forms[g]
-        rows.append((sum(row.get(i, 0) for i, row in enumerate(form_rows)) * (den // d),))
+    classes = rational_classes(group)
+    reps = [forms[cls[0]] for cls in classes]
+    den = lcm(*[d for d, _ in reps])
+    rows = [None] * group.order
+    for cls, (d, form_rows) in zip(classes, reps):
+        row = (sum(r.get(i, 0) for i, r in enumerate(form_rows)) * (den // d),)
+        for s in cls:
+            rows[s] = row
     return ClassFunction._from_form(group, 1, (den, tuple(rows)), verified=True)
 
 

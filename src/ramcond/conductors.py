@@ -16,6 +16,7 @@ decomposition, with an independent checker for the latter.
 
 from __future__ import annotations
 
+from collections.abc import Mapping
 from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd, lcm, prod
@@ -81,6 +82,7 @@ class CharModule:
     __slots__ = ("name", "group", "p", "rank", "forms", "_action", "_char")
 
     def __init__(self, name, group, p, action):
+        _check_mapping(action, "module action")
         if element_ids(action, "module action element") != tuple(range(group.order)):
             raise InputError("action must map every group element")
         forms = _read_matrices(group, action, "action")
@@ -127,6 +129,19 @@ class CharModule:
         return f"CharModule({self.name!r}, {self.group.name}, rank={self.rank})"
 
 
+def _check_module(*modules):
+    """Refuse an argument that is not a :class:`CharModule` before any of its fields is read."""
+    for m in modules:
+        if not isinstance(m, CharModule):
+            raise InputError(f"module must be a CharModule, got {m!r}")
+
+
+def _check_mapping(given, what):
+    """Refuse matrices that are not given as a mapping from element ids."""
+    if not isinstance(given, Mapping):
+        raise InputError(f"{what} must map element ids to matrices, got {given!r}")
+
+
 def _check_p_integral(forms, p):
     """Refuse a p that is not a prime ``int``, then the first entry (row-major) not p-integral."""
     _check_int(p, "module prime")
@@ -161,6 +176,7 @@ def _read_matrices(group, given, what):
 
 def module_from_generators(name, group, p, gen_action):
     """Complete an action given on a generating set to the whole group, checking each matrix."""
+    _check_mapping(gen_action, "generator action")
     element_ids(gen_action, "generator")
     forms = _read_matrices(group, gen_action, "generator")
     d = len(next(iter(forms.values()))[1])
@@ -228,6 +244,7 @@ def regular_module(group, p, name="regular"):
 
 def module_character(m):
     """Trace character of the module action (validated at construction), read on its forms."""
+    _check_module(m)
     if m._char is None:
         chi = trace_forms(m.group, m.forms)
         object.__setattr__(m, "_char", chi)
@@ -271,6 +288,7 @@ def conductor(m, rd):
     Gal(Q(zeta_n)/Q) and lies in Q.  The CheckFailure below guards
     hand-built :class:`~ramcond.ramification.RamData` only.
     """
+    _check_module(m)
     if m.group != rd.group:
         raise InputError("module and ramification data live on different groups")
     if m.p != rd.p:
@@ -290,6 +308,7 @@ def weil_restriction(m_sub, sub):
     ``m_sub`` lives on ``sub.as_group()``; the result lives on the parent and
     its character equals the induced character (asserted).
     """
+    _check_module(m_sub)
     if not isinstance(sub, Subgroup):
         raise InputError("weil_restriction needs a Subgroup")
     hgrp, to_sub, _ = sub.as_group()
@@ -309,6 +328,7 @@ def induction_formula(m_sub, sub, rd):
     the conductor over the subextension plus ``v_disc * rank / 2``, and the
     discriminant valuation ``v_disc`` of the subextension.
     """
+    _check_module(m_sub)
     if not isinstance(sub, Subgroup):
         raise InputError("induction_formula needs a Subgroup")
     if sub.parent != rd.group:
@@ -334,12 +354,14 @@ def conductor_via_induction(m_sub, sub, rd):
 
 def is_isogenous(m1, m2):
     """Isogeny test: exact equality of trace characters."""
+    _check_module(m1, m2)
     if m1.group != m2.group:
         raise InputError("isogeny test across different groups")
     return module_character(m1) == module_character(m2)
 
 
 def direct_sum(m1, m2):
+    _check_module(m1, m2)
     if m1.group != m2.group:
         raise InputError("direct sum across different groups")
     if m1.p != m2.p:
@@ -353,7 +375,8 @@ def direct_sum(m1, m2):
 
 
 def _check_idempotent(m, e):
-    """The form of a p-integral idempotent that commutes with the action."""
+    """The form of a p-integral idempotent that commutes with the action of the module ``m``."""
+    _check_module(m)
     form, width = read_matrix(e)
     d = m.rank
     if len(form[1]) != d or width != d:
@@ -504,10 +527,10 @@ def check_adapted_basis(m, e, basis):
     integral or p-integral exactly when they are on B.  The action must be
     integral and the basis entries integers; anything else is refused.
     """
-    d = m.rank
     e_form = _check_idempotent(m, e)
     if not m.is_integral():
         raise InputError("check_adapted_basis expects an integral module action")
+    d = m.rank
     basis = _integer_rows(basis, "adapted basis")
     if len(basis) != d or any(len(row) != d for row in basis):
         raise CheckFailure("adapted basis has the wrong shape")

@@ -6,9 +6,10 @@ by these ids.  Checks and enumerations work from generators: associativity
 by Light's test, conjugacy classes as orbits under conjugation by the
 generators, and subgroups as joins of cyclic subgroups.  What depends only
 on the group is computed once and held on it: its generating set, element
-orders, classes and subgroups, and one :class:`Subgroup` per element set
-that :func:`subgroup` is asked for.  The table itself is dense, so memory
-grows with the square of the order.
+orders, conjugacy and rational classes (:func:`rational_classes`) and
+subgroups, and one :class:`Subgroup` per element set that :func:`subgroup`
+is asked for.  The table itself is dense, so memory grows with the square
+of the order.
 """
 
 from __future__ import annotations
@@ -27,6 +28,7 @@ __all__ = [
     "make_product",
     "make_symmetric",
     "conjugacy_classes",
+    "rational_classes",
     "subgroup",
 ]
 
@@ -43,7 +45,10 @@ class FiniteGroup:
         cyclic subgroups, so the test takes |G| rows per generator of a
         small set: one on a cyclic group.
         """
-        table = tuple([tuple(row) for row in table])
+        table = tuple([
+            _read_tuple(row, f"Cayley table row {a}", "ids")
+            for a, row in enumerate(_read_tuple(table, "Cayley table", "rows"))
+        ])
         n = len(table)
         if n == 0:
             raise InputError("empty Cayley table")
@@ -84,7 +89,8 @@ class FiniteGroup:
 
         :meth:`Subgroup.as_group` builds its re-indexed group this way: the
         subgroup is checked closed, and associativity holds in the parent.
-        So does :func:`make_product`, from two groups.
+        So do :func:`make_cyclic`, whose table is addition mod n, and
+        :func:`make_product`, from two groups.
         """
         self = object.__new__(cls)
         self._set(table, name, inverses)
@@ -96,6 +102,7 @@ class FiniteGroup:
         self.name = name
         self._inv = inverses
         self._classes = None
+        self._rational = None
         self._subgroups = None
         self._gens = None
         self._orders = None
@@ -247,12 +254,16 @@ class FiniteGroup:
 
 
 def make_cyclic(n):
-    """Cyclic group of order n; element 1 generates and ids are its powers."""
+    """Cyclic group of order n; element 1 generates and ids are its powers.
+
+    The table is addition mod n, a group with inverses (-i) mod n, so it is
+    not re-checked.
+    """
     _check_int(n, "cyclic group order")
     if n < 1:
         raise InputError("cyclic group order must be positive")
     table = tuple([tuple([(i + j) % n for j in range(n)]) for i in range(n)])
-    return FiniteGroup(table, name=f"C{n}")
+    return FiniteGroup._from_checked(table, f"C{n}", tuple([-i % n for i in range(n)]))
 
 
 def make_product(g, h):
@@ -317,9 +328,55 @@ def conjugacy_classes(group):
     return group._classes
 
 
+def rational_classes(group):
+    """Partition of element ids into rational classes, sorted by least element.
+
+    The rational class of s is the set of t conjugate to some s^k with
+    gcd(k, ord s) = 1: the union of the conjugacy classes of those s^k.  Read
+    from the held classes and element orders, one walk over the powers of
+    each class's least element; computed once per group and held on it.  The
+    relation is symmetric (s = (s^k)^k' for k k' = 1 mod ord s), so the
+    class of the least element of each new class holds every class it meets,
+    and the least ids of the rational classes ascend.
+    """
+    if group._rational is None:
+        classes = conjugacy_classes(group)
+        class_of = [0] * group.order
+        for i, cls in enumerate(classes):
+            for s in cls:
+                class_of[s] = i
+        orders, table = group._element_orders(), group.table
+        placed = [False] * len(classes)
+        rational = []
+        for i, cls in enumerate(classes):
+            if placed[i]:
+                continue
+            s, n = cls[0], orders[cls[0]]
+            members = []
+            x = s
+            for k in range(1, n + 1):  # x = s^k
+                j = class_of[x]
+                if not placed[j] and gcd(k, n) == 1:
+                    placed[j] = True
+                    members.extend(classes[j])
+                x = table[x][s]
+            rational.append(tuple(sorted(members)))
+        group._rational = tuple(rational)
+    return group._rational
+
+
+def _read_tuple(values, what, items):
+    """``values`` read into a tuple; a value that is not iterable is refused naming ``what``."""
+    try:
+        it = iter(values)
+    except TypeError:
+        raise InputError(f"{what} must be an iterable of {items}, got {values!r}") from None
+    return tuple(it)
+
+
 def element_ids(values, what):
     """``values`` as a sorted tuple of distinct ids, each an ``int`` (a ``bool`` is not)."""
-    values = tuple(values)
+    values = _read_tuple(values, f"{what}s", "ids")
     for x in values:
         if type(x) is not int:
             raise InputError(f"{what} {x!r} is not an integer id")

@@ -19,7 +19,8 @@ numerators, and the binomial loop and the geometric power sum check the
 one recurrence for (1 + u)^r that ``ramcond.series`` evaluates [r] and unit
 inverses by.  Gauss-Jordan elimination (``rref``, ``solve``, ``det``) with
 ``mat_vec``, ``mat_sub`` and ``transpose`` drives the dense idempotent
-split (``split_actions``, one rational solve per element and basis vector),
+split (``split_actions``, one rational solve per element and basis vector,
+on idempotents such as ``averaging_idempotent`` over a subgroup),
 lattice adaptation (``adapt_lattice``, ``adapt_lattice_pair``) and basis
 check (``check_adapted_basis``, by determinant) that check the integer
 reductions ``ramcond.conductors`` runs them on; their kernels come from a
@@ -33,7 +34,9 @@ generators.  The full cube of associativity triples, the two-sided closure with
 its greedy generating sets (largest element order first, and ascending as a
 bound on its size), the closure-growth subgroup enumeration and the
 conjugation loops for classes and normality check the checks and
-enumerations that ``ramcond.groups`` runs on generators.  ``as_matrix``
+enumerations that ``ramcond.groups`` runs on generators, and the orbits
+under conjugation and coprime powers check the rational classes it reads
+off the held classes and element orders.  ``as_matrix``
 with ``sparse_rows``, a coercion to ``Fraction`` rows and a second read of
 their nonzero entries, checks the one-pass reader ``ramcond.linalg.read_matrix``,
 and ``read_matrices`` on them, with its checks in their old order, checks the
@@ -41,13 +44,13 @@ module reader of ``ramcond.conductors``.
 """
 
 from fractions import Fraction
-from math import inf, lcm
+from math import gcd, inf, lcm
 
 from ramcond.characters import ClassFunction
 from ramcond.errors import CheckFailure, InputError
 from ramcond.exact import CycloNum, p_valuation
 from ramcond.groups import subgroup
-from ramcond.linalg import hnf_rows
+from ramcond.linalg import from_sparse, hnf_rows
 from ramcond.ramification import i_gamma, ram_data
 from ramcond.series import (
     VAL_BOUND_MAX,
@@ -249,6 +252,17 @@ def _kernel_gens(e):
     """Hermite bases of the integer kernels of 1 - E and E, by :func:`column_kernel`."""
     ident = identity_matrix(len(e))
     return hnf_rows(column_kernel(mat_sub(ident, e))), hnf_rows(column_kernel(e))
+
+
+def averaging_idempotent(m, elems):
+    """(1/|H|) sum of M(h) over H, read from the forms so the module's dense view stays unbuilt."""
+    d = m.rank
+    acc = [[Fraction(0)] * d for _ in range(d)]
+    for h in elems:
+        for r, row in enumerate(from_sparse(m.forms[h])):
+            for c, x in enumerate(row):
+                acc[r][c] += x / len(elems)
+    return tuple(tuple(row) for row in acc)
 
 
 def restricted_action(m, basis_rows):
@@ -590,6 +604,25 @@ def conjugacy_classes(group):
             orbit = {group.conj(t, s) for t in range(group.order)}
             seen |= orbit
             classes.append(tuple(sorted(orbit)))
+    return tuple(sorted(classes, key=lambda c: c[0]))
+
+
+def rational_classes(group):
+    """The sets { t s^k t^-1 : t in G, gcd(k, ord s) = 1 }, sorted by least element."""
+    seen = set()
+    classes = []
+    for s in range(group.order):
+        if s in seen:
+            continue
+        n = element_order(group, s)
+        orbit = set()
+        x = 0
+        for k in range(1, n + 1):
+            x = group.mult(x, s)  # s^k
+            if gcd(k, n) == 1:
+                orbit |= {group.conj(t, x) for t in range(group.order)}
+        seen |= orbit
+        classes.append(tuple(sorted(orbit)))
     return tuple(sorted(classes, key=lambda c: c[0]))
 
 

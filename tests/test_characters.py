@@ -516,22 +516,25 @@ def _same_values(got, want):
     )
 
 
-def _catalog_modules(rng, group, p):
-    """Permutation modules on every subgroup, a unit conjugate of each, and a
-    conjugate of the regular module whose forms have a denominator prime to p."""
-    perms = [permutation_module(subgroup(group, elems), p) for elems in group.subgroups()]
-    reg = regular_module(group, p)
-    q = next(q for q in (2, 3, 5) if q != p)
+def _diagonal_conjugate(m, q):
+    """``m`` conjugated by diag(q, 1, ..., 1): entries q and 1/q off the diagonal, the same traces."""
 
     def diagonal(first):
-        d = reg.rank
+        d = m.rank
         rows = [[first if i == j == 0 else int(i == j) for j in range(d)] for i in range(d)]
         return read_matrix(rows)[0]
 
     u, uinv = diagonal(q), diagonal(Fraction(1, q))
-    forms = {g: sparse_mul(uinv, sparse_mul(reg.forms[g], u)) for g in range(group.order)}
-    scaled = CharModule._from_forms("regular~q", group, p, forms)
-    assert group.order == 1 or {form[0] for form in forms.values()} != {1}
+    forms = {g: sparse_mul(uinv, sparse_mul(m.forms[g], u)) for g in range(m.group.order)}
+    return CharModule._from_forms(f"{m.name}~q", m.group, m.p, forms)
+
+
+def _catalog_modules(rng, group, p):
+    """Permutation modules on every subgroup, a unit conjugate of each, and a
+    conjugate of the regular module whose forms have a denominator prime to p."""
+    perms = [permutation_module(subgroup(group, elems), p) for elems in group.subgroups()]
+    scaled = _diagonal_conjugate(regular_module(group, p), next(q for q in (2, 3, 5) if q != p))
+    assert group.order == 1 or {form[0] for form in scaled.forms.values()} != {1}
     return perms + [random_unit_conjugate(rng, m) for m in perms] + [scaled]
 
 
@@ -638,3 +641,73 @@ def test_character_equality_builds_no_values_view(monkeypatch):
     assert reads == []
     for module in (m, m_sub, induced, plus, minus):
         assert module_character(module)._values is None
+
+
+def _character_modules(rng, group, p):
+    """The modules of :func:`_catalog_modules`, with regular, diagonal-conjugate permutation,
+    induced and split-summand modules."""
+    subs = [subgroup(group, elems) for elems in group.subgroups()]
+    modules = [regular_module(group, p), *_catalog_modules(rng, group, p)]
+    # denominators prime to p on elements with fixed points, so traces over them
+    q = next(q for q in (2, 3, 5) if q != p)
+    modules += [_diagonal_conjugate(permutation_module(h, p), q) for h in subs if h.order < group.order]
+    for h in subs:
+        hgrp = h.as_group()[0]
+        modules.append(weil_restriction(random_unit_conjugate(rng, random_module(rng, hgrp, p)), h))
+    for k in (h for h in subs if h.order % p and h.is_normal()):
+        m = random_unit_conjugate(rng, random_module(rng, group, p))
+        modules.extend(split_idempotent(m, dense.averaging_idempotent(m, k.elements)))
+    return modules
+
+
+CHARACTER_GROUPS = {
+    **{rd.name: (rd.group, rd.p) for rd in catalog()},
+    "S4-p5": (make_symmetric(4), 5),
+    "C8-p3": (make_cyclic(8), 3),
+    "C12-p5": (make_cyclic(12), 5),
+}
+
+
+@pytest.mark.parametrize("name", CHARACTER_GROUPS)
+def test_module_character_equals_the_per_element_trace(name):
+    group, p = CHARACTER_GROUPS[name]
+    rng = random.Random(name)
+    modules = _character_modules(rng, group, p)
+    for m in modules:
+        assert _same_values(module_character(m), dense.trace_forms(group, m.forms)), (name, m)
+    assert any(m.rank > 1 for m in modules)
+
+
+def _valued(rng, grp, level, kind):
+    """A class function at ``level`` whose coefficient columns take distinct, repeated or zero values.
+
+    ``distinct`` gives each class its own value in every column, ``repeated``
+    two values, and ``zero`` an all-zero even column and mostly zero odd ones.
+    """
+    classes = conjugacy_classes(grp)
+
+    def value(i, j):
+        if kind == "distinct":
+            return Fraction((i + 1) * (-1) ** i, j + 1)
+        if kind == "repeated":
+            return rng.choice((-2, Fraction(3, 2)))
+        return 0 if j % 2 == 0 else rng.choice((0, 0, 0, 5))
+
+    vals = [None] * grp.order
+    for i, cls in enumerate(classes):
+        v = CycloNum(level, [value(i, j) for j in range(euler_phi(level))])
+        for s in cls:
+            vals[s] = v
+    return ClassFunction(grp, vals)
+
+
+@pytest.mark.parametrize("kind", ["distinct", "repeated", "zero"])
+@pytest.mark.parametrize("levels", LEVEL_PAIRS, ids=[f"{a}-{b}" for a, b in LEVEL_PAIRS])
+def test_pair_per_value_sums_match_the_value_oracle(levels, kind):
+    rng = random.Random(f"{levels}{kind}")
+    for grp in CATALOG_GROUPS + (make_symmetric(4), make_cyclic(12)):
+        f = _class_function(grp, levels[0], lambda: rng.choice(SAMPLE_RATIONALS))
+        g = _valued(rng, grp, levels[1], kind)
+        for a, b in ((f, g), (g, f), (g, g)):
+            got, want = pair(a, b), dense.pair_by_values(a, b)
+            assert (got.level, got.coeffs) == (want.level, want.coeffs), (grp.name, levels, kind)

@@ -510,17 +510,6 @@ def test_adapt_lattice_randomized_small():
         assert check_adapted_basis(m, e, basis)
 
 
-def _averaging_idempotent(m, elems):
-    """(1/|H|) sum of M(h) over H, read from the forms so the module's dense view stays unbuilt."""
-    d = m.rank
-    acc = [[Fraction(0)] * d for _ in range(d)]
-    for h in elems:
-        for r, row in enumerate(linalg.from_sparse(m.forms[h])):
-            for c, x in enumerate(row):
-                acc[r][c] += x / len(elems)
-    return tuple(tuple(row) for row in acc)
-
-
 def _split_inputs(seed, per_group=3):
     """Unit conjugates of permutation modules on every catalog group, with nested idempotents.
 
@@ -538,7 +527,7 @@ def _split_inputs(seed, per_group=3):
             for k in subs:
                 inner = [h for h in subs if set(h.elements) <= set(k.elements)]
                 h = inner[rng.randrange(len(inner))]
-                yield m, _averaging_idempotent(m, k.elements), _averaging_idempotent(m, h.elements)
+                yield m, dense.averaging_idempotent(m, k.elements), dense.averaging_idempotent(m, h.elements)
 
 
 def test_split_and_adapt_match_dense_oracle():

@@ -15,6 +15,7 @@ from ramcond.groups import (
     make_cyclic,
     make_product,
     make_symmetric,
+    rational_classes,
     subgroup,
 )
 
@@ -395,3 +396,44 @@ def test_regular_module_uses_the_held_trivial_subgroup():
     assert list(held) == [(0,)]
     # its left transversal was read, and is held for the next module
     assert held[(0,)]._transversal is not None and subgroup(g, (0,)) is held[(0,)]
+
+
+def test_make_cyclic_equals_the_validated_group():
+    for n in range(1, 65):
+        g = make_cyclic(n)
+        checked = FiniteGroup(tuple(tuple((i + j) % n for j in range(n)) for i in range(n)), name=f"C{n}")
+        assert (g.table, g.name) == (checked.table, checked.name)
+        assert [g.inv(a) for a in range(n)] == [checked.inv(a) for a in range(n)], n
+        assert g.generating_set() == checked.generating_set(), n
+
+
+def _rational_groups():
+    c2 = make_cyclic(2)
+    powers = [c2]
+    for _ in range(4):
+        powers.append(make_product(powers[-1], c2))
+    extra = {f"S{n}": make_symmetric(n) for n in (3, 4, 5)}
+    extra.update({f"C2^{k}": g for k, g in enumerate(powers, 1)})
+    extra["C3xC8"] = make_product(make_cyclic(3), make_cyclic(8))
+    extra["C12xC5"] = make_product(make_cyclic(12), make_cyclic(5))
+    return {**{f"catalog:{rd.group.name}": rd.group for rd in catalog()}, **extra}
+
+
+RATIONAL_GROUPS = _rational_groups()
+
+
+@pytest.mark.parametrize("name", RATIONAL_GROUPS)
+def test_rational_classes_equal_the_power_and_conjugation_oracle(name):
+    group = RATIONAL_GROUPS[name]
+    classes = rational_classes(group)
+    assert classes == dense.rational_classes(group)
+    assert rational_classes(group) is classes
+
+
+def test_rational_classes_examples():
+    assert rational_classes(make_cyclic(3)) == ((0,), (1, 2))
+    assert rational_classes(make_cyclic(8)) == ((0,), (1, 3, 5, 7), (2, 6), (4,))
+    s3 = make_symmetric(3)
+    assert rational_classes(s3) == conjugacy_classes(s3)
+    # C2^k: every element is its own rational class
+    assert rational_classes(RATIONAL_GROUPS["C2^3"]) == tuple((x,) for x in range(8))

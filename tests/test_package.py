@@ -8,6 +8,7 @@ from pathlib import Path
 import pytest
 
 import ramcond
+from ramcond.conductors import induction_formula
 
 MODULES = sorted(info.name for info in pkgutil.iter_modules(ramcond.__path__))
 
@@ -210,3 +211,67 @@ _WRONG_TYPES = [
 def test_public_readers_refuse_a_wrong_type_naming_it(call, shown):
     with pytest.raises(ramcond.InputError, match=re.escape(shown)):
         call()
+
+
+_NON_ITERABLES = [
+    ("subgroup", lambda: ramcond.subgroup(_C4, 5), "subgroup elements must be an iterable of ids, got 5"),
+    ("Subgroup", lambda: ramcond.Subgroup(_C4, 5), "subgroup elements must be an iterable of ids, got 5"),
+    (
+        "CharModule",
+        lambda: ramcond.CharModule("m", _C4, 3, 5),
+        "module action must map element ids to matrices, got 5",
+    ),
+    (
+        "CharModule-list",
+        lambda: ramcond.CharModule("m", _C4, 3, [0, 1, 2, 3]),
+        "module action must map element ids to matrices, got [0, 1, 2, 3]",
+    ),
+    (
+        "module_from_generators",
+        lambda: ramcond.module_from_generators("m", _C4, 3, 5),
+        "generator action must map element ids to matrices, got 5",
+    ),
+    ("FiniteGroup", lambda: ramcond.FiniteGroup(5), "Cayley table must be an iterable of rows, got 5"),
+    (
+        "FiniteGroup-row",
+        lambda: ramcond.FiniteGroup([[0, 1], 5]),
+        "Cayley table row 1 must be an iterable of ids, got 5",
+    ),
+]
+
+
+@pytest.mark.parametrize(
+    "call, message", [c[1:] for c in _NON_ITERABLES], ids=[c[0] for c in _NON_ITERABLES]
+)
+def test_non_iterable_arguments_are_refused_naming_them(call, message):
+    with pytest.raises(ramcond.InputError) as excinfo:
+        call()
+    assert str(excinfo.value) == message
+
+
+_C4_MODULE = ramcond.trivial_module(_C4, 2)
+_C2_SUB = ramcond.subgroup(_C4, (0, 2))
+_ONE = [[1]]
+_MODULE_READERS = [
+    ("module_character", lambda m: ramcond.module_character(m)),
+    ("conductor", lambda m: ramcond.conductor(m, _C4_RD)),
+    ("weil_restriction", lambda m: ramcond.weil_restriction(m, _C2_SUB)),
+    ("induction_formula", lambda m: induction_formula(m, _C2_SUB, _C4_RD)),
+    ("conductor_via_induction", lambda m: ramcond.conductor_via_induction(m, _C2_SUB, _C4_RD)),
+    ("is_isogenous-first", lambda m: ramcond.is_isogenous(m, _C4_MODULE)),
+    ("is_isogenous-second", lambda m: ramcond.is_isogenous(_C4_MODULE, m)),
+    ("direct_sum-first", lambda m: ramcond.direct_sum(m, _C4_MODULE)),
+    ("direct_sum-second", lambda m: ramcond.direct_sum(_C4_MODULE, m)),
+    ("split_idempotent", lambda m: ramcond.split_idempotent(m, _ONE)),
+    ("adapt_lattice", lambda m: ramcond.adapt_lattice(m, _ONE)),
+    ("adapt_lattice_pair", lambda m: ramcond.adapt_lattice_pair(m, _ONE, _ONE)),
+    ("check_adapted_basis", lambda m: ramcond.check_adapted_basis(m, _ONE, _ONE)),
+]
+
+
+@pytest.mark.parametrize("read", [r[1] for r in _MODULE_READERS], ids=[r[0] for r in _MODULE_READERS])
+@pytest.mark.parametrize("bad", [(1,), 5, None, _C4_RD], ids=["tuple", "int", "None", "RamData"])
+def test_module_readers_refuse_a_non_module(read, bad):
+    with pytest.raises(ramcond.InputError) as excinfo:
+        read(bad)
+    assert str(excinfo.value) == f"module must be a CharModule, got {bad!r}"
