@@ -160,6 +160,13 @@ class ClassFunction:
         return f"ClassFunction({self.group.name}, {[str(v) for v in self.values]})"
 
 
+def _check_class_function(*fs):
+    """Refuse an argument that is not a :class:`ClassFunction` before any of its fields is read."""
+    for f in fs:
+        if not isinstance(f, ClassFunction):
+            raise InputError(f"class function must be a ClassFunction, got {f!r}")
+
+
 def trivial_character(group):
     return ClassFunction._from_form(group, 1, (1, ((1,),) * group.order), verified=True)
 
@@ -186,6 +193,7 @@ def pair(f, g):
     fold reduces all v_j over ``den_f * den_g * |G|``; the zero
     coefficients of the result share one ``Fraction(0)``.
     """
+    _check_class_function(f, g)
     if f.group != g.group:
         raise InputError("pairing across different groups")
     grp = f.group
@@ -219,6 +227,7 @@ def induce(f, sub):
     The sum adds the integer rows of ``f``'s form, each conjugate weighted by
     the number of t that give it, over the denominator ``den * |H|``.
     """
+    _check_class_function(f)
     if not isinstance(sub, Subgroup):
         raise InputError("induce needs a Subgroup")
     grp = sub.parent
@@ -242,6 +251,7 @@ def induce(f, sub):
 
 def restrict(f, sub):
     """Valuewise restriction to a subgroup: the rows re-indexed on sub.as_group()."""
+    _check_class_function(f)
     if not isinstance(sub, Subgroup):
         raise InputError("restrict needs a Subgroup")
     if f.group != sub.parent:
@@ -320,9 +330,11 @@ def artin_conductor(rd, chi):
     """Pairing of the Artin character with chi; integral for genuine characters."""
     from .ramification import artin_character
 
+    _check_class_function(chi)
+    art = artin_character(rd)  # refuses an rd that is not a RamData
     if chi.group != rd.group:
         raise InputError("character lives on a different group")
-    value = pair(artin_character(rd), chi)
+    value = pair(art, chi)
     if chi.verified:
         ok, q = value.rational_part()
         if not ok or q < 0 or q.denominator != 1:

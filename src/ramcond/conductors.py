@@ -35,7 +35,7 @@ from .linalg import (
     read_matrix,
     sparse_mul,
 )
-from .ramification import bisection, disc_valuation, restrict_ramdata
+from .ramification import _check_ramdata, bisection, disc_valuation, restrict_ramdata
 
 __all__ = [
     "CharModule",
@@ -289,11 +289,12 @@ def conductor(m, rd):
     hand-built :class:`~ramcond.ramification.RamData` only.
     """
     _check_module(m)
+    ba = bisection(rd)  # refuses an rd that is not a RamData
     if m.group != rd.group:
         raise InputError("module and ramification data live on different groups")
     if m.p != rd.p:
         raise InputError("module and ramification data disagree on p")
-    value = pair(bisection(rd), module_character(m))
+    value = pair(ba, module_character(m))
     ok, q = value.rational_part()
     if not ok:
         raise CheckFailure(
@@ -329,6 +330,7 @@ def induction_formula(m_sub, sub, rd):
     discriminant valuation ``v_disc`` of the subextension.
     """
     _check_module(m_sub)
+    _check_ramdata(rd)
     if not isinstance(sub, Subgroup):
         raise InputError("induction_formula needs a Subgroup")
     if sub.parent != rd.group:
@@ -429,14 +431,17 @@ def split_idempotent(m, e):
     The image and kernel lattices are the full integer kernels of (1 - E) and
     E, hence saturated; each summand acts on the lattice's Hermite basis.
     Their ranks add to the module rank and their characters add to the
-    module character (asserted).
+    module character (asserted).  The character of the direct sum is the sum
+    of the summands' characters, since the trace of a block-diagonal action
+    is the sum of the blocks' traces, so the sum is compared and no direct
+    sum is built.
     """
     plus_rows, minus_rows = _kernels(_check_idempotent(m, e))
     if len(plus_rows) + len(minus_rows) != m.rank:
         raise CheckFailure("idempotent split ranks do not add up")
     m_plus = _summand(m, f"{m.name}.plus", plus_rows)
     m_minus = _summand(m, f"{m.name}.minus", minus_rows)
-    if module_character(direct_sum(m_plus, m_minus)) != module_character(m):
+    if module_character(m_plus) + module_character(m_minus) != module_character(m):
         raise CheckFailure("split characters do not add to the module character")
     return m_plus, m_minus
 

@@ -210,8 +210,15 @@ def ram_data(group, p, wild_chain, omega, name=""):
     return RamData(group, p, tuple(breaks), n, omega_exp, name=name)
 
 
+def _check_ramdata(rd):
+    """Refuse an argument that is not a :class:`RamData` before any of its fields is read."""
+    if not isinstance(rd, RamData):
+        raise InputError(f"ramification data must be a RamData, got {rd!r}")
+
+
 def i_gamma(rd, s):
     """The break function: 1 + number of wild chain steps containing s."""
+    _check_ramdata(rd)
     if type(s) is not int or not 0 <= s < rd.group.order:
         raise InputError(f"element id must be an int in 0..{rd.group.order - 1}, got {s!r}")
     if s == 0:
@@ -225,6 +232,7 @@ def artin_character(rd):
     Built on its integer form over the denominator 1, once per ``rd`` and
     held on it, like :func:`bisection`.
     """
+    _check_ramdata(rd)
     if rd._artin is not None:
         return rd._artin
     rows = ((sum(rd.breaks),),) + tuple([(-b,) for b in rd.breaks[1:]])
@@ -247,6 +255,7 @@ def bisection(rd):
     :func:`~ramcond.exact._inverse_zeta_minus_one_row` holds per level and
     omega exponent, already over 2n, so they are stored as they are.
     """
+    _check_ramdata(rd)
     if rd._bisection is not None:
         return rd._bisection
     grp = rd.group
@@ -268,6 +277,7 @@ def disc_valuation(rd, h):
     Computed by the different tower: (sum of breaks over the whole group
     minus the sum over h) divided by |h|; asserted to be a natural number.
     """
+    _check_ramdata(rd)
     if not isinstance(h, Subgroup) or h.parent != rd.group:
         raise InputError("disc_valuation needs a subgroup of the ramification group")
     num = sum(rd.breaks) - sum(rd.breaks[s] for s in h.elements)
@@ -295,6 +305,7 @@ def restrict_ramdata(rd, h):
     homomorphism onto Z/n_H.  These are the data :func:`ram_data` builds
     from the intersected chain and that omega.
     """
+    _check_ramdata(rd)
     if not isinstance(h, Subgroup) or h.parent != rd.group:
         raise InputError("restrict_ramdata needs a subgroup of the ramification group")
     hgrp, _, from_sub = h.as_group()

@@ -20,9 +20,15 @@ checks.  One loop, :func:`_mul_forms`, multiplies two forms, visiting only
 degree pairs d1 + d2 <= D; one loop, :func:`_accumulate`, adds them, for
 sums, scalar multiples, substitution, [r](f) and the Weierstrass quotient;
 :func:`_lowest_terms` reduces every result.  The Gauss valuation of a form is
-v_p(g) - v_p(den), g the gcd of its numerators.  Weierstrass division
-multiplies, shifts and solves by the unit part of the divisor
-(:func:`_solve`) on forms from start to end.  Every power (1 + u)^r of a
+v_p(g) - v_p(den), g the gcd of its numerators.  Weierstrass division by
+f = a + z^n b, deg_z a < n, works on forms from start to end, and
+:func:`_solve` is its one triangular solver.  The quotient solves
+b q + H(a q) = H(g), H the terms of z-degree >= n divided by z^n, with a
+product kept iff its degree before H is at most D.  When every term of a
+has positive degree outside z, that system is triangular in the weight
+deg_z + (n + 1) (degree - deg_z), so it has exactly one solution and one
+solve gives it; otherwise a successive approximation multiplies, shifts
+and solves by the unit b alone.  Every power (1 + u)^r of a
 series u with u(0) = 0 comes from one recurrence, degree by degree, in
 :func:`endo_apply`: [r](f) and the expansion [r](T) of :func:`mult_endo`.
 
@@ -38,7 +44,9 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import repeat
 from math import gcd, inf, lcm
+from operator import itemgetter
 from types import MappingProxyType
 from typing import NamedTuple
 
@@ -525,23 +533,37 @@ def _z_part(cap, zi, n, parts, high):
 def weierstrass_divide(g, f, z, val_bound=32):
     """Divide g by a z-distinguished f: g = q*f + r with deg_z r < order(f).
 
-    Successive approximation; the correction terms gain at least one unit of
-    combined (p-adic + non-z degree) weight per step, so the loop stops once
-    the correction either vanishes inside the window (exact division,
-    certified_valuation = +inf) or has Gauss valuation >= val_bound (the
-    certified p-adic precision of the reported pair).  val_bound must be an
-    integer in 1..VAL_BOUND_MAX.
+    Write f = a + z^n b, deg_z a < n, and let H keep the terms of z-degree
+    >= n and divide them by z^n.  Then r is the low part of g - q f, and q
+    solves b q + H(a q) = H(g), truncated at the cap as a product is: a
+    term of b q or a q is kept iff its degree, before H, is at most the cap.
+    The division decides once, by the low part a, how to solve it.
 
-    With f = a + z^n b, deg_z a < n, the loop starts from the solution delta
-    of b delta = g / z^n, q = delta, and steps to the solution of
-    b delta = -(delta a / z^n), q <- q + delta, where / z^n drops the terms
-    of z-degree below n.  The low part is read as -a once, so a step is one
-    product delta (-a) (:func:`_mul_forms`) and one triangular solve by the
-    unit b (:func:`_solve`), with no negation in between; b^-1, dense in
-    the window, is never formed.  The loop never builds a series: every
-    form it multiplies or solves with is in lowest terms, q accumulates in
-    place, per degree, over the lcm of the denominators of the deltas, and
-    q becomes a series once, at the end.
+    If no term of a is a pure power of z (every low term has positive
+    degree in the non-z variables: f is "S-exact"), grade the terms by the
+    weight w = deg_z + (n + 1) (degree - deg_z).  Every term of b of
+    positive degree, and every term of H(a .), raises w by at least 1, so
+    the truncated system is triangular in w with the unit constant term of
+    b on its diagonal, and has exactly one solution.  :func:`_solve` takes
+    a as well as b and gives q by one forward substitution: the division is
+    exact and certified_valuation = +inf, whatever val_bound is.
+
+    Otherwise a, read as -a once, goes into a successive approximation: the
+    loop starts from the solution delta of b delta = H(g), q = delta, and
+    steps to the solution of b delta = H(-a delta), q <- q + delta.  A step
+    is one product delta (-a) (:func:`_mul_forms`) and one solve by the unit
+    b, with no negation in between; b^-1, dense in the window, is never
+    formed.  The corrections gain at least one unit of combined (p-adic +
+    non-z degree) weight per step, so the loop stops once the correction
+    either vanishes inside the window (exact division, certified_valuation
+    = +inf) or has Gauss valuation >= val_bound (the certified p-adic
+    precision of the reported pair).  Where it ends on a zero correction,
+    its q solves the truncated system.  The loop never builds a
+    series: every form it multiplies or solves with is in lowest terms, q
+    accumulates in place, per degree, over the lcm of the denominators of
+    the deltas, and q becomes a series once, at the end.
+
+    val_bound must be an integer in 1..VAL_BOUND_MAX.
     """
     if type(val_bound) is not int or not 1 <= val_bound <= VAL_BOUND_MAX:
         raise InputError(f"val_bound must be an integer in 1..{VAL_BOUND_MAX}, got {val_bound!r}")
@@ -553,92 +575,184 @@ def weierstrass_divide(g, f, z, val_bound=32):
     ring = f.ring
     cap = ring.degree_cap
     zi = ring.index_of(z)
+    unit = (cap + 1) ** zi
     den_f, buckets_f = f._form
-    neg_a = _lowest_terms(den_f, _z_part(cap, zi, n, buckets_f, False), -1)
+    low = _z_part(cap, zi, n, buckets_f, False)
     b = _lowest_terms(den_f, _z_part(cap, zi, n, buckets_f, True))
     den_g, buckets_g = g._form
-    delta = _solve(cap, b, _lowest_terms(den_g, _z_part(cap, zi, n, buckets_g, True)))
-    q_den, q = 1, [None] * (cap + 1)
+    y = _lowest_terms(den_g, _z_part(cap, zi, n, buckets_g, True))
     certified = inf
-    headroom = max(0, -gauss_valuation(g))
-    max_iter = val_bound + 2 * cap + headroom + 64
-    # Step i adds the delta of step i to q; the loop's product and solve
-    # give the next one.  The first delta is q's start, not a correction.
-    for i in range(max_iter + 1):
-        den, buckets = delta
-        if not buckets:
-            break
-        new_den = lcm(q_den, den)
-        if new_den != q_den:
-            scale = new_den // q_den
-            q = [terms and {k: c * scale for k, c in terms.items()} for terms in q]
-            q_den = new_den
-        _accumulate(q, q_den // den, buckets)
-        if i and _valuation(ring.p, den, buckets) >= val_bound:
-            certified = val_bound
-            break
-        if i == max_iter:
-            raise CheckFailure("weierstrass division failed to stabilize")
-        den, acc = _mul_forms(cap, neg_a, delta)
-        delta = _solve(cap, b, _lowest_terms(den, _z_part(cap, zi, n, enumerate(acc), True)))
+    if all(d * unit not in terms for d, terms in buckets_f if d < n):
+        q = _solve(cap, b, y, _lowest_terms(den_f, low), zi, n)
+    else:
+        neg_a = _lowest_terms(den_f, low, -1)
+        delta = _solve(cap, b, y)
+        q_den, q = 1, [None] * (cap + 1)
+        headroom = max(0, -gauss_valuation(g))
+        max_iter = val_bound + 2 * cap + headroom + 64
+        # Step i adds the delta of step i to q; the loop's product and solve
+        # give the next one.  The first delta is q's start, not a correction.
+        for i in range(max_iter + 1):
+            den, buckets = delta
+            if not buckets:
+                break
+            new_den = lcm(q_den, den)
+            if new_den != q_den:
+                scale = new_den // q_den
+                q = [terms and {k: c * scale for k, c in terms.items()} for terms in q]
+                q_den = new_den
+            _accumulate(q, q_den // den, buckets)
+            if i and _valuation(ring.p, den, buckets) >= val_bound:
+                certified = val_bound
+                break
+            if i == max_iter:
+                raise CheckFailure("weierstrass division failed to stabilize")
+            den, acc = _mul_forms(cap, neg_a, delta)
+            delta = _solve(cap, b, _lowest_terms(den, _z_part(cap, zi, n, enumerate(acc), True)))
+        q = _lowest_terms(q_den, q)
 
-    q = MixedSeries._from_form(ring, _lowest_terms(q_den, q))
+    q = MixedSeries._from_form(ring, q)
     den, remainder = (g - q * f)._form
     r = MixedSeries._from_form(ring, _lowest_terms(den, _z_part(cap, zi, n, remainder, False)))
     return WeierstrassResult(q, r, certified)
 
 
-def _solve(cap, fb, fy):
-    """The solution x of b x = y, truncated at degree cap.
+def _weight(i, base, m):
+    """The weight (m + 1) d - m e of the cell i = d + base * e (see :func:`_cells`)."""
+    return (m + 1) * (i % base) - m * (i // base)
 
-    b and y are forms, b with a nonzero constant term n0/den_b.  Returns
-    the form of x in lowest terms.  Let lo be the lowest degree of y, and
-    B_k and Y_d the numerators of degree k of b and of degree d of y.
-    Forward substitution, degree by degree, gives
-    x_d = X_d den_b / (den_y n0^(d - lo + 1)) with the integer parts
 
-        X_d = n0^(d - lo) Y_d - sum_(k >= 1) n0^(k - 1) B_k X_(d - k),
+def _cells(buckets, unit, base, m):
+    """The terms of ``buckets`` as cells (i, {key: numerator}) in the order of
+    their weight (:func:`_weight`).  For m > 0 a cell holds the keys of
+    degree d and z-degree e, z the digit of weight ``unit`` in ``base``, and
+    i = d + base * e; for m = 0 it is a whole degree d, i = d is its weight,
+    and the buckets are the cells."""
+    if not m:
+        return buckets
+    cells = {}
+    for d, terms in buckets:
+        for k, c in terms.items():
+            cells.setdefault(d + base * (k // unit % base), {})[k] = c
+    return sorted(cells.items(), key=lambda cell: _weight(cell[0], base, m))
 
-    so x has the numerators X_d den_b n0^(cap - d) over den_y n0^(cap - lo + 1).
-    Each X_(d - k) meets the terms of B_k only: a sparse b costs as many
-    term pairs as it has terms, where b^-1 is dense in the window.  Where
-    n0^(d - lo) is 1 (at d = lo, and everywhere when n0 is 1 after the sign
-    flip), X_d starts from a copy of Y_d.
+
+def _solve(cap, fb, fy, fa=(1, ()), zi=0, n=0):
+    """The solution x of b x + H(a x) = y, truncated at degree cap.
+
+    b, y and a are forms, b with a nonzero constant term; H keeps the terms
+    of z-degree >= n, z the variable ``zi``, and divides them by z^n.  A
+    term of b x or of a x is kept iff its degree, before H, is at most cap,
+    and x has the terms of degree <= cap.  a is empty (the solve by the unit
+    b alone), or each of its terms has z-degree below n and positive degree
+    in the other variables.  Returns the form of x in lowest terms.
+
+    Grade the terms by the weight w = (m + 1) d - m e of degree d and
+    z-degree e, with m = n if a has terms and m = 0 (w = d) otherwise.  A
+    term of b of degree k >= 1 raises w by at least k, and a term of a of
+    degree e' + s, s >= 1 outside z, raises it by (n + 1) s + e' - n >= 1
+    after H.  So x -> b x + H(a x) is n0/den times the identity plus a map
+    that strictly raises w, n0/den the constant term of b over a common
+    denominator den of a and b, and the truncated system is triangular in
+    w: it has exactly one solution, which forward substitution gives.  Let
+    lo be the lowest weight of y, and N_k and Y_w the numerators of the part
+    of the map raising w by k and of the weight-w part of y.  Weight by
+    weight,
+
+        X_w = n0^(w - lo) Y_w - sum_(k >= 1) n0^(k - 1) N_k X_(w - k),
+
+    and x has the numerators X_w den n0^(top - w) over den_y
+    n0^(top - lo + 1), top = (m + 1) cap the highest weight.  The terms are
+    held in cells of one degree and, if m > 0, one z-degree (:func:`_cells`),
+    so the truncation and H are decided per pair of cells, not per pair of
+    terms; with a empty the cells are the degrees and the loop is the
+    degree-ordered substitution by b.  In weight order each cell adds its
+    products into the cells it reaches.  Each X_(w - k) meets the terms of
+    N_k only: a sparse b costs as many term pairs as it has terms, where
+    b^-1 is dense in the window.  When n0 is 1 after the sign flip, X_w
+    starts from a copy of Y_w, and den = 1 too leaves no scaling to do.
     """
     den_b, buckets_b = fb
     den_y, buckets_y = fy
     if not buckets_y:
         return (1, [])
-    n0 = buckets_b[0][1][0]  # degree 0 holds the one key 0
+    den_a, buckets_a = fa
+    m = n if buckets_a else 0
+    base = cap + 1
+    unit = base**zi
+    den = lcm(den_a, den_b)
+    n0 = buckets_b[0][1][0] * (den // den_b)  # degree 0 holds the one key 0
     flip = -1 if n0 < 0 else 1  # x = -(y / -b) keeps the denominator positive
-    n0 = flip * n0
-    rest = [(k, -flip * n0 ** (k - 1), terms.items()) for k, terms in buckets_b[1:]]
-    lo = buckets_y[0][0]
-    ys = dict(buckets_y)
-    groups = [None] * (cap + 1)
-    for d in range(lo, cap + 1):
-        w = n0 ** (d - lo)
-        if d not in ys:
-            acc = {}
-        elif w == 1:
-            acc = dict(ys[d])  # a copy: acc is written to below
+    n0 *= flip
+    # The cell (d, e) is xs[d + base * e].  An op (reach, de, step, c, terms)
+    # adds c times its terms times the cell of id i into the cell of id
+    # i + step, for a cell (d, e) with d + reach <= cap and e + de >= 0.  It
+    # raises the weight by k, and c is -n0^(k - 1) with the flip, times the
+    # factor that brings its terms over den.
+    ops = []
+    for i, terms in _cells(buckets_b[1:], unit, base, m):
+        k = _weight(i, base, m)
+        ops.append((i % base, i // base, i, -flip * (den // den_b) * n0 ** (k - 1), terms.items()))
+    if m:
+        for i, terms in _cells(buckets_a, unit, base, m):  # H shifts a x down by z^n
+            k = _weight(i, base, m) - n
+            c = -flip * (den // den_a) * n0 ** (k - 1)
+            terms = [(key - n * unit, v) for key, v in terms.items()]
+            ops.append((i % base, i // base - n, i - n * (base + 1), c, terms))
+        ops.sort(key=itemgetter(0))
+    ys = _cells(buckets_y, unit, base, m)
+    lo = _weight(ys[0][0], base, m)
+    top = (m + 1) * cap
+    xs = [None] * (base * base if m else base)
+    for i, terms in ys:
+        if n0 == 1:
+            xs[i] = dict(terms)  # a copy: the cells are written to below
         else:
-            acc = {k: w * c for k, c in ys[d].items()}
-        for k, wk, terms in rest:
-            if d - k < lo:
+            power = n0 ** (_weight(i, base, m) - lo)
+            xs[i] = {k: power * c for k, c in terms.items()}
+    if m:  # the cells of weight w: s = d - e outside z, d = w - m s <= cap, e >= 0
+        order = [
+            (d + base * (d - s), d, d - s)
+            for w in range(lo, top + 1)
+            for s in range(max(0, -((cap - w) // m)), w // (m + 1) + 1)
+            for d in (w - m * s,)
+        ]
+    else:
+        order = zip(range(lo, base), range(lo, base), repeat(0))
+    for i, d, e in order:
+        x = xs[i]
+        if x is None:
+            continue
+        x = x.items()
+        for reach, de, step, wk, terms in ops:
+            if d + reach > cap:
                 break
-            x = groups[d - k].items()
+            if e + de < 0:
+                continue
+            acc = xs[i + step]
+            if acc is None:
+                acc = xs[i + step] = {}
             for k1, n1 in terms:
                 c1 = wk * n1
                 for k2, n2 in x:
                     key = k1 + k2
                     acc[key] = acc.get(key, 0) + c1 * n2
-        groups[d] = acc
-    for d in range(lo, cap + 1):
-        scale = den_b * n0 ** (cap - d)
-        if scale != 1:
-            groups[d] = {key: c * scale for key, c in groups[d].items()}
-    return _lowest_terms(den_y * n0 ** (cap - lo + 1), groups, flip)
+    if den != 1 or n0 != 1:
+        for i, terms in enumerate(xs):
+            if terms is not None:
+                scale = den * n0 ** (top - _weight(i, base, m))
+                xs[i] = {key: c * scale for key, c in terms.items()}
+    groups = xs
+    if m:
+        groups = [None] * base
+        for i, terms in enumerate(xs):
+            if terms is not None:
+                d = i % base
+                if groups[d] is None:
+                    groups[d] = terms
+                else:
+                    groups[d].update(terms)
+    return _lowest_terms(den_y * n0 ** (top - lo + 1), groups, flip)
 
 
 # ---------------------------------------------------------------------------

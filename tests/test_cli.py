@@ -143,6 +143,23 @@ def test_series_subcommands(capsys):
     assert report["tables"]["series"][0]["member"] is False
 
 
+def test_s_exact_division_is_exact_whatever_the_valuation_bound(capsys):
+    """The divisor Z + S has no pure Z-term below Z, so the division is one
+    triangular solve: the quotient is exact even at --val-bound 1, with the
+    q and r that the successive approximation found before it stopped."""
+    argv = ["series", "wdiv", "--g", "3^5*Z^2", "--f", "Z+S", "--p", "3", "--val-bound", "1"]
+    code, report, _ = run_json(capsys, *argv)
+    assert code == 0
+    (row,) = report["tables"]["series"]
+    assert row["q"] == "243*Z - 243*S" and row["r"] == "243*S^2"
+    assert row["certified_valuation"] == "exact"
+    code, out = run(capsys, *argv)
+    assert code == 0
+    assert out.splitlines()[-1].split() == [
+        "wdiv", "243*Z", "-", "243*S", "243*S^2", "exact", "weierstrass-division"
+    ]
+
+
 def nested(depth):
     return "(" * depth + "S" + ")" * depth
 

@@ -333,6 +333,23 @@ def test_split_idempotent_regular_c2():
     assert module_character(minus).values[1] == -1  # sign summand
 
 
+def test_split_idempotent_character_check_fires_on_a_wrong_summand(monkeypatch):
+    """The summands' characters must add to the module's: a minus summand
+    built on the plus lattice (the trivial line of the regular C2 module,
+    in place of the sign line) makes the check fire."""
+    g = make_cyclic(2)
+    reg = regular_module(g, 3)
+    e = ((Fraction(1, 2), Fraction(1, 2)), (Fraction(1, 2), Fraction(1, 2)))
+    summand = conductors._summand
+
+    def wrong_minus(m, name, basis):
+        return summand(m, name, [[1, 1]] if name.endswith(".minus") else basis)
+
+    monkeypatch.setattr(conductors, "_summand", wrong_minus)
+    with pytest.raises(CheckFailure, match="^split characters do not add to the module character$"):
+        split_idempotent(reg, e)
+
+
 def test_split_idempotent_extremes():
     g = make_cyclic(2)
     reg = regular_module(g, 3)

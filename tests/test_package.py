@@ -275,3 +275,45 @@ def test_module_readers_refuse_a_non_module(read, bad):
     with pytest.raises(ramcond.InputError) as excinfo:
         read(bad)
     assert str(excinfo.value) == f"module must be a CharModule, got {bad!r}"
+
+
+_C4_CHI = ramcond.trivial_character(_C4)
+_C2_MODULE = ramcond.trivial_module(_C2_SUB.as_group()[0], 2)
+_RAMDATA_READERS = [
+    ("i_gamma", lambda rd: ramcond.i_gamma(rd, 1)),
+    ("artin_character", ramcond.artin_character),
+    ("bisection", ramcond.bisection),
+    ("disc_valuation", lambda rd: ramcond.disc_valuation(rd, _C2_SUB)),
+    ("restrict_ramdata", lambda rd: ramcond.restrict_ramdata(rd, _C2_SUB)),
+    ("artin_conductor", lambda rd: ramcond.artin_conductor(rd, _C4_CHI)),
+    ("conductor", lambda rd: ramcond.conductor(_C4_MODULE, rd)),
+    ("induction_formula", lambda rd: induction_formula(_C2_MODULE, _C2_SUB, rd)),
+    ("conductor_via_induction", lambda rd: ramcond.conductor_via_induction(_C2_MODULE, _C2_SUB, rd)),
+]
+
+
+@pytest.mark.parametrize("read", [r[1] for r in _RAMDATA_READERS], ids=[r[0] for r in _RAMDATA_READERS])
+@pytest.mark.parametrize("bad", [(1,), 5, None, _C4_MODULE], ids=["tuple", "int", "None", "CharModule"])
+def test_ramification_readers_refuse_a_non_ramdata(read, bad):
+    with pytest.raises(ramcond.InputError) as excinfo:
+        read(bad)
+    assert str(excinfo.value) == f"ramification data must be a RamData, got {bad!r}"
+
+
+_CLASS_FUNCTION_READERS = [
+    ("pair-first", lambda f: ramcond.pair(f, _C4_CHI)),
+    ("pair-second", lambda f: ramcond.pair(_C4_CHI, f)),
+    ("induce", lambda f: ramcond.induce(f, _C2_SUB)),
+    ("restrict", lambda f: ramcond.restrict(f, _C2_SUB)),
+    ("artin_conductor", lambda f: ramcond.artin_conductor(_C4_RD, f)),
+]
+
+
+@pytest.mark.parametrize(
+    "read", [r[1] for r in _CLASS_FUNCTION_READERS], ids=[r[0] for r in _CLASS_FUNCTION_READERS]
+)
+@pytest.mark.parametrize("bad", [(1,), 5, None, _C4_RD], ids=["tuple", "int", "None", "RamData"])
+def test_class_function_readers_refuse_a_non_class_function(read, bad):
+    with pytest.raises(ramcond.InputError) as excinfo:
+        read(bad)
+    assert str(excinfo.value) == f"class function must be a ClassFunction, got {bad!r}"

@@ -460,6 +460,52 @@ def division_case(draw):
     return MixedSeries(ring, f), MixedSeries(ring, g), names[zi], draw(st.integers(1, 6))
 
 
+@st.composite
+def s_exact_division_case(draw):
+    """A z-distinguished f whose low part lies in the non-z ideal, a
+    dividend g and a valuation bound.
+
+    Two or three variables, one of them z, split between the two blocks,
+    so that T-variables occur in some cases and not in others; p is 2, 3 or
+    5 and n <= 3.  Every term of f of z-degree below n has positive degree
+    in the other variables (f is "S-exact"), and there is at least one.
+    The coefficients of f are p-integral with denominators 1, 7 or 11;
+    those of g have denominators 1, 7 or 11 times a power of p up to p^2.
+    """
+    p = draw(st.sampled_from([2, 3, 5]))
+    nvars = draw(st.integers(2, 3))
+    names = ("A", "B", "C")[:nvars]
+    split = draw(st.integers(0, nvars))
+    cap = draw(st.integers(2, 8 if nvars < 3 else 6))
+    ring = SeriesRingSpec(p, s_vars=names[:split], t_vars=names[split:], degree_cap=cap)
+    zi = draw(st.integers(0, nvars - 1))
+    n = draw(st.integers(1, min(3, cap - 1)))
+
+    def coeff(low, high):
+        return st.builds(
+            lambda num, v, den: Fraction(num, den) * Fraction(p) ** v,
+            st.integers(-9, 9).filter(bool),
+            st.integers(low, high),
+            st.sampled_from([1, 7, 11]),
+        )
+
+    expo = st.tuples(*(st.integers(0, cap) for _ in range(nvars))).filter(
+        lambda e: sum(e) <= cap
+    )
+
+    def pure_z(e):
+        return sum(e) == e[zi]
+
+    low = expo.filter(lambda e: e[zi] < n and not pure_z(e))
+    high = expo.filter(lambda e: not pure_z(e) or e[zi] > n)
+    f = draw(st.dictionaries(high, coeff(0, 2), max_size=4))
+    f.update(draw(st.dictionaries(low, coeff(0, 2), min_size=1, max_size=3)))
+    unit = draw(st.integers(1, 9).filter(lambda u: u % p)) * draw(st.sampled_from([1, -1]))
+    f[tuple(n if j == zi else 0 for j in range(nvars))] = Fraction(unit, draw(st.sampled_from([1, 7, 11])))
+    g = draw(st.dictionaries(expo, coeff(-2, 2), min_size=1, max_size=5))
+    return MixedSeries(ring, f), MixedSeries(ring, g), names[zi], n, draw(st.integers(1, 6))
+
+
 def _in_lowest_terms(form):
     den, buckets = form
     return gcd(den, *[num for _, terms in buckets for num in terms.values()]) == 1
@@ -490,6 +536,58 @@ def test_weierstrass_matches_fraction_oracle(case):
     assert_clean(r)
 
 
+@given(s_exact_division_case())
+@settings(max_examples=100, deadline=None)
+def test_s_exact_division_is_exact(case):
+    """With no pure z-term in its low part, the division is one triangular
+    solve: g = q f + r holds exactly in the window, deg_z r < n, the
+    quotient is certified exact whatever the bound, and q and r are the
+    ``Fraction`` oracle's, whose successive approximation runs out."""
+    f, g, z, n, val_bound = case
+    assert is_distinguished(f, z) == (True, n)
+    zi = f.ring.index_of(z)
+    result = weierstrass_divide(g, f, z, val_bound)
+    q, r, certified = result
+    assert q * f + r == g
+    assert all(e[zi] < n for e in r.coeffs)
+    assert certified == math.inf
+    assert result == dense.weierstrass_divide(g, f, z, VAL_BOUND_MAX)
+    assert_clean(q)
+    assert_clean(r)
+
+
+def test_s_exact_division_is_one_solve_and_no_loop_product(monkeypatch):
+    """An S-exact division calls ``_solve`` once, with the low part of f,
+    and the one product is q f, for the remainder."""
+    z, s = zvar(), zvar("S")
+    f = z**3 * Fraction(1, 7) + s * z * z + 3 * s * s * z + s + z**4
+    g = z**5 + s * z**3 * Fraction(3, 7) + 1
+    series_mul, kernel, solve = MixedSeries.__mul__, series._mul_forms, series._solve
+    counts = dict.fromkeys(("mul", "kernel", "solve"), 0)
+
+    def counting_mul(a, b):
+        counts["mul"] += 1
+        return series_mul(a, b)
+
+    def counting_kernel(cap, fa, fb):
+        counts["kernel"] += 1
+        return kernel(cap, fa, fb)
+
+    def counting_solve(cap, fb, fy, fa=(1, ()), zi=0, n=0):
+        assert fa[1] and n == 3
+        counts["solve"] += 1
+        return solve(cap, fb, fy, fa, zi, n)
+
+    monkeypatch.setattr(MixedSeries, "__mul__", counting_mul)
+    monkeypatch.setattr(series, "_mul_forms", counting_kernel)
+    monkeypatch.setattr(series, "_solve", counting_solve)
+    result = weierstrass_divide(g, f, "Z", 1)
+    assert counts == {"mul": 1, "kernel": 1, "solve": 1}
+    monkeypatch.undo()
+    assert result.certified_valuation == math.inf
+    assert result == dense.weierstrass_divide(g, f, "Z", VAL_BOUND_MAX)
+
+
 def test_weierstrass_series_products_do_not_grow_with_iterations(monkeypatch):
     """The division loop works on forms only: MixedSeries.__mul__ runs and
     series are built the same number of times whatever the number of
@@ -512,10 +610,11 @@ def test_weierstrass_series_products_do_not_grow_with_iterations(monkeypatch):
         counts["kernel"] += 1
         return kernel(cap, fa, fb)
 
-    def counting_solve(cap, fb, fy):
+    def counting_solve(cap, fb, fy, fa=(1, ()), zi=0, n=0):
         assert _in_lowest_terms(fb) and _in_lowest_terms(fy)
+        assert not fa[1]  # the loop solves by the unit part alone
         counts["solve"] += 1
-        return solve(cap, fb, fy)
+        return solve(cap, fb, fy, fa, zi, n)
 
     def counting_from_form(cls, ring, form):
         counts["built"] += 1
@@ -639,6 +738,26 @@ def test_solve_by_a_unit_with_constant_numerator_one(data, c0):
     x = MixedSeries._from_form(ring, series._solve(cap, b._form, y._form))
     assert b * x == y and x == b + MixedSeries.const(ring, 3) * dense.unit_inverse(b)
     assert_form(x)
+
+
+@given(s_exact_division_case(), st.data())
+@settings(max_examples=80, deadline=None)
+def test_solve_with_a_low_part_solves_the_truncated_system(case, data):
+    """``_solve`` with the low part a of an S-exact f = a + z^n b: x
+    satisfies b x + H(a x) = y on the whole window, H(a x) read off the
+    product a x truncated at the cap, and x is a form in lowest terms."""
+    f, g, z, n, _ = case
+    ring, cap = f.ring, f.ring.degree_cap
+    zi = ring.index_of(z)
+    a, b = dense.z_low(f, zi, n), dense.z_shift_down(f, zi, n)
+    nvars = len(ring.variables)
+    expo = st.tuples(*(st.integers(0, cap) for _ in range(nvars))).filter(lambda e: sum(e) <= cap)
+    coeff = st.fractions(min_value=-50, max_value=50, max_denominator=30)
+    y = MixedSeries(ring, data.draw(st.dictionaries(expo, coeff, max_size=5)))
+    for rhs in (y, g):
+        x = MixedSeries._from_form(ring, series._solve(cap, b._form, rhs._form, a._form, zi, n))
+        assert b * x + dense.z_shift_down(a * x, zi, n) == rhs
+        assert_form(x)
 
 
 def test_unit_inverse_rejects_vanishing_constant_term():
