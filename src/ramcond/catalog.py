@@ -186,7 +186,7 @@ def random_unit_conjugate(rng, module):
             uinv[k][j] -= c * uinv[k][i]
     (u, _), (uinv, _) = read_matrix(u), read_matrix(uinv)
     forms = {
-        g: sparse_mul(uinv, sparse_mul(module.forms[g], u))
+        g: sparse_mul(uinv, sparse_mul(module._form(g), u))
         for g in (0, *module.group.generating_set())
     }
     return CharModule._from_forms(f"{module.name}~", module.group, module.p, forms)

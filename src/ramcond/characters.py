@@ -54,8 +54,9 @@ class ClassFunction:
     The public constructor reads values and keeps them as the view; the
     package's builders hand over forms through :meth:`_from_form`.  Both run
     the same conjugacy-class check, on the rows: since they share ``den``,
-    rows are equal exactly when values are.  Class functions are immutable,
-    so neither form nor view can go stale.
+    rows are equal exactly when values are.  When every class is a singleton
+    (an abelian group) the check compares nothing and is skipped.  Class
+    functions are immutable, so neither form nor view can go stale.
     """
 
     __slots__ = ("group", "level", "verified", "_form", "_values")
@@ -88,13 +89,15 @@ class ClassFunction:
 
     def _set(self, group, level, form, verified, values):
         rows = form[1]
-        for cls in conjugacy_classes(group):
-            r0 = rows[cls[0]]
-            for s in cls[1:]:
-                if rows[s] != r0:
-                    raise InputError(
-                        f"values not constant on the conjugacy class of {cls[0]}"
-                    )
+        classes = conjugacy_classes(group)
+        if len(classes) < group.order:
+            for cls in classes:
+                r0 = rows[cls[0]]
+                for s in cls[1:]:
+                    if rows[s] != r0:
+                        raise InputError(
+                            f"values not constant on the conjugacy class of {cls[0]}"
+                        )
         object.__setattr__(self, "group", group)
         object.__setattr__(self, "level", level)
         object.__setattr__(self, "verified", bool(verified))
@@ -278,6 +281,13 @@ def check_forms(group, forms):
     every given form is compared.  The walk misses an element exactly when
     the given elements do not generate.  Returns every element's form in
     ascending order.
+
+    Given exactly the identity and an s of order |G|, with A = F(s), S is
+    (s,) and the walk is 1 -> s -> s^2 -> ... -> s^|G| = 1: it stores A^k
+    at s^k and makes one comparison, A^|G| against F(1).  So it accepts
+    exactly when F(1) = 1 and A^|G| = 1, the relations of the presentation
+    G = <s | s^|G|>; :class:`~ramcond.conductors.CharModule` checks those two
+    by halving and runs this walk only when its forms are read.
     """
     d = len(forms[0][1])
     if forms[0] != identity_form(d):
@@ -301,22 +311,24 @@ def check_forms(group, forms):
     return dict(sorted(out.items()))
 
 
-def trace_forms(group, forms):
+def trace_forms(group, form_at):
     """Trace character of an action over Q given by the forms of its matrices.
 
-    One trace per rational class (:func:`~ramcond.groups.rational_classes`),
-    an integer sum of diagonal numerators at the class's least element,
-    copied across the class, all over the lcm of those elements' form
-    denominators.  This is exact for any action that :func:`check_forms`
-    accepted, and only such actions reach it: M is a homomorphism, so M(s)
-    has finite order n = ord s and its eigenvalues l_i are n-th roots of
-    unity.  For gcd(k, n) = 1 let sigma_k fix Q and send zeta_n to
-    zeta_n^k; then tr M(s^k) = sum l_i^k = sigma_k(tr M(s)), and sigma_k
-    fixes tr M(s), which is rational.  Conjugate elements have equal traces
-    too, so the trace is constant on each rational class.
+    ``form_at`` maps an element id to the form of its matrix; it is read at
+    the least element of each rational class
+    (:func:`~ramcond.groups.rational_classes`) only.  There the trace is an
+    integer sum of diagonal numerators, copied across the class, all over
+    the lcm of those elements' form denominators.  This is exact for any
+    action that :func:`check_forms` accepted, and only such actions reach
+    it: M is a homomorphism, so M(s) has finite order n = ord s and its
+    eigenvalues l_i are n-th roots of unity.  For gcd(k, n) = 1 let sigma_k
+    fix Q and send zeta_n to zeta_n^k; then tr M(s^k) = sum l_i^k =
+    sigma_k(tr M(s)), and sigma_k fixes tr M(s), which is rational.
+    Conjugate elements have equal traces too, so the trace is constant on
+    each rational class.
     """
     classes = rational_classes(group)
-    reps = [forms[cls[0]] for cls in classes]
+    reps = [form_at(cls[0]) for cls in classes]
     den = lcm(*[d for d, _ in reps])
     rows = [None] * group.order
     for cls, (d, form_rows) in zip(classes, reps):

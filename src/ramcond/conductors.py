@@ -3,8 +3,9 @@
 A :class:`CharModule` is a finite free lattice of rank d with a group acting
 by p-integral rational matrices; it stands for the character group of a
 formal torus twisted by the given action.  Its conductor is computed
-exclusively through the class-function pairing with the Artin bisection, and
-cross-checked against the induction formula
+exclusively through the class-function pairing with the Artin bisection, the
+pairing read per rational class, and cross-checked against the induction
+formula
 
     c(induced module) = c(module over the subextension) + (1/2) * v(disc) * rank.
 
@@ -24,7 +25,7 @@ from math import gcd, lcm, prod
 from .characters import check_forms, induce, pair, trace_forms
 from .errors import CheckFailure, InputError
 from .exact import _check_int, is_prime, p_valuation
-from .groups import Subgroup, element_ids, subgroup
+from .groups import Subgroup, element_ids, rational_classes, subgroup
 from .linalg import (
     echelon_coords,
     from_sparse,
@@ -35,7 +36,13 @@ from .linalg import (
     read_matrix,
     sparse_mul,
 )
-from .ramification import _check_ramdata, bisection, disc_valuation, restrict_ramdata
+from .ramification import (
+    _bisection_class_sums,
+    _check_ramdata,
+    bisection,
+    disc_valuation,
+    restrict_ramdata,
+)
 
 __all__ = [
     "CharModule",
@@ -66,20 +73,38 @@ class CharModule:
     common denominator.  ``action`` is a dense view of ``Fraction`` rows;
     every module builds it from its forms on first read.
 
-    A module is completed from the forms of its generators and checked by
-    one walk.  p-integrality is read from each given form's denominator (a
-    product of p-integral matrices is p-integral), then
-    :func:`~ramcond.characters.check_forms` completes and checks the action
-    on each Cayley edge over the generating set once.  The public
-    constructor and :func:`module_from_generators` read each dense matrix
-    once, by :func:`~ramcond.linalg.read_matrix`; the package's builders
-    hand over the forms of the identity and the generators through
-    :meth:`_from_forms`.  There is no determinant check:
-    once the action is a homomorphism of a finite group, each matrix has
-    finite order, so its rational determinant is +-1.
+    A module is completed from the forms of its generators and checked.
+    p-integrality is read from each given form's denominator (a product of
+    p-integral matrices is p-integral).  The public constructor and
+    :func:`module_from_generators` read each dense matrix once, by
+    :func:`~ramcond.linalg.read_matrix`; the package's builders hand over
+    the forms of the identity and the generators through :meth:`_from_forms`.
+    There is no determinant check: once the action is a homomorphism of a
+    finite group, each matrix has finite order, so its rational determinant
+    is +-1.
+
+    Two checks, each a proof that the action is a homomorphism:
+
+    * Given forms on exactly the identity and an element s of order |G|,
+      the module checks F(1) = 1 and A^|G| = 1 for A = F(s), computing
+      A^|G| by halving and holding every power it makes.  Those are the
+      relations of the presentation G = <s | s^|G|>, and they are exactly
+      what :func:`~ramcond.characters.check_forms` compares on this input,
+      so the module accepts what that walk accepts.  On a failure the walk
+      runs and raises its refusal.  ``forms`` is completed by the walk on
+      its first read; until then an element's form is A^k, k its discrete
+      logarithm to s (:meth:`~ramcond.groups.FiniteGroup._power_log`), read
+      through :meth:`_form` from the held powers.
+    * Any other input, a full action, a non-cyclic group or more given
+      elements, is completed and checked at once by the
+      :func:`~ramcond.characters.check_forms` walk over the Cayley edges.
+
+    Readers that need the identity and the generators only, or one element
+    per rational class (the character), read through :meth:`_form` and
+    leave the walk undone.
     """
 
-    __slots__ = ("name", "group", "p", "rank", "forms", "_action", "_char")
+    __slots__ = ("name", "group", "p", "rank", "_forms", "_gen", "_powers", "_action", "_char")
 
     def __init__(self, name, group, p, action):
         _check_mapping(action, "module action")
@@ -102,17 +127,34 @@ class CharModule:
         return self
 
     def _set(self, name, group, p, forms):
-        forms = check_forms(group, forms)
+        gen, powers = _presented(group, forms)
         object.__setattr__(self, "name", name)
         object.__setattr__(self, "group", group)
         object.__setattr__(self, "p", p)
         object.__setattr__(self, "rank", len(forms[0][1]))
-        object.__setattr__(self, "forms", forms)
+        # the walk refuses exactly what the power check refused
+        object.__setattr__(self, "_forms", None if gen is not None else check_forms(group, forms))
+        object.__setattr__(self, "_gen", gen)
+        object.__setattr__(self, "_powers", powers)
         object.__setattr__(self, "_action", None)
         object.__setattr__(self, "_char", None)
 
     def __setattr__(self, name, value):
         raise AttributeError("CharModule is immutable")
+
+    def _form(self, g):
+        """The form of g's matrix: from ``forms`` once complete, else the power of the generator."""
+        if self._forms is not None:
+            return self._forms[g]
+        return _power(self._powers, self.group._power_log(self._gen)[g])
+
+    @property
+    def forms(self):
+        """Element id -> the form of its matrix, in ascending order; completed on first read."""
+        if self._forms is None:
+            given = {0: self._powers[0], self._gen: self._powers[1]}
+            object.__setattr__(self, "_forms", check_forms(self.group, given))
+        return self._forms
 
     @property
     def action(self):
@@ -123,10 +165,45 @@ class CharModule:
         return self._action
 
     def is_integral(self):
-        return all(den == 1 for den, _ in self.forms.values())
+        """Whether every matrix is integral: products of integral generators are."""
+        return all(self._form(g)[0] == 1 for g in (0, *self.group.generating_set()))
 
     def __repr__(self):
         return f"CharModule({self.name!r}, {self.group.name}, rank={self.rank})"
+
+
+def _presented(group, forms):
+    """``(s, powers)`` when ``forms`` satisfy the presentation G = <s | s^|G|>, else ``(None, None)``.
+
+    That is: the forms are given on exactly 0 and an s of order |G|, F(0) is
+    the identity and A^|G| is the identity for A = F(s).  ``powers`` holds
+    A^k by k, with every power the check made.
+    """
+    one = forms[0]
+    if len(forms) != 2 or one != identity_form(len(one[1])):
+        return None, None
+    (s,) = set(forms) - {0}
+    if group.element_order(s) != group.order:
+        return None, None
+    powers = {0: one, 1: forms[s]}
+    if _power(powers, group.order) != one:
+        return None, None
+    return s, powers
+
+
+def _power(powers, k):
+    """A^k, by halving from the powers held in ``powers``; every power made is held there.
+
+    With nothing held beyond A^0 and A^1 it makes at most 2 * ceil(log2 k) products.
+    """
+    form = powers.get(k)
+    if form is None:
+        half = _power(powers, k // 2)
+        form = sparse_mul(half, half)
+        if k % 2:
+            form = sparse_mul(form, powers[1])
+        powers[k] = form
+    return form
 
 
 def _check_module(*modules):
@@ -208,8 +285,8 @@ def _stack_forms(placed):
     return den, tuple(rows)
 
 
-def _induced_action(sub, blocks):
-    """Forms of the action induced from ``sub``, on which h acts by the form ``blocks[h]``.
+def _induced_action(sub, block_of):
+    """Forms of the action induced from ``sub``, on which h acts by the form ``block_of(h)``.
 
     They are given on 0 and the parent's generators.  Over the left
     transversal (t_i), g maps block column i to block row j by the block of
@@ -217,7 +294,7 @@ def _induced_action(sub, blocks):
     """
     grp = sub.parent
     transversal, coset_of = sub.left_transversal()
-    d = len(blocks[0][1])
+    d = len(block_of(0)[1])
     forms = {}
     for g in (0, *grp.generating_set()):
         placed = [None] * len(transversal)
@@ -225,7 +302,7 @@ def _induced_action(sub, blocks):
             gt = grp.mult(g, t)
             j = coset_of[gt]
             h = grp.mult(grp.inv(transversal[j]), gt)
-            placed[j] = (i * d, blocks[h])
+            placed[j] = (i * d, block_of(h))
         forms[g] = _stack_forms(placed)
     return forms
 
@@ -233,7 +310,7 @@ def _induced_action(sub, blocks):
 def permutation_module(sub, p, name=None):
     """Left translation on the left cosets of ``sub``: the induced trivial block."""
     one = identity_form(1)
-    forms = _induced_action(sub, {h: one for h in sub.elements})
+    forms = _induced_action(sub, lambda h: one)
     return CharModule._from_forms(name or f"perm[{sub.order}]", sub.parent, p, forms)
 
 
@@ -246,7 +323,7 @@ def module_character(m):
     """Trace character of the module action (validated at construction), read on its forms."""
     _check_module(m)
     if m._char is None:
-        chi = trace_forms(m.group, m.forms)
+        chi = trace_forms(m.group, m._form)
         object.__setattr__(m, "_char", chi)
     return m._char
 
@@ -272,9 +349,9 @@ class Conductor:
 
 
 def conductor(m, rd):
-    """The base change conductor as the bisection/character pairing.
+    """The base change conductor as the bisection/character pairing (bA, chi_M).
 
-    The pairing (bA, chi_M) is rational when ``rd`` comes from
+    The pairing is rational when ``rd`` comes from
     :func:`~ramcond.ramification.ram_data`.  Let sigma_k fix Q and send
     zeta_n to zeta_n^k, gcd(k, n) = 1.  As gcd(n, p) = 1, there is k' with
     k' = k mod n and k' = 1 mod p.  Then k' is prime to |G| = n |Gamma_1|, so
@@ -285,8 +362,22 @@ def conductor(m, rd):
     chi_M(s^k') = tau(chi_M(s)) for tau: zeta -> zeta^k' on Q(zeta_|G|);
     chi_M(s) is rational, so chi_M(s^k') = chi_M(s).  Summing over t = s^k'
     gives sigma_k((bA, chi_M)) = (bA, chi_M), so the pairing is fixed by
-    Gal(Q(zeta_n)/Q) and lies in Q.  The CheckFailure below guards
-    hand-built :class:`~ramcond.ramification.RamData` only.
+    Gal(Q(zeta_n)/Q) and lies in Q.
+
+    The pairing is read per rational class C:
+
+        (bA, chi_M) = |G|^-1 * sum over C of chi_M(C) * S_C,
+
+    S_C the sum of bA over C (:func:`~ramcond.ramification._bisection_class_sums`,
+    held on ``rd``).  This is :func:`~ramcond.characters.pair` term for
+    term: a rational class is closed under inversion (s^-1 = s^(ord s - 1)),
+    and :func:`~ramcond.characters.trace_forms` makes chi_M constant on it,
+    so chi_M(s^-1) = chi_M(C) for every s in C.  The integer vector summed
+    is the one ``pair`` sums, at level n, where its fold leaves rows of
+    phi(n) entries as they are; so the value is rational exactly when the
+    entries after the first are zero, the test ``pair`` makes.  The
+    CheckFailure below, with the pairing's value, guards hand-built
+    :class:`~ramcond.ramification.RamData` only.
     """
     _check_module(m)
     ba = bisection(rd)  # refuses an rd that is not a RamData
@@ -294,13 +385,18 @@ def conductor(m, rd):
         raise InputError("module and ramification data live on different groups")
     if m.p != rd.p:
         raise InputError("module and ramification data disagree on p")
-    value = pair(ba, module_character(m))
-    ok, q = value.rational_part()
-    if not ok:
+    chi = module_character(m)
+    den_chi, chi_rows = chi._form
+    v = [0] * len(ba._form[1][0])
+    for cls, sums in zip(rational_classes(rd.group), _bisection_class_sums(rd, ba)):
+        q = chi_rows[cls[0]][0]
+        if q:
+            v = [a + q * x for a, x in zip(v, sums)]
+    if any(v[1:]):
         raise CheckFailure(
-            f"conductor pairing is not rational ({value}); omega and the module action are inconsistent"
+            f"conductor pairing is not rational ({pair(ba, chi)}); omega and the module action are inconsistent"
         )
-    return Conductor(q, rd.group.order)
+    return Conductor(Fraction(v[0], ba._form[0] * den_chi * rd.group.order), rd.group.order)
 
 
 def weil_restriction(m_sub, sub):
@@ -315,7 +411,7 @@ def weil_restriction(m_sub, sub):
     hgrp, to_sub, _ = sub.as_group()
     if m_sub.group != hgrp:
         raise InputError("module does not live on the given subgroup")
-    forms = _induced_action(sub, {h: m_sub.forms[to_sub[h]] for h in sub.elements})
+    forms = _induced_action(sub, lambda h: m_sub._form(to_sub[h]))
     result = CharModule._from_forms(f"Ind({m_sub.name})", sub.parent, m_sub.p, forms)
     if module_character(result) != induce(module_character(m_sub), sub):
         raise CheckFailure("induced module character mismatch")
@@ -370,7 +466,7 @@ def direct_sum(m1, m2):
         raise InputError("direct sum across different primes")
     d1 = m1.rank
     forms = {
-        g: _stack_forms(((0, m1.forms[g]), (d1, m2.forms[g])))
+        g: _stack_forms(((0, m1._form(g)), (d1, m2._form(g))))
         for g in (0, *m1.group.generating_set())
     }
     return CharModule._from_forms(f"{m1.name}+{m2.name}", m1.group, m1.p, forms)
@@ -388,7 +484,7 @@ def _check_idempotent(m, e):
     if sparse_mul(form, form) != form:
         raise InputError("matrix is not idempotent")
     for s in m.group.generating_set():
-        ms = m.forms[s]
+        ms = m._form(s)
         if sparse_mul(form, ms) != sparse_mul(ms, form):
             raise InputError("idempotent does not commute with the action")
     return form
@@ -417,7 +513,7 @@ def _summand(m, name, basis):
     """
     forms = {0: identity_form(len(basis))}
     for g in m.group.generating_set():
-        den, _ = form = m.forms[g]
+        den, _ = form = m._form(g)
         cols = [[c.numerator for c in echelon_coords(basis, _apply(form, b))] for b in basis]
         k = gcd(den, *[x for col in cols for x in col])
         rows = [{i: x // k for i, x in enumerate(row) if x} for row in zip(*cols)]
@@ -547,7 +643,7 @@ def check_adapted_basis(m, e, basis):
         raise CheckFailure(f"adapted basis index {index} is not a p-unit")
     for g in m.group.generating_set():
         for v in h:
-            coords = echelon_coords(h, _apply(m.forms[g], v))
+            coords = echelon_coords(h, _apply(m._form(g), v))
             if coords is None or any(c.denominator != 1 for c in coords):
                 raise CheckFailure("adapted basis is not action-stable")
     for v in h:

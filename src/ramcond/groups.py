@@ -6,8 +6,9 @@ by these ids.  Checks and enumerations work from generators: associativity
 by Light's test, conjugacy classes as orbits under conjugation by the
 generators, and subgroups as joins of cyclic subgroups.  What depends only
 on the group is computed once and held on it: its generating set, element
-orders, conjugacy and rational classes (:func:`rational_classes`) and
-subgroups, and one :class:`Subgroup` per element set that :func:`subgroup`
+orders, conjugacy and rational classes (:func:`rational_classes`),
+subgroups, the discrete logarithm to each generator of a cyclic group that
+is asked for, and one :class:`Subgroup` per element set that :func:`subgroup`
 is asked for.  The table itself is dense, so memory grows with the square
 of the order.
 """
@@ -106,6 +107,7 @@ class FiniteGroup:
         self._subgroups = None
         self._gens = None
         self._orders = None
+        self._logs = {}  # generator id -> its discrete-log table, see _power_log()
         self._held_subgroups = {}  # sorted element ids -> the one Subgroup subgroup() gives on them
 
     def __eq__(self, other):
@@ -158,6 +160,23 @@ class FiniteGroup:
                         orders[y] = k // gcd(k, i)
             self._orders = tuple(orders)
         return self._orders
+
+    def _power_log(self, s):
+        """The exponent k in 0..|G|-1 with s^k = g, by element id g, for an s of order |G|.
+
+        One walk s, s^2, ..., s^(|G|-1); computed once per generator and held
+        on the group.
+        """
+        logs = self._logs.get(s)
+        if logs is None:
+            table = self.table
+            exps = [0] * self.order
+            x = s
+            for k in range(1, self.order):
+                exps[x] = k
+                x = table[x][s]
+            logs = self._logs[s] = tuple(exps)
+        return logs
 
     def closure(self, gens):
         """The subgroup generated by ``gens``, as a sorted tuple of ids.

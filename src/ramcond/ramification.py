@@ -18,7 +18,7 @@ from math import gcd
 from .characters import ClassFunction
 from .errors import CheckFailure, InputError
 from .exact import _check_int, _inverse_zeta_minus_one_row, euler_phi, is_prime
-from .groups import FiniteGroup, Subgroup, element_ids, subgroup
+from .groups import FiniteGroup, Subgroup, element_ids, rational_classes, subgroup
 
 __all__ = [
     "RamData",
@@ -43,6 +43,7 @@ class RamData:
     name: str = field(default="", compare=False)
     _bisection: object = field(default=None, compare=False, repr=False)  # memo of bisection()
     _artin: object = field(default=None, compare=False, repr=False)  # memo of artin_character()
+    _class_sums: object = field(default=None, compare=False, repr=False)  # memo of _bisection_class_sums()
 
 
 def _quotient_refusal(group, p, xs, bset):
@@ -269,6 +270,23 @@ def bisection(rd):
             rows.append(_inverse_zeta_minus_one_row(n, rd.omega_exp[s]))
     object.__setattr__(rd, "_bisection", ClassFunction._from_form(grp, n, (2 * n, tuple(rows))))
     return rd._bisection
+
+
+def _bisection_class_sums(rd, ba):
+    """The integer rows of ``ba``, the bisection of ``rd``, summed over each rational class.
+
+    One row per class of :func:`~ramcond.groups.rational_classes`, in its
+    order: the sum over s in C of the numerators of bA(s) over the
+    bisection's denominator 2n.  Computed once per ``rd`` and held on it,
+    like :func:`bisection`; the caller hands over the bisection it holds.
+    """
+    if rd._class_sums is None:
+        rows = ba._form[1]
+        sums = tuple([
+            tuple(map(sum, zip(*[rows[s] for s in cls]))) for cls in rational_classes(rd.group)
+        ])
+        object.__setattr__(rd, "_class_sums", sums)
+    return rd._class_sums
 
 
 def disc_valuation(rd, h):

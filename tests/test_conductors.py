@@ -1,4 +1,5 @@
 import dataclasses
+import math
 import random
 import re
 from fractions import Fraction
@@ -18,9 +19,11 @@ from dense import (
 )
 
 from ramcond import characters, conductors, linalg
-from ramcond.catalog import catalog, random_module, random_unit_conjugate
+from ramcond.catalog import catalog, random_module, random_ram_data, random_unit_conjugate
+from ramcond.characters import ClassFunction, check_forms, pair, regular_character
 from ramcond.conductors import (
     CharModule,
+    Conductor,
     adapt_lattice,
     adapt_lattice_pair,
     check_adapted_basis,
@@ -41,7 +44,7 @@ from ramcond.errors import CheckFailure, InputError
 from ramcond.exact import CycloNum
 from ramcond.groups import make_cyclic, make_product, make_symmetric, subgroup
 from ramcond.linalg import lattice_contains, read_matrix, sparse_mul
-from ramcond.ramification import ram_data
+from ramcond.ramification import bisection, ram_data
 
 
 def tame_c3():
@@ -928,39 +931,55 @@ def test_char_module_validation():
             module_from_generators("bad", g, 2, {gid: ((-1,),)})
 
 
-def test_module_from_generators_takes_each_edge_once(monkeypatch):
-    # one walk completes and checks the action: |G| * |S| products, nothing more
-    g = make_product(make_cyclic(8), make_cyclic(5))
-    gens = g.generating_set()
-    regular = regular_module(g, 3)
-    given = {s: regular.action[s] for s in gens}
+def _count_products(monkeypatch):
+    """A list that gains one entry per ``sparse_mul`` call made by characters or conductors."""
     calls = []
     for module in (characters, conductors):
         real = module.sparse_mul
         monkeypatch.setattr(
             module, "sparse_mul", lambda a, b, real=real: calls.append(1) or real(a, b)
         )
+    return calls
+
+
+def test_module_from_generators_takes_each_edge_once(monkeypatch):
+    # construction checks A^40 = 1 by halving; the first read of forms walks each edge once
+    g = make_product(make_cyclic(8), make_cyclic(5))
+    gens = g.generating_set()
+    regular = regular_module(g, 3)
+    given = {s: regular.action[s] for s in gens}
+    calls = _count_products(monkeypatch)
     built = module_from_generators("regular", g, 3, given)
     # C8xC5 is cyclic, so S is one element of order 40
+    assert len(gens) == 1
+    assert len(calls) <= 2 * math.ceil(math.log2(g.order)) == 12
+    del calls[:]
+    forms = built.forms
     assert len(calls) == g.order * len(gens) == 40
-    assert built.forms == regular.forms
-    assert list(built.forms) == list(range(g.order))
+    assert forms == regular.forms
+    assert list(forms) == list(range(g.order))
+    assert built.forms is forms
 
 
 @pytest.mark.parametrize(
     "given, message",
     [
-        ({1: ((-1,),), 2: ((-1,),)}, "action is not a homomorphism at (1, 1)"),
-        ({1: ((0, -1), (1, 0)), 2: ((1, 0), (0, 1))}, "action is not a homomorphism at (1, 1)"),
-        ({1: ((0, -1), (1, 0)), 3: ((0, -1), (1, 0))}, "action is not a homomorphism at (3, 1)"),
-        ({2: ((-1,),)}, "given generators do not generate the group"),
-        ({2: ((Fraction(1, 2),),)}, "entry 1/2 is not p-integral at p=2"),
+        ((4, {1: ((-1,),), 2: ((-1,),)}), "action is not a homomorphism at (1, 1)"),
+        ((4, {1: ((0, -1), (1, 0)), 2: ((1, 0), (0, 1))}), "action is not a homomorphism at (1, 1)"),
+        ((4, {1: ((0, -1), (1, 0)), 3: ((0, -1), (1, 0))}), "action is not a homomorphism at (3, 1)"),
+        ((4, {2: ((-1,),)}), "given generators do not generate the group"),
+        ((4, {2: ((Fraction(1, 2),),)}), "entry 1/2 is not p-integral at p=2"),
+        # given on one generator: the power check refuses, and the walk names the edge
+        ((3, {1: ((-1,),)}), "action is not a homomorphism at (2, 1)"),
+        ((4, {1: ((0, 1), (1, 1))}), "action is not a homomorphism at (3, 1)"),
+        ((6, {1: ((0, -1), (1, 0))}), "action is not a homomorphism at (5, 1)"),
     ],
 )
 def test_module_from_generators_checks_every_given_matrix(given, message):
     # on C4, S = (1,) whenever 1 is given: 2 and 3 are redundant, yet compared
+    order, gens = given
     with pytest.raises(InputError) as excinfo:
-        module_from_generators("m", make_cyclic(4), 2, given)
+        module_from_generators("m", make_cyclic(order), 2, gens)
     assert str(excinfo.value) == message
 
 
@@ -980,13 +999,13 @@ def test_module_from_generators_given_every_element_is_the_public_constructor():
 
 def test_builders_hand_over_forms_on_the_generators_only(monkeypatch):
     handed = []
-    real = conductors.check_forms
+    real = CharModule._set
 
-    def recording(group, forms):
+    def recording(self, name, group, p, forms):
         handed.append((group, tuple(forms)))
-        return real(group, forms)
+        return real(self, name, group, p, forms)
 
-    monkeypatch.setattr(conductors, "check_forms", recording)
+    monkeypatch.setattr(CharModule, "_set", recording)
     rng = random.Random(16)
     for rd in catalog():
         grp, p = rd.group, rd.p
@@ -1002,3 +1021,81 @@ def test_builders_hand_over_forms_on_the_generators_only(monkeypatch):
     assert len(handed) > 6 * len(catalog())
     for group, keys in handed:
         assert keys == (0, *group.generating_set()), group
+
+
+def test_power_path_forms_and_characters_match_the_walk():
+    # modules given on the generator of a cyclic group: nothing is walked until forms are read
+    rng = random.Random(29)
+    rds = [rd for rd in catalog() if len(rd.group.generating_set()) == 1]
+    assert len(rds) == 12  # all but the two Klein-four fixtures and S3
+    for rd in rds:
+        grp, p = rd.group, rd.p
+        (s,) = grp.generating_set()
+        modules = [trivial_module(grp, p, rank=2), regular_module(grp, p)]
+        modules += [permutation_module(subgroup(grp, elems), p) for elems in grp.subgroups()]
+        for _ in range(3):
+            m = random_module(rng, grp, p)
+            modules += [m, random_unit_conjugate(rng, m)]
+        for m in modules:
+            assert m._forms is None, (rd.name, m.name)
+            chi = module_character(m)
+            assert m._forms is None, (rd.name, m.name)
+            eager = check_forms(grp, {0: m._form(0), s: m._form(s)})
+            assert chi == dense.trace_forms(grp, eager), (rd.name, m.name)
+            assert [m._form(g) for g in range(grp.order)] == list(eager.values())
+            assert m.forms == eager and list(m.forms) == list(eager), (rd.name, m.name)
+
+
+def test_generator_readers_leave_the_walk_undone():
+    grp = make_cyclic(8)
+    sub = subgroup(grp, (0, 2, 4, 6))
+    m, m_sub = regular_module(grp, 3), regular_module(sub.as_group()[0], 3)
+    e = [[Fraction(1, 8)] * 8] * 8  # the averaging idempotent, 8 a 3-adic unit
+    assert m.is_integral()
+    random_unit_conjugate(random.Random(3), m)
+    direct_sum(m, m)
+    split_idempotent(m, e)
+    adapt_lattice(m, e)
+    conductor(m, ram_data(grp, 3, [], (1, 1)))
+    weil_restriction(m_sub, sub)
+    assert m._forms is None and m_sub._forms is None
+
+
+def test_regular_module_of_c512_is_checked_by_halving(monkeypatch):
+    # A^512 by nine squarings; the character reads A^(2^k) for the ten rational classes
+    grp = make_cyclic(512)
+    calls = _count_products(monkeypatch)
+    m = regular_module(grp, 3)
+    chi = module_character(m)
+    assert len(calls) <= 64
+    assert m._forms is None
+    assert chi == regular_character(grp)
+
+
+def test_conductor_is_the_rational_part_of_the_pairing():
+    rng = random.Random(2929)
+    rds = list(catalog()) + [random_ram_data(rng) for _ in range(200)]
+    for rd in rds:
+        grp, p = rd.group, rd.p
+        m = random_module(rng, grp, p)
+        modules = (trivial_module(grp, p), regular_module(grp, p), m, random_unit_conjugate(rng, m))
+        for module in modules:
+            ok, q = pair(bisection(rd), module_character(module)).rational_part()
+            assert ok and conductor(module, rd) == Conductor(q, grp.order), (rd.name, module.name)
+
+
+def test_conductor_class_sums_refuse_one_wrong_tame_row():
+    # the tame row of 1 replaced by that of 2: the sum over {1, 2, 3, 4} is no longer rational
+    rd = ram_data(make_cyclic(5), 2, [], (1, 1))
+    den, rows = bisection(rd)._form
+    wrong = ClassFunction._from_form(rd.group, rd.n, (den, (rows[0], rows[2]) + rows[2:]))
+    bad = dataclasses.replace(rd, _bisection=wrong)
+    m = trivial_module(rd.group, rd.p)
+    with pytest.raises(CheckFailure) as excinfo:
+        conductor(m, bad)
+    value = pair(wrong, module_character(m))
+    assert not value.rational_part()[0]
+    assert str(excinfo.value) == (
+        f"conductor pairing is not rational ({value}); "
+        "omega and the module action are inconsistent"
+    )
