@@ -27,7 +27,8 @@ from .verify import bisection_mismatch, run_catalog_suites, run_random_bisection
 
 # display decimals come from double precision; more digits show only noise
 MAX_DECIMAL_DIGITS = 100
-# one randomized bisection check takes about 5.5 ms, so 10,000 about 55 s
+# one randomized bisection check takes about 2.3 ms, so 10,000 about 23 s (a
+# `verify --random 42 10000` process, 2-vCPU machine, Python 3.11.7)
 RANDOM_CHECKS_BOUND = 10_000
 
 
@@ -151,16 +152,14 @@ def cmd_conduct(args):
     report = _report("conduct", scenario)
     rows = []
     failed = False
-    ba = bisection(rd)
     for name, module in scenario.modules.items():
         chi = module_character(module)
-        raw = pair(ba, chi)
         try:
-            c = conductor(module, rd)
-            value = str(c.value)
+            value = lhs = str(conductor(module, rd).value)  # the rational pairing (bA, chi)
             ok = True
         except CheckFailure as exc:
             value = f"invalid ({exc})"
+            lhs = _exact(pair(bisection(rd), chi))
             ok = False
             failed = True
         artin = artin_conductor(rd, chi)
@@ -173,7 +172,7 @@ def cmd_conduct(args):
                 "provenance": "pairing",
             }
         )
-        _check(report, f"conductor-rational[{name}]", ok, lhs=_exact(raw))
+        _check(report, f"conductor-rational[{name}]", ok, lhs=lhs)
     report["tables"]["conductors"] = rows
     _emit(report, args)
     return 1 if failed else 0

@@ -1,18 +1,19 @@
 """Ramification data of a totally ramified extension and its invariants.
 
 A :class:`RamData` packages a finite group, the residue characteristic, the
-lower-numbering filtration (given as a chain, not derived from field data)
-kept as its break function i(s), and the tame identification of the first
-quotient with roots of unity.  From it we compute the Artin character, the
-cyclotomic bisection class function whose conjugate-sum recovers the Artin
-character, discriminant valuations of subextensions and restricted
-ramification data.
+lower-numbering filtration kept as its break function i(s), and the tame
+identification of the first quotient with roots of unity.  A chain of wild
+steps, not derived from field data, is one reader of the break function.
+From these data we compute the Artin character, the cyclotomic bisection
+class function whose conjugate-sum recovers the Artin character,
+discriminant valuations of subextensions and restricted ramification data.
 """
 
 from __future__ import annotations
 
 from collections.abc import Iterable
 from dataclasses import dataclass, field
+from itertools import groupby
 from math import gcd
 
 from .characters import ClassFunction
@@ -37,7 +38,7 @@ class RamData:
 
     group: FiniteGroup
     p: int
-    breaks: tuple  # element id -> i(s) = 1 + number of chain steps holding s; 0 at the identity
+    breaks: tuple  # element id -> i(s), 0 at the identity; the steps Gamma_u are {i >= u + 1}
     n: int  # order of the tame quotient
     omega_exp: tuple  # element id -> exponent of its coset in Z/n
     name: str = field(default="", compare=False)
@@ -70,7 +71,7 @@ def _quotient_refusal(group, p, xs, bset):
 
 
 def ram_data(group, p, wild_chain, omega, name=""):
-    """Build and validate ramification data.
+    """Build and validate ramification data from a chain of wild steps.
 
     ``wild_chain`` lists Gamma_1, Gamma_2, ... as Subgroups or element-id
     iterables; equal consecutive entries encode repeated filtration steps and
@@ -79,20 +80,17 @@ def ram_data(group, p, wild_chain, omega, name=""):
     (generator_id, exponent) fixing the value on one generating coset.  Every
     id and exponent in ``omega`` must be an ``int`` (a ``bool`` is not).
 
-    Each run of equal consecutive entries is read as the one Subgroup
-    :func:`~ramcond.groups.subgroup` holds on ``group``, and checked once
-    for normality and descent.  The exponent-p and abelian
-    checks run only where the step changes: the quotient of a step by
-    itself is trivial.  They are decided on the generators of the step
-    (see :func:`_quotient_refusal`), and the message of a refused step
-    comes from all its elements.  A message's "step k" counts raw entries.
+    The chain is one reader of the break function: every entry is read as
+    the held :func:`~ramcond.groups.subgroup`, then each distinct one must be
+    normal and inside the one before, and i(s) = 1 + number of entries
+    holding s goes to :func:`_from_breaks`.
     """
     _check_int(p, "residue characteristic")
     if not is_prime(p):
         raise InputError(f"residue characteristic {p} is not prime")
     if not isinstance(wild_chain, Iterable):
         raise InputError(f"wild chain must be an iterable of steps, got {wild_chain!r}")
-    runs = []  # [subgroup, number of entries, index of its last entry]
+    steps = []
     for k, entry in enumerate(wild_chain):
         if isinstance(entry, Subgroup):
             if entry.parent != group:
@@ -102,51 +100,54 @@ def ram_data(group, p, wild_chain, omega, name=""):
             elements = element_ids(entry, f"wild chain step {k + 1} element")
         else:
             raise InputError(f"wild chain step {k + 1} must be a Subgroup or element ids, got {entry!r}")
-        if runs and runs[-1][0].elements == elements:
-            runs[-1][1] += 1
-            runs[-1][2] = k
-        else:
-            runs.append([subgroup(group, elements), 1, k])
-    # drop trailing trivial entries; they encode nothing
-    while runs and runs[-1][0].order == 1:
-        runs.pop()
-    trivial = subgroup(group, (0,))
+        steps.append(steps[-1] if steps and steps[-1].elements == elements else subgroup(group, elements))
+    breaks = [1] * group.order
+    for h, prev in zip(steps, [None] + steps):
+        if h is not prev:  # a repeated entry is the Subgroup of the one before
+            if not h.is_normal():
+                raise InputError("every wild filtration step must be normal")
+            if prev is not None and not set(h.elements) <= set(prev.elements):
+                raise InputError("wild filtration must be descending")
+        for x in h.elements:
+            breaks[x] += 1
+    breaks[0] = 0
+    return _from_breaks(group, p, tuple(breaks), omega, name)
 
-    prev = None
-    for h, _, _ in runs:
+
+def _from_breaks(group, p, breaks, omega, name=""):
+    """The checked constructor: ramification data on the break function ``breaks``.
+
+    ``breaks`` holds i(s) per element id (0 at the identity), ``p`` is prime
+    and ``omega`` is read as in :func:`ram_data`.  The steps, the level sets
+    Gamma_(v-1) = {s : i(s) >= v} at the values v > 1 of i, must be normal,
+    Gamma_1 a p-group of index prime to p, and each step modulo the next
+    elementary abelian of exponent p, decided on generators by
+    :func:`_quotient_refusal`.  A refusal names "step v - 1", v the break of
+    the elements the step adds: in a chain, the last entry holding them.
+    """
+    wild = sorted([s for s in range(1, group.order) if breaks[s] > 1], key=breaks.__getitem__, reverse=True)
+    steps = []  # (v, Gamma_(v-1), Gamma_v as a set), from the last step up
+    below = {0}
+    for v, added in groupby(wild, breaks.__getitem__):
+        h = subgroup(group, below.union(added))
         if not h.is_normal():
             raise InputError("every wild filtration step must be normal")
-        if prev is not None and not set(h.elements) <= set(prev.elements):
-            raise InputError("wild filtration must be descending")
-        prev = h
+        steps.append((v, h, below))
+        below = set(h.elements)
 
-    gamma1 = runs[0][0] if runs else trivial
+    gamma1 = steps[-1][1] if steps else subgroup(group, (0,))
     order1 = gamma1.order
-    m = order1
-    while m % p == 0:
-        m //= p
-    if m != 1:
+    if pow(p, order1, order1):  # |Gamma_1| divides p^|Gamma_1| iff it is a power of p
         raise InputError("the first wild subgroup must be a p-group")
 
     n = group.order // order1
     if gcd(n, p) != 1:
         raise InputError("tame quotient order must be prime to p")
 
-    # elementary abelian exponent-p quotients where the step changes (trivial
-    # tail implied), decided on generators of the step; a refused step is
-    # read again on all its elements for the message
-    bottoms = [h for h, _, _ in runs[1:]] + [trivial]
-    for (top, _, last), bottom in zip(runs, bottoms):
-        bset = set(bottom.elements)
-        if _quotient_refusal(group, p, group.generating_set(top.elements), bset):
-            reason = _quotient_refusal(group, p, top.elements, bset)
-            raise InputError(f"filtration quotient at step {last + 1} {reason}")
-
-    breaks = [1] * group.order
-    for h, count, _ in runs:
-        for x in h.elements:
-            breaks[x] += count
-    breaks[0] = 0
+    for v, top, below in reversed(steps):
+        if _quotient_refusal(group, p, group.generating_set(top.elements), below):
+            reason = _quotient_refusal(group, p, top.elements, below)
+            raise InputError(f"filtration quotient at step {v - 1} {reason}")
 
     # tame quotient must be cyclic; build its coset structure
     coset_ids, coset_of = gamma1.left_transversal()
@@ -208,7 +209,7 @@ def ram_data(group, p, wild_chain, omega, name=""):
             raise InputError("omega generator does not generate the tame quotient")
 
     omega_exp = tuple([exps[coset_rep(x)] for x in range(group.order)])
-    return RamData(group, p, tuple(breaks), n, omega_exp, name=name)
+    return RamData(group, p, breaks, n, omega_exp, name=name)
 
 
 def _check_ramdata(rd):
@@ -218,7 +219,7 @@ def _check_ramdata(rd):
 
 
 def i_gamma(rd, s):
-    """The break function: 1 + number of wild chain steps containing s."""
+    """The break function i(s); the steps Gamma_u are its level sets {i >= u + 1}."""
     _check_ramdata(rd)
     if type(s) is not int or not 0 <= s < rd.group.order:
         raise InputError(f"element id must be an int in 0..{rd.group.order - 1}, got {s!r}")
@@ -320,8 +321,8 @@ def restrict_ramdata(rd, h):
     of the cyclic G / Gamma_1, so its order n_H = |H| / |H n Gamma_1|
     divides n and is prime to p, and omega maps it injectively onto the
     multiples of n / n_H in Z/n; division by n / n_H is then an injective
-    homomorphism onto Z/n_H.  These are the data :func:`ram_data` builds
-    from the intersected chain and that omega.
+    homomorphism onto Z/n_H.  These are the data :func:`_from_breaks`
+    builds from i_H and that omega.
     """
     _check_ramdata(rd)
     if not isinstance(h, Subgroup) or h.parent != rd.group:
@@ -331,6 +332,5 @@ def restrict_ramdata(rd, h):
     n_h = h.order // (1 + sum(1 for b in breaks if b > 1))
     step = rd.n // n_h
     omega_exp = tuple([rd.omega_exp[x] // step for x in from_sub])
-    return RamData(
-        hgrp, rd.p, breaks, n_h, omega_exp, name=f"{rd.name}|{h.elements}" if rd.name else ""
-    )
+    name = f"{rd.name}|{h.elements}" if rd.name else ""
+    return RamData(hgrp, rd.p, breaks, n_h, omega_exp, name=name)

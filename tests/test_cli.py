@@ -101,6 +101,24 @@ def test_conduct_c4_tower(capsys):
     assert rows["rotation"]["artin_conductor"] == "6"
 
 
+def test_conduct_failure_reports_the_pairing_as_its_lhs(capsys, monkeypatch):
+    """A refused conductor's check shows the pairing (bA, chi), which is the
+    conductor value every passing check shows."""
+    from ramcond import cli
+    from ramcond.errors import CheckFailure
+
+    def refuse(module, rd):
+        raise CheckFailure("forced")
+
+    _, passing, _ = run_json(capsys, "conduct", scenario_path("c4_tower.json"))
+    monkeypatch.setattr(cli, "conductor", refuse)
+    code, report, _ = run_json(capsys, "conduct", scenario_path("c4_tower.json"))
+    assert code == 1
+    assert {r["conductor"] for r in report["tables"]["conductors"]} == {"invalid (forced)"}
+    assert [c["status"] for c in report["checks"]] == ["fail"] * 3
+    assert [c["lhs"] for c in report["checks"]] == [r["conductor"] for r in passing["tables"]["conductors"]]
+
+
 def test_weil_reports(capsys):
     code, report, _ = run_json(capsys, "weil", scenario_path("tame_cyclic3.json"))
     assert code == 0

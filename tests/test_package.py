@@ -103,6 +103,33 @@ def test_values_view_stays_off_the_computing_path(path):
     assert reads == []
 
 
+# Ramification data is built by its one checked constructor; restriction
+# alone reads checked data on a subgroup and re-checks nothing.  A later
+# producer of ramification data goes through ``_from_breaks``.
+RAMDATA_BUILDERS = {("ramification.py", "_from_breaks"), ("ramification.py", "restrict_ramdata")}
+
+
+def _ramdata_calls(path):
+    """The enclosing scope of each call ``RamData(...)`` or ``<module>.RamData(...)``."""
+
+    def visit(node, scope):
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+            scope = f"{scope}.{node.name}" if scope else node.name
+        if isinstance(node, ast.Call) and "RamData" in (
+            getattr(node.func, "id", None), getattr(node.func, "attr", None)
+        ):
+            yield scope
+        for child in ast.iter_child_nodes(node):
+            yield from visit(child, scope)
+
+    return list(visit(ast.parse(path.read_text(encoding="utf-8")), ""))
+
+
+def test_ramdata_is_built_only_by_the_checked_constructor_and_restriction():
+    builders = {(path.name, scope) for path in SOURCES for scope in _ramdata_calls(path)}
+    assert builders == RAMDATA_BUILDERS
+
+
 # Methods that change a list, dict or set in place.
 MUTATING_METHODS = frozenset({
     "append", "extend", "insert", "remove", "sort", "reverse",

@@ -11,6 +11,7 @@ from ramcond.errors import CheckFailure, InputError
 from ramcond.exact import CycloNum
 from ramcond.groups import FiniteGroup, make_cyclic, make_product, make_symmetric, subgroup
 from ramcond.ramification import (
+    _from_breaks,
     artin_character,
     bisection,
     disc_valuation,
@@ -313,6 +314,10 @@ REFUSED_CHAINS = {
     "p-group-before-exponent": (make_cyclic(6), 2, [range(6), range(6)], "the first wild subgroup must be a p-group"),
     "chain-not-iterable": (make_cyclic(4), 2, 5, "wild chain must be an iterable of steps, got 5"),
     "step-not-iterable": (make_cyclic(4), 2, [range(4), 5], "wild chain step 2 must be a Subgroup or element ids, got 5"),
+    # each step is checked for normality, then descent, before the next step
+    "descent-before-later-normality": (
+        make_symmetric(3), 3, [(0, 3, 4), range(6), (0, 1)], "wild filtration must be descending"
+    ),
 }
 
 
@@ -447,3 +452,51 @@ def test_restrict_ramdata_builds_no_subgroup_and_validates_nothing(monkeypatch):
     monkeypatch.setattr(groups.Subgroup, "__init__", refuse)
     for rd, h in cases:
         assert restrict_ramdata(rd, h).group.order == h.order
+
+
+def _omega_on_cosets(rd):
+    """omega of ``rd`` as a dict on the least member of each coset of Gamma_1."""
+    gamma1 = subgroup(rd.group, [s for s in range(rd.group.order) if s == 0 or rd.breaks[s] > 1])
+    reps, _ = gamma1.left_transversal()
+    return {r: rd.omega_exp[r] for r in reps}
+
+
+def test_from_breaks_rebuilds_every_ram_data_from_its_break_function():
+    rng = random.Random(30)
+    for rd in list(catalog()) + [random_ram_data(rng) for _ in range(200)]:
+        assert _from_breaks(rd.group, rd.p, rd.breaks, _omega_on_cosets(rd)) == rd, rd.name
+
+
+def test_restrict_ramdata_is_what_the_checked_constructor_builds_on_the_subgroup():
+    """Restriction skips every check; the checked constructor, given i and
+    omega read on H, must accept them and build the same data."""
+    for rd in catalog():
+        for elems in rd.group.subgroups():
+            h = subgroup(rd.group, elems)
+            hgrp, to_sub, _ = h.as_group()
+            breaks = tuple([rd.breaks[x] for x in elems])
+            n_h = h.order // sum(1 for x in elems if x == 0 or rd.breaks[x] > 1)
+            assert all(rd.omega_exp[x] * n_h % rd.n == 0 for x in elems)
+            omega = {to_sub[x]: rd.omega_exp[x] * n_h // rd.n for x in elems}
+            assert _from_breaks(hgrp, rd.p, breaks, omega) == restrict_ramdata(rd, h), (rd.name, elems)
+
+
+REFUSED_BREAKS = {
+    "not-normal": (make_symmetric(3), 2, (0, 2, 1, 1, 1, 1), "every wild filtration step must be normal"),
+    "top-not-a-p-group": (make_cyclic(6), 2, (0, 2, 2, 2, 2, 2), "the first wild subgroup must be a p-group"),
+    "tame-order-divisible-by-p": (make_cyclic(4), 2, (0, 1, 2, 1), "tame quotient order must be prime to p"),
+    # C8 / C2 at v = 3 (the chain C8, C8, C2, C2), and C4 alone at v = 4
+    "exponent-at-step-v-minus-1": (
+        make_cyclic(8), 2, (0, 3, 3, 3, 5, 3, 3, 3), "filtration quotient at step 2 has exponent > 2"
+    ),
+    "exponent-past-a-gap": (make_cyclic(4), 2, (0, 4, 4, 4), "filtration quotient at step 3 has exponent > 2"),
+    "not-abelian": (heisenberg_mod3(), 3, (0,) + (2,) * 26, "filtration quotient at step 1 is not abelian"),
+}
+
+
+@pytest.mark.parametrize("case", REFUSED_BREAKS)
+def test_from_breaks_refusal_messages(case):
+    group, p, breaks, message = REFUSED_BREAKS[case]
+    with pytest.raises(InputError) as exc:
+        _from_breaks(group, p, breaks, None)
+    assert str(exc.value) == message
