@@ -57,9 +57,13 @@ class ClassFunction:
     rows are equal exactly when values are.  When every class is a singleton
     (an abelian group) the check compares nothing and is skipped.  Class
     functions are immutable, so neither form nor view can go stale.
+
+    ``verified`` marks a character: at level 1 its values are constant on
+    each rational class, which :func:`pair` reads per class.  The builders
+    prove it (see :func:`trace_forms`); the public constructor checks it.
     """
 
-    __slots__ = ("group", "level", "verified", "_form", "_values")
+    __slots__ = ("group", "level", "verified", "_form", "_values", "_class_sums")
 
     def __init__(self, group, values, verified=False):
         values = tuple([
@@ -74,14 +78,18 @@ class ClassFunction:
             tuple([c.numerator * (den // c.denominator) for c in v.coeffs]) for v in values
         ])
         self._set(group, level, (den, rows), verified, values)
+        if verified and level == 1:
+            for cls in rational_classes(group):
+                if any(rows[s] != rows[cls[0]] for s in cls):
+                    raise InputError(f"verified values not constant on the rational class of {cls[0]}")
 
     @classmethod
     def _from_form(cls, group, level, form, verified=False):
         """A class function at ``level`` with the integer form ``(den, rows)``.
 
         Each row is a tuple of ``euler_phi(level)`` integers.  The builders of
-        this package make the form; it is kept, not copied, and checked as the
-        public constructor checks its values.
+        this package make the form; it is kept, not copied, and checked on
+        conjugacy classes only: a builder passing ``verified`` proves the rest.
         """
         self = object.__new__(cls)
         self._set(group, level, form, verified, None)
@@ -103,6 +111,7 @@ class ClassFunction:
         object.__setattr__(self, "verified", bool(verified))
         object.__setattr__(self, "_form", form)
         object.__setattr__(self, "_values", values)
+        object.__setattr__(self, "_class_sums", None)  # memo of _rational_pairing()
 
     def __setattr__(self, name, value):
         raise AttributeError("ClassFunction is immutable")
@@ -195,10 +204,18 @@ def pair(f, g):
     takes few values, so a rational g costs one row sum per value.  One
     fold reduces all v_j over ``den_f * den_g * |G|``; the zero
     coefficients of the result share one ``Fraction(0)``.
+
+    A side verified at level 1 is read per rational class instead
+    (:func:`_rational_pairing`): the same v_0, which the fold leaves as is.
     """
     _check_class_function(f, g)
     if f.group != g.group:
         raise InputError("pairing across different groups")
+    if f.verified and f.level == 1:
+        f, g = g, f
+    if g.verified and g.level == 1:
+        v, den = _rational_pairing(f, g)
+        return CycloNum(f.level, tuple([Fraction(a, den) if a else _ZERO for a in v]))
     grp = f.group
     if len(f._form[1][0]) < len(g._form[1][0]):
         f, g = g, f
@@ -220,6 +237,27 @@ def pair(f, g):
     acc = _fold(m, terms)
     den = den_f * den_g * grp.order
     return CycloNum(m, tuple([Fraction(a, den) if a else _ZERO for a in acc]))
+
+
+def _rational_pairing(f, chi):
+    """(v, den): the pairing of ``f`` with ``chi``, verified at level 1, as v / den.
+
+    chi is constant on each rational class C, which is closed under
+    inversion (s^-1 = s^(ord s - 1)), so |G| (f, chi) = sum_C chi(C) S_C,
+    S_C the sum of f's rows over C, held on ``f``.  v is that integer
+    vector in f's power basis, over den = den_f * den_chi * |G|.
+    """
+    classes = rational_classes(f.group)
+    (den_f, rows), (den_chi, chi_rows) = f._form, chi._form
+    if f._class_sums is None:
+        sums = tuple([tuple(map(sum, zip(*[rows[s] for s in cls]))) for cls in classes])
+        object.__setattr__(f, "_class_sums", sums)
+    v = [0] * len(rows[0])
+    for cls, sums in zip(classes, f._class_sums):
+        q = chi_rows[cls[0]][0]
+        if q:
+            v = [a + q * x for a, x in zip(v, sums)]
+    return v, den_f * den_chi * f.group.order
 
 
 def induce(f, sub):

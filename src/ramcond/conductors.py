@@ -3,9 +3,9 @@
 A :class:`CharModule` is a finite free lattice of rank d with a group acting
 by p-integral rational matrices; it stands for the character group of a
 formal torus twisted by the given action.  Its conductor is computed
-exclusively through the class-function pairing with the Artin bisection, the
-pairing read per rational class, and cross-checked against the induction
-formula
+exclusively through the class-function pairing with the Artin bisection,
+read per rational class in :mod:`~ramcond.characters`, and cross-checked
+against the induction formula
 
     c(induced module) = c(module over the subextension) + (1/2) * v(disc) * rank.
 
@@ -22,10 +22,10 @@ from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd, lcm, prod
 
-from .characters import check_forms, induce, pair, trace_forms
+from .characters import _rational_pairing, check_forms, induce, pair, trace_forms
 from .errors import CheckFailure, InputError
 from .exact import _check_int, is_prime, p_valuation
-from .groups import Subgroup, element_ids, rational_classes, subgroup
+from .groups import Subgroup, element_ids, subgroup
 from .linalg import (
     echelon_coords,
     from_sparse,
@@ -36,13 +36,7 @@ from .linalg import (
     read_matrix,
     sparse_mul,
 )
-from .ramification import (
-    _bisection_class_sums,
-    _check_ramdata,
-    bisection,
-    disc_valuation,
-    restrict_ramdata,
-)
+from .ramification import _check_ramdata, bisection, disc_valuation, restrict_ramdata
 
 __all__ = [
     "CharModule",
@@ -364,20 +358,10 @@ def conductor(m, rd):
     gives sigma_k((bA, chi_M)) = (bA, chi_M), so the pairing is fixed by
     Gal(Q(zeta_n)/Q) and lies in Q.
 
-    The pairing is read per rational class C:
-
-        (bA, chi_M) = |G|^-1 * sum over C of chi_M(C) * S_C,
-
-    S_C the sum of bA over C (:func:`~ramcond.ramification._bisection_class_sums`,
-    held on ``rd``).  This is :func:`~ramcond.characters.pair` term for
-    term: a rational class is closed under inversion (s^-1 = s^(ord s - 1)),
-    and :func:`~ramcond.characters.trace_forms` makes chi_M constant on it,
-    so chi_M(s^-1) = chi_M(C) for every s in C.  The integer vector summed
-    is the one ``pair`` sums, at level n, where its fold leaves rows of
-    phi(n) entries as they are; so the value is rational exactly when the
-    entries after the first are zero, the test ``pair`` makes.  The
-    CheckFailure below, with the pairing's value, guards hand-built
-    :class:`~ramcond.ramification.RamData` only.
+    The pairing is read per rational class on the sums held on the bisection
+    (:func:`~ramcond.characters._rational_pairing`); it is rational exactly
+    when v has no nonzero entry after the first.  The CheckFailure below
+    guards hand-built :class:`~ramcond.ramification.RamData` only.
     """
     _check_module(m)
     ba = bisection(rd)  # refuses an rd that is not a RamData
@@ -386,17 +370,12 @@ def conductor(m, rd):
     if m.p != rd.p:
         raise InputError("module and ramification data disagree on p")
     chi = module_character(m)
-    den_chi, chi_rows = chi._form
-    v = [0] * len(ba._form[1][0])
-    for cls, sums in zip(rational_classes(rd.group), _bisection_class_sums(rd, ba)):
-        q = chi_rows[cls[0]][0]
-        if q:
-            v = [a + q * x for a, x in zip(v, sums)]
+    v, den = _rational_pairing(ba, chi)
     if any(v[1:]):
         raise CheckFailure(
             f"conductor pairing is not rational ({pair(ba, chi)}); omega and the module action are inconsistent"
         )
-    return Conductor(Fraction(v[0], ba._form[0] * den_chi * rd.group.order), rd.group.order)
+    return Conductor(Fraction(v[0], den), rd.group.order)
 
 
 def weil_restriction(m_sub, sub):

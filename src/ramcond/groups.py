@@ -403,7 +403,7 @@ def element_ids(values, what):
 
 
 class Subgroup:
-    """A validated subgroup, with its cosets, normality and re-indexed group on demand.
+    """A validated subgroup, with its cosets, normality, generators and re-indexed group on demand.
 
     :func:`subgroup` gives the one ``Subgroup`` held on its parent for an
     element set, so each of these is computed once per subgroup per group;
@@ -431,6 +431,7 @@ class Subgroup:
         self._as_group = None
         self._transversal = None
         self._normal = None
+        self._gens = None
 
     @property
     def order(self):
@@ -459,6 +460,12 @@ class Subgroup:
                 if not eset.isdisjoint(c)
             )
         return self._normal
+
+    def generating_set(self):
+        """The parent's greedy generating subset of the elements; computed once and held."""
+        if self._gens is None:
+            self._gens = self.parent.generating_set(self.elements)
+        return self._gens
 
     def left_transversal(self):
         """(transversal, coset_of): the least member of each left coset x*H in
@@ -507,7 +514,11 @@ def subgroup(parent, elements):
     refused set is not held: asking again refuses it again.  The held
     subgroups live and die with their parent; nothing is held elsewhere.
     """
-    key = element_ids(elements, "subgroup element")
+    return _held_subgroup(parent, element_ids(elements, "subgroup element"))
+
+
+def _held_subgroup(parent, key):
+    """:func:`subgroup` on ``key``, a sorted tuple of distinct ``int`` ids, read by the caller."""
     held = parent._held_subgroups.get(key)
     if held is None:
         held = object.__new__(Subgroup)

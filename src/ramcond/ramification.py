@@ -19,7 +19,7 @@ from math import gcd
 from .characters import ClassFunction
 from .errors import CheckFailure, InputError
 from .exact import _check_int, _inverse_zeta_minus_one_row, euler_phi, is_prime
-from .groups import FiniteGroup, Subgroup, element_ids, rational_classes, subgroup
+from .groups import FiniteGroup, Subgroup, _held_subgroup, element_ids
 
 __all__ = [
     "RamData",
@@ -44,7 +44,6 @@ class RamData:
     name: str = field(default="", compare=False)
     _bisection: object = field(default=None, compare=False, repr=False)  # memo of bisection()
     _artin: object = field(default=None, compare=False, repr=False)  # memo of artin_character()
-    _class_sums: object = field(default=None, compare=False, repr=False)  # memo of _bisection_class_sums()
 
 
 def _quotient_refusal(group, p, xs, bset):
@@ -100,7 +99,7 @@ def ram_data(group, p, wild_chain, omega, name=""):
             elements = element_ids(entry, f"wild chain step {k + 1} element")
         else:
             raise InputError(f"wild chain step {k + 1} must be a Subgroup or element ids, got {entry!r}")
-        steps.append(steps[-1] if steps and steps[-1].elements == elements else subgroup(group, elements))
+        steps.append(steps[-1] if steps and steps[-1].elements == elements else _held_subgroup(group, elements))
     breaks = [1] * group.order
     for h, prev in zip(steps, [None] + steps):
         if h is not prev:  # a repeated entry is the Subgroup of the one before
@@ -129,13 +128,13 @@ def _from_breaks(group, p, breaks, omega, name=""):
     steps = []  # (v, Gamma_(v-1), Gamma_v as a set), from the last step up
     below = {0}
     for v, added in groupby(wild, breaks.__getitem__):
-        h = subgroup(group, below.union(added))
+        h = _held_subgroup(group, tuple(sorted(below.union(added))))
         if not h.is_normal():
             raise InputError("every wild filtration step must be normal")
         steps.append((v, h, below))
         below = set(h.elements)
 
-    gamma1 = steps[-1][1] if steps else subgroup(group, (0,))
+    gamma1 = steps[-1][1] if steps else _held_subgroup(group, (0,))
     order1 = gamma1.order
     if pow(p, order1, order1):  # |Gamma_1| divides p^|Gamma_1| iff it is a power of p
         raise InputError("the first wild subgroup must be a p-group")
@@ -145,7 +144,7 @@ def _from_breaks(group, p, breaks, omega, name=""):
         raise InputError("tame quotient order must be prime to p")
 
     for v, top, below in reversed(steps):
-        if _quotient_refusal(group, p, group.generating_set(top.elements), below):
+        if _quotient_refusal(group, p, top.generating_set(), below):
             reason = _quotient_refusal(group, p, top.elements, below)
             raise InputError(f"filtration quotient at step {v - 1} {reason}")
 
@@ -271,23 +270,6 @@ def bisection(rd):
             rows.append(_inverse_zeta_minus_one_row(n, rd.omega_exp[s]))
     object.__setattr__(rd, "_bisection", ClassFunction._from_form(grp, n, (2 * n, tuple(rows))))
     return rd._bisection
-
-
-def _bisection_class_sums(rd, ba):
-    """The integer rows of ``ba``, the bisection of ``rd``, summed over each rational class.
-
-    One row per class of :func:`~ramcond.groups.rational_classes`, in its
-    order: the sum over s in C of the numerators of bA(s) over the
-    bisection's denominator 2n.  Computed once per ``rd`` and held on it,
-    like :func:`bisection`; the caller hands over the bisection it holds.
-    """
-    if rd._class_sums is None:
-        rows = ba._form[1]
-        sums = tuple([
-            tuple(map(sum, zip(*[rows[s] for s in cls]))) for cls in rational_classes(rd.group)
-        ])
-        object.__setattr__(rd, "_class_sums", sums)
-    return rd._class_sums
 
 
 def disc_valuation(rd, h):

@@ -1,6 +1,7 @@
 import functools
 import random
 from fractions import Fraction
+from math import lcm
 
 import pytest
 from hypothesis import given, settings
@@ -9,7 +10,7 @@ from hypothesis import strategies as st
 import dense
 from dense import conjugate, identity_matrix, induce_sum, mat_inv, mat_mul, pair_rational
 
-from ramcond.catalog import catalog, random_module, random_unit_conjugate
+from ramcond.catalog import catalog, random_module, random_ram_data, random_unit_conjugate
 from ramcond.characters import (
     ClassFunction,
     artin_conductor,
@@ -570,6 +571,37 @@ def test_built_class_functions_match_cyclonum_oracles(rd):
                     rd_x.name,
                     h.elements,
                 )
+
+
+def test_pair_with_a_verified_rational_side_matches_the_value_oracle():
+    # a verified level-1 side is read per rational class, on the sums held on the other side
+    rng = random.Random(3131)
+    rds = list(catalog()) + [random_ram_data(rng) for _ in range(200)]
+    for rd in rds:
+        grp, p = rd.group, rd.p
+        modules = [random_module(rng, grp, p)]
+        modules += [permutation_module(subgroup(grp, elems), p) for elems in grp.subgroups()[:6]]
+        chis = [trivial_character(grp), regular_character(grp)] + [module_character(m) for m in modules]
+        for f in (bisection(rd), artin_character(rd)):
+            for chi in chis:
+                want = dense.pair_by_values(f, chi)
+                assert want.level == lcm(f.level, chi.level)
+                for got in (pair(f, chi), pair(chi, f)):
+                    assert (got.level, got.coeffs) == (want.level, want.coeffs), rd.name
+            assert f._class_sums is not None
+
+
+def test_verified_rational_values_must_be_constant_on_rational_classes():
+    g = make_cyclic(3)
+    with pytest.raises(InputError) as excinfo:
+        ClassFunction(g, (0, 1, 2), verified=True)
+    assert str(excinfo.value) == "verified values not constant on the rational class of 1"
+    f = ClassFunction(g, (0, 1, 2))
+    ba = bisection(tame_c3())
+    want = dense.pair_by_values(ba, f)
+    for got in (pair(ba, f), pair(f, ba)):
+        assert (got.level, got.coeffs) == (want.level, want.coeffs)
+    assert ba._class_sums is None and f._class_sums is None
 
 
 def test_from_form_refuses_a_form_not_constant_on_a_class():

@@ -11,6 +11,7 @@ from ramcond.errors import InputError
 from ramcond.groups import (
     FiniteGroup,
     Subgroup,
+    _held_subgroup,
     conjugacy_classes,
     make_cyclic,
     make_product,
@@ -343,6 +344,7 @@ def test_subgroup_is_held_per_element_set():
     g = make_cyclic(6)
     h = subgroup(g, (4, 0, 2, 2))
     assert subgroup(g, (0, 2, 4)) is h and h.elements == (0, 2, 4)
+    assert _held_subgroup(g, (0, 2, 4)) is h
     # each group holds its own, and the constructor builds a fresh one
     other = make_cyclic(6)
     assert subgroup(other, (0, 2, 4)) is not h and subgroup(other, (0, 2, 4)) == h
@@ -379,6 +381,9 @@ def test_held_subgroup_data_equals_a_fresh_subgroup(name):
         assert (to_sub, from_sub) == (f_to_sub, f_from_sub)
         assert held.left_transversal() == fresh.left_transversal()
         assert held.is_normal() == fresh.is_normal() == dense.is_normal(fresh), (name, elems)
+        gens = held.generating_set()
+        assert held.generating_set() is gens
+        assert gens == fresh.generating_set() == group.generating_set(elems)
 
 
 def test_held_subgroup_id_map_is_read_only():

@@ -109,13 +109,13 @@ def test_values_view_stays_off_the_computing_path(path):
 RAMDATA_BUILDERS = {("ramification.py", "_from_breaks"), ("ramification.py", "restrict_ramdata")}
 
 
-def _ramdata_calls(path):
-    """The enclosing scope of each call ``RamData(...)`` or ``<module>.RamData(...)``."""
+def _calls(path, name):
+    """The enclosing scope of each call ``name(...)`` or ``<module>.name(...)``."""
 
     def visit(node, scope):
         if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
             scope = f"{scope}.{node.name}" if scope else node.name
-        if isinstance(node, ast.Call) and "RamData" in (
+        if isinstance(node, ast.Call) and name in (
             getattr(node.func, "id", None), getattr(node.func, "attr", None)
         ):
             yield scope
@@ -126,8 +126,26 @@ def _ramdata_calls(path):
 
 
 def test_ramdata_is_built_only_by_the_checked_constructor_and_restriction():
-    builders = {(path.name, scope) for path in SOURCES for scope in _ramdata_calls(path)}
+    builders = {(path.name, scope) for path in SOURCES for scope in _calls(path, "RamData")}
     assert builders == RAMDATA_BUILDERS
+
+
+# A pairing with a rational character is read per rational class by one
+# reader in characters.py; ramification data holds no class sums.
+RATIONAL_PAIRING_CALLERS = {("characters.py", "pair"), ("conductors.py", "conductor")}
+
+
+def test_rational_classes_are_summed_for_a_pairing_by_one_reader():
+    callers = {(path.name, scope) for path in SOURCES for scope in _calls(path, "_rational_pairing")}
+    assert callers == RATIONAL_PAIRING_CALLERS
+    ramification = next(path for path in SOURCES if path.name == "ramification.py")
+    imported = {
+        alias.name
+        for node in ast.walk(ast.parse(ramification.read_text(encoding="utf-8")))
+        if isinstance(node, (ast.Import, ast.ImportFrom))
+        for alias in node.names
+    }
+    assert "rational_classes" not in imported
 
 
 # Methods that change a list, dict or set in place.
