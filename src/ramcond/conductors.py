@@ -547,8 +547,9 @@ def adapt_lattice(m, e, within=None):
     stable (the action is integral and commutes with E), so without
     ``within`` they span themselves and their Hermite basis is returned; with
     ``within`` (the nested variant, read through its Hermite basis) the lifts
-    into it are spanned over the orbit.  The output is verified by
-    :func:`check_adapted_basis`.
+    into it are spanned over the orbit.  The output is verified by the
+    checks of :func:`check_adapted_basis`, on the idempotent's form checked
+    here.
     """
     e_form = _check_idempotent(m, e)
     if not m.is_integral():
@@ -579,7 +580,7 @@ def adapt_lattice(m, e, within=None):
             f"adapted lattice has rank {len(basis)} < {d}; approximation failed "
             f"within precision {ADAPT_PRECISION}"
         )
-    check_adapted_basis(m, e, basis)
+    _check_adapted(m, e_form, basis)
     return basis
 
 
@@ -610,6 +611,12 @@ def check_adapted_basis(m, e, basis):
     e_form = _check_idempotent(m, e)
     if not m.is_integral():
         raise InputError("check_adapted_basis expects an integral module action")
+    return _check_adapted(m, e_form, basis)
+
+
+def _check_adapted(m, e_form, basis):
+    """:func:`check_adapted_basis` on the form of an idempotent already
+    checked by :func:`_check_idempotent`, for an integral module ``m``."""
     d = m.rank
     basis = _integer_rows(basis, "adapted basis")
     if len(basis) != d or any(len(row) != d for row in basis):

@@ -17,20 +17,24 @@ A series is its integer form (see :class:`MixedSeries`): one denominator and
 integer numerators grouped by total degree, in lowest terms.  Series compare
 by their forms, and the ``Fraction`` coefficients are a view for display and
 checks.  One loop, :func:`_mul_forms`, multiplies two forms, visiting only
-degree pairs d1 + d2 <= D; one loop, :func:`_accumulate`, adds them, for
-sums, scalar multiples, substitution, [r](f) and the Weierstrass quotient;
-:func:`_lowest_terms` reduces every result.  The Gauss valuation of a form is
-v_p(g) - v_p(den), g the gcd of its numerators.  Weierstrass division by
-f = a + z^n b, deg_z a < n, works on forms from start to end, and
-:func:`_solve` is its one triangular solver.  The quotient solves
-b q + H(a q) = H(g), H the terms of z-degree >= n divided by z^n, with a
-product kept iff its degree before H is at most D.  When every term of a
-has positive degree outside z, that system is triangular in the weight
-deg_z + (n + 1) (degree - deg_z), so it has exactly one solution and one
-solve gives it; otherwise a successive approximation multiplies, shifts
-and solves by the unit b alone.  Every power (1 + u)^r of a
-series u with u(0) = 0 comes from one recurrence, degree by degree, in
-:func:`endo_apply`: [r](f) and the expansion [r](T) of :func:`mult_endo`.
+degree pairs d1 + d2 <= D, for products, powers and substitution; one loop,
+:func:`_accumulate`, adds them, for sums, scalar multiples, substitution,
+[r](f) and the Weierstrass quotient; :func:`_lowest_terms` reduces every
+result.  The Gauss valuation of a form is v_p(g) - v_p(den), g the gcd of
+its numerators.  Weierstrass division by f = a + z^n b, deg_z a < n, works
+on forms from start to end, and :func:`_solve` is its one triangular
+solver.  The quotient solves b q + H(a q) = H(g), H the terms of z-degree
+>= n divided by z^n, with a product kept iff its degree before H is at
+most D.  When every term of a has positive degree outside z, that system
+is triangular in the weight deg_z + (n + 1) (degree - deg_z), so it has
+exactly one solution and one solve gives it; otherwise a successive
+approximation solves by the unit b alone.  The division multiplies by a
+only through :func:`_mul_z_part`, the twin of :func:`_z_part` that
+multiplies just the term pairs landing in the part it keeps: H(a delta)
+at each step, and low(q a) for the remainder low(g) - low(q a).  Every
+power (1 + u)^r of a series u with u(0) = 0 comes from one recurrence,
+degree by degree, in :func:`endo_apply`: [r](f) and the expansion [r](T) of
+:func:`mult_endo`.
 
 Budgets: the degree cap D is at most DEGREE_CAP_BOUND = 32, the valuation
 bound of Weierstrass division lies in 1..VAL_BOUND_MAX = 256, an exponent
@@ -321,9 +325,9 @@ def _mul_forms(cap, fa, fb):
     pairs d1 + d2 <= cap and adds integer products into the group of degree
     d1 + d2: ``groups[d]`` is {key: numerator} for the keys of degree d, or
     None where no pair lands, for d in 0..cap.  A group is looked up once
-    per term of fa and bucket of fb, not per term pair; Weierstrass division
-    passes its short factor first.  Numerators that cancel to zero stay in
-    the groups.
+    per term of fa and bucket of fb, not per term pair.  Numerators that
+    cancel to zero stay in the groups.  Weierstrass division multiplies by
+    its restricted twin, :func:`_mul_z_part`, instead.
     """
     den_a, buckets_a = fa
     den_b, buckets_b = fb
@@ -451,6 +455,17 @@ def _valuation(p, den, buckets):
     return p_valuation(g, p) - p_valuation(den, p)
 
 
+def _valuation_at_least(p, den, buckets, v):
+    """Whether ``_valuation(p, den, buckets) >= v``, decided without the
+    gcd: whether p^(v + v_p(den)) divides every numerator, which always
+    holds for an exponent <= 0."""
+    e = v + p_valuation(den, p)
+    if e <= 0:
+        return True
+    m = p**e
+    return not any(c % m for _, terms in buckets for c in terms.values())
+
+
 def gauss_valuation(f):
     """Minimum p-valuation over stored coefficients; +infinity for zero."""
     return _valuation(f.ring.p, *f._form)
@@ -530,6 +545,56 @@ def _z_part(cap, zi, n, parts, high):
     return groups
 
 
+def _mul_z_part(cap, zi, n, fa, fb, high):
+    """The terms of z-degree below n, or at least n if ``high``, of the
+    product of the forms fa and fb, z the variable ``zi``: the product twin
+    of :func:`_z_part`, multiplying only the term pairs that land there.
+
+    A pair of terms is kept iff its degree is at most cap, as in
+    :func:`_mul_forms`, and its z-degree e1 + e2 is below n, or at least n
+    if ``high``; high products are written divided by z^n.  The terms of fa
+    are taken by z-degree e1, and for each e1 the terms of fb that pair
+    with them are picked once, by one comparison per term: the z-degree of
+    a key k is at least e iff k % base**(zi + 1) >= e * base**zi.  A group
+    is looked up once per pair of buckets.  Returns (den_a den_b, buckets)
+    with a bucket for each degree that a pair reaches: not in lowest terms,
+    and numerators that cancel to zero stay.  Weierstrass division passes
+    its short factor, a, first.
+    """
+    base = cap + 1
+    unit = base**zi
+    top = unit * base
+    shift, drop = (n * unit, n) if high else (0, 0)
+    parts = {}  # e1 -> {d1: {key: numerator}}
+    for d, terms in fa[1]:
+        for k, c in terms.items():
+            parts.setdefault(k % top // unit, {}).setdefault(d, {})[k - shift] = c
+    groups = [None] * (cap + 1)
+    for e1, part in parts.items():
+        bound = (n - e1) * unit
+        room = cap - min(part)
+        kept = [
+            (d2, [(k, c) for k, c in terms2.items() if (k % top >= bound) == high])
+            for d2, terms2 in fb[1]
+            if d2 <= room
+        ]
+        for d1, terms1 in part.items():
+            for d2, terms2 in kept:
+                d = d1 + d2
+                if d > cap:
+                    break
+                if not terms2:
+                    continue
+                out = groups[d - drop]
+                if out is None:
+                    out = groups[d - drop] = {}
+                for k1, n1 in terms1.items():
+                    for k2, n2 in terms2:
+                        k = k1 + k2
+                        out[k] = out.get(k, 0) + n1 * n2
+    return fa[0] * fb[0], [(d, terms) for d, terms in enumerate(groups) if terms is not None]
+
+
 def weierstrass_divide(g, f, z, val_bound=32):
     """Divide g by a z-distinguished f: g = q*f + r with deg_z r < order(f).
 
@@ -551,17 +616,24 @@ def weierstrass_divide(g, f, z, val_bound=32):
     Otherwise a, read as -a once, goes into a successive approximation: the
     loop starts from the solution delta of b delta = H(g), q = delta, and
     steps to the solution of b delta = H(-a delta), q <- q + delta.  A step
-    is one product delta (-a) (:func:`_mul_forms`) and one solve by the unit
-    b, with no negation in between; b^-1, dense in the window, is never
-    formed.  The corrections gain at least one unit of combined (p-adic +
-    non-z degree) weight per step, so the loop stops once the correction
-    either vanishes inside the window (exact division, certified_valuation
-    = +inf) or has Gauss valuation >= val_bound (the certified p-adic
-    precision of the reported pair).  Where it ends on a zero correction,
-    its q solves the truncated system.  The loop never builds a
-    series: every form it multiplies or solves with is in lowest terms, q
-    accumulates in place, per degree, over the lcm of the denominators of
-    the deltas, and q becomes a series once, at the end.
+    is one restricted product (:func:`_mul_z_part`), which multiplies only
+    the term pairs of (-a) delta that H keeps and writes them divided by
+    z^n, and one solve by the unit b, which takes that product as it is and
+    reduces its own result; there is no negation in between, and b^-1,
+    dense in the window, is never formed.  The corrections gain at least
+    one unit of combined (p-adic + non-z degree) weight per step, so the
+    loop stops once the correction either vanishes inside the window
+    (exact division, certified_valuation = +inf) or has Gauss valuation
+    >= val_bound (the certified p-adic precision of the reported pair),
+    that is once p^(val_bound + v_p(den)) divides each of its numerators.
+    Where it ends on a zero correction, its q solves the truncated system.
+    The loop never builds a series: the forms it multiplies are in lowest
+    terms, q accumulates in place, per degree, over the lcm of the
+    denominators of the deltas, and q becomes a series once, at the end.
+
+    On both paths r = low(g) - low(q a), low the terms of z-degree below n,
+    with low(q a) the other half of the restricted product: every term of
+    z^n q b has z-degree >= n, so g - q f is never formed.
 
     val_bound must be an integer in 1..VAL_BOUND_MAX.
     """
@@ -582,10 +654,12 @@ def weierstrass_divide(g, f, z, val_bound=32):
     den_g, buckets_g = g._form
     y = _lowest_terms(den_g, _z_part(cap, zi, n, buckets_g, True))
     certified = inf
-    if all(d * unit not in terms for d, terms in buckets_f if d < n):
-        q = _solve(cap, b, y, _lowest_terms(den_f, low), zi, n)
+    s_exact = all(d * unit not in terms for d, terms in buckets_f if d < n)
+    a_sign = 1 if s_exact else -1  # the loop multiplies by -a
+    a = _lowest_terms(den_f, low, a_sign)
+    if s_exact:
+        q = _solve(cap, b, y, a, zi, n)
     else:
-        neg_a = _lowest_terms(den_f, low, -1)
         delta = _solve(cap, b, y)
         q_den, q = 1, [None] * (cap + 1)
         headroom = max(0, -gauss_valuation(g))
@@ -602,18 +676,19 @@ def weierstrass_divide(g, f, z, val_bound=32):
                 q = [terms and {k: c * scale for k, c in terms.items()} for terms in q]
                 q_den = new_den
             _accumulate(q, q_den // den, buckets)
-            if i and _valuation(ring.p, den, buckets) >= val_bound:
+            if i and _valuation_at_least(ring.p, den, buckets, val_bound):
                 certified = val_bound
                 break
             if i == max_iter:
                 raise CheckFailure("weierstrass division failed to stabilize")
-            den, acc = _mul_forms(cap, neg_a, delta)
-            delta = _solve(cap, b, _lowest_terms(den, _z_part(cap, zi, n, enumerate(acc), True)))
+            delta = _solve(cap, b, _mul_z_part(cap, zi, n, a, delta, True))
         q = _lowest_terms(q_den, q)
 
-    q = MixedSeries._from_form(ring, q)
-    den, remainder = (g - q * f)._form
-    r = MixedSeries._from_form(ring, _lowest_terms(den, _z_part(cap, zi, n, remainder, False)))
+    # r = low(g) - low(q a): every term of z^n q b has z-degree >= n
+    low_g = [(d, terms) for d, terms in enumerate(_z_part(cap, zi, n, buckets_g, False)) if terms]
+    low_qa = _mul_z_part(cap, zi, n, a, q, False)
+    r = _combine(cap, [(1, (den_g, low_g)), (-a_sign, low_qa)])
+    q, r = MixedSeries._from_form(ring, q), MixedSeries._from_form(ring, r)
     return WeierstrassResult(q, r, certified)
 
 
@@ -640,12 +715,14 @@ def _cells(buckets, unit, base, m):
 def _solve(cap, fb, fy, fa=(1, ()), zi=0, n=0):
     """The solution x of b x + H(a x) = y, truncated at degree cap.
 
-    b, y and a are forms, b with a nonzero constant term; H keeps the terms
-    of z-degree >= n, z the variable ``zi``, and divides them by z^n.  A
-    term of b x or of a x is kept iff its degree, before H, is at most cap,
-    and x has the terms of degree <= cap.  a is empty (the solve by the unit
-    b alone), or each of its terms has z-degree below n and positive degree
-    in the other variables.  Returns the form of x in lowest terms.
+    b, y and a are forms, b with a nonzero constant term; y need not be in
+    lowest terms and may hold zero numerators, since the result is reduced
+    once.  H keeps the terms of z-degree >= n, z the variable ``zi``, and
+    divides them by z^n.  A term of b x or of a x is kept iff its degree,
+    before H, is at most cap, and x has the terms of degree <= cap.  a is
+    empty (the solve by the unit b alone), or each of its terms has z-degree
+    below n and positive degree in the other variables.  Returns the form
+    of x in lowest terms.
 
     Grade the terms by the weight w = (m + 1) d - m e of degree d and
     z-degree e, with m = n if a has terms and m = 0 (w = d) otherwise.  A

@@ -628,6 +628,42 @@ def test_split_adapt_and_check_make_no_dense_matrix(monkeypatch):
     assert calls == {"from_sparse": 0}
 
 
+def test_adapt_lattice_checks_its_idempotent_once(monkeypatch):
+    """``adapt_lattice`` reads and checks its idempotent once and verifies
+    its output on that form, with the checks of ``check_adapted_basis``;
+    ``adapt_lattice_pair`` checks each of its two idempotents once."""
+    inputs = list(_split_inputs(23, per_group=1))
+    checked, verified = [], []
+    real_check, real_verify = conductors._check_idempotent, conductors._check_adapted
+
+    def counting_check(m, e):
+        form = real_check(m, e)
+        checked.append(form)
+        return form
+
+    def recording_verify(m, e_form, basis):
+        verified.append((e_form, basis))
+        return real_verify(m, e_form, basis)
+
+    monkeypatch.setattr(conductors, "_check_idempotent", counting_check)
+    monkeypatch.setattr(conductors, "_check_adapted", recording_verify)
+    adapted = []
+    for m, e, e_outer in inputs:
+        checked.clear()
+        verified.clear()
+        basis = adapt_lattice(m, e)
+        assert len(checked) == 1 and verified == [(checked[0], basis)]
+        checked.clear()
+        verified.clear()
+        inner, outer = adapt_lattice_pair(m, e, e_outer)
+        assert len(checked) == 2 and verified == [(checked[0], outer), (checked[1], inner)]
+        adapted.append((m, e, basis, inner))
+    monkeypatch.undo()
+    assert adapted
+    for m, e, basis, inner in adapted:
+        assert check_adapted_basis(m, e, basis) and check_adapted_basis(m, e, inner)
+
+
 def dense_unit_conjugate(rng, module):
     """Oracle for random_unit_conjugate: the same random unit, inverted and applied densely."""
     d = module.rank

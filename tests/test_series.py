@@ -412,21 +412,22 @@ def test_weierstrass_agrees_with_polynomial_division():
 
 
 @st.composite
-def division_case(draw):
-    """A z-distinguished f, a dividend g and a small valuation bound.
+def division_case(draw, max_cap=8, val_bounds=(1, 6)):
+    """A z-distinguished f, a dividend g and a valuation bound in
+    ``val_bounds``, small by default.
 
-    One to three variables, one of them z, split between the two blocks;
-    p is 2, 3 or 5.  The coefficients of f are p-integral with denominators
-    1, 7 or 11.  Those of g have denominators 1, 7 or 11 times a power of p
-    up to p^2.  f has a unit coefficient of either sign at z^n, p-divisible
-    pure z-terms below it and random terms elsewhere; g has a term of
-    z-degree n or more.
+    One to three variables, one of them z, split between the two blocks,
+    at a cap of at most ``max_cap``; p is 2, 3 or 5.  The coefficients of f
+    are p-integral with denominators 1, 7 or 11.  Those of g have
+    denominators 1, 7 or 11 times a power of p up to p^2.  f has a unit
+    coefficient of either sign at z^n, p-divisible pure z-terms below it
+    and random terms elsewhere; g has a term of z-degree n or more.
     """
     p = draw(st.sampled_from([2, 3, 5]))
     nvars = draw(st.integers(1, 3))
     names = ("A", "B", "C")[:nvars]
     split = draw(st.integers(0, nvars))
-    cap = draw(st.integers(2, 8 if nvars < 3 else 6))
+    cap = draw(st.integers(2, min(max_cap, 8 if nvars < 3 else 6)))
     ring = SeriesRingSpec(p, s_vars=names[:split], t_vars=names[split:], degree_cap=cap)
     zi = draw(st.integers(0, nvars - 1))
     n = draw(st.integers(1, min(3, cap)))
@@ -457,7 +458,7 @@ def division_case(draw):
     f[pure_z(n)] = Fraction(unit, draw(st.sampled_from([1, 7, 11])))
     g = draw(st.dictionaries(expo, coeff(-2, 2), max_size=4))
     g[pure_z(draw(st.integers(n, cap)))] = draw(coeff(-2, 2))  # q is not zero
-    return MixedSeries(ring, f), MixedSeries(ring, g), names[zi], draw(st.integers(1, 6))
+    return MixedSeries(ring, f), MixedSeries(ring, g), names[zi], draw(st.integers(*val_bounds))
 
 
 @st.composite
@@ -511,29 +512,53 @@ def _in_lowest_terms(form):
     return gcd(den, *[num for _, terms in buckets for num in terms.values()]) == 1
 
 
+def _divide_checking_products(g, f, z, val_bound):
+    """``weierstrass_divide`` with the restricted product checked: both of
+    its factors are in lowest terms, and ``_mul_forms`` never runs."""
+    restricted = series._mul_z_part
+
+    def checked(cap, zi, n, fa, fb, high):
+        assert _in_lowest_terms(fa) and _in_lowest_terms(fb)
+        return restricted(cap, zi, n, fa, fb, high)
+
+    def general(cap, fa, fb):
+        raise AssertionError("the division ran the general product")
+
+    with mock.patch.object(series, "_mul_z_part", checked), mock.patch.object(series, "_mul_forms", general):
+        return weierstrass_divide(g, f, z, val_bound)
+
+
 @given(division_case())
 @settings(max_examples=120, deadline=None)
 def test_weierstrass_matches_fraction_oracle(case):
     """The division on integer forms gives the oracle's q, r and certified valuation.
 
-    Every form that reaches the product kernel is in lowest terms, so the
+    Both factors of every restricted product are in lowest terms, so the
     integers stay as small as the oracle's ``Fraction`` coefficients.
     """
     f, g, z, val_bound = case
     expected = dense.weierstrass_divide(g, f, z, val_bound)
-    kernel = series._mul_forms
-
-    def checked(cap, fa, fb):
-        assert _in_lowest_terms(fa) and _in_lowest_terms(fb)
-        return kernel(cap, fa, fb)
-
-    with mock.patch.object(series, "_mul_forms", checked):
-        q, r, certified = weierstrass_divide(g, f, z, val_bound)
+    q, r, certified = _divide_checking_products(g, f, z, val_bound)
     assert q.coeffs == expected.q.coeffs
     assert r.coeffs == expected.r.coeffs
     assert certified == expected.certified_valuation
     assert_clean(q)
     assert_clean(r)
+
+
+@given(division_case(max_cap=6, val_bounds=(16, 40)))
+@settings(max_examples=25, deadline=None)
+def test_weierstrass_matches_fraction_oracle_at_working_bounds(case):
+    """The oracle comparison at the valuation bounds the command line and
+    the benchmark use (default 32): caps up to 6, bounds 16..40."""
+    f, g, z, val_bound = case
+    assert 16 <= val_bound <= 40 and f.ring.degree_cap <= 6
+    expected = dense.weierstrass_divide(g, f, z, val_bound)
+    result = _divide_checking_products(g, f, z, val_bound)
+    assert result == expected
+    assert result.certified_valuation == expected.certified_valuation
+    assert_clean(result.q)
+    assert_clean(result.r)
 
 
 @given(s_exact_division_case())
@@ -556,49 +581,17 @@ def test_s_exact_division_is_exact(case):
     assert_clean(r)
 
 
-def test_s_exact_division_is_one_solve_and_no_loop_product(monkeypatch):
-    """An S-exact division calls ``_solve`` once, with the low part of f,
-    and the one product is q f, for the remainder."""
-    z, s = zvar(), zvar("S")
-    f = z**3 * Fraction(1, 7) + s * z * z + 3 * s * s * z + s + z**4
-    g = z**5 + s * z**3 * Fraction(3, 7) + 1
-    series_mul, kernel, solve = MixedSeries.__mul__, series._mul_forms, series._solve
-    counts = dict.fromkeys(("mul", "kernel", "solve"), 0)
+def _counting_division(monkeypatch, counts, products, solves):
+    """Patch the series kernel to count what a division calls.
 
-    def counting_mul(a, b):
-        counts["mul"] += 1
-        return series_mul(a, b)
-
-    def counting_kernel(cap, fa, fb):
-        counts["kernel"] += 1
-        return kernel(cap, fa, fb)
-
-    def counting_solve(cap, fb, fy, fa=(1, ()), zi=0, n=0):
-        assert fa[1] and n == 3
-        counts["solve"] += 1
-        return solve(cap, fb, fy, fa, zi, n)
-
-    monkeypatch.setattr(MixedSeries, "__mul__", counting_mul)
-    monkeypatch.setattr(series, "_mul_forms", counting_kernel)
-    monkeypatch.setattr(series, "_solve", counting_solve)
-    result = weierstrass_divide(g, f, "Z", 1)
-    assert counts == {"mul": 1, "kernel": 1, "solve": 1}
-    monkeypatch.undo()
-    assert result.certified_valuation == math.inf
-    assert result == dense.weierstrass_divide(g, f, "Z", VAL_BOUND_MAX)
-
-
-def test_weierstrass_series_products_do_not_grow_with_iterations(monkeypatch):
-    """The division loop works on forms only: MixedSeries.__mul__ runs and
-    series are built the same number of times whatever the number of
-    iterations, and each iteration is one product and one solve by the unit
-    part of f, on forms in lowest terms."""
-    z, s = zvar(), zvar("S")
-    f = 2 * z**3 + z * z * Fraction(1, 5) + 2 * z + 2
-    g = z**4 * Fraction(1, 4) + s * z**3 * Fraction(3, 7) + 1
-    series_mul, kernel, solve = MixedSeries.__mul__, series._mul_forms, series._solve
+    ``counts`` gets "mul" (``MixedSeries.__mul__`` of two series),
+    "kernel" (``_mul_forms``), "high" and "low" (``_mul_z_part`` by its
+    flag), "solve" and "built" (series constructed).  ``products`` records
+    (high, factors in lowest terms, result) per restricted product and
+    ``solves`` (fa, n, fy) per solve."""
+    series_mul, kernel, restricted = MixedSeries.__mul__, series._mul_forms, series._mul_z_part
+    solve = series._solve
     from_form, init = MixedSeries._from_form.__func__, MixedSeries.__init__
-    counts = dict.fromkeys(("mul", "kernel", "solve", "built"), 0)
 
     def counting_mul(a, b):
         if isinstance(b, MixedSeries):
@@ -606,14 +599,19 @@ def test_weierstrass_series_products_do_not_grow_with_iterations(monkeypatch):
         return series_mul(a, b)
 
     def counting_kernel(cap, fa, fb):
-        assert _in_lowest_terms(fa) and _in_lowest_terms(fb)
         counts["kernel"] += 1
         return kernel(cap, fa, fb)
 
+    def counting_restricted(cap, zi, n, fa, fb, high):
+        counts["high" if high else "low"] += 1
+        out = restricted(cap, zi, n, fa, fb, high)
+        products.append((high, _in_lowest_terms(fa) and _in_lowest_terms(fb), out))
+        return out
+
     def counting_solve(cap, fb, fy, fa=(1, ()), zi=0, n=0):
-        assert _in_lowest_terms(fb) and _in_lowest_terms(fy)
-        assert not fa[1]  # the loop solves by the unit part alone
+        assert _in_lowest_terms(fb)  # the unit part of f
         counts["solve"] += 1
+        solves.append((fa, n, fy))
         return solve(cap, fb, fy, fa, zi, n)
 
     def counting_from_form(cls, ring, form):
@@ -626,22 +624,184 @@ def test_weierstrass_series_products_do_not_grow_with_iterations(monkeypatch):
 
     monkeypatch.setattr(MixedSeries, "__mul__", counting_mul)
     monkeypatch.setattr(series, "_mul_forms", counting_kernel)
+    monkeypatch.setattr(series, "_mul_z_part", counting_restricted)
     monkeypatch.setattr(series, "_solve", counting_solve)
     monkeypatch.setattr(MixedSeries, "_from_form", classmethod(counting_from_form))
     monkeypatch.setattr(MixedSeries, "__init__", counting_init)
+
+
+def test_s_exact_division_is_one_solve_and_no_loop_product(monkeypatch):
+    """An S-exact division calls ``_solve`` once, with the low part of f,
+    and makes one restricted product, the low half low(q a) for the
+    remainder, on factors in lowest terms: no series product and no
+    ``_mul_forms``, and the same calls whatever val_bound is."""
+    z, s = zvar(), zvar("S")
+    f = z**3 * Fraction(1, 7) + s * z * z + 3 * s * s * z + s + z**4
+    g = z**5 + s * z**3 * Fraction(3, 7) + 1
+    counts = dict.fromkeys(("mul", "kernel", "high", "low", "solve", "built"), 0)
+    seen, results = [], []
+    for val_bound in (1, 8, 32, VAL_BOUND_MAX):
+        products, solves = [], []
+        counts.update(dict.fromkeys(counts, 0))
+        with monkeypatch.context() as patched:
+            _counting_division(patched, counts, products, solves)
+            results.append(weierstrass_divide(g, f, "Z", val_bound))
+        seen.append(dict(counts))
+        assert counts == {"mul": 0, "kernel": 0, "high": 0, "low": 1, "solve": 1, "built": 2}
+        assert [high for high, _, _ in products] == [False]
+        assert all(reduced for _, reduced, _ in products)
+        assert [(bool(fa[1]), n) for fa, n, _ in solves] == [(True, 3)]
+    assert all(c == seen[0] for c in seen)
+    expected = dense.weierstrass_divide(g, f, "Z", VAL_BOUND_MAX)
+    for result in results:
+        assert result.certified_valuation == math.inf
+        assert result == expected
+
+
+def test_weierstrass_series_products_do_not_grow_with_iterations(monkeypatch):
+    """The division loop works on forms only.  No series product and no
+    ``_mul_forms`` runs, and series are built the same number of times
+    whatever the number of iterations.  Each iteration is one restricted
+    product H(-a delta), on factors in lowest terms, whose result goes to
+    the next solve by the unit part of f as it is; the remainder is one
+    more restricted product, its low half."""
+    z, s = zvar(), zvar("S")
+    f = 2 * z**3 + z * z * Fraction(1, 5) + 2 * z + 2
+    g = z**4 * Fraction(1, 4) + s * z**3 * Fraction(3, 7) + 1
+    counts = dict.fromkeys(("mul", "kernel", "high", "low", "solve", "built"), 0)
     seen = []
     for val_bound in (1, 4, 12, 24):
+        products, solves = [], []
         counts.update(dict.fromkeys(counts, 0))
-        result = weierstrass_divide(g, f, "Z", val_bound)
+        with monkeypatch.context() as patched:
+            _counting_division(patched, counts, products, solves)
+            result = weierstrass_divide(g, f, "Z", val_bound)
         seen.append(dict(counts))
         assert result.certified_valuation == val_bound
         assert result == dense.weierstrass_divide(g, f, "Z", val_bound)
-    assert len({c["mul"] for c in seen}) == 1
-    assert len({c["built"] for c in seen}) == 1
-    # one product per iteration, and the first solve plus one per iteration
-    iterations = [c["kernel"] - c["mul"] for c in seen]
-    assert [c["solve"] for c in seen] == [1 + i for i in iterations]
+        assert counts["mul"] == counts["kernel"] == 0 and counts["low"] == 1
+        # the first solve plus one per iteration, each by the unit part alone
+        assert counts["solve"] == 1 + counts["high"]
+        assert all(not fa[1] for fa, _, _ in solves)
+        assert all(reduced for _, reduced, _ in products)
+        # the first solve takes H(g) in lowest terms, and each step's
+        # product is the next solve's right-hand side as it is
+        assert _in_lowest_terms(solves[0][2])
+        assert [high for high, _, _ in products] == [True] * counts["high"] + [False]
+        assert all(fy is out for (_, _, fy), (_, _, out) in zip(solves[1:], products))
+    assert len({(c["mul"], c["kernel"], c["low"], c["built"]) for c in seen}) == 1
+    iterations = [c["high"] for c in seen]
     assert iterations == sorted(set(iterations))
+
+
+@st.composite
+def product_case(draw):
+    """Two forms of one ring, z and n for the restricted product.
+
+    One to three variables split between the two blocks, so T-variables
+    occur in some cases and not in others; p is 2 or 3 and the cap 1..8.
+    The terms reach the cap, so most products are truncated; coefficients
+    have denominators up to 12, p-powers among them.  n runs up to cap + 1,
+    where no term is high.
+    """
+    p = draw(st.sampled_from([2, 3]))
+    nvars = draw(st.integers(1, 3))
+    names = ("A", "B", "C")[:nvars]
+    split = draw(st.integers(0, nvars))
+    cap = draw(st.integers(1, 8))
+    ring = SeriesRingSpec(p, s_vars=names[:split], t_vars=names[split:], degree_cap=cap)
+    expo = st.tuples(*(st.integers(0, cap) for _ in range(nvars))).filter(lambda e: sum(e) <= cap)
+    coeff = st.fractions(min_value=-20, max_value=20, max_denominator=12)
+    fa = MixedSeries(ring, draw(st.dictionaries(expo, coeff, max_size=6)))
+    fb = MixedSeries(ring, draw(st.dictionaries(expo, coeff, max_size=10)))
+    return fa, fb, draw(st.integers(0, nvars - 1)), draw(st.integers(1, cap + 1))
+
+
+def _restricted_by_the_general_product(cap, zi, n, fa, fb, high):
+    """``_z_part`` of ``_mul_forms``, as (den, buckets) of its nonempty degrees."""
+    den, groups = series._mul_forms(cap, fa, fb)
+    part = series._z_part(cap, zi, n, enumerate(groups), high)
+    return den, [(d, terms) for d, terms in enumerate(part) if terms]
+
+
+@given(product_case())
+@settings(max_examples=200, deadline=None)
+def test_restricted_product_is_the_z_part_of_the_product(case):
+    """Both halves of ``_mul_z_part``, high and divided by z^n, and low,
+    equal ``_z_part`` of ``_mul_forms``: the same denominator, degrees, keys
+    and numerators, zeros that cancel included, in both factor orders."""
+    fa, fb, zi, n = case
+    cap = fa.ring.degree_cap
+    for x, y in ((fa._form, fb._form), (fb._form, fa._form)):
+        for high in (True, False):
+            expected = _restricted_by_the_general_product(cap, zi, n, x, y, high)
+            assert series._mul_z_part(cap, zi, n, x, y, high) == expected
+
+
+def test_restricted_product_truncates_at_the_cap_with_t_variables():
+    """A dense product in a ring with a T-variable at cap 5, z in each
+    position: the pairs past the cap are dropped, the two halves together
+    are the truncated product, and each equals its ``_z_part``."""
+    ring = SeriesRingSpec(3, s_vars=("S",), t_vars=("T", "U"), degree_cap=5)
+    terms = {
+        (i, j, k): Fraction(i - 2 * j + k + 1, 1 + j) for i in range(4) for j in range(4) for k in range(3)
+    }
+    f = MixedSeries(ring, terms)
+    g = MixedSeries(ring, {e: c * 3 for e, c in terms.items() if sum(e) <= 3})
+    cap = ring.degree_cap
+    full = f * g
+    wide = SeriesRingSpec(3, s_vars=("S",), t_vars=("T", "U"), degree_cap=16)
+    assert any(sum(e) > cap for e in (MixedSeries(wide, f.coeffs) * MixedSeries(wide, g.coeffs)).coeffs)
+    for zi in range(3):
+        for n in (1, 2, 4):
+            high = series._mul_z_part(cap, zi, n, f._form, g._form, True)
+            low = series._mul_z_part(cap, zi, n, f._form, g._form, False)
+            assert high == _restricted_by_the_general_product(cap, zi, n, f._form, g._form, True)
+            assert low == _restricted_by_the_general_product(cap, zi, n, f._form, g._form, False)
+            shift = n * (cap + 1) ** zi
+            unshifted = (high[0], [(d + n, {k + shift: c for k, c in t.items()}) for d, t in high[1]])
+            both = MixedSeries._from_form(ring, series._combine(cap, [(1, low), (1, unshifted)]))
+            assert both == full
+
+
+@st.composite
+def stop_case(draw):
+    """p, a denominator den = u p^k with u prime to p, numerators that are
+    zero or carry a drawn power of p, and a bound v, often <= -v_p(den)."""
+    p = draw(st.sampled_from([2, 3, 5]))
+    k = draw(st.integers(0, 4))
+    den = draw(st.integers(1, 30).filter(lambda u: u % p)) * p**k
+    numerator = st.builds(lambda u, j: u * p**j, st.integers(-30, 30), st.integers(0, 9))
+    rows = draw(st.lists(st.lists(numerator, min_size=1, max_size=4), max_size=4))
+    buckets = [(d, dict(enumerate(row))) for d, row in enumerate(rows)]
+    return p, den, buckets, draw(st.integers(-6, 9))
+
+
+@given(stop_case())
+@settings(max_examples=300, deadline=None)
+def test_valuation_stop_test_is_the_gauss_valuation_bound(case):
+    """The division's stop test, p^(v + v_p(den)) divides every numerator,
+    is ``_valuation >= v``: den divisible by p, zero numerators, no
+    numerators and v + v_p(den) <= 0 included."""
+    p, den, buckets, v = case
+    assert series._valuation_at_least(p, den, buckets, v) == (series._valuation(p, den, buckets) >= v)
+
+
+def test_valuation_stop_test_at_and_below_exponent_zero():
+    """The edge cases of the stop test named one by one."""
+    cases = [
+        (3, 27, [(0, {0: 1, 1: 2})], -3, True),  # exponent 0, valuation -3
+        (3, 27, [(0, {0: 1})], -2, False),  # exponent 1, valuation -3
+        (3, 27, [(0, {0: 3})], -2, True),
+        (2, 8, [(0, {0: 5})], -7, True),  # exponent below 0
+        (2, 8, [(1, {3: 0, 4: 16})], 1, True),  # zero numerators, 2^4 | 16
+        (2, 8, [(1, {3: 0, 4: 16})], 2, False),
+        (5, 7, [], 9, True),  # no numerators: valuation +infinity
+        (5, 7, [(2, {0: 0})], 9, True),
+    ]
+    for p, den, buckets, v, expected in cases:
+        assert series._valuation_at_least(p, den, buckets, v) is expected
+        assert (series._valuation(p, den, buckets) >= v) is expected
 
 
 @st.composite
